@@ -20,6 +20,7 @@ from .grids import (
     differentiate,
     divergence,
     gradient,
+    point_jacobian,
     summarize_residual,
 )
 from .quadrature import MIDPOINT, SIMPSON, TRAPEZOID, QuadratureRule, integrate, path_integral

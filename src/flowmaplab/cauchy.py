@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Field, StencilSpec, curl, differentiate, summarize_residual
+from .grids import Field, StencilSpec, curl, divergence, gradient, summarize_residual
 from .flowmap import deformation_gradient
 
 __all__ = [
@@ -152,9 +152,7 @@ def solenoidality_residual(w, spec=StencilSpec(), rind=0, keep_values=False):
     """Linf of dA/da + dB/db + dC/dc for a label-frame invariant field."""
     if w.frame != "label":
         raise TypeError("solenoidality residual expects a label-frame field")
-    div = np.zeros(w.grid.shape)
-    for k in range(w.grid.ndim):
-        div += differentiate(w.values[..., k], k, spec, grid=w.grid)
+    div = divergence(w.values, spec, grid=w.grid)
     return summarize_residual(div, w.grid, rind=rind, keep_values=keep_values)
 
 
@@ -184,14 +182,7 @@ def vortex_line_function_residual(phi, psi, w, spec=StencilSpec(), rind=0,
     grid = w.grid
     phi_d = phi.data if isinstance(phi, Field) else np.asarray(phi, float)
     psi_d = psi.data if isinstance(psi, Field) else np.asarray(psi, float)
-
-    def grad3(f):
-        out = np.zeros(grid.shape + (3,))
-        for k in range(grid.ndim):
-            out[..., k] = differentiate(f, k, spec, grid=grid)
-        return out
-
-    gp, gq = grad3(phi_d), grad3(psi_d)
+    gp, gq = gradient(phi_d, spec, grid=grid), gradient(psi_d, spec, grid=grid)
     cross = np.stack(
         [gp[..., 1] * gq[..., 2] - gp[..., 2] * gq[..., 1],
          gp[..., 2] * gq[..., 0] - gp[..., 0] * gq[..., 2],

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .grids import _diff_along_axis0
 from .quadrature import closed_path_tangents
 from .flowmap import deformation_at, velocity_gradient_at, inv3
 
@@ -173,22 +174,11 @@ class MaterialSurface:
 
 def _param_derivative(pos, axis, periodic, order=2):
     """d(pos)/ds along one parameter axis; s spans 2*pi on periodic axes and
-    [0, 1] on clamped axes (uniform samples either way)."""
+    [0, 1] on clamped axes (uniform samples either way), with one-sided
+    rows of the same order at clamped ends."""
     n = pos.shape[axis]
-    moved = np.moveaxis(pos, axis, 0)
-    if periodic:
-        h = 2 * np.pi / n
-        if order == 4:
-            out = (np.roll(moved, 2, 0) - 8 * np.roll(moved, 1, 0)
-                   + 8 * np.roll(moved, -1, 0) - np.roll(moved, -2, 0)) / (12 * h)
-        else:
-            out = (np.roll(moved, -1, 0) - np.roll(moved, 1, 0)) / (2 * h)
-    else:
-        h = 1.0 / (n - 1)
-        out = np.empty_like(moved)
-        out[1:-1] = (moved[2:] - moved[:-2]) / (2 * h)
-        out[0] = (-3 * moved[0] + 4 * moved[1] - moved[2]) / (2 * h)
-        out[-1] = (3 * moved[-1] - 4 * moved[-2] + moved[-3]) / (2 * h)
+    h = 2 * np.pi / n if periodic else 1.0 / (n - 1)
+    out = _diff_along_axis0(np.moveaxis(pos, axis, 0), h, order, periodic)
     return np.moveaxis(out, 0, axis)
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import StencilSpec, summarize_residual
+from .grids import StencilSpec, curl, divergence, gradient, point_jacobian, summarize_residual
 
 __all__ = [
     "ClebschTriple",
@@ -74,15 +74,9 @@ class ClebschTriple:
 
 
 def _fd_gradient(fn, pts, t, h=1e-6):
-    pts = np.asarray(pts, dtype=float)
     if fn is None:
-        return np.zeros(pts.shape)
-    out = np.empty(pts.shape)
-    for k in range(3):
-        dp = np.zeros(3)
-        dp[k] = h
-        out[..., k] = (np.asarray(fn(pts + dp, t)) - np.asarray(fn(pts - dp, t))) / (2 * h)
-    return out
+        return np.zeros(np.asarray(pts).shape)
+    return point_jacobian(lambda p: fn(p, t), pts, h)
 
 
 def _fd_mixed(fn, pts, t, i, j, h):
@@ -99,15 +93,6 @@ def _fd_mixed(fn, pts, t, i, j, h):
 
 def _grid_points(grid):
     return grid.nodes3().reshape(grid.shape + (3,))
-
-
-def _grid_gradient(values, grid, spec):
-    from .grids import differentiate
-
-    out = np.zeros(grid.shape + (3,))
-    for k in range(grid.ndim):
-        out[..., k] = differentiate(values, k, spec, grid=grid)
-    return out
 
 
 def _cut_exclusion_mask(ct, grid, spec):
@@ -137,11 +122,9 @@ def clebsch_vorticity_residual(ct, grid, t=0.0, spec=StencilSpec(), rind=1):
     """
     pts = _grid_points(grid)
     u = ct.velocity(pts, t)
-    from .grids import curl
-
     cu = curl(u, spec, grid=grid)
-    gphi = _grid_gradient(_call_scalar(ct.phi, pts, t), grid, spec)
-    gpsi = _grid_gradient(_call_scalar(ct.psi, pts, t), grid, spec)
+    gphi = gradient(_call_scalar(ct.phi, pts, t), spec, grid=grid)
+    gpsi = gradient(_call_scalar(ct.psi, pts, t), spec, grid=grid)
     cross = np.cross(gphi, gpsi)
     mask, _ = _cut_exclusion_mask(ct, grid, spec)
     res = np.max(np.abs(cu - cross), axis=-1)
@@ -163,7 +146,7 @@ def clebsch_advection_residual(ct, velocity_fn, grid, t=0.0, spec=StencilSpec(),
         vals_p = _call_scalar(fn, pts, t + dt)
         vals_m = _call_scalar(fn, pts, t - dt)
         ddt = (vals_p - vals_m) / (2 * dt)
-        grad = _grid_gradient(_call_scalar(fn, pts, t), grid, spec)
+        grad = gradient(_call_scalar(fn, pts, t), spec, grid=grid)
         res = ddt + np.einsum("...i,...i->...", u, grad)
         out.append(summarize_residual(res, grid, rind=rind, mask=mask))
     return tuple(out)
@@ -173,8 +156,6 @@ def incompressibility_residual(ct, grid, t=0.0, spec=StencilSpec(), rind=1):
     """Linf of div(grad F + phi grad psi) on the grid."""
     pts = _grid_points(grid)
     u = ct.velocity(pts, t)
-    from .grids import divergence
-
     mask, _ = _cut_exclusion_mask(ct, grid, spec)
     return summarize_residual(divergence(u, spec, grid=grid), grid, rind=rind, mask=mask)
 
@@ -187,15 +168,10 @@ def potential_flow_checks(F_fn, omega_fn, grid, t=0.0, spec=StencilSpec(),
     of F, and of dF/dt + |grad F|^2 / 2 - Omega. omega_fn(points, t) is the
     combined potential; a function of t alone shifts nothing (gauge).
     """
-    from .grids import differentiate
-
     pts = _grid_points(grid)
     vals = np.asarray(F_fn(pts, t), dtype=float)
-    lap = np.zeros(grid.shape)
-    for k in range(grid.ndim):
-        d1 = differentiate(vals, k, spec, grid=grid)
-        lap += differentiate(d1, k, spec, grid=grid)
-    gF = _grid_gradient(vals, grid, spec)
+    gF = gradient(vals, spec, grid=grid)
+    lap = divergence(gF, spec, grid=grid)
     dFdt = (np.asarray(F_fn(pts, t + dt)) - np.asarray(F_fn(pts, t - dt))) / (2 * dt)
     bern = dFdt + 0.5 * np.einsum("...i,...i->...", gF, gF) - np.asarray(omega_fn(pts, t), dtype=float)
     mask = None

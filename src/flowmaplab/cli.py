@@ -40,7 +40,6 @@ def build_parser():
     runp.add_argument("--flow", help="restrict to one catalog flow")
     runp.add_argument("--out", help="override the report output path")
     runp.add_argument("--threads", type=int, default=None)
-    runp.add_argument("--seed", type=int, default=None)
 
     conv = sub.add_parser("converge", help="convergence study for one check")
     conv.add_argument("check", help="check id, e.g. cauchy.invariant_drift")
@@ -89,8 +88,6 @@ def _cmd_run(args):
         if not cfg["flows"]:
             print(f"error: flow {args.flow!r} not in config", file=sys.stderr)
             return 2
-    if args.seed is not None:
-        cfg["seed"] = args.seed
     threads = args.threads or int(os.environ.get("FLOWMAPLAB_THREADS", "0")) or None
     try:
         cfg = load_config(cfg)

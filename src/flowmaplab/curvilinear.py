@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import StencilSpec, summarize_residual
+from .grids import StencilSpec, gradient, point_jacobian, summarize_residual
 from .flowmap import det3
 
 __all__ = [
@@ -52,17 +52,6 @@ __all__ = [
     "elliptical_chart",
     "skewed_chart",
 ]
-
-
-def _fd_vec(fn, pts, h=1e-6):
-    """(... ,3,3) array out[i,j] = d fn_i / d pts_j by central differences."""
-    pts = np.asarray(pts, dtype=float)
-    out = np.empty(pts.shape[:-1] + (3, 3))
-    for j in range(3):
-        dp = np.zeros(3)
-        dp[j] = h
-        out[..., :, j] = (np.asarray(fn(pts + dp)) - np.asarray(fn(pts - dp))) / (2 * h)
-    return out
 
 
 @dataclass
@@ -91,7 +80,7 @@ class Chart:
     def partials_at(self, rho, h=1e-6):
         if self.position_partials is not None:
             return np.asarray(self.position_partials(np.asarray(rho, float)), dtype=float)
-        return _fd_vec(self.inverse, rho, h)
+        return point_jacobian(self.inverse, rho, h)
 
     def check_domain(self, rho):
         if self.domain is not None and not np.all(self.domain(np.asarray(rho, float))):
@@ -186,26 +175,14 @@ def _trajectory_chart_rates(m, chart, t, dt):
 def _metric_partials(chart, rho, h=1e-6):
     if chart.metric_partials is not None:
         return np.asarray(chart.metric_partials(np.asarray(rho, float)), dtype=float)
-    out = np.empty(np.asarray(rho).shape[:-1] + (3, 3))
-    for j in range(3):
-        dp = np.zeros(3)
-        dp[j] = h
-        Np = chart_metrics(chart, rho + dp).N
-        Nm = chart_metrics(chart, rho - dp).N
-        out[..., :, j] = (Np - Nm) / (2 * h)
-    return out
+    return point_jacobian(lambda r: chart_metrics(chart, r).N, rho, h)
 
 
 def _omega_chart_gradient(omega_fn, rho, omega_grad=None, h=1e-6):
     rho = np.asarray(rho, dtype=float)
     if omega_grad is not None:
         return np.asarray(omega_grad(rho), dtype=float)
-    out = np.empty(rho.shape)
-    for j in range(3):
-        dp = np.zeros(3)
-        dp[j] = h
-        out[..., j] = (np.asarray(omega_fn(rho + dp)) - np.asarray(omega_fn(rho - dp))) / (2 * h)
-    return out
+    return point_jacobian(omega_fn, rho, h)
 
 
 def _momentum_terms(m, chart, t, dt):
@@ -270,22 +247,13 @@ def curvilinear_lagrangian_eom_residual(m, chart, omega_fn, t, spec=StencilSpec(
     dN = _metric_partials(chart, rho)
     dOm = _omega_chart_gradient(omega_fn, rho, omega_grad)
 
-    from .grids import differentiate
-
-    def label_grad(f):
-        out = np.zeros(grid.shape + (3,))
-        for k in range(grid.ndim):
-            out[..., k] = differentiate(f, k, spec, grid=grid)
-        out[..., grid.ndim:] = 0.0
-        return out
-
     # d(rho_i)/dlab_k and d(rho0_i)/dlab_k by grid differences
-    drho_dlab = np.stack([label_grad(rho[..., i]) for i in range(3)], axis=-2)
+    drho_dlab = gradient(rho, spec, grid=grid)
     if isinstance(rho0, str) and rho0 == "labels":
         rho0_vals = labels
     else:
         rho0_vals = np.asarray(chart.forward(m.positions(labels, 0.0)), dtype=float)
-    drho0_dlab = np.stack([label_grad(rho0_vals[..., i]) for i in range(3)], axis=-2)
+    drho0_dlab = gradient(rho0_vals, spec, grid=grid)
     # label axes absent from 1D/2D grids: embedded flows are z-invariant with
     # the chart's third coordinate equal to z = c, so d(rho3)/dc = 1 there
     for i in range(grid.ndim, 3):
@@ -323,17 +291,8 @@ def curvilinear_density_residual(m, chart, t, spec=StencilSpec(), density_ratio=
     rho_t = np.asarray(chart.forward(m.positions(labels, t)), dtype=float)
     rho_0 = np.asarray(chart.forward(m.positions(labels, 0.0)), dtype=float)
     chart.check_domain(rho_t)
-
-    from .grids import differentiate
-
-    def label_grad(f):
-        out = np.zeros(grid.shape + (3,))
-        for k in range(grid.ndim):
-            out[..., k] = differentiate(f, k, spec, grid=grid)
-        return out
-
-    drho_dlab = np.stack([label_grad(rho_t[..., i]) for i in range(3)], axis=-2)
-    drho0_dlab = np.stack([label_grad(rho_0[..., i]) for i in range(3)], axis=-2)
+    drho_dlab = gradient(rho_t, spec, grid=grid)
+    drho0_dlab = gradient(rho_0, spec, grid=grid)
     # see curvilinear_lagrangian_eom_residual: absent label axes mean z = c
     for i in range(grid.ndim, 3):
         drho_dlab[..., :, i] = 0.0

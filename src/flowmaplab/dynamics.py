@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Field, StencilSpec, differentiate, summarize_residual
+from .grids import StencilSpec, differentiate, gradient, point_jacobian, summarize_residual
 from .flowmap import deformation_gradient
 
 __all__ = [
@@ -27,17 +27,6 @@ __all__ = [
     "eulerian_residual_at_points",
     "chain_rule_mismatch",
 ]
-
-
-def _fd_space_gradient(fn, points, t, h=1e-6):
-    """Central-difference spatial gradient of a callable at points (..., 3)."""
-    pts = np.asarray(points, dtype=float)
-    out = np.empty(pts.shape)
-    for k in range(3):
-        dp = np.zeros(3)
-        dp[k] = h
-        out[..., k] = (fn(pts + dp, t) - fn(pts - dp, t)) / (2 * h)
-    return out
 
 
 @dataclass
@@ -73,7 +62,7 @@ class ForcePotential:
             return np.zeros(np.asarray(points).shape)
         if self.V_grad is not None:
             return np.asarray(self.V_grad(points, t), dtype=float)
-        return _fd_space_gradient(self.V, points, t, h)
+        return point_jacobian(lambda p: self.V(p, t), points, h)
 
     def pressure_at(self, points, t=0.0):
         if callable(self.pressure):
@@ -121,22 +110,17 @@ def eulerian_eom_residual(u, v, w, fp, t=0.0, dudt=None, spec=StencilSpec(),
 
 
 def _pressure_label_gradient(m, fp, t, spec, F):
-    grid = m.grid
     labels = m.grid_labels()
     if fp.pressure_frame == "label":
         if fp.pressure_grad is not None:
             return np.asarray(fp.pressure_grad(labels, t), dtype=float)
-        pvals = fp.pressure_at(labels, t)
-        out = np.zeros(grid.shape + (3,))
-        for k in range(grid.ndim):
-            out[..., k] = differentiate(pvals, k, spec, grid=grid)
-        return out
+        return gradient(fp.pressure_at(labels, t), spec, grid=m.grid)
     # position-frame pressure: chain rule through the advected positions
     pos = m.positions(labels, t)
     if fp.pressure_grad is not None:
         gp = np.asarray(fp.pressure_grad(pos, t), dtype=float)
     else:
-        gp = _fd_space_gradient(fp.pressure_at, pos, t)
+        gp = point_jacobian(lambda p: fp.pressure_at(p, t), pos, 1e-6)
     return np.einsum("...i,...ij->...j", gp, F)
 
 
@@ -172,18 +156,14 @@ def eulerian_residual_at_points(u_fn, fp, points, t, h=1e-5, dt=1e-5):
     pts = np.asarray(points, dtype=float)
     u0 = np.asarray(u_fn(pts, t), dtype=float)
     dudt = (np.asarray(u_fn(pts, t + dt)) - np.asarray(u_fn(pts, t - dt))) / (2 * dt)
-    grad_u = np.empty(pts.shape[:-1] + (3, 3))
-    for k in range(3):
-        dp = np.zeros(3)
-        dp[k] = h
-        grad_u[..., :, k] = (np.asarray(u_fn(pts + dp, t)) - np.asarray(u_fn(pts - dp, t))) / (2 * h)
+    grad_u = point_jacobian(lambda p: u_fn(p, t), pts, h)
     adv = np.einsum("...ik,...k->...i", grad_u, u0)
     force = fp.V_grad_at(pts, t)
     if callable(fp.pressure):
         gp = (
             np.asarray(fp.pressure_grad(pts, t), dtype=float)
             if fp.pressure_grad is not None
-            else _fd_space_gradient(fp.pressure_at, pts, t, h)
+            else point_jacobian(lambda p: fp.pressure_at(p, t), pts, h)
         )
     else:
         gp = np.zeros(pts.shape)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .grids import StencilSpec
+from .grids import StencilSpec, divergence, gradient
 from .quadrature import SIMPSON, TRAPEZOID, grid_integral
 
 __all__ = [
@@ -142,17 +142,9 @@ def boundary_energy_identity(F_fn, grid, spec=StencilSpec(), rule=TRAPEZOID,
         raise ValueError("boundary energy identity needs a 3-axis box grid")
     pts = grid.nodes3().reshape(grid.shape + (3,))
     vals = np.asarray(F_fn(pts), dtype=float)
-
-    from .grids import differentiate
-
-    if grad_fn is not None:
-        gF = np.asarray(grad_fn(pts), dtype=float)
-    else:
-        gF = np.stack([differentiate(vals, k, spec, grid=grid) for k in range(3)], axis=-1)
-    lap = np.zeros(grid.shape)
-    for k in range(3):
-        lap += differentiate(differentiate(vals, k, spec, grid=grid), k, spec, grid=grid)
-    laplace_linf = float(np.abs(lap).max())
+    g_fd = gradient(vals, spec, grid=grid)
+    gF = g_fd if grad_fn is None else np.asarray(grad_fn(pts), dtype=float)
+    laplace_linf = float(np.abs(divergence(g_fd, spec, grid=grid)).max())
 
     energy_density = 0.5 * np.einsum("...i,...i->...", gF, gF)
     volume_side = float(grid_integral(energy_density, grid.spacing, rule, grid.periodic))

@@ -31,6 +31,8 @@ from .grids import (
     LabelGrid,
     StencilSpec,
     differentiate,
+    gradient,
+    point_jacobian,
     summarize_residual,
 )
 from .quadrature import TRAPEZOID, grid_integral
@@ -314,14 +316,9 @@ def _fd_partials_on_grid(m, t, spec):
     Differentiating x - a instead of x keeps periodic wrapping valid for maps
     whose displacement (not position) is periodic in the labels.
     """
-    grid = m.grid
     labels = m.grid_labels()
-    disp = m.positions(labels, t) - labels
-    F = np.zeros(grid.shape + (3, 3))
-    F[..., 0, 0] = F[..., 1, 1] = F[..., 2, 2] = 1.0
-    for j in range(grid.ndim):
-        dd = differentiate(disp, j, spec, grid=grid)
-        F[..., :, j] += dd
+    F = gradient(m.positions(labels, t) - labels, spec, grid=m.grid)
+    F += np.eye(3)
     return F
 
 
@@ -349,36 +346,14 @@ def deformation_at(m, labels, t, h=1e-5):
     The local fallback advects +/-h shifted copies of the labels (one batched
     map evaluation), so it works for sampled maps backed by their field.
     """
-    labels = _labels3(labels)
-    F = m.label_partials(labels, t)
-    if F is not None:
-        return F
-    batch = np.broadcast_to(labels, (6,) + labels.shape).copy()
-    for k in range(3):
-        batch[2 * k, ..., k] += h
-        batch[2 * k + 1, ..., k] -= h
-    pos = m.positions(batch, t)
-    F = np.empty(labels.shape[:-1] + (3, 3))
-    for k in range(3):
-        F[..., :, k] = (pos[2 * k] - pos[2 * k + 1]) / (2 * h)
-    return F
+    F = m.label_partials(_labels3(labels), t)
+    return F if F is not None else point_jacobian(lambda p: m.positions(p, t), labels, h)
 
 
 def velocity_gradient_at(m, labels, t, h=1e-5):
     """du_i/dlab_j at arbitrary labels (analytic or local stencils)."""
-    labels = _labels3(labels)
-    G = m.velocity_label_partials(labels, t)
-    if G is not None:
-        return G
-    batch = np.broadcast_to(labels, (6,) + labels.shape).copy()
-    for k in range(3):
-        batch[2 * k, ..., k] += h
-        batch[2 * k + 1, ..., k] -= h
-    vel = m.velocities(batch, t)
-    G = np.empty(labels.shape[:-1] + (3, 3))
-    for k in range(3):
-        G[..., :, k] = (vel[2 * k] - vel[2 * k + 1]) / (2 * h)
-    return G
+    G = m.velocity_label_partials(_labels3(labels), t)
+    return G if G is not None else point_jacobian(lambda p: m.velocities(p, t), labels, h)
 
 
 def jacobian_det(g):

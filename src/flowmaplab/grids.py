@@ -6,6 +6,12 @@ sampled on its nodes, and centered finite differences of formal order 2 or 4.
 Boundary nodes use one-sided stencils of matching order unless the axis is
 periodic. Residual norms are reported as (Linf, L2, location of max)
 triples, with an optional rind exclusion of boundary-contaminated nodes.
+
+This is the library's only stencil layer: every other module differentiates
+through ``differentiate`` / ``gradient`` / ``divergence`` / ``curl`` on
+grids, ``point_jacobian`` for callables at arbitrary points, or the 1-D
+kernel ``_diff_along_axis0`` for parameterized curves and surfaces. Vector
+results use the Jacobian layout ``[..., i, k] = d f_i / d x_k``.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ __all__ = [
     "gradient",
     "divergence",
     "curl",
+    "point_jacobian",
     "summarize_residual",
 ]
 
@@ -171,6 +178,8 @@ class Field:
 
 def _diff_along_axis0(f, h, order, wrap):
     """d/dx of f along its leading axis; one-sided edges unless wrap."""
+    if order not in (2, 4):
+        raise ValueError(f"stencil order must be 2 or 4, got {order!r}")
     n = f.shape[0]
     if wrap:
         if order == 2:
@@ -229,11 +238,13 @@ def differentiate(f, axis, spec=StencilSpec(), grid=None):
 
 
 def gradient(f, spec=StencilSpec(), grid=None):
-    """Label-space gradient of a scalar field, components innermost.
+    """Label-space gradient, the derivative axis appended innermost.
 
-    Missing axes of 1D/2D grids contribute zero derivative (fields are taken
-    label-invariant along unrepresented axes), so the result always has 3
-    components.
+    A scalar field gives (..., 3); a (..., 3) vector field gives the Jacobian
+    layout (..., 3, 3) with ``[..., i, k] = d f_i / d lab_k``. Missing axes
+    of 1D/2D grids contribute zero derivative (fields are taken
+    label-invariant along unrepresented axes), so the derivative axis always
+    has 3 entries.
     """
     if isinstance(f, Field):
         return Field(f.grid, gradient(f.data, spec, grid=f.grid))
@@ -266,6 +277,23 @@ def curl(vec, spec=StencilSpec(), grid=None):
     return np.stack(
         [d(2, 1) - d(1, 2), d(0, 2) - d(2, 0), d(1, 0) - d(0, 1)], axis=-1
     )
+
+
+def point_jacobian(fn, pts, h):
+    """Central differences of a callable at arbitrary points (..., 3).
+
+    ``fn`` is evaluated once, on the stacked batch of the +h and -h shifts
+    along each axis. A scalar ``fn`` gives (..., 3); a vector ``fn`` with
+    (..., m) values gives (..., m, 3), ``[..., i, k] = d fn_i / d pts_k``.
+    """
+    pts = np.asarray(pts, dtype=float)
+    step = h * np.eye(3)
+    batch = np.empty((6,) + pts.shape)
+    for k in range(3):
+        np.add(pts, step[k], out=batch[k])
+        np.subtract(pts, step[k], out=batch[3 + k])
+    vals = np.asarray(fn(batch), dtype=float)
+    return np.moveaxis((vals[:3] - vals[3:]) / (2 * h), 0, -1)
 
 
 @dataclass

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .grids import Field
+from .grids import Field, _diff_along_axis0
 
 __all__ = [
     "QuadratureRule",
@@ -121,16 +121,7 @@ def closed_path_tangents(points, order=4):
     values asserted near machine precision.
     """
     pts = np.asarray(points, dtype=float)
-    n = pts.shape[0]
-    h = 2 * np.pi / n
-    if order == 2:
-        return (np.roll(pts, -1, axis=0) - np.roll(pts, 1, axis=0)) / (2 * h)
-    if order == 4:
-        return (
-            np.roll(pts, 2, axis=0) - 8 * np.roll(pts, 1, axis=0)
-            + 8 * np.roll(pts, -1, axis=0) - np.roll(pts, -2, axis=0)
-        ) / (12 * h)
-    raise ValueError("tangent order must be 2 or 4")
+    return _diff_along_axis0(pts, 2 * np.pi / pts.shape[0], order, wrap=True)
 
 
 def path_integral(points, vectors, closed=True, rule=TRAPEZOID, tangent_order=4):

@@ -286,12 +286,12 @@ class TestSvanberg:
 def test_chart_partials_match_finite_differences():
     # chart invariant: registered analytic partials agree with central
     # differences of the inverse map to O(h^2)
-    from flowmaplab.curvilinear import _fd_vec
+    from flowmaplab.grids import point_jacobian
 
     rng = np.random.default_rng(11)
     for maker in (cylindrical_chart, polar_chart, elliptical_chart):
         chart = maker()
         rho = chart.sample_domain(rng, 100)
         exact = chart.partials_at(rho)
-        fd = _fd_vec(chart.inverse, rho, h=1e-6)
+        fd = point_jacobian(chart.inverse, rho, h=1e-6)
         assert np.abs(exact - fd).max() <= 1e-7, chart.name

@@ -1,11 +1,14 @@
 """Grid, field, and finite-difference substrate tests."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowmaplab import Field, LabelGrid, StencilSpec, differentiate
+from flowmaplab import Field, LabelGrid, StencilSpec, differentiate, gradient, point_jacobian
 from flowmaplab.grids import summarize_residual
 
 
@@ -149,6 +152,68 @@ class TestDifferentiate:
         f = Field(g, np.random.default_rng(0).normal(size=(8, 8, 3)))
         out = differentiate(f, 0)
         assert isinstance(out, Field) and out.data.shape == (8, 8, 3)
+
+
+class TestStencilLayer:
+    @pytest.mark.parametrize("shape", [(40, 3), (6, 8, 3)])
+    @pytest.mark.parametrize("kind", ["scalar", "vector"])
+    def test_point_jacobian_and_vector_gradient(self, kind, shape):
+        rng = np.random.default_rng(3)
+        pts = rng.uniform(-2.0, 2.0, size=shape)
+        A = rng.normal(size=(4, 3))
+        b = rng.normal(size=4)
+        if kind == "scalar":
+            fn, want = (lambda p: p @ A[0] + b[0]), np.broadcast_to(A[0], shape)
+        else:
+            fn, want = (lambda p: p @ A.T + b), np.broadcast_to(A, shape[:-1] + (4, 3))
+        # central differences of an affine map are exact up to rounding
+        jac = point_jacobian(fn, pts, 0.25)
+        assert jac.shape == want.shape
+        assert np.abs(jac - want).max() <= 1e-13
+
+        # gradient of a (..., 3) field is the per-component stack, [..., i, k]
+        g = LabelGrid(shape[:-1], (0.0,) * (len(shape) - 1), (0.1,) * (len(shape) - 1))
+        vec = rng.normal(size=g.shape + (3,))
+        for order in (2, 4):
+            spec = StencilSpec(order=order)
+            stacked = np.stack([gradient(vec[..., i], spec, grid=g) for i in range(3)], axis=-2)
+            assert np.array_equal(gradient(vec, spec, grid=g), stacked)
+
+    def test_no_difference_quotient_outside_grids(self):
+        # grids.py is the only stencil layer. This guard catches one spelling
+        # of a spatial difference quotient, `/ (c * step ...)` with c in
+        # {2, 4, 12} and a step named as in STEPS, in any spacing; it misses
+        # others such as `0.5 / h`. Time steps (`dt`) are not label stencils,
+        # and clebsch._fd_mixed, a mixed second derivative with one caller,
+        # is allowed by name.
+        STEPS = {"h", "eps", "dx", "dy", "dz", "step", "delta"}
+
+        def factors(e):
+            if isinstance(e, ast.BinOp) and isinstance(e.op, ast.Mult):
+                return factors(e.left) + factors(e.right)
+            return [e]
+
+        def quotient_lines(path):
+            tree = ast.parse(path.read_text())
+            allowed = {id(n) for f in ast.walk(tree)
+                       if isinstance(f, ast.FunctionDef) and f.name == "_fd_mixed"
+                       for n in ast.walk(f)}
+            lines = []
+            for node in ast.walk(tree):
+                if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+                        and id(node) not in allowed):
+                    fs = factors(node.right)
+                    if (any(isinstance(f, ast.Constant) and f.value in (2, 4, 12) for f in fs)
+                            and any(isinstance(f, ast.Name) and f.id in STEPS for f in fs)):
+                        lines.append(node.lineno)
+            return lines
+
+        src = Path(__file__).resolve().parents[1] / "src" / "flowmaplab"
+        files = sorted(src.glob("*.py"))
+        assert quotient_lines(src / "grids.py")
+        offenders = [f"{f.name}:{n}" for f in files if f.name != "grids.py"
+                     for n in quotient_lines(f)]
+        assert offenders == []
 
 
 class TestResidualSummary:

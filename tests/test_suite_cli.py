@@ -82,6 +82,15 @@ class TestRunSuite:
         assert code == 1
         assert report.failing_rows()
 
+    def test_energy_drift_runs_on_even_node_counts(self):
+        # 32 nodes per axis is an odd interval count, which Simpson cannot
+        # integrate; the check falls back to the trapezoid rule there
+        cfg = {"flows": [{"name": "rigid_rotation"}],
+               "checks": [{"id": "energy.living_force_drift", "tolerance": 1e-8}],
+               "grids": [[32, 32], [33, 33]]}
+        report, code = run_suite(cfg)
+        assert code == 0 and len(report.rows) == 2
+
     def test_thread_count_does_not_change_hash(self):
         r1, _ = run_suite(SUITE, threads=1)
         r4, _ = run_suite(SUITE, threads=4)
@@ -190,6 +199,11 @@ class TestCLI:
         p = tmp_path / "bad.json"
         p.write_text(json.dumps({"flows": []}))
         assert run_cli("run", str(p)).returncode == 2
+
+    def test_seed_flag_is_unknown(self, tmp_path):
+        p = tmp_path / "s.json"
+        p.write_text(json.dumps(SUITE))
+        assert run_cli("run", str(p), "--seed", "1").returncode == 2
 
     def test_run_unreadable_config_exit_three(self):
         assert run_cli("run", "/nonexistent/suite.json").returncode == 3
