@@ -1,7 +1,7 @@
 """Driving the verification harness from Python.
 
 A suite is a (flow x check x grid) matrix graded against tolerances. Reports
-hash identically at any thread count; convergence studies emit plot-ready
+hash identically from run to run; convergence studies emit plot-ready
 two-column data. The same machinery backs the ``flowmaplab`` command line:
 
     flowmaplab run suites/cauchy-core.json
@@ -35,7 +35,7 @@ cfg = {
 }
 
 print("--- running a small matrix ------------------------------------")
-report, code = run_suite(cfg, threads=1)
+report, code = run_suite(cfg)
 for r in report.rows:
     order = "" if r.order is None else f"  order {r.order:.2f}"
     print(f"  [{'pass' if r.passed else 'FAIL'}] {r.flow:15s} {r.check:28s} "
@@ -43,9 +43,9 @@ for r in report.rows:
 print("  exit code:", code)
 
 h1 = report.determinism_hash()
-h4 = run_suite(cfg, threads=4)[0].determinism_hash()
-print(f"  hash single-threaded: {h1[:24]}...")
-print(f"  hash four workers:    {h4[:24]}...  (identical: {h1 == h4})")
+h2 = run_suite(cfg)[0].determinism_hash()
+print(f"  hash first run:  {h1[:24]}...")
+print(f"  hash second run: {h2[:24]}...  (identical: {h1 == h2})")
 
 print("\n--- convergence study -------------------------------------------")
 with tempfile.TemporaryDirectory() as tmp:

@@ -7,15 +7,15 @@ Commands:
   report diff <a> <b>               compare two report files
 
 Exit codes for ``run``: 0 all rows pass, 1 a check failed (report still
-written), 2 config schema violation, 3 I/O failure. The default thread count
-comes from FLOWMAPLAB_THREADS; flags override config fields.
+written), 2 config schema violation or malformed command-line input, 3 I/O
+failure. Flags override config fields. Other commands also exit 2 on
+malformed command-line input.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import __version__
@@ -39,7 +39,6 @@ def build_parser():
     runp.add_argument("--grid", help="override grids, e.g. 32x32,64x64")
     runp.add_argument("--flow", help="restrict to one catalog flow")
     runp.add_argument("--out", help="override the report output path")
-    runp.add_argument("--threads", type=int, default=None)
 
     conv = sub.add_parser("converge", help="convergence study for one check")
     conv.add_argument("check", help="check id, e.g. cauchy.invariant_drift")
@@ -66,10 +65,20 @@ def build_parser():
 
 
 def _parse_grids(text):
-    grids = []
-    for tok in text.split(","):
-        grids.append([int(n) for n in tok.lower().split("x")])
-    return grids
+    try:
+        return [[int(n) for n in tok.lower().split("x")] for tok in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"bad grid list {text!r}; expected e.g. 32x32,64x64") from None
+
+
+def _parse_params(text):
+    try:
+        params = json.loads(text) if text else {}
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"--params is not valid JSON: {exc}") from None
+    if not isinstance(params, dict):
+        raise ConfigError(f"--params must be a JSON object, got {text!r}")
+    return params
 
 
 def _cmd_run(args):
@@ -78,23 +87,13 @@ def _cmd_run(args):
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 3
-    except ConfigError as exc:
-        print(f"error: invalid config: {exc}", file=sys.stderr)
-        return 2
     if args.grid:
         cfg["grids"] = _parse_grids(args.grid)
     if args.flow:
         cfg["flows"] = [f for f in cfg["flows"] if f["name"] == args.flow]
         if not cfg["flows"]:
-            print(f"error: flow {args.flow!r} not in config", file=sys.stderr)
-            return 2
-    threads = args.threads or int(os.environ.get("FLOWMAPLAB_THREADS", "0")) or None
-    try:
-        cfg = load_config(cfg)
-    except ConfigError as exc:
-        print(f"error: invalid config: {exc}", file=sys.stderr)
-        return 2
-    report, code = run_suite(cfg, threads=threads)
+            raise ConfigError(f"flow {args.flow!r} not in config")
+    report, code = run_suite(cfg)
     out = args.out or cfg.get("out", {}).get("report")
     rows_out = cfg.get("out", {}).get("rows")
     try:
@@ -119,15 +118,14 @@ def _cmd_run(args):
 
 
 def _cmd_converge(args):
-    params = json.loads(args.params) if args.params else {}
-    grids = _parse_grids(args.grids) if args.grids else None
-    dts = [float(x) for x in args.dts.split(",")] if args.dts else None
     try:
-        out = convergence_study(args.check, args.flow, resolutions=grids, dts=dts,
-                                flow_params=params, out_path=args.out)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        dts = [float(x) for x in args.dts.split(",")] if args.dts else None
+    except ValueError:
+        raise ConfigError(f"bad --dts list {args.dts!r}") from None
+    out = convergence_study(args.check, args.flow,
+                            resolutions=_parse_grids(args.grids) if args.grids else None,
+                            dts=dts, flow_params=_parse_params(args.params),
+                            out_path=args.out)
     print("# h  error")
     for h, e in out["table"]:
         print(f"{h:.6e} {e:.6e}")
@@ -140,18 +138,21 @@ def _cmd_converge(args):
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "converge":
-        return _cmd_converge(args)
-    if args.command == "flows":
-        if args.flows_command == "list":
-            for name in catalog_names():
-                print(name)
-        else:
-            params = json.loads(args.params) if args.params else {}
-            print(describe_flow(args.name, **params))
-        return 0
+    try:
+        if args.command == "run":
+            return _cmd_run(args)
+        if args.command == "converge":
+            return _cmd_converge(args)
+        if args.command == "flows":
+            if args.flows_command == "list":
+                for name in catalog_names():
+                    print(name)
+            else:
+                print(describe_flow(args.name, **_parse_params(args.params)))
+            return 0
+    except ConfigError as exc:  # malformed config or command-line input
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.command == "report":
         same, text = report_diff(args.a, args.b)
         print(text)

@@ -595,7 +595,10 @@ def load_flowmap(path):
     """Read a trajectory table written by ``save_flowmap``.
 
     The result has no generating field: only table times and grid labels are
-    queryable, with velocities reconstructed by time differences.
+    queryable, with velocities reconstructed by time differences. A file with
+    a bad magic, a bad header field (ndim, spacing) or a times block or
+    payload shorter or longer than its header says raises a ValueError that
+    names the fault.
     """
     head_size = struct.calcsize("<8sI3I3d3d3BBI")
     with open(path, "rb") as fh:
@@ -607,11 +610,25 @@ def load_flowmap(path):
         _, nd, n0, n1, n2, o0, o1, o2, h0, h1, h2, p0, p1, p2, conv, nt = struct.unpack(
             "<8sI3I3d3d3BBI", head
         )
-        times = np.frombuffer(fh.read(8 * nt), dtype="<f8")
-        shape = (n0, n1, n2)[:nd]
-        grid = LabelGrid(shape, (o0, o1, o2)[:nd], (h0, h1, h2)[:nd],
+        if not 1 <= nd <= 3:
+            raise ValueError(f"bad flowmap header: ndim {nd} is not 1, 2 or 3")
+        spacing = (h0, h1, h2)[:nd]
+        if not all(np.isfinite(h) and h > 0 for h in spacing):
+            raise ValueError(f"bad flowmap header: spacing {spacing} must be finite and > 0")
+        grid = LabelGrid((n0, n1, n2)[:nd], (o0, o1, o2)[:nd], spacing,
                          tuple(bool(b) for b in (p0, p1, p2)[:nd]))
-        payload = np.frombuffer(fh.read(), dtype="<f8")
+        raw = fh.read(8 * nt)
+        if len(raw) != 8 * nt:
+            raise ValueError(f"truncated flowmap times block: {len(raw)} of {8 * nt} bytes")
+        times = np.frombuffer(raw, dtype="<f8")
+        raw = fh.read()
+        expected = 8 * 3 * nt * grid.node_count
+        if len(raw) != expected:
+            raise ValueError(
+                f"{'truncated' if len(raw) < expected else 'oversized'} flowmap payload: "
+                f"{len(raw)} bytes, header (nt={nt}, nodes={grid.node_count}) needs {expected}"
+            )
+        payload = np.frombuffer(raw, dtype="<f8")
     node_major = payload.reshape(grid.node_count, nt, 3)
     table = np.moveaxis(node_major, 1, 0).reshape((nt,) + grid.shape + (3,))
     return SampledFlowMap(

@@ -4,8 +4,8 @@ A report is a list of typed rows (one per flow x check x grid x time
 combination), an environment block, and an overall verdict recomputable from
 the rows alone. Serialization is canonical (sorted keys, repr-exact floats),
 and a determinism hash over everything except the environment block is
-embedded so byte-level reproducibility across runs and thread counts can be
-asserted by hashing, not eyeballing.
+embedded so byte-level reproducibility across runs can be asserted by
+hashing, not eyeballing.
 """
 
 from __future__ import annotations

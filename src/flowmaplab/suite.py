@@ -3,14 +3,13 @@ tolerances, with convergence-order estimation across resolutions.
 
 A suite config is JSON validated against CONFIG_SCHEMA. Checks are looked up
 in a registry by dotted id; every check returns the scalar error a tolerance
-grades. Rows execute in a thread pool (size from config, flag, or the
-FLOWMAPLAB_THREADS variable) but are assembled in declared order, and all
-numerics are deterministic, so reports hash identically at any thread count.
+grades. Rows run serially, one catalog entry per (flow, grid) shared by all
+checks, and land in declared order; all numerics are deterministic, so
+reports hash identically from run to run.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import math
 
 import numpy as np
@@ -35,7 +34,8 @@ CONFIG_SCHEMA = {
     "required": ["flows", "checks", "grids"],
     "properties": {
         "name": {"type": "string"},
-        # "seed" and "quadrature" are accepted for old configs; nothing reads them
+        # "seed", "threads" and "quadrature" are accepted for old configs;
+        # nothing reads them
         "seed": {"type": "integer"},
         "threads": {"type": "integer", "minimum": 1},
         "rind": {"type": "integer", "minimum": 0},
@@ -116,17 +116,6 @@ def _regrid(grid, shape):
         cells_new = n if grid.periodic[k] else n - 1
         spacing.append(extent / cells_new)
     return LabelGrid(shape, grid.origin, tuple(spacing), grid.periodic)
-
-
-def _entry_for(flow_cfg, shape=None):
-    params = dict(flow_cfg.get("params", {}))
-    if shape is not None:
-        params["grid"] = _regrid(default_grid(flow_cfg["name"], **params), shape)
-    return catalog_flow(flow_cfg["name"], **params)
-
-
-def _grid_spacing_for(flow_cfg, shape):
-    return max(_regrid(default_grid(flow_cfg["name"], **flow_cfg.get("params", {})), shape).spacing)
 
 
 def _times_for(entry, cfg):
@@ -265,90 +254,66 @@ CHECKS = {
 }
 
 
-def _row_task(flow_cfg, check_cfg, shape, cfg, ctx):
-    entry = _entry_for(flow_cfg, shape)
-    times = _times_for(entry, cfg)
-    fn, anchor = CHECKS[check_cfg["id"]]
-    out = fn(entry, times, check_cfg.get("options", {}), ctx)
-    return ReportRow(
-        flow=flow_cfg["name"],
-        check=check_cfg["id"],
-        anchor=anchor,
-        grid="x".join(str(n) for n in shape),
-        time=float(out["time"]),
-        linf=float(out["linf"]),
-        l2=None if out.get("l2") is None else float(out["l2"]),
-        location=None if out.get("location") is None else tuple(out["location"]),
-        tolerance=check_cfg["tolerance"],
-    )
-
-
-def run_suite(cfg, threads=None):
+def run_suite(cfg):
     """Execute every (flow, check, grid) combination of a validated config.
 
     Returns (VerificationReport, exit_code): 0 all rows pass, 1 otherwise.
-    Rows run in a work pool but land in declared order; measured orders are
-    attached to the finer rows of each (flow, check) group when two or more
-    resolutions ran.
+    Each declared flow is built once per grid and every check runs on that
+    entry, which is dropped before the next one is built; rows land in
+    declared (flow, check, grid) order. Measured orders are attached to the
+    finer rows of each (flow, check) group when two or more resolutions ran.
     """
     cfg = load_config(cfg)
     ctx = {
         "rind": cfg.get("rind", 1),
         "stencil_order": cfg.get("stencil_order", 2),
     }
-    threads = threads or cfg.get("threads", 1)
-    tasks = []
-    for flow_cfg in cfg["flows"]:
-        for check_cfg in cfg["checks"]:
-            for shape in cfg["grids"]:
-                tasks.append((flow_cfg, check_cfg, tuple(shape)))
-    rows = [None] * len(tasks)
-
-    def run(i):
-        flow_cfg, check_cfg, shape = tasks[i]
-        return i, _row_task(flow_cfg, check_cfg, shape, cfg, ctx)
-
-    if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            for i, row in pool.map(run, range(len(tasks))):
-                rows[i] = row
-    else:
-        for i in range(len(tasks)):
-            _, rows[i] = run(i)
-
-    hs = [_grid_spacing_for(flow_cfg, shape) for flow_cfg, _, shape in tasks]
+    checks = cfg["checks"]
+    shapes = [tuple(shape) for shape in cfg["grids"]]
+    rows, hs = {}, {}
+    # keyed by the flow's position, so two configs of one flow stay apart
+    for fi, flow_cfg in enumerate(cfg["flows"]):
+        for gi, shape in enumerate(shapes):
+            params = dict(flow_cfg.get("params", {}))
+            params["grid"] = _regrid(default_grid(flow_cfg["name"], **params), shape)
+            entry = catalog_flow(flow_cfg["name"], **params)
+            hs[fi, gi] = max(entry.map.grid.spacing)
+            times = _times_for(entry, cfg)
+            for ci, check_cfg in enumerate(checks):
+                fn, anchor = CHECKS[check_cfg["id"]]
+                out = fn(entry, times, check_cfg.get("options", {}), ctx)
+                rows[fi, ci, gi] = ReportRow(
+                    flow=flow_cfg["name"],
+                    check=check_cfg["id"],
+                    anchor=anchor,
+                    grid="x".join(str(n) for n in shape),
+                    time=float(out["time"]),
+                    linf=float(out["linf"]),
+                    l2=None if out.get("l2") is None else float(out["l2"]),
+                    location=None if out.get("location") is None else tuple(out["location"]),
+                    tolerance=check_cfg["tolerance"],
+                )
+            del entry
 
     # measured order: fit within each (flow, check) group across grids
-    groups = {}
-    for i, (flow_cfg, check_cfg, shape) in enumerate(tasks):
-        groups.setdefault((flow_cfg["name"], check_cfg["id"]), []).append(i)
-    for idxs in groups.values():
-        if len(idxs) < 2:
-            continue
-        idxs = sorted(idxs, key=lambda i: -hs[i])
-        errs = [rows[i].linf for i in idxs]
-        if any(e < 1e-12 for e in errs):
-            continue  # at the noise floor: order is meaningless
-        for coarse, fine in zip(idxs, idxs[1:]):
-            ratio = hs[coarse] / hs[fine]
-            if ratio <= 1:
-                continue
-            rows[fine].order = float(
-                math.log(rows[coarse].linf / rows[fine].linf) / math.log(ratio)
-            )
-    report = VerificationReport(
-        [r.finalize() for r in rows],
-        config=cfg,
-        environment={"threads": threads},
-    )
-    # min_order gates turn into synthetic pass/fail on the finest rows
-    for check_cfg in cfg["checks"]:
-        if "min_order" not in check_cfg:
-            continue
-        for r in report.rows:
-            if r.check == check_cfg["id"] and r.order is not None:
-                if r.order < check_cfg["min_order"]:
-                    r.passed = False
+    for fi in range(len(cfg["flows"])):
+        gis = sorted(range(len(shapes)), key=lambda gi: -hs[fi, gi])
+        for ci in range(len(checks)):
+            if any(rows[fi, ci, gi].linf < 1e-12 for gi in gis):
+                continue  # at the noise floor: order is meaningless
+            for coarse, fine in zip(gis, gis[1:]):
+                ratio = hs[fi, coarse] / hs[fi, fine]
+                if ratio <= 1:
+                    continue
+                rows[fi, ci, fine].order = float(
+                    math.log(rows[fi, ci, coarse].linf / rows[fi, ci, fine].linf)
+                    / math.log(ratio)
+                )
+    report = VerificationReport([rows[key] for key in sorted(rows)], config=cfg)
+    # a declared check's min_order gate fails those of its own rows with an order
+    for (_, ci, _), r in rows.items():
+        if r.order is not None and r.order < checks[ci].get("min_order", -math.inf):
+            r.passed = False
     return report, (0 if report.overall_pass else 1)
 
 
@@ -389,7 +354,7 @@ def convergence_study(check_id, flow_name, resolutions=None, dts=None,
             cfg["time_fractions"] = time_fractions
         report, _ = run_suite(cfg)
         for row, shape in zip(report.rows, resolutions):
-            h = _grid_spacing_for({"name": flow_name, "params": flow_params}, tuple(shape))
+            h = max(_regrid(default_grid(flow_name, **flow_params), shape).spacing)
             table.append((h, row.linf))
     table.sort(key=lambda he: -he[0])
     errs = np.array([e for _, e in table])

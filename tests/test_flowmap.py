@@ -1,6 +1,8 @@
 """Flow-map calculus: deformation gradients, density equations, cofactor
 relations, the volume-integral transform, and the trajectory file format."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,8 @@ from flowmaplab import (
 )
 from flowmaplab.flowmap import det3, invert_map
 from flowmaplab.quadrature import SIMPSON
+
+HEADER = "<8sI3I3d3d3BBI"  # save_flowmap's header layout
 
 
 def box_grid(n=9, lo=-0.5, hi=0.5, dims=3):
@@ -262,6 +266,44 @@ class TestFileFormat:
         p.write_bytes(b"NOTAMAP!" + b"\x00" * 64)
         with pytest.raises(ValueError):
             load_flowmap(p)
+
+    def _saved(self, tmp_path):
+        path = tmp_path / "r.fmap"
+        save_flowmap(catalog_flow("rigid_rotation").map, path, times=[0.0, 1.0])
+        return path, bytearray(path.read_bytes())
+
+    def test_truncated_payload_rejected(self, tmp_path):
+        path, data = self._saved(tmp_path)
+        path.write_bytes(data[:-8])
+        with pytest.raises(ValueError, match="truncated flowmap payload"):
+            load_flowmap(path)
+
+    def test_oversized_payload_rejected(self, tmp_path):
+        path, data = self._saved(tmp_path)
+        path.write_bytes(data + bytes(8))
+        with pytest.raises(ValueError, match="oversized flowmap payload"):
+            load_flowmap(path)
+
+    def test_bad_ndim_rejected(self, tmp_path):
+        path, data = self._saved(tmp_path)
+        struct.pack_into("<I", data, 8, 4)  # ndim follows the 8-byte magic
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match="bad flowmap header: ndim"):
+            load_flowmap(path)
+
+    def test_truncated_times_block_rejected(self, tmp_path):
+        path, data = self._saved(tmp_path)
+        path.write_bytes(data[:struct.calcsize(HEADER) + 12])  # 1.5 of 2 times
+        with pytest.raises(ValueError, match="truncated flowmap times block"):
+            load_flowmap(path)
+
+    @pytest.mark.parametrize("h", [0.0, float("nan"), float("inf")])
+    def test_bad_spacing_rejected(self, tmp_path, h):
+        path, data = self._saved(tmp_path)
+        struct.pack_into("<d", data, struct.calcsize("<8sI3I3d"), h)  # first spacing
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match="bad flowmap header: spacing"):
+            load_flowmap(path)
 
 
 def test_det3_matches_numpy():

@@ -1,12 +1,15 @@
 """Suite runner, report determinism, and the command-line harness."""
 
+import importlib.util
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import flowmaplab.suite
 from flowmaplab.reporting import VerificationReport, report_diff
 from flowmaplab.suite import CHECKS, ConfigError, convergence_study, load_config, run_suite
 
@@ -26,6 +29,9 @@ SUITE = {
     ],
     "grids": [[32, 32], [64, 64]],
 }
+
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(*args):
@@ -56,6 +62,19 @@ class TestConfig:
     def test_known_checks_documented(self):
         for check_id, (fn, anchor) in CHECKS.items():
             assert "." in check_id and anchor
+
+    def test_shipped_and_benchmark_configs_load(self):
+        # the benchmark's configs are inputs this schema must keep accepting
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        configs = [cfg for w in workloads.WORKLOADS.values() if "configs" in w
+                   for cfg in w["configs"]()]
+        suites = sorted((ROOT / "suites").glob("*.json"))
+        assert configs and suites
+        for cfg in configs + suites:
+            load_config(cfg)
 
 
 class TestRunSuite:
@@ -91,10 +110,66 @@ class TestRunSuite:
         report, code = run_suite(cfg)
         assert code == 0 and len(report.rows) == 2
 
-    def test_thread_count_does_not_change_hash(self):
-        r1, _ = run_suite(SUITE, threads=1)
-        r4, _ = run_suite(SUITE, threads=4)
-        assert r1.determinism_hash() == r4.determinism_hash()
+    def test_two_runs_hash_identically(self):
+        r1, _ = run_suite(SUITE)
+        r2, _ = run_suite(SUITE)
+        assert r1.determinism_hash() == r2.determinism_hash()
+
+    def test_threads_key_accepted_and_ignored(self):
+        cfg = dict(SUITE, threads=4, grids=[[32, 32]])
+        report, code = run_suite(cfg)
+        assert code == 0 and len(report.rows) == 2
+
+    def test_one_entry_per_flow_and_grid(self, monkeypatch):
+        calls = []
+        build = flowmaplab.suite.catalog_flow
+
+        def counting(name, **params):
+            calls.append((name, params["grid"].shape))
+            return build(name, **params)
+
+        monkeypatch.setattr(flowmaplab.suite, "catalog_flow", counting)
+        cfg = {"flows": [{"name": "rigid_rotation"}],
+               "checks": [{"id": c, "tolerance": 1.0} for c in (
+                   "cauchy.invariant_drift", "cauchy.solenoidality",
+                   "flowmap.cofactor_identity")],
+               "grids": [[16, 16], [32, 32]]}
+        report, _ = run_suite(cfg)
+        assert len(report.rows) == 6
+        assert calls == [("rigid_rotation", (16, 16)), ("rigid_rotation", (32, 32))]
+
+    def test_rows_in_declared_order(self):
+        flows = ["stagnation", "rigid_rotation"]
+        checks = ["flowmap.cofactor_identity", "cauchy.invariant_drift"]
+        grids = ["32x32", "16x16"]
+        cfg = {"flows": [{"name": f} for f in flows],
+               "checks": [{"id": c, "tolerance": 1.0} for c in checks],
+               "grids": [[int(n) for n in g.split("x")] for g in grids]}
+        report, _ = run_suite(cfg)
+        assert [(r.flow, r.check, r.grid) for r in report.rows] == [
+            (f, c, g) for f in flows for c in checks for g in grids]
+
+    def test_same_flow_with_two_params_stays_two_groups(self):
+        # orders are fitted per declared flow, never across two of its configs
+        flows = [{"name": "gerstner", "params": {"k": 1.0}},
+                 {"name": "gerstner", "params": {"k": 2.0}}]
+        base = {"checks": [{"id": "cauchy.invariant_drift", "tolerance": 1.0,
+                            "options": {"mode": "fd"}}],
+                "grids": [[32, 32], [64, 64]]}
+        together, _ = run_suite(dict(base, flows=flows))
+        alone = [r for f in flows for r in run_suite(dict(base, flows=[f]))[0].rows]
+        assert [(r.linf, r.order) for r in together.rows] == [
+            (r.linf, r.order) for r in alone]
+        assert all(r.order is not None for r in alone[1::2])
+
+    def test_min_order_gates_only_its_own_declared_check(self):
+        check = {"id": "cauchy.invariant_drift", "tolerance": 1.0, "options": {"mode": "fd"}}
+        cfg = {"flows": [{"name": "gerstner"}],
+               "checks": [check, dict(check, min_order=100)],
+               "grids": [[32, 32], [64, 64]]}
+        report, code = run_suite(cfg)
+        assert code == 1
+        assert [r.passed for r in report.rows] == [True, True, True, False]
 
     def test_report_roundtrip_and_diff(self, tmp_path):
         report, _ = run_suite(SUITE)
@@ -205,6 +280,22 @@ class TestCLI:
         p.write_text(json.dumps(SUITE))
         assert run_cli("run", str(p), "--seed", "1").returncode == 2
 
+    def test_threads_flag_is_unknown(self, tmp_path):
+        p = tmp_path / "s.json"
+        p.write_text(json.dumps(SUITE))
+        assert run_cli("run", str(p), "--threads", "2").returncode == 2
+
+    @pytest.mark.parametrize("args", [
+        ("run", str(ROOT / "suites" / "cauchy-core.json"), "--grid", "32xabc"),
+        ("converge", "cauchy.invariant_drift", "gerstner", "--grids", "32x32,64x64",
+         "--params", "{bad"),
+        ("flows", "describe", "gerstner", "--params", "{bad"),
+    ])
+    def test_malformed_input_exits_two(self, args):
+        proc = run_cli(*args)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
     def test_run_unreadable_config_exit_three(self):
         assert run_cli("run", "/nonexistent/suite.json").returncode == 3
 
@@ -237,19 +328,3 @@ class TestCLI:
         assert proc.returncode == 0
         assert "fitted order" in proc.stdout
 
-
-def test_threads_env_var_respected(tmp_path, monkeypatch):
-    cfg = dict(SUITE)
-    cfg["grids"] = [[32, 32]]
-    p = tmp_path / "s.json"
-    p.write_text(json.dumps(cfg))
-    import os
-    env = dict(os.environ, FLOWMAPLAB_THREADS="2")
-    proc = subprocess.run(
-        [sys.executable, "-m", "flowmaplab.cli", "run", str(p),
-         "--out", str(tmp_path / "r.json")],
-        capture_output=True, text=True, env=env,
-    )
-    assert proc.returncode == 0
-    data = json.loads((tmp_path / "r.json").read_text())
-    assert data["environment"]["threads"] == 2
