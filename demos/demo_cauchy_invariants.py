@@ -13,7 +13,6 @@ import numpy as np
 import flowmaplab as fl
 from flowmaplab import StencilSpec
 from flowmaplab.flows import default_grid
-from flowmaplab.suite import _regrid
 
 print("--- rigid rotation: the invariant IS the angular velocity ------")
 rot = fl.catalog_flow("rigid_rotation", omega=1.3)
@@ -39,7 +38,7 @@ print("\n--- integrated point vortex: drift shrinks at order 2 ---------")
 drifts = []
 for n in (64, 128):
     e = fl.catalog_flow("point_vortex",
-                        grid=_regrid(default_grid("point_vortex"), (n, n)),
+                        grid=default_grid("point_vortex", (n, n)),
                         validate=False)
     out = fl.invariant_drift(e.map, e.map.times, StencilSpec(2), mode="fd", rind=1)
     drifts.append(out["drift"])

@@ -40,10 +40,8 @@ from .flowmap import (
 )
 from .flows import (
     CatalogEntry,
-    TrajectoryIntegrator,
     catalog_flow,
     catalog_names,
-    describe_flow,
     integrate_trajectories,
 )
 from .dynamics import (

@@ -148,12 +148,12 @@ def invariant_drift(m, times, spec=StencilSpec(), mode="auto", rind=0):
     }
 
 
-def solenoidality_residual(w, spec=StencilSpec(), rind=0, keep_values=False):
+def solenoidality_residual(w, spec=StencilSpec(), rind=0):
     """Linf of dA/da + dB/db + dC/dc for a label-frame invariant field."""
     if w.frame != "label":
         raise TypeError("solenoidality residual expects a label-frame field")
     div = divergence(w.values, spec, grid=w.grid)
-    return summarize_residual(div, w.grid, rind=rind, keep_values=keep_values)
+    return summarize_residual(div, w.grid, rind=rind)
 
 
 def eulerian_vorticity(u, v, w, spec=StencilSpec(), t=0.0):
@@ -170,8 +170,7 @@ def eulerian_vorticity(u, v, w, spec=StencilSpec(), t=0.0):
     return VorticityField(grid, float(t), vals, frame="spatial")
 
 
-def vortex_line_function_residual(phi, psi, w, spec=StencilSpec(), rind=0,
-                                  keep_values=False):
+def vortex_line_function_residual(phi, psi, w, spec=StencilSpec(), rind=0):
     """Linf mismatch of -2(A,B,C) against the (phi, psi) Jacobian pairs.
 
     phi, psi: scalar label Fields (or arrays on w.grid). The three relations
@@ -189,4 +188,4 @@ def vortex_line_function_residual(phi, psi, w, spec=StencilSpec(), rind=0,
          gp[..., 0] * gq[..., 1] - gp[..., 1] * gq[..., 0]], axis=-1,
     )
     res = np.max(np.abs(-2.0 * w.values - cross), axis=-1)
-    return summarize_residual(res, grid, rind=rind, keep_values=keep_values)
+    return summarize_residual(res, grid, rind=rind)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import _diff_along_axis0
-from .quadrature import closed_path_tangents
+from .quadrature import path_integral
 from .flowmap import deformation_at, velocity_gradient_at, inv3
 
 __all__ = [
@@ -216,14 +216,9 @@ def circulation(m, loop, t, tangent_order=4):
     if np.max(np.linalg.norm(pos - pos.mean(axis=0), axis=1)) < 1e-14:
         raise ValueError("degenerate loop: near-zero extent")
     vel = m.velocities(loop.labels, t)
-    n = pos.shape[0]
-    h = 2 * np.pi / n
-    tan_x = closed_path_tangents(pos, order=tangent_order)
-    position_form = float(np.sum(np.sum(vel * tan_x, axis=-1)) * h)
-    F = deformation_at(m, loop.labels, t)
-    covel = np.einsum("...i,...ij->...j", vel, F)
-    tan_a = closed_path_tangents(loop.labels, order=tangent_order)
-    label_form = float(np.sum(np.sum(covel * tan_a, axis=-1)) * h)
+    position_form = path_integral(pos, vel, tangent_order=tangent_order)
+    covel = np.einsum("...i,...ij->...j", vel, deformation_at(m, loop.labels, t))
+    label_form = path_integral(loop.labels, covel, tangent_order=tangent_order)
     return CirculationValues(position_form, label_form)
 
 

@@ -19,7 +19,7 @@ import json
 import sys
 
 from . import __version__
-from .flows import catalog_names, describe_flow
+from .flows import catalog_flow, catalog_names
 from .reporting import report_diff
 from .suite import ConfigError, convergence_study, load_config, run_suite
 
@@ -148,7 +148,7 @@ def main(argv=None):
                 for name in catalog_names():
                     print(name)
             else:
-                print(describe_flow(args.name, **_parse_params(args.params)))
+                print(catalog_flow(args.name, **_parse_params(args.params)).describe())
             return 0
     except ConfigError as exc:  # malformed config or command-line input
         print(f"error: {exc}", file=sys.stderr)

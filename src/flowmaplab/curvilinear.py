@@ -156,7 +156,7 @@ def orthogonality_residual(chart, rho):
     return cross, reciprocal
 
 
-def _trajectory_chart_rates(m, chart, t, dt):
+def _trajectory_chart_rates(m, chart, t):
     """Chart coordinates and their time rates at the map's grid nodes.
 
     rho(t) = forward(x(a, t)); rates by the chain rule drho = (drho/dx) u.
@@ -169,7 +169,7 @@ def _trajectory_chart_rates(m, chart, t, dt):
     P = chart.partials_at(rho)
     Q = np.linalg.inv(P)
     rates = np.einsum("...ij,...j->...i", Q, vel)
-    return labels, pos, rho, rates
+    return rho, rates
 
 
 def _metric_partials(chart, rho, h=1e-6):
@@ -193,7 +193,7 @@ def _momentum_terms(m, chart, t, dt):
     otherwise; dt defaults to 1e-4 of the map's time scale.
     """
     def terms(tt):
-        _, _, rho, rates = _trajectory_chart_rates(m, chart, tt, dt)
+        rho, rates = _trajectory_chart_rates(m, chart, tt)
         N = chart_metrics(chart, rho).N
         return rho, rates, N * rates
 
@@ -227,6 +227,21 @@ def curvilinear_eom_residual(m, chart, omega_fn, t, dt=None, rind=0,
     return tuple(out)
 
 
+def _chart_jacobian(rho, rho0, spec, grid):
+    """J[i, j] = d(rho_i)/d(rho0_j) = d(rho_i)/dlab_k * (d(rho0)/dlab)^-1[k, j],
+    with both label gradients taken by grid differences.
+
+    Label axes absent from 1D/2D grids: embedded flows are z-invariant with
+    the chart's third coordinate equal to z = c, so d(rho3)/dc = 1 there.
+    """
+    drho_dlab = gradient(rho, spec, grid=grid)
+    drho0_dlab = gradient(rho0, spec, grid=grid)
+    for d in (drho_dlab, drho0_dlab):
+        d[..., :, grid.ndim:] = 0.0
+        d[..., 2, grid.ndim:] = 1.0
+    return np.einsum("...ik,...kj->...ij", drho_dlab, np.linalg.inv(drho0_dlab))
+
+
 def curvilinear_lagrangian_eom_residual(m, chart, omega_fn, t, spec=StencilSpec(),
                                         dt=None, rho0="chart", rind=0,
                                         omega_grad=None):
@@ -247,22 +262,11 @@ def curvilinear_lagrangian_eom_residual(m, chart, omega_fn, t, spec=StencilSpec(
     dN = _metric_partials(chart, rho)
     dOm = _omega_chart_gradient(omega_fn, rho, omega_grad)
 
-    # d(rho_i)/dlab_k and d(rho0_i)/dlab_k by grid differences
-    drho_dlab = gradient(rho, spec, grid=grid)
     if isinstance(rho0, str) and rho0 == "labels":
         rho0_vals = labels
     else:
         rho0_vals = np.asarray(chart.forward(m.positions(labels, 0.0)), dtype=float)
-    drho0_dlab = gradient(rho0_vals, spec, grid=grid)
-    # label axes absent from 1D/2D grids: embedded flows are z-invariant with
-    # the chart's third coordinate equal to z = c, so d(rho3)/dc = 1 there
-    for i in range(grid.ndim, 3):
-        drho_dlab[..., :, i] = 0.0
-        drho0_dlab[..., :, i] = 0.0
-        drho_dlab[..., 2, i] = 1.0
-        drho0_dlab[..., 2, i] = 1.0
-    # J[i, j] = d(rho_i)/d(rho0_j) = d(rho_i)/dlab_k * (d(rho0)/dlab)^-1[k, j]
-    Jmat = np.einsum("...ik,...kj->...ij", drho_dlab, np.linalg.inv(drho0_dlab))
+    Jmat = _chart_jacobian(rho, rho0_vals, spec, grid)
     # orthogonal-form residual pieces per chart axis i
     eom = np.stack(
         [2 * dPdt[..., i] - np.sum(rates ** 2 * dN[..., :, i], axis=-1) for i in range(3)],
@@ -291,15 +295,7 @@ def curvilinear_density_residual(m, chart, t, spec=StencilSpec(), density_ratio=
     rho_t = np.asarray(chart.forward(m.positions(labels, t)), dtype=float)
     rho_0 = np.asarray(chart.forward(m.positions(labels, 0.0)), dtype=float)
     chart.check_domain(rho_t)
-    drho_dlab = gradient(rho_t, spec, grid=grid)
-    drho0_dlab = gradient(rho_0, spec, grid=grid)
-    # see curvilinear_lagrangian_eom_residual: absent label axes mean z = c
-    for i in range(grid.ndim, 3):
-        drho_dlab[..., :, i] = 0.0
-        drho0_dlab[..., :, i] = 0.0
-        drho_dlab[..., 2, i] = 1.0
-        drho0_dlab[..., 2, i] = 1.0
-    det_jac = det3(np.einsum("...ik,...kj->...ij", drho_dlab, np.linalg.inv(drho0_dlab)))
+    det_jac = det3(_chart_jacobian(rho_t, rho_0, spec, grid))
     use_orth = chart.orthogonal if orthogonal_form is None else orthogonal_form
     mc_t = chart_metrics(chart, rho_t)
     mc_0 = chart_metrics(chart, rho_0)

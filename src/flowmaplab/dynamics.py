@@ -80,8 +80,7 @@ class ForcePotential:
         return self.V_at(points, t) - self.f_at(points, t)
 
 
-def eulerian_eom_residual(u, v, w, fp, t=0.0, dudt=None, spec=StencilSpec(),
-                          rind=1, keep_values=False):
+def eulerian_eom_residual(u, v, w, fp, t=0.0, dudt=None, spec=StencilSpec(), rind=1):
     """Linf of the three momentum residuals on a common spatial grid.
 
     u, v, w: scalar Fields of the velocity components over a spatial grid
@@ -105,7 +104,7 @@ def eulerian_eom_residual(u, v, w, fp, t=0.0, dudt=None, spec=StencilSpec(),
         dpdxi = differentiate(p, i, spec, grid=grid) if i < grid.ndim else np.zeros(grid.shape)
         local = dudt[..., i] if dudt is not None else 0.0
         res = local + adv - Vg[..., i] + dpdxi / rho
-        out.append(summarize_residual(res, grid, rind=rind, keep_values=keep_values))
+        out.append(summarize_residual(res, grid, rind=rind))
     return tuple(out)
 
 
@@ -124,26 +123,26 @@ def _pressure_label_gradient(m, fp, t, spec, F):
     return np.einsum("...i,...ij->...j", gp, F)
 
 
-def lagrangian_eom_residual(m, fp, t, spec=StencilSpec(), mode="auto",
-                            accel_dt=None, rind=0, keep_values=False):
+def _label_momentum(m, fp, t, spec, mode):
+    """(F, positions, per-node label-space momentum residual) at time t."""
+    labels = m.grid_labels()
+    F = deformation_gradient(m, t, spec, mode).values
+    acc = m.accelerations(labels, t)
+    pos = m.positions(labels, t)
+    force = fp.V_grad_at(pos, t)
+    dp = _pressure_label_gradient(m, fp, t, spec, F)
+    return F, pos, np.einsum("...i,...ij->...j", acc - force, F) + dp / fp.density
+
+
+def lagrangian_eom_residual(m, fp, t, spec=StencilSpec(), mode="auto", rind=0):
     """Linf of the label-space momentum residuals at time t.
 
     Per label axis j: sum_i (a_i - dV/dx_i) dx_i/dlab_j + (1/rho) dp/dlab_j.
     Accelerations use registered analytic callables when present, else a
     centered time difference with dt = 1e-4 * the map's time scale.
     """
-    grid = m.grid
-    labels = m.grid_labels()
-    F = deformation_gradient(m, t, spec, mode).values
-    acc = m.accelerations(labels, t, dt=accel_dt)
-    pos = m.positions(labels, t)
-    force = fp.V_grad_at(pos, t)
-    dp = _pressure_label_gradient(m, fp, t, spec, F)
-    core = np.einsum("...i,...ij->...j", acc - force, F) + dp / fp.density
-    out = []
-    for j in range(3):
-        out.append(summarize_residual(core[..., j], grid, rind=rind, keep_values=keep_values))
-    return tuple(out)
+    _, _, core = _label_momentum(m, fp, t, spec, mode)
+    return tuple(summarize_residual(core[..., j], m.grid, rind=rind) for j in range(3))
 
 
 def eulerian_residual_at_points(u_fn, fp, points, t, h=1e-5, dt=1e-5):
@@ -177,14 +176,7 @@ def chain_rule_mismatch(m, fp, u_fn, t, spec=StencilSpec(), rind=1):
     the deformation gradient; this measures how well the two discretizations
     realize that identity (O(h^2) for second-order stencils).
     """
-    grid = m.grid
-    labels = m.grid_labels()
-    F = deformation_gradient(m, t, spec).values
-    acc = m.accelerations(labels, t)
-    pos = m.positions(labels, t)
-    force = fp.V_grad_at(pos, t)
-    dp = _pressure_label_gradient(m, fp, t, spec, F)
-    lag = np.einsum("...i,...ij->...j", acc - force, F) + dp / fp.density
+    F, pos, lag = _label_momentum(m, fp, t, spec, "auto")
     eul = eulerian_residual_at_points(u_fn, fp, pos, t)
     contracted = np.einsum("...i,...ij->...j", eul, F)
-    return summarize_residual(np.abs(lag - contracted), grid, rind=rind)
+    return summarize_residual(np.abs(lag - contracted), m.grid, rind=rind)

@@ -184,14 +184,15 @@ class AnalyticFlowMap(FlowMap):
 class SampledFlowMap(FlowMap):
     """Trajectory table on a label grid, optionally backed by its velocity field.
 
-    positions_table / velocities_table: shape (n_times,) + grid.shape + (3,).
-    When the generating field is attached, arbitrary labels are advected on
-    demand (fresh RK4 from t=0), so loops and surfaces never re-interpolate
-    the table. Maps loaded from disk have no field: off-grid and off-time
-    queries raise, and velocities fall back to time differences of the table.
+    positions_table: shape (n_times,) + grid.shape + (3,). When the
+    generating field is attached (with its RK4 step ``dt``), arbitrary labels
+    are advected on demand (fresh RK4 from t=0), so loops and surfaces never
+    re-interpolate the table, and velocities are the field at the positions.
+    Maps loaded from disk have no field: off-grid and off-time queries raise,
+    and velocities fall back to time differences of the table.
     """
 
-    def __init__(self, grid, times, positions_table, velocities_table=None,
+    def __init__(self, grid, times, positions_table,
                  field_fn=None, dt=None, convention="identity",
                  reference_density=1.0, name="sampled", timescale=1.0,
                  bbox=None, step_halving_error=None):
@@ -205,9 +206,6 @@ class SampledFlowMap(FlowMap):
             raise ValueError(
                 f"positions table shape {self.positions_table.shape} != {expected}"
             )
-        self.velocities_table = (
-            None if velocities_table is None else np.asarray(velocities_table, dtype=float)
-        )
         self.field_fn = field_fn
         self.dt = dt
         self.convention = convention
@@ -238,8 +236,7 @@ class SampledFlowMap(FlowMap):
             raise ValueError(
                 "off-table query on a sampled map without its generating field"
             )
-        dt = self.dt if self.dt is not None else self.timescale / 256
-        return rk4_advect(self.field_fn, _labels3(labels), 0.0, float(t), dt, bbox=self.bbox)
+        return rk4_advect(self.field_fn, _labels3(labels), 0.0, float(t), self.dt, bbox=self.bbox)
 
     def positions(self, labels, t):
         j = self._time_index(t)
@@ -253,8 +250,6 @@ class SampledFlowMap(FlowMap):
         j = self._time_index(t)
         if j is None or not self._is_grid_labels(labels):
             raise ValueError("fieldless sampled map: only table times/grid labels")
-        if self.velocities_table is not None:
-            return self.velocities_table[j]
         # centered time differences of the stored trajectories
         times, tab = self.times, self.positions_table
         if j == 0:
@@ -363,8 +358,7 @@ def jacobian_det(g):
     return Field(g.grid, det3(g.values))
 
 
-def cofactor_identity_residual(m, t, spec=StencilSpec(), mode="auto", rind=0,
-                               keep_values=False):
+def cofactor_identity_residual(m, t, spec=StencilSpec(), mode="auto", rind=0):
     """Mismatch of the nine relations J * d(lab)/d(pos) = minors of dx/dlab.
 
     The left side inverts the deformation gradient numerically; the right
@@ -378,12 +372,12 @@ def cofactor_identity_residual(m, t, spec=StencilSpec(), mode="auto", rind=0,
     lhs = J[..., None, None] * np.linalg.inv(g.values)
     rhs = adjugate3(g.values)
     res = np.max(np.abs(lhs - rhs), axis=(-2, -1))
-    return summarize_residual(res, m.grid, rind=rind, keep_values=keep_values)
+    return summarize_residual(res, m.grid, rind=rind)
 
 
 def density_residual(m, t, mode="lagrangian", spec=StencilSpec(), rule=TRAPEZOID,
                      gradient_mode="auto", density_ratio=None, rind=0,
-                     spatial_grid=None, resample_method="invert", keep_values=False):
+                     spatial_grid=None, resample_method="invert"):
     """Residual of the density equation in either dependence.
 
     lagrangian: max |J(t) - J(0) * density_ratio| over nodes. density_ratio
@@ -403,12 +397,18 @@ def density_residual(m, t, mode="lagrangian", spec=StencilSpec(), rule=TRAPEZOID
         J0 = det3(deformation_gradient(m, 0.0, spec, gradient_mode).values)
         Jt = det3(deformation_gradient(m, t, spec, gradient_mode).values)
         res = np.abs(Jt - J0 * ratio)
-        return summarize_residual(res, m.grid, rind=rind, keep_values=keep_values)
+        return summarize_residual(res, m.grid, rind=rind)
     if mode != "eulerian":
         raise ValueError("mode must be 'lagrangian' or 'eulerian'")
     if resample_method == "invert":
         if spatial_grid is None:
-            _, _, spatial_grid = resample_velocity_2d(m, t, None, method="linear")
+            from scipy.spatial import Delaunay
+
+            pos = m.positions(m.grid_labels(), t)
+            spatial_grid = _inscribed_grid(m, pos)
+            # where a linear interpolant of the advected nodes would have no data
+            if np.any(Delaunay(pos.reshape(-1, 3)[:, :2]).find_simplex(spatial_grid.nodes()) < 0):
+                raise ValueError("spatial grid exits the mapped domain: resampling failed")
         u, v = eulerian_velocity_2d(m, t, spatial_grid)
         sgrid = spatial_grid
     else:
@@ -416,17 +416,17 @@ def density_residual(m, t, mode="lagrangian", spec=StencilSpec(), rule=TRAPEZOID
     dudx = differentiate(u, 0, spec, grid=sgrid)
     dvdy = differentiate(v, 1, spec, grid=sgrid)
     res = np.abs(dudx + dvdy)
-    return summarize_residual(res, sgrid, rind=max(rind, 1), keep_values=keep_values)
+    return summarize_residual(res, sgrid, rind=max(rind, 1))
 
 
-def invert_map(m, points, t, tol=1e-12, max_iter=50, start=None):
+def invert_map(m, points, t, tol=1e-12, max_iter=50):
     """Labels whose images under the map at time t are the given points.
 
     Newton iteration using the deformation gradient; needs a well-resolved,
     non-singular map (|J| above the singularity threshold along the way).
     """
     pts = np.asarray(points, dtype=float)
-    lab = pts.copy() if start is None else np.array(start, dtype=float)
+    lab = pts.copy()
     for _ in range(max_iter):
         res = pts - m.positions(lab, t)
         if np.max(np.abs(res)) < tol:
@@ -464,32 +464,10 @@ def resample_velocity_2d(m, t, spatial_grid=None, method="cubic", shrink=0.12):
 
     labels = m.grid_labels()
     pos_full = m.positions(labels, t)
-    pos = pos_full.reshape(-1, 3)
     vel = m.velocities(labels, t).reshape(-1, 3)
-    xy = pos[:, :2]
+    xy = pos_full.reshape(-1, 3)[:, :2]
     if spatial_grid is None:
-        # inscribe the evaluation box in the advected fluid region, not its
-        # convex hull: wavy material boundaries (one advected boundary row per
-        # non-periodic label axis) would otherwise leave hull pockets with no
-        # data, where the interpolant extrapolates
-        lo = xy.min(axis=0).copy()
-        hi = xy.max(axis=0).copy()
-        for axis in range(min(2, m.grid.ndim)):
-            if m.grid.periodic[axis]:
-                continue
-            first = np.take(pos_full, 0, axis=axis).reshape(-1, 3)
-            last = np.take(pos_full, -1, axis=axis).reshape(-1, 3)
-            lo[axis] = max(lo[axis], first[:, axis].max(), )
-            hi[axis] = min(hi[axis], last[:, axis].min())
-        span = hi - lo
-        if np.any(span <= 0):
-            raise ValueError("advected domain too distorted for an inscribed box")
-        lo = lo + shrink * span
-        hi = hi - shrink * span
-        n = max(m.grid.shape[0], 16)
-        spatial_grid = LabelGrid(
-            (n, n), tuple(lo), tuple((hi - lo) / (n - 1)), (False, False)
-        )
+        spatial_grid = _inscribed_grid(m, pos_full, shrink)
     cls = CloughTocher2DInterpolator if method == "cubic" else LinearNDInterpolator
     interp_u = cls(xy, vel[:, 0])
     interp_v = cls(xy, vel[:, 1])
@@ -499,6 +477,34 @@ def resample_velocity_2d(m, t, spatial_grid=None, method="cubic", shrink=0.12):
     if np.any(~np.isfinite(u)) or np.any(~np.isfinite(v)):
         raise ValueError("spatial grid exits the mapped domain: resampling failed")
     return u, v, spatial_grid
+
+
+def _inscribed_grid(m, pos_full, shrink=0.12):
+    """Uniform x-y grid inside the advected label nodes ``pos_full``.
+
+    The box is inscribed in the advected fluid region, not its convex hull:
+    wavy material boundaries (one advected boundary row per non-periodic
+    label axis) would otherwise leave hull pockets with no data, where an
+    interpolant extrapolates. ``shrink`` pulls each side in by that fraction
+    of the span.
+    """
+    xy = pos_full.reshape(-1, 3)[:, :2]
+    lo = xy.min(axis=0).copy()
+    hi = xy.max(axis=0).copy()
+    for axis in range(min(2, m.grid.ndim)):
+        if m.grid.periodic[axis]:
+            continue
+        first = np.take(pos_full, 0, axis=axis).reshape(-1, 3)
+        last = np.take(pos_full, -1, axis=axis).reshape(-1, 3)
+        lo[axis] = max(lo[axis], first[:, axis].max())
+        hi[axis] = min(hi[axis], last[:, axis].min())
+    span = hi - lo
+    if np.any(span <= 0):
+        raise ValueError("advected domain too distorted for an inscribed box")
+    lo = lo + shrink * span
+    hi = hi - shrink * span
+    n = max(m.grid.shape[0], 16)
+    return LabelGrid((n, n), tuple(lo), tuple((hi - lo) / (n - 1)), (False, False))
 
 
 def mass_integral_transform(m, t, f, rule=TRAPEZOID):
@@ -551,15 +557,13 @@ def save_flowmap(m, path, times=None, metadata=None):
     Analytic maps are sampled at the given times first. Positions are stored
     node-major, then time, components innermost, as little-endian float64.
     """
-    if isinstance(m, SampledFlowMap):
-        times = m.times if times is None else np.asarray(times, float)
-        table = np.stack([m.positions(m.grid_labels(), t) for t in times])
-    else:
-        if times is None:
+    if times is None:
+        if not isinstance(m, SampledFlowMap):
             raise ValueError("saving an analytic map requires explicit times")
-        times = np.asarray(times, dtype=float)
-        labels = m.grid_labels()
-        table = np.stack([m.positions(labels, t) for t in times])
+        times = m.times
+    times = np.asarray(times, dtype=float)
+    labels = m.grid_labels()
+    table = np.stack([m.positions(labels, t) for t in times])
     grid = m.grid
     nd = grid.ndim
     shape3 = tuple(grid.shape) + (1,) * (3 - nd)

@@ -28,10 +28,8 @@ from .dynamics import ForcePotential, lagrangian_eom_residual
 __all__ = [
     "CatalogEntry",
     "default_grid",
-    "TrajectoryIntegrator",
     "catalog_flow",
     "catalog_names",
-    "describe_flow",
     "integrate_trajectories",
     "rk4_advect",
 ]
@@ -71,54 +69,37 @@ def rk4_advect(field_fn, labels, t0, t1, dt, bbox=None):
     return pts
 
 
-@dataclass
-class TrajectoryIntegrator:
-    """Classical RK4 with a fixed step over a (possibly unsteady) field."""
+def integrate_trajectories(field_fn, grid, times, dt, bbox=None, convention="identity",
+                           reference_density=1.0, name="sampled", timescale=None):
+    """Build a SampledFlowMap by marching the grid labels through ``times``
+    with fixed-step RK4 over a (possibly unsteady) field.
 
-    field_fn: object
-    dt: float
-    bbox: object = None
-
-    def advect(self, labels, t0, t1):
-        return rk4_advect(self.field_fn, labels, t0, t1, self.dt, self.bbox)
-
-    def integrate_grid(self, grid, times, convention="identity",
-                       reference_density=1.0, name="sampled", timescale=None,
-                       halving_check=True):
-        """Build a SampledFlowMap by marching the grid labels through ``times``.
-
-        Stores a step-halving error estimate (max final-position change when
-        dt is halved), which bounds the integration error at ~O(dt^4)/15.
-        """
-        times = np.asarray(times, dtype=float)
-        if times[0] != 0.0:
-            raise ValueError("trajectory tables must start at t=0 (identity labels)")
-        labels = grid.nodes3().reshape(grid.shape + (3,))
-        table = np.empty((len(times),) + grid.shape + (3,))
-        table[0] = labels
-        pts = labels
-        for j in range(1, len(times)):
-            gap = times[j] - times[j - 1]
-            if gap < self.dt - 1e-12 or abs(round(gap / self.dt) - gap / self.dt) > 1e-9:
-                raise ValueError("dt must divide the gaps between requested times")
-            pts = self.advect(pts, times[j - 1], times[j])
-            table[j] = pts
-        vel = np.stack([np.asarray(self.field_fn(table[j], times[j])) for j in range(len(times))])
-        est = None
-        if halving_check and len(times) > 1:
-            fine = rk4_advect(self.field_fn, labels, times[0], times[-1], self.dt / 2, self.bbox)
-            est = float(np.max(np.abs(fine - table[-1])))
-        return SampledFlowMap(
-            grid, times, table, velocities_table=vel, field_fn=self.field_fn,
-            dt=self.dt, convention=convention, reference_density=reference_density,
-            name=name, timescale=timescale if timescale is not None else float(times[-1] or 1.0),
-            bbox=self.bbox, step_halving_error=est,
-        )
-
-
-def integrate_trajectories(field_fn, grid, times, dt, bbox=None, **kw):
-    """Convenience wrapper over TrajectoryIntegrator.integrate_grid."""
-    return TrajectoryIntegrator(field_fn, dt, bbox).integrate_grid(grid, times, **kw)
+    Stores a step-halving error estimate (max final-position change when
+    dt is halved), which bounds the integration error at ~O(dt^4)/15.
+    """
+    times = np.asarray(times, dtype=float)
+    if times[0] != 0.0:
+        raise ValueError("trajectory tables must start at t=0 (identity labels)")
+    labels = grid.nodes3().reshape(grid.shape + (3,))
+    table = np.empty((len(times),) + grid.shape + (3,))
+    table[0] = labels
+    pts = labels
+    for j in range(1, len(times)):
+        gap = times[j] - times[j - 1]
+        if gap < dt - 1e-12 or abs(round(gap / dt) - gap / dt) > 1e-9:
+            raise ValueError("dt must divide the gaps between requested times")
+        pts = rk4_advect(field_fn, pts, times[j - 1], times[j], dt, bbox)
+        table[j] = pts
+    est = None
+    if len(times) > 1:
+        fine = rk4_advect(field_fn, labels, times[0], times[-1], dt / 2, bbox)
+        est = float(np.max(np.abs(fine - table[-1])))
+    return SampledFlowMap(
+        grid, times, table, field_fn=field_fn, dt=dt, convention=convention,
+        reference_density=reference_density, name=name,
+        timescale=timescale if timescale is not None else float(times[-1] or 1.0),
+        bbox=bbox, step_halving_error=est,
+    )
 
 
 @dataclass
@@ -145,44 +126,8 @@ class CatalogEntry:
         return "\n".join(lines)
 
 
-def _grid2d(lo, hi, n, periodic=(False, False)):
-    lo = np.asarray(lo, float)
-    hi = np.asarray(hi, float)
-    n = np.asarray(n, int)
-    spacing = []
-    for k in range(2):
-        cells = n[k] if periodic[k] else n[k] - 1
-        spacing.append((hi[k] - lo[k]) / cells)
-    return LabelGrid(tuple(n), tuple(lo), tuple(spacing), tuple(periodic))
-
-
-def default_grid(name, **params):
-    """Default label grid of a catalog flow, buildable without the flow.
-
-    Used by the suite runner to re-mesh a flow's natural domain at requested
-    resolutions without constructing (or integrating) the map first.
-    """
-    if name == "gerstner":
-        k = float(params.get("k", 1.0))
-        return _grid2d((0.0, -3.0), (2 * np.pi / k, -0.5), (33, 33))
-    table = {
-        "rigid_rotation": lambda: _grid2d((-0.5, -0.5), (0.5, 0.5), (33, 33)),
-        "uniform_translation": lambda: _grid2d((0.0, 0.0), (1.0, 1.0), (17, 17)),
-        "simple_shear": lambda: _grid2d((0.0, 0.0), (1.0, 1.0), (17, 17)),
-        "stagnation": lambda: _grid2d((0.1, 0.1), (1.1, 1.1), (17, 17)),
-        "point_vortex": lambda: _grid2d((0.7, 0.7), (1.7, 1.7), (33, 33)),
-        "taylor_green": lambda: _grid2d((0.0, 0.0), (2 * np.pi, 2 * np.pi), (32, 32),
-                                        periodic=(True, True)),
-    }
-    if name not in table:
-        raise KeyError(f"unknown flow {name!r}")
-    return table[name]()
-
-
-def _rigid_rotation(omega=1.0, grid=None):
+def _rigid_rotation(grid, omega=1.0):
     w = float(omega)
-    if grid is None:
-        grid = default_grid("rigid_rotation")
 
     def pos(lab, t):
         c, s = np.cos(w * t), np.sin(w * t)
@@ -237,10 +182,8 @@ def _rigid_rotation(omega=1.0, grid=None):
     return CatalogEntry("rigid_rotation", {"omega": w}, 2, m, force, props)
 
 
-def _uniform_translation(velocity=(1.0, 0.0, 0.0), grid=None):
+def _uniform_translation(grid, velocity=(1.0, 0.0, 0.0)):
     U = np.asarray(velocity, dtype=float)
-    if grid is None:
-        grid = default_grid("uniform_translation")
 
     def pos(lab, t):
         return lab + U * t
@@ -269,10 +212,8 @@ def _uniform_translation(velocity=(1.0, 0.0, 0.0), grid=None):
     return CatalogEntry("uniform_translation", {"velocity": tuple(U)}, 2, m, force, props)
 
 
-def _simple_shear(gamma=1.0, grid=None):
+def _simple_shear(grid, gamma=1.0):
     g = float(gamma)
-    if grid is None:
-        grid = default_grid("simple_shear")
 
     def pos(lab, t):
         return np.stack(
@@ -309,10 +250,8 @@ def _simple_shear(gamma=1.0, grid=None):
     return CatalogEntry("simple_shear", {"gamma": g}, 2, m, force, props)
 
 
-def _stagnation(k=1.0, grid=None):
+def _stagnation(grid, k=1.0):
     kk = float(k)
-    if grid is None:
-        grid = default_grid("stagnation")
 
     def pos(lab, t):
         return np.stack(
@@ -360,11 +299,9 @@ def _stagnation(k=1.0, grid=None):
     return CatalogEntry("stagnation", {"k": kk}, 2, m, force, props)
 
 
-def _gerstner(k=1.0, g=1.0, grid=None):
+def _gerstner(grid, k=1.0, g=1.0):
     kk, gg = float(k), float(g)
     cw = np.sqrt(gg / kk)
-    if grid is None:
-        grid = default_grid("gerstner", k=kk)
     bmax = grid.origin[1] + grid.spacing[1] * (grid.shape[1] - 1)
     if np.exp(2 * kk * bmax) >= 1.0:
         raise ValueError(
@@ -454,10 +391,8 @@ def _gerstner(k=1.0, g=1.0, grid=None):
 POINT_VORTEX_CORE_RADIUS = 0.1
 
 
-def _point_vortex(gamma=2 * np.pi, grid=None, times=None, dt=None):
+def _point_vortex(grid, gamma=2 * np.pi, times=None, dt=None):
     G = float(gamma)
-    if grid is None:
-        grid = default_grid("point_vortex")
     period = 4 * np.pi ** 2 / G  # orbit period at radius 1
     if times is None:
         times = (0.0, period / 8, period / 4)
@@ -493,9 +428,7 @@ def _point_vortex(gamma=2 * np.pi, grid=None, times=None, dt=None):
     return CatalogEntry("point_vortex", {"gamma": G}, 2, m, force, props)
 
 
-def _taylor_green(grid=None, times=None, dt=None):
-    if grid is None:
-        grid = default_grid("taylor_green")
+def _taylor_green(grid, times=None, dt=None):
     if times is None:
         times = (0.0, 0.5, 1.0)
     if dt is None:
@@ -524,41 +457,76 @@ def _taylor_green(grid=None, times=None, dt=None):
     return CatalogEntry("taylor_green", {}, 2, m, force, props)
 
 
-_FACTORIES = {
-    "rigid_rotation": _rigid_rotation,
-    "uniform_translation": _uniform_translation,
-    "simple_shear": _simple_shear,
-    "stagnation": _stagnation,
-    "gerstner": _gerstner,
-    "point_vortex": _point_vortex,
-    "taylor_green": _taylor_green,
-}
+@dataclass(frozen=True)
+class _Flow:
+    """One catalog row: the factory, its label domain and its construction gate.
 
-_VALIDATION_TOL = {
-    "rigid_rotation": 1e-9,
-    "uniform_translation": 1e-12,
-    "simple_shear": 1e-12,
-    "stagnation": 1e-9,
-    "gerstner": 1e-8,
-    "point_vortex": 2e-4,
-    "taylor_green": 2e-4,
+    The domain spans ``lo`` to ``hi`` with ``shape`` nodes by default; ``hi``
+    may be a callable of the flow's params when the extent depends on them.
+    ``gate`` bounds the Lagrangian momentum residual at construction.
+    """
+
+    factory: object
+    lo: tuple
+    hi: object
+    shape: tuple
+    gate: float
+    periodic: tuple = (False, False)
+
+
+_CATALOG = {
+    "rigid_rotation": _Flow(_rigid_rotation, (-0.5, -0.5), (0.5, 0.5), (33, 33), 1e-9),
+    "uniform_translation": _Flow(_uniform_translation, (0.0, 0.0), (1.0, 1.0), (17, 17), 1e-12),
+    "simple_shear": _Flow(_simple_shear, (0.0, 0.0), (1.0, 1.0), (17, 17), 1e-12),
+    "stagnation": _Flow(_stagnation, (0.1, 0.1), (1.1, 1.1), (17, 17), 1e-9),
+    # one wavelength in a, so the x-extent follows k
+    "gerstner": _Flow(_gerstner, (0.0, -3.0), lambda k=1.0, **_: (2 * np.pi / float(k), -0.5),
+                      (33, 33), 1e-8),
+    "point_vortex": _Flow(_point_vortex, (0.7, 0.7), (1.7, 1.7), (33, 33), 2e-4),
+    "taylor_green": _Flow(_taylor_green, (0.0, 0.0), (2 * np.pi, 2 * np.pi), (32, 32), 2e-4,
+                          periodic=(True, True)),
 }
 
 
 def catalog_names():
-    return sorted(_FACTORIES)
+    return sorted(_CATALOG)
 
 
-def catalog_flow(name, validate=True, **params):
+def _row(name):
+    if name not in _CATALOG:
+        raise KeyError(f"unknown flow {name!r}; known: {', '.join(catalog_names())}")
+    return _CATALOG[name]
+
+
+def default_grid(name, shape=None, **params):
+    """Label grid of a catalog flow's domain, buildable without the flow.
+
+    ``shape`` gives the node counts (the catalog default when None); a
+    periodic axis of n nodes has n cells, any other n - 1. A shape with the
+    wrong number of axes raises ValueError.
+    """
+    row = _row(name)
+    hi = row.hi(**params) if callable(row.hi) else row.hi
+    shape = row.shape if shape is None else tuple(int(n) for n in shape)
+    if len(shape) != len(row.shape):
+        raise ValueError(f"grid shape {shape} has wrong dimensionality for flow {name!r}")
+    spacing = tuple((h - lo) / (n if p else n - 1)
+                    for lo, h, n, p in zip(row.lo, hi, shape, row.periodic))
+    return LabelGrid(shape, row.lo, spacing, row.periodic)
+
+
+def catalog_flow(name, validate=True, grid=None, **params):
     """Build a catalog entry by name; unknown names raise.
 
+    The entry lives on ``grid``, or on ``default_grid(name, **params)``.
     Entries self-validate: analytic partials are cross-checked against finite
     differences and the Lagrangian momentum residual at a mid-range time must
     pass the entry's gate.
     """
-    if name not in _FACTORIES:
-        raise KeyError(f"unknown flow {name!r}; known: {', '.join(catalog_names())}")
-    entry = _FACTORIES[name](**params)
+    row = _row(name)
+    if grid is None:
+        grid = default_grid(name, **params)
+    entry = row.factory(grid, **params)
     if validate:
         if isinstance(entry.map, SampledFlowMap):
             t_check = float(entry.map.times[1])
@@ -568,14 +536,9 @@ def catalog_flow(name, validate=True, **params):
         res = lagrangian_eom_residual(entry.map, entry.force, t_check, StencilSpec(order=2))
         worst = max(r.linf for r in res)
         entry.validation_residual = worst
-        tol = _VALIDATION_TOL[name]
-        if worst > tol:
+        if worst > row.gate:
             raise ValueError(
                 f"catalog entry {name} failed its construction gate: "
-                f"EOM residual {worst:.3e} > {tol:g}"
+                f"EOM residual {worst:.3e} > {row.gate:g}"
             )
     return entry
-
-
-def describe_flow(name, **params):
-    return catalog_flow(name, **params).describe()

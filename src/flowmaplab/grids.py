@@ -16,7 +16,7 @@ results use the Jacobian layout ``[..., i, k] = d f_i / d x_k``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
@@ -105,14 +105,6 @@ class LabelGrid:
         out[:, : pts.shape[1]] = pts
         return out
 
-    def refined(self, factor=2):
-        """Grid with ``factor`` times the node density over the same extent."""
-        shape = []
-        for n, p in zip(self.shape, self.periodic):
-            shape.append(n * factor if p else (n - 1) * factor + 1)
-        spacing = tuple(h / factor for h in self.spacing)
-        return replace(self, shape=tuple(shape), spacing=spacing)
-
     def interior_slices(self, rind):
         """Slices dropping ``rind`` nodes at each non-periodic boundary."""
         out = []
@@ -128,20 +120,17 @@ class LabelGrid:
 
 @dataclass(frozen=True)
 class StencilSpec:
-    """Finite-difference stencil: formal order 2 or 4, boundary policy.
+    """Finite-difference stencil of formal order 2 or 4.
 
-    boundary: "one-sided" uses matching-order one-sided rows at non-periodic
-    edges; periodic axes always wrap regardless of policy.
+    Non-periodic edges use one-sided rows of matching order; periodic grid
+    axes wrap.
     """
 
     order: int = 2
-    boundary: str = "one-sided"
 
     def __post_init__(self):
         if self.order not in (2, 4):
             raise ValueError("stencil order must be 2 or 4")
-        if self.boundary not in ("one-sided", "periodic"):
-            raise ValueError("boundary policy must be 'one-sided' or 'periodic'")
 
 
 @dataclass
@@ -232,9 +221,9 @@ def differentiate(f, axis, spec=StencilSpec(), grid=None):
     n = grid.shape[axis]
     if spec.order == 4 and n < 6:
         raise ValueError("order-4 stencils need >= 6 nodes per axis")
-    wrap = grid.periodic[axis] or spec.boundary == "periodic"
     moved = np.moveaxis(np.asarray(f, dtype=float), axis, 0)
-    return np.moveaxis(_diff_along_axis0(moved, grid.spacing[axis], spec.order, wrap), 0, axis)
+    return np.moveaxis(
+        _diff_along_axis0(moved, grid.spacing[axis], spec.order, grid.periodic[axis]), 0, axis)
 
 
 def gradient(f, spec=StencilSpec(), grid=None):
@@ -310,13 +299,12 @@ class ResidualSummary:
     location: tuple
     rind: int = 0
     excluded: int = 0
-    values: np.ndarray = field(default=None, repr=False, compare=False)
 
     def __float__(self):
         return float(self.linf)
 
 
-def summarize_residual(values, grid, rind=0, mask=None, keep_values=False):
+def summarize_residual(values, grid, rind=0, mask=None):
     """Reduce a per-node residual magnitude field to a norm triple.
 
     mask: optional boolean array marking nodes to include (before rind).
@@ -344,5 +332,4 @@ def summarize_residual(values, grid, rind=0, mask=None, keep_values=False):
         location=location,
         rind=rind,
         excluded=excluded,
-        values=mag if keep_values else None,
     )

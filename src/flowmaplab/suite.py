@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .grids import LabelGrid, StencilSpec
+from .grids import StencilSpec
 from .flowmap import cofactor_identity_residual, density_residual
 from .flows import catalog_flow, default_grid, rk4_advect
 from .dynamics import lagrangian_eom_residual
@@ -103,19 +103,6 @@ def load_config(path_or_dict):
                 f"unknown check {chk['id']!r}; known: {', '.join(sorted(CHECKS))}"
             )
     return cfg
-
-
-def _regrid(grid, shape):
-    shape = tuple(int(n) for n in shape)
-    if len(shape) != grid.ndim:
-        raise ConfigError(f"grid shape {shape} has wrong dimensionality for this flow")
-    spacing = []
-    for k, n in enumerate(shape):
-        cells_old = grid.shape[k] if grid.periodic[k] else grid.shape[k] - 1
-        extent = grid.spacing[k] * cells_old
-        cells_new = n if grid.periodic[k] else n - 1
-        spacing.append(extent / cells_new)
-    return LabelGrid(shape, grid.origin, tuple(spacing), grid.periodic)
 
 
 def _times_for(entry, cfg):
@@ -274,9 +261,12 @@ def run_suite(cfg):
     # keyed by the flow's position, so two configs of one flow stay apart
     for fi, flow_cfg in enumerate(cfg["flows"]):
         for gi, shape in enumerate(shapes):
-            params = dict(flow_cfg.get("params", {}))
-            params["grid"] = _regrid(default_grid(flow_cfg["name"], **params), shape)
-            entry = catalog_flow(flow_cfg["name"], **params)
+            params = flow_cfg.get("params", {})
+            try:
+                grid = default_grid(flow_cfg["name"], shape, **params)
+            except ValueError as exc:  # a shape or domain param the flow cannot take
+                raise ConfigError(str(exc)) from None
+            entry = catalog_flow(flow_cfg["name"], grid=grid, **params)
             hs[fi, gi] = max(entry.map.grid.spacing)
             times = _times_for(entry, cfg)
             for ci, check_cfg in enumerate(checks):
@@ -354,8 +344,7 @@ def convergence_study(check_id, flow_name, resolutions=None, dts=None,
             cfg["time_fractions"] = time_fractions
         report, _ = run_suite(cfg)
         for row, shape in zip(report.rows, resolutions):
-            h = max(_regrid(default_grid(flow_name, **flow_params), shape).spacing)
-            table.append((h, row.linf))
+            table.append((max(default_grid(flow_name, shape, **flow_params).spacing), row.linf))
     table.sort(key=lambda he: -he[0])
     errs = np.array([e for _, e in table])
     slope = None

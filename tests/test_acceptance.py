@@ -17,7 +17,7 @@ from flowmaplab import (
     catalog_flow,
 )
 from flowmaplab.flows import default_grid
-from flowmaplab.suite import _regrid, run_suite
+from flowmaplab.suite import run_suite
 from flowmaplab.quadrature import SIMPSON
 
 
@@ -39,7 +39,7 @@ def test_criterion_1_cauchy_invariant_conservation():
     drift = fl.invariant_drift(e.map, times)["drift"]
     checks.append(("rigid rotation analytic drift <= 1e-10", drift <= 1e-10, drift))
 
-    g = _regrid(default_grid("gerstner"), (128, 128))
+    g = default_grid("gerstner", (128, 128))
     e = catalog_flow("gerstner", grid=g)
     T = e.map.timescale
     drift = fl.invariant_drift(e.map, [0.0, T / 4, T / 2])["drift"]
@@ -48,7 +48,7 @@ def test_criterion_1_cauchy_invariant_conservation():
     drifts = []
     for n in (64, 128):
         e = catalog_flow("point_vortex",
-                         grid=_regrid(default_grid("point_vortex"), (n, n)),
+                         grid=default_grid("point_vortex", (n, n)),
                          validate=False)
         out = fl.invariant_drift(e.map, e.map.times, StencilSpec(2), mode="fd", rind=1)
         drifts.append(out["drift"])
@@ -77,7 +77,7 @@ def test_criterion_2_density_equations():
 
     errs = []
     for n in (65, 129):
-        e = catalog_flow("gerstner", grid=_regrid(default_grid("gerstner"), (n, n)),
+        e = catalog_flow("gerstner", grid=default_grid("gerstner", (n, n)),
                          validate=False)
         errs.append(fl.density_residual(e.map, 1.0, "eulerian", StencilSpec(2)).linf)
     order = float(np.log2(errs[0] / errs[1]))

@@ -132,13 +132,12 @@ class TestInvariantDrift:
     def test_point_vortex_fd_convergence(self):
         # refinement study is its own oracle: drift is discretization noise
         # that must shrink at the stencil's order
-        from flowmaplab.suite import _regrid
         from flowmaplab.flows import default_grid
 
         drifts = []
         for n in (64, 128):
             e = catalog_flow("point_vortex",
-                             grid=_regrid(default_grid("point_vortex"), (n, n)),
+                             grid=default_grid("point_vortex", (n, n)),
                              validate=False)
             out = invariant_drift(e.map, e.map.times, StencilSpec(2), mode="fd", rind=1)
             drifts.append(out["drift"])

@@ -168,13 +168,11 @@ class TestDensityResidual:
             assert density_residual(e.map, t, "lagrangian").linf <= 1e-10
 
     def test_gerstner_lagrangian_fd_converges(self):
-        from flowmaplab.suite import _regrid
+        from flowmaplab.flows import default_grid
 
         errs = []
         for n in (33, 65):
-            from flowmaplab.flows import default_grid
-
-            e = catalog_flow("gerstner", grid=_regrid(default_grid("gerstner"), (n, n)),
+            e = catalog_flow("gerstner", grid=default_grid("gerstner", (n, n)),
                              validate=False)
             errs.append(density_residual(e.map, 1.0, "lagrangian",
                                          gradient_mode="fd", rind=1).linf)
@@ -189,6 +187,29 @@ class TestDensityResidual:
             e = catalog_flow(name)
             t = 0.6 * e.map.timescale
             assert density_residual(e.map, t, "lagrangian").linf <= 1e-9, name
+
+    def test_eulerian_inversion_builds_no_interpolant(self, monkeypatch):
+        import flowmaplab.flowmap as fm
+
+        e = catalog_flow("gerstner")
+        expect = density_residual(e.map, 1.0, "eulerian").linf
+
+        def interpolate(*args, **kwargs):
+            raise AssertionError("the invert path must not resample")
+
+        monkeypatch.setattr(fm, "resample_velocity_2d", interpolate)
+        assert density_residual(e.map, 1.0, "eulerian").linf == expect
+
+    @pytest.mark.parametrize("name,message", [
+        ("taylor_green", "exits the mapped domain"),
+        ("rigid_rotation", "too distorted"),
+    ])
+    def test_eulerian_spatial_grid_guards(self, name, message):
+        from flowmaplab.flows import default_grid
+
+        e = catalog_flow(name, grid=default_grid(name, (16, 16)))
+        with pytest.raises(ValueError, match=message):
+            density_residual(e.map, 0.25 * e.map.timescale, "eulerian")
 
 
 class TestMassIntegralTransform:

@@ -155,6 +155,43 @@ class TestRK4:
         assert e.map.step_halving_error < 1e-9
 
 
+# each flow's label domain: lower corner, upper corner, periodicity
+DOMAINS = {
+    "rigid_rotation": ((-0.5, -0.5), (0.5, 0.5), (False, False)),
+    "uniform_translation": ((0.0, 0.0), (1.0, 1.0), (False, False)),
+    "simple_shear": ((0.0, 0.0), (1.0, 1.0), (False, False)),
+    "stagnation": ((0.1, 0.1), (1.1, 1.1), (False, False)),
+    "gerstner": ((0.0, -3.0), (2 * np.pi, -0.5), (False, False)),
+    "point_vortex": ((0.7, 0.7), (1.7, 1.7), (False, False)),
+    "taylor_green": ((0.0, 0.0), (2 * np.pi, 2 * np.pi), (True, True)),
+}
+
+
+class TestDefaultGrid:
+    @pytest.mark.parametrize("name", sorted(DOMAINS))
+    @pytest.mark.parametrize("shape", [(8, 8), (17, 24), (65, 64)])
+    def test_shape_origin_periodicity_spacing(self, name, shape):
+        lo, hi, periodic = DOMAINS[name]
+        g = default_grid(name, shape)
+        assert g.shape == shape and g.origin == lo and g.periodic == periodic
+        cells = [n if p else n - 1 for n, p in zip(shape, periodic)]
+        assert g.spacing == tuple((b - a) / c for a, b, c in zip(lo, hi, cells))
+
+    def test_default_shape_and_gerstner_extent(self):
+        assert default_grid("rigid_rotation").shape == (33, 33)
+        assert default_grid("taylor_green").shape == (32, 32)
+        g = default_grid("gerstner", (9, 9), k=2.0)
+        assert g.spacing[0] == np.pi / 8  # one wavelength 2 pi / k over 8 cells
+
+    def test_wrong_axis_count_raises(self):
+        with pytest.raises(ValueError, match="dimensionality"):
+            default_grid("rigid_rotation", (8, 8, 8))
+
+    def test_catalog_flow_builds_on_the_default_grid(self):
+        e = catalog_flow("stagnation", k=2.0)
+        assert e.map.grid == default_grid("stagnation")
+
+
 def test_entries_self_validate():
     for name in catalog_names():
         e = catalog_flow(name)

@@ -290,6 +290,7 @@ class TestCLI:
         ("converge", "cauchy.invariant_drift", "gerstner", "--grids", "32x32,64x64",
          "--params", "{bad"),
         ("flows", "describe", "gerstner", "--params", "{bad"),
+        ("run", str(ROOT / "suites" / "cauchy-core.json"), "--grid", "16x16x16"),
     ])
     def test_malformed_input_exits_two(self, args):
         proc = run_cli(*args)
