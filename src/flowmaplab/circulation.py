@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import _diff_along_axis0
-from .quadrature import path_integral
+from .quadrature import TRAPEZOID, axis_weights, path_integral
 from .flowmap import deformation_at, velocity_gradient_at, inv3
 
 __all__ = [
@@ -163,6 +163,11 @@ class MaterialSurface:
         t2 = _param_derivative(pos, 1, self.param_periodic[1], order)
         return pos, np.cross(t1, t2)
 
+    def param_weights(self):
+        """Trapezoid weights in s on both parameter axes, s as in the tangents."""
+        return tuple(axis_weights(n, _param_step(n, p), TRAPEZOID, p)
+                     for n, p in zip(self.labels.shape[:2], self.param_periodic))
+
     def unit_normals(self, m, t, order=2):
         pos, nw = self.advected_normals(m, t, order)
         mag = np.linalg.norm(nw, axis=-1, keepdims=True)
@@ -172,22 +177,17 @@ class MaterialSurface:
         return pos, nw / mag
 
 
+def _param_step(n, periodic):
+    return 2 * np.pi / n if periodic else 1.0 / (n - 1)
+
+
 def _param_derivative(pos, axis, periodic, order=2):
     """d(pos)/ds along one parameter axis; s spans 2*pi on periodic axes and
     [0, 1] on clamped axes (uniform samples either way), with one-sided
     rows of the same order at clamped ends."""
-    n = pos.shape[axis]
-    h = 2 * np.pi / n if periodic else 1.0 / (n - 1)
+    h = _param_step(pos.shape[axis], periodic)
     out = _diff_along_axis0(np.moveaxis(pos, axis, 0), h, order, periodic)
     return np.moveaxis(out, 0, axis)
-
-
-def _param_weights(n, periodic):
-    if periodic:
-        return np.full(n, 2 * np.pi / n)
-    w = np.full(n, 1.0 / (n - 1))
-    w[0] = w[-1] = 0.5 / (n - 1)
-    return w
 
 
 @dataclass
@@ -248,8 +248,7 @@ def vorticity_flux(m, surf, t, tangent_order=2, stencil_h=1e-5):
     pos, nw = surf.advected_normals(m, t, order=tangent_order)
     w = spatial_half_vorticity_at(m, surf.labels, t, h=stencil_h)
     integrand = 2.0 * np.sum(w * nw, axis=-1)
-    w1 = _param_weights(pos.shape[0], surf.param_periodic[0])
-    w2 = _param_weights(pos.shape[1], surf.param_periodic[1])
+    w1, w2 = surf.param_weights()
     return float(np.sum(integrand * w1[:, None] * w2[None, :]))
 
 

@@ -21,7 +21,7 @@ import sys
 from . import __version__
 from .flows import catalog_flow, catalog_names
 from .reporting import report_diff
-from .suite import ConfigError, convergence_study, load_config, run_suite
+from .suite import ConfigError, convergence_study, load_config, run_suite, validate_flow
 
 __all__ = ["main", "build_parser"]
 
@@ -148,7 +148,9 @@ def main(argv=None):
                 for name in catalog_names():
                     print(name)
             else:
-                print(catalog_flow(args.name, **_parse_params(args.params)).describe())
+                params = _parse_params(args.params)
+                validate_flow(args.name, params)
+                print(catalog_flow(args.name, **params).describe())
             return 0
     except ConfigError as exc:  # malformed config or command-line input
         print(f"error: {exc}", file=sys.stderr)

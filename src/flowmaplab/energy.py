@@ -86,10 +86,7 @@ def _boundary_flux(m, V_fn, surfaces, t):
         vel = m.velocities(surf.labels, t)
         Vvals = np.asarray(V_fn(pos, t), dtype=float)
         integrand = Vvals * np.einsum("...i,...i->...", vel, nw)
-        from .circulation import _param_weights
-
-        w1 = _param_weights(pos.shape[0], surf.param_periodic[0])
-        w2 = _param_weights(pos.shape[1], surf.param_periodic[1])
+        w1, w2 = surf.param_weights()
         total += float(np.sum(integrand * w1[:, None] * w2[None, :]))
     return total
 

@@ -53,7 +53,6 @@ __all__ = [
     "cofactor_identity_residual",
     "density_residual",
     "mass_integral_transform",
-    "resample_velocity_2d",
     "validate_analytic_partials",
     "save_flowmap",
     "load_flowmap",
@@ -375,22 +374,19 @@ def cofactor_identity_residual(m, t, spec=StencilSpec(), mode="auto", rind=0):
     return summarize_residual(res, m.grid, rind=rind)
 
 
-def density_residual(m, t, mode="lagrangian", spec=StencilSpec(), rule=TRAPEZOID,
-                     gradient_mode="auto", density_ratio=None, rind=0,
-                     spatial_grid=None, resample_method="invert"):
+def density_residual(m, t, mode="lagrangian", spec=StencilSpec(), gradient_mode="auto",
+                     density_ratio=None, rind=0):
     """Residual of the density equation in either dependence.
 
     lagrangian: max |J(t) - J(0) * density_ratio| over nodes. density_ratio
     is rho0/rho relative to its t=0 value (1 for incompressible flows and for
     generalized-label maps, where constancy of J is the equation).
 
-    eulerian: the spatial velocity field (2D, embedded flows) is produced on
-    a uniform grid either by inverting the flow map at the nodes
-    (resample_method "invert", the default: exact field values, divergence
-    error purely the grid stencil's) or by scattering the advected label
-    nodes and interpolating ("cubic"/"linear"; piecewise interpolants cap the
-    observable divergence order near 1). max |div u| is reported; rho is
-    taken constant.
+    eulerian: the spatial velocity field (2D, embedded flows) is evaluated
+    exactly on a uniform grid inscribed in the advected domain, by inverting
+    the flow map at its nodes, u(X, t) = velocity(phi^-1(X, t), t), so the
+    divergence error is purely the grid stencil's. max |div u| is reported;
+    rho is taken constant.
     """
     if mode == "lagrangian":
         ratio = 1.0 if density_ratio is None else density_ratio
@@ -400,21 +396,17 @@ def density_residual(m, t, mode="lagrangian", spec=StencilSpec(), rule=TRAPEZOID
         return summarize_residual(res, m.grid, rind=rind)
     if mode != "eulerian":
         raise ValueError("mode must be 'lagrangian' or 'eulerian'")
-    if resample_method == "invert":
-        if spatial_grid is None:
-            from scipy.spatial import Delaunay
+    from scipy.spatial import Delaunay
 
-            pos = m.positions(m.grid_labels(), t)
-            spatial_grid = _inscribed_grid(m, pos)
-            # where a linear interpolant of the advected nodes would have no data
-            if np.any(Delaunay(pos.reshape(-1, 3)[:, :2]).find_simplex(spatial_grid.nodes()) < 0):
-                raise ValueError("spatial grid exits the mapped domain: resampling failed")
-        u, v = eulerian_velocity_2d(m, t, spatial_grid)
-        sgrid = spatial_grid
-    else:
-        u, v, sgrid = resample_velocity_2d(m, t, spatial_grid, method=resample_method)
-    dudx = differentiate(u, 0, spec, grid=sgrid)
-    dvdy = differentiate(v, 1, spec, grid=sgrid)
+    pos = m.positions(m.grid_labels(), t)
+    sgrid = _inscribed_grid(m, pos)
+    # where a linear interpolant of the advected nodes would have no data
+    if np.any(Delaunay(pos.reshape(-1, 3)[:, :2]).find_simplex(sgrid.nodes()) < 0):
+        raise ValueError("spatial grid exits the mapped domain: resampling failed")
+    lab = invert_map(m, sgrid.nodes3().reshape(sgrid.shape + (3,)), t)
+    vel = m.velocities(lab, t)
+    dudx = differentiate(vel[..., 0], 0, spec, grid=sgrid)
+    dvdy = differentiate(vel[..., 1], 1, spec, grid=sgrid)
     res = np.abs(dudx + dvdy)
     return summarize_residual(res, sgrid, rind=max(rind, 1))
 
@@ -440,53 +432,13 @@ def invert_map(m, points, t, tol=1e-12, max_iter=50):
     return lab
 
 
-def eulerian_velocity_2d(m, t, spatial_grid, tol=1e-12):
-    """Velocity components (u, v) at spatial grid nodes by map inversion.
-
-    The exact Eulerian evaluation: u(X, t) = velocity(phi^-1(X, t), t).
-    """
-    pts = spatial_grid.nodes3().reshape(spatial_grid.shape + (3,))
-    lab = invert_map(m, pts, t, tol=tol)
-    vel = m.velocities(lab, t)
-    return vel[..., 0], vel[..., 1]
-
-
-def resample_velocity_2d(m, t, spatial_grid=None, method="cubic", shrink=0.12):
-    """Scatter the advected label nodes and interpolate (u, v) onto a uniform
-    spatial grid in the x-y plane.
-
-    method "cubic" (Clough-Tocher) keeps differentiated quantities at second
-    order; "linear" matches plain simplex interpolation, which caps gradient
-    accuracy at first order. Raises if the requested grid leaves the convex
-    hull of the mapped domain.
-    """
-    from scipy.interpolate import CloughTocher2DInterpolator, LinearNDInterpolator
-
-    labels = m.grid_labels()
-    pos_full = m.positions(labels, t)
-    vel = m.velocities(labels, t).reshape(-1, 3)
-    xy = pos_full.reshape(-1, 3)[:, :2]
-    if spatial_grid is None:
-        spatial_grid = _inscribed_grid(m, pos_full, shrink)
-    cls = CloughTocher2DInterpolator if method == "cubic" else LinearNDInterpolator
-    interp_u = cls(xy, vel[:, 0])
-    interp_v = cls(xy, vel[:, 1])
-    X, Y = spatial_grid.meshgrid()
-    u = interp_u(X, Y)
-    v = interp_v(X, Y)
-    if np.any(~np.isfinite(u)) or np.any(~np.isfinite(v)):
-        raise ValueError("spatial grid exits the mapped domain: resampling failed")
-    return u, v, spatial_grid
-
-
-def _inscribed_grid(m, pos_full, shrink=0.12):
+def _inscribed_grid(m, pos_full):
     """Uniform x-y grid inside the advected label nodes ``pos_full``.
 
     The box is inscribed in the advected fluid region, not its convex hull:
     wavy material boundaries (one advected boundary row per non-periodic
     label axis) would otherwise leave hull pockets with no data, where an
-    interpolant extrapolates. ``shrink`` pulls each side in by that fraction
-    of the span.
+    interpolant extrapolates. Each side is pulled in by 12% of the span.
     """
     xy = pos_full.reshape(-1, 3)[:, :2]
     lo = xy.min(axis=0).copy()
@@ -501,8 +453,8 @@ def _inscribed_grid(m, pos_full, shrink=0.12):
     span = hi - lo
     if np.any(span <= 0):
         raise ValueError("advected domain too distorted for an inscribed box")
-    lo = lo + shrink * span
-    hi = hi - shrink * span
+    lo = lo + 0.12 * span
+    hi = hi - 0.12 * span
     n = max(m.grid.shape[0], 16)
     return LabelGrid((n, n), tuple(lo), tuple((hi - lo) / (n - 1)), (False, False))
 

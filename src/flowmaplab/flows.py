@@ -13,6 +13,7 @@ grid at a nonzero time.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -30,6 +31,7 @@ __all__ = [
     "default_grid",
     "catalog_flow",
     "catalog_names",
+    "catalog_params",
     "integrate_trajectories",
     "rk4_advect",
 ]
@@ -457,6 +459,13 @@ def _taylor_green(grid, times=None, dt=None):
     return CatalogEntry("taylor_green", {}, 2, m, force, props)
 
 
+def _gerstner_hi(k=1.0, **_):
+    # one wavelength in a, so the x-extent follows k
+    if not float(k) > 0:
+        raise ValueError(f"gerstner wavenumber k must be positive, got {k!r}")
+    return (2 * np.pi / float(k), -0.5)
+
+
 @dataclass(frozen=True)
 class _Flow:
     """One catalog row: the factory, its label domain and its construction gate.
@@ -479,9 +488,7 @@ _CATALOG = {
     "uniform_translation": _Flow(_uniform_translation, (0.0, 0.0), (1.0, 1.0), (17, 17), 1e-12),
     "simple_shear": _Flow(_simple_shear, (0.0, 0.0), (1.0, 1.0), (17, 17), 1e-12),
     "stagnation": _Flow(_stagnation, (0.1, 0.1), (1.1, 1.1), (17, 17), 1e-9),
-    # one wavelength in a, so the x-extent follows k
-    "gerstner": _Flow(_gerstner, (0.0, -3.0), lambda k=1.0, **_: (2 * np.pi / float(k), -0.5),
-                      (33, 33), 1e-8),
+    "gerstner": _Flow(_gerstner, (0.0, -3.0), _gerstner_hi, (33, 33), 1e-8),
     "point_vortex": _Flow(_point_vortex, (0.7, 0.7), (1.7, 1.7), (33, 33), 2e-4),
     "taylor_green": _Flow(_taylor_green, (0.0, 0.0), (2 * np.pi, 2 * np.pi), (32, 32), 2e-4,
                           periodic=(True, True)),
@@ -490,6 +497,11 @@ _CATALOG = {
 
 def catalog_names():
     return sorted(_CATALOG)
+
+
+def catalog_params(name):
+    """Names of the params a catalog flow takes: its factory's keywords."""
+    return tuple(p for p in inspect.signature(_row(name).factory).parameters if p != "grid")
 
 
 def _row(name):

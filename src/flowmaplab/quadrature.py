@@ -124,7 +124,7 @@ def closed_path_tangents(points, order=4):
     return _diff_along_axis0(pts, 2 * np.pi / pts.shape[0], order, wrap=True)
 
 
-def path_integral(points, vectors, closed=True, rule=TRAPEZOID, tangent_order=4):
+def path_integral(points, vectors, closed=True, tangent_order=4):
     """Integral of vectors . dx along a polyline of uniformly spaced samples.
 
     For closed paths the samples are treated as one period of a smooth curve

@@ -129,9 +129,7 @@ class VerificationReport:
             data = json.load(fh)
         rows = [ReportRow(**{k: (tuple(v) if k == "location" and v is not None else v)
                              for k, v in rd.items()}) for rd in data["rows"]]
-        rep = cls(rows, config=data.get("config", {}), environment=data.get("environment", {}))
-        rep._stored_hash = data.get("determinism_hash")
-        return rep
+        return cls(rows, config=data.get("config", {}), environment=data.get("environment", {}))
 
 
 def report_diff(path_a, path_b):

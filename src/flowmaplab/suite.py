@@ -10,13 +10,14 @@ reports hash identically from run to run.
 
 from __future__ import annotations
 
+import inspect
 import math
 
 import numpy as np
 
 from .grids import StencilSpec
 from .flowmap import cofactor_identity_residual, density_residual
-from .flows import catalog_flow, default_grid, rk4_advect
+from .flows import catalog_flow, catalog_names, catalog_params, default_grid, rk4_advect
 from .dynamics import lagrangian_eom_residual
 from .cauchy import cauchy_invariants, invariant_drift, solenoidality_residual
 from .circulation import MaterialLoop, MaterialSurface, kelvin_drift, stokes_residual
@@ -25,13 +26,15 @@ from .energy import living_force
 from .quadrature import SIMPSON, TRAPEZOID
 from .reporting import ReportRow, VerificationReport
 
-__all__ = ["CONFIG_SCHEMA", "CHECKS", "load_config", "run_suite", "convergence_study"]
+__all__ = ["CONFIG_SCHEMA", "CHECKS", "load_config", "validate_flow", "run_suite",
+           "convergence_study"]
 
 
 CONFIG_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
     "type": "object",
     "required": ["flows", "checks", "grids"],
+    "additionalProperties": False,
     "properties": {
         "name": {"type": "string"},
         # "seed", "threads" and "quadrature" are accepted for old configs;
@@ -47,18 +50,23 @@ CONFIG_SCHEMA = {
         "flows": {
             "type": "array", "minItems": 1,
             "items": {
-                "type": "object", "required": ["name"],
+                "type": "object", "required": ["name"], "additionalProperties": False,
                 "properties": {"name": {"type": "string"}, "params": {"type": "object"}},
             },
         },
         "checks": {
             "type": "array",
             "items": {
-                "type": "object", "required": ["id", "tolerance"],
+                "type": "object", "required": ["id", "tolerance"], "additionalProperties": False,
                 "properties": {
                     "id": {"type": "string"},
                     "tolerance": {"type": "number", "exclusiveMinimum": 0},
-                    "options": {"type": "object"},
+                    # any other option is checked against the check's signature
+                    "options": {
+                        "type": "object",
+                        "properties": {"mode": {"enum": ["auto", "analytic", "fd"]},
+                                       "stencil_order": {"enum": [2, 4]}},
+                    },
                     "min_order": {"type": "number"},
                 },
             },
@@ -69,7 +77,7 @@ CONFIG_SCHEMA = {
                       "minItems": 1, "maxItems": 3},
         },
         "out": {
-            "type": "object",
+            "type": "object", "additionalProperties": False,
             "properties": {"report": {"type": "string"}, "rows": {"type": "string"}},
         },
     },
@@ -81,7 +89,16 @@ class ConfigError(ValueError):
 
 
 def load_config(path_or_dict):
+    """A suite config (a path or a dict), validated before anything is built.
+
+    Beyond the schema, every check id, check option, flow name and flow param
+    must be one the code reads, and every flow's domain must mesh at every
+    grid. Any violation raises ConfigError naming the key and the accepted
+    names.
+    """
     import json
+
+    import jsonschema
 
     if isinstance(path_or_dict, dict):
         cfg = path_or_dict
@@ -89,20 +106,50 @@ def load_config(path_or_dict):
         with open(path_or_dict) as fh:
             cfg = json.load(fh)
     try:
-        import jsonschema
-
         jsonschema.validate(cfg, CONFIG_SCHEMA)
-    except ImportError:  # schema module optional at runtime
-        if not ({"flows", "checks", "grids"} <= set(cfg)):
-            raise ConfigError("config needs flows, checks, grids")
-    except Exception as exc:  # jsonschema.ValidationError
-        raise ConfigError(str(exc)) from None
+    except jsonschema.ValidationError as exc:
+        where = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in exc.absolute_path)
+        msg = f"config{where}: {exc.message}"
+        if exc.validator == "additionalProperties":
+            msg += f"; accepted: {', '.join(exc.schema['properties'])}"
+        raise ConfigError(msg) from None
     for chk in cfg["checks"]:
         if chk["id"] not in CHECKS:
             raise ConfigError(
                 f"unknown check {chk['id']!r}; known: {', '.join(sorted(CHECKS))}"
             )
+        _reject_unknown(f"check {chk['id']!r}", "option", chk.get("options", {}),
+                        _check_options(chk["id"]))
+    for flow in cfg["flows"]:
+        validate_flow(flow["name"], flow.get("params", {}), cfg["grids"])
     return cfg
+
+
+def _check_options(check_id):
+    """Names of the options a check takes: its keyword-only parameters."""
+    params = inspect.signature(CHECKS[check_id][0]).parameters.values()
+    return tuple(p.name for p in params if p.kind is p.KEYWORD_ONLY)
+
+
+def validate_flow(name, params, shapes=(None,)):
+    """Raise ConfigError unless ``name`` is a catalog flow that takes every
+    key of ``params`` and whose domain meshes at each of ``shapes`` (None is
+    the flow's default shape)."""
+    if name not in catalog_names():
+        raise ConfigError(f"unknown flow {name!r}; known: {', '.join(catalog_names())}")
+    _reject_unknown(f"flow {name!r}", "param", params, catalog_params(name))
+    for shape in shapes:
+        try:
+            default_grid(name, shape, **params)
+        except ValueError as exc:  # a shape or domain param the flow cannot take
+            raise ConfigError(str(exc)) from None
+
+
+def _reject_unknown(owner, kind, given, accepted):
+    unknown = [k for k in given if k not in accepted]
+    if unknown:
+        raise ConfigError(f"{owner} takes no {kind} {', '.join(map(repr, unknown))}; "
+                          f"accepted: {', '.join(accepted) or 'none'}")
 
 
 def _times_for(entry, cfg):
@@ -111,103 +158,95 @@ def _times_for(entry, cfg):
 
 
 # ---------------------------------------------------------------------------
-# check implementations: fn(entry, times, opts, ctx) -> row dict with at
-# least "linf" and "time"; "l2" and "location" ride along when the check
-# reduces a residual field
+# check implementations: fn(entry, times, ctx, **options) -> row dict with
+# at least "linf" and "time"; "l2" and "location" ride along when the check
+# reduces a residual field. A check's options are its keyword-only
+# parameters, and load_config rejects any other.
 
 
 def _from_summary(s, t):
     return {"linf": s.linf, "l2": s.l2, "location": s.location, "time": t}
 
 
-def _chk_invariant_drift(entry, times, opts, ctx):
-    spec = StencilSpec(order=opts.get("stencil_order", ctx["stencil_order"]))
-    mode = opts.get("mode", "auto")
-    out = invariant_drift(entry.map, times, spec, mode=mode, rind=ctx["rind"])
+def _spec(ctx, stencil_order):
+    # a check's own stencil_order overrides the config's top-level one
+    return StencilSpec(order=ctx["stencil_order"] if stencil_order is None else stencil_order)
+
+
+def _chk_invariant_drift(entry, times, ctx, *, mode="auto", stencil_order=None):
+    out = invariant_drift(entry.map, times, _spec(ctx, stencil_order), mode=mode,
+                          rind=ctx["rind"])
     return {"linf": out["drift"], "time": times[-1]}
 
 
-def _chk_solenoidality(entry, times, opts, ctx):
-    spec = StencilSpec(order=opts.get("stencil_order", ctx["stencil_order"]))
-    w = cauchy_invariants(entry.map, times[-1], spec, mode=opts.get("mode", "auto"))
+def _chk_solenoidality(entry, times, ctx, *, mode="auto", stencil_order=None):
+    spec = _spec(ctx, stencil_order)
+    w = cauchy_invariants(entry.map, times[-1], spec, mode=mode)
     s = solenoidality_residual(w, spec, rind=max(1, ctx["rind"]))
     return _from_summary(s, times[-1])
 
 
-def _chk_density_lagrangian(entry, times, opts, ctx):
-    spec = StencilSpec(order=opts.get("stencil_order", ctx["stencil_order"]))
+def _chk_density_lagrangian(entry, times, ctx, *, mode="auto", stencil_order=None):
+    spec = _spec(ctx, stencil_order)
     worst = None
     for t in times[1:]:
-        s = density_residual(entry.map, t, "lagrangian", spec,
-                             gradient_mode=opts.get("mode", "auto"), rind=ctx["rind"])
+        s = density_residual(entry.map, t, "lagrangian", spec, gradient_mode=mode,
+                             rind=ctx["rind"])
         if worst is None or s.linf > worst["linf"]:
             worst = _from_summary(s, t)
     return worst
 
 
-def _chk_density_eulerian(entry, times, opts, ctx):
-    spec = StencilSpec(order=opts.get("stencil_order", ctx["stencil_order"]))
-    s = density_residual(entry.map, times[-1], "eulerian", spec,
-                         resample_method=opts.get("resample", "invert"))
+def _chk_density_eulerian(entry, times, ctx, *, stencil_order=None):
+    s = density_residual(entry.map, times[-1], "eulerian", _spec(ctx, stencil_order))
     return _from_summary(s, times[-1])
 
 
-def _chk_cofactor(entry, times, opts, ctx):
-    spec = StencilSpec(order=opts.get("stencil_order", ctx["stencil_order"]))
-    s = cofactor_identity_residual(entry.map, times[-1], spec,
-                                   mode=opts.get("mode", "auto"), rind=ctx["rind"])
+def _chk_cofactor(entry, times, ctx, *, mode="auto", stencil_order=None):
+    s = cofactor_identity_residual(entry.map, times[-1], _spec(ctx, stencil_order),
+                                   mode=mode, rind=ctx["rind"])
     return _from_summary(s, times[-1])
 
 
-def _chk_lagrangian_eom(entry, times, opts, ctx):
-    spec = StencilSpec(order=opts.get("stencil_order", ctx["stencil_order"]))
-    res = lagrangian_eom_residual(entry.map, entry.force, times[-1], spec,
-                                  mode=opts.get("mode", "auto"), rind=ctx["rind"])
+def _chk_lagrangian_eom(entry, times, ctx, *, mode="auto", stencil_order=None):
+    res = lagrangian_eom_residual(entry.map, entry.force, times[-1], _spec(ctx, stencil_order),
+                                  mode=mode, rind=ctx["rind"])
     worst = max(res, key=lambda r: r.linf)
     return _from_summary(worst, times[-1])
 
 
-def _chk_svanberg(entry, times, opts, ctx):
+def _chk_svanberg(entry, times, ctx):
     out = svanberg_invariant(entry.map, times, rind=ctx["rind"])
     return {"linf": out["drift"], "location": out["location"], "time": times[-1]}
 
 
-def _loop_points(entry, opts):
+def _loop_points(entry, points):
     # loop/surface resolution follows the grid resolution unless pinned, so
     # convergence studies refine the discrete theorem, not just the grid
-    return int(opts.get("points", max(32, entry.map.grid.shape[0])))
+    return int(max(32, entry.map.grid.shape[0]) if points is None else points)
 
 
-def _loop_from_opts(entry, opts):
-    return MaterialLoop.circle(
-        center=tuple(opts.get("center", (0.0, 0.0, 0.0))),
-        radius=opts.get("radius", 0.25),
-        normal=tuple(opts.get("normal", (0.0, 0.0, 1.0))),
-        n=_loop_points(entry, opts),
-    )
-
-
-def _chk_kelvin(entry, times, opts, ctx):
-    loop = _loop_from_opts(entry, opts)
+def _chk_kelvin(entry, times, ctx, *, center=(0.0, 0.0, 0.0), radius=0.25,
+                normal=(0.0, 0.0, 1.0), points=None):
+    loop = MaterialLoop.circle(center=tuple(center), radius=radius, normal=tuple(normal),
+                               n=_loop_points(entry, points))
     out = kelvin_drift(entry.map, loop, times)
     return {"linf": out["drift"], "time": times[-1]}
 
 
-def _chk_stokes(entry, times, opts, ctx):
-    n = _loop_points(entry, opts)
-    loop = _loop_from_opts(entry, opts)
+def _chk_stokes(entry, times, ctx, *, center=(0.0, 0.0, 0.0), radius=0.25,
+                normal=(0.0, 0.0, 1.0), points=None, radial_points=None):
+    n = _loop_points(entry, points)
+    loop = MaterialLoop.circle(center=tuple(center), radius=radius, normal=tuple(normal), n=n)
     surf = MaterialSurface.disk(
-        center=tuple(opts.get("center", (0.0, 0.0, 0.0))),
-        radius=opts.get("radius", 0.25),
-        normal=tuple(opts.get("normal", (0.0, 0.0, 1.0))),
-        nr=opts.get("radial_points", max(8, n // 8)),
-        ntheta=n,
+        center=tuple(center), radius=radius, normal=tuple(normal),
+        nr=max(8, n // 8) if radial_points is None else radial_points, ntheta=n,
     )
     chk = stokes_residual(entry.map, loop, surf, times[-1])
     return {"linf": chk.residual, "time": times[-1]}
 
 
-def _chk_energy_drift(entry, times, opts, ctx):
+def _chk_energy_drift(entry, times, ctx):
     # Simpson needs an odd node count on every non-periodic axis; grids
     # without one fall back to the trapezoid rule
     g = entry.map.grid
@@ -262,16 +301,13 @@ def run_suite(cfg):
     for fi, flow_cfg in enumerate(cfg["flows"]):
         for gi, shape in enumerate(shapes):
             params = flow_cfg.get("params", {})
-            try:
-                grid = default_grid(flow_cfg["name"], shape, **params)
-            except ValueError as exc:  # a shape or domain param the flow cannot take
-                raise ConfigError(str(exc)) from None
+            grid = default_grid(flow_cfg["name"], shape, **params)
             entry = catalog_flow(flow_cfg["name"], grid=grid, **params)
             hs[fi, gi] = max(entry.map.grid.spacing)
             times = _times_for(entry, cfg)
             for ci, check_cfg in enumerate(checks):
                 fn, anchor = CHECKS[check_cfg["id"]]
-                out = fn(entry, times, check_cfg.get("options", {}), ctx)
+                out = fn(entry, times, ctx, **check_cfg.get("options", {}))
                 rows[fi, ci, gi] = ReportRow(
                     flow=flow_cfg["name"],
                     check=check_cfg["id"],

@@ -189,15 +189,16 @@ class TestDensityResidual:
             assert density_residual(e.map, t, "lagrangian").linf <= 1e-9, name
 
     def test_eulerian_inversion_builds_no_interpolant(self, monkeypatch):
-        import flowmaplab.flowmap as fm
+        import scipy.interpolate
 
         e = catalog_flow("gerstner")
         expect = density_residual(e.map, 1.0, "eulerian").linf
 
         def interpolate(*args, **kwargs):
-            raise AssertionError("the invert path must not resample")
+            raise AssertionError("the Eulerian density path must not interpolate")
 
-        monkeypatch.setattr(fm, "resample_velocity_2d", interpolate)
+        for name in ("CloughTocher2DInterpolator", "LinearNDInterpolator"):
+            monkeypatch.setattr(scipy.interpolate, name, interpolate)
         assert density_residual(e.map, 1.0, "eulerian").linf == expect
 
     @pytest.mark.parametrize("name,message", [

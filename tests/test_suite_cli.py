@@ -1,7 +1,9 @@
 """Suite runner, report determinism, and the command-line harness."""
 
 import importlib.util
+import inspect
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -62,6 +64,21 @@ class TestConfig:
     def test_known_checks_documented(self):
         for check_id, (fn, anchor) in CHECKS.items():
             assert "." in check_id and anchor
+
+    def test_readme_lists_every_check_option(self):
+        # the README's options table against each check's keyword-only parameters
+        text = (ROOT / "README.md").read_text().split("### Suite configs", 1)[1]
+        text = text.split("\n## ", 1)[0]
+        table = {}
+        for line in text.splitlines():
+            m = re.fullmatch(r"\| `([\w.]+)` \| (.*) \|", line)
+            if m:
+                table[m[1]] = set(re.findall(r"`(\w+)`", m[2]))
+        signatures = {}
+        for check_id, (fn, _) in CHECKS.items():
+            params = inspect.signature(fn).parameters.values()
+            signatures[check_id] = {p.name for p in params if p.kind is p.KEYWORD_ONLY}
+        assert table == signatures
 
     def test_shipped_and_benchmark_configs_load(self):
         # the benchmark's configs are inputs this schema must keep accepting
@@ -285,17 +302,48 @@ class TestCLI:
         p.write_text(json.dumps(SUITE))
         assert run_cli("run", str(p), "--threads", "2").returncode == 2
 
-    @pytest.mark.parametrize("args", [
-        ("run", str(ROOT / "suites" / "cauchy-core.json"), "--grid", "32xabc"),
-        ("converge", "cauchy.invariant_drift", "gerstner", "--grids", "32x32,64x64",
-         "--params", "{bad"),
-        ("flows", "describe", "gerstner", "--params", "{bad"),
-        ("run", str(ROOT / "suites" / "cauchy-core.json"), "--grid", "16x16x16"),
+    @pytest.mark.parametrize("args,named", [
+        pytest.param(("run", str(ROOT / "suites" / "cauchy-core.json"), "--grid", "32xabc"),
+                     None, id="args0"),
+        pytest.param(("converge", "cauchy.invariant_drift", "gerstner",
+                      "--grids", "32x32,64x64", "--params", "{bad"), None, id="args1"),
+        pytest.param(("flows", "describe", "gerstner", "--params", "{bad"), None, id="args2"),
+        pytest.param(("run", str(ROOT / "suites" / "cauchy-core.json"), "--grid", "16x16x16"),
+                     None, id="args3"),
+        # a dict is merged into a copy of SUITE, which is then run; the error
+        # must name the key
+        pytest.param(("run", {"flows": [{"name": "vortx"}]}), "vortx", id="unknown_flow"),
+        pytest.param(("run", {"flows": [{"name": "rigid_rotation", "params": {"omgea": 2}}]}),
+                     "omgea", id="flow_param"),
+        pytest.param(("flows", "describe", "rigid_rotation", "--params", '{"omgea": 2}'),
+                     "omgea", id="describe_param"),
+        pytest.param(("run", {"checks": [{"id": "cauchy.invariant_drift", "tolerance": 1.0,
+                                          "options": {"stencl_order": 4}}]}),
+                     "stencl_order", id="check_option"),
+        pytest.param(("run", {"checks": [{"id": "circulation.kelvin_drift", "tolerance": 1.0,
+                                          "options": {"stencil_order": 4}}]}),
+                     "stencil_order", id="kelvin_stencil_order"),
+        pytest.param(("run", {"flows": [{"name": "stagnation"}],
+                              "checks": [{"id": "flowmap.density_eulerian", "tolerance": 1.0,
+                                          "options": {"resample": "cubic"}}]}),
+                     "resample", id="resample"),
+        pytest.param(("run", {"checks": [{"id": "cauchy.invariant_drift", "tolerance": 1.0,
+                                          "options": {"mode": "FD"}}]}), "mode", id="mode_FD"),
+        pytest.param(("run", {"stencil_ordr": 4}), "stencil_ordr", id="top_level_key"),
+        pytest.param(("run", {"flows": [{"name": "gerstner", "params": {"k": 0}}]}),
+                     "wavenumber k", id="gerstner_k0"),
+        pytest.param(("flows", "describe", "gerstner", "--params", '{"k": 0}'),
+                     "wavenumber k", id="describe_gerstner_k0"),
     ])
-    def test_malformed_input_exits_two(self, args):
+    def test_malformed_input_exits_two(self, args, named, tmp_path):
+        if isinstance(args[1], dict):
+            p = tmp_path / "bad.json"
+            p.write_text(json.dumps(dict(SUITE, **args[1])))
+            args = ("run", str(p))
         proc = run_cli(*args)
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+        assert named is None or named in proc.stderr
 
     def test_run_unreadable_config_exit_three(self):
         assert run_cli("run", "/nonexistent/suite.json").returncode == 3
