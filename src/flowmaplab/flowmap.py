@@ -20,6 +20,7 @@ sidecar (same path + ".json") carries free-form metadata.
 
 from __future__ import annotations
 
+import bisect
 import json
 import struct
 from dataclasses import dataclass, field
@@ -180,41 +181,112 @@ class AnalyticFlowMap(FlowMap):
         return np.asarray(self._second_partials(_labels3(labels), float(t)), dtype=float)
 
 
+# RK4 steps S between checkpoints of a sampled map's grid-label states. An
+# off-table query re-integrates at most S steps from its checkpoint, and a
+# table of n steps keeps n/S states. Counting a kept state like one step, q
+# off-table query times cost q*S + n/S, least at S = sqrt(n/q): 8-16 for the
+# catalog's sampled flows (n = 256-512 steps, q = 2-4 times per check).
+CHECKPOINT_STRIDE = 16
+
+
 class SampledFlowMap(FlowMap):
     """Trajectory table on a label grid, optionally backed by its velocity field.
 
-    positions_table: shape (n_times,) + grid.shape + (3,). When the
-    generating field is attached (with its RK4 step ``dt``), arbitrary labels
-    are advected on demand (fresh RK4 from t=0), so loops and surfaces never
-    re-interpolate the table, and velocities are the field at the positions.
-    Maps loaded from disk have no field: off-grid and off-time queries raise,
-    and velocities fall back to time differences of the table.
+    positions_table: shape (n_times,) + grid.shape + (3,). A map built with
+    its generating field and RK4 step ``dt`` marches its own table instead
+    (pass ``positions_table=None``; ``integrate_trajectories`` does): one
+    fixed-step march from t=0 fills the table and a checkpoint lattice of
+    grid-label states at the table times and at every CHECKPOINT_STRIDE-th
+    step of dt. One checkpoint is one state of the grid, 24 bytes per node
+    (24 KiB at 32x32). Queries go as follows:
+
+    - grid labels at a table time read the table;
+    - grid labels at any other time resume from the checkpoint at or below
+      t, at most CHECKPOINT_STRIDE steps; past times[-1] the lattice grows
+      in whole strides, so a value never depends on earlier queries;
+    - any other labels (loops, surfaces, stencil shifts, Newton iterates)
+      advect from t=0, so they never re-interpolate the table.
+
+    The last advected (labels, t) is remembered, so velocities (the field
+    at the positions) and repeated queries reuse its positions.
+    ``error_floor`` is the table's estimated integration error (see
+    ``integrate_trajectories``). Maps loaded from disk have no field:
+    off-grid and off-time queries raise, and velocities fall back to time
+    differences of the table.
     """
 
     def __init__(self, grid, times, positions_table,
                  field_fn=None, dt=None, convention="identity",
                  reference_density=1.0, name="sampled", timescale=1.0,
-                 bbox=None, step_halving_error=None):
+                 bbox=None, error_floor=None):
         self.grid = grid
         self.times = np.asarray(times, dtype=float)
         if self.times.ndim != 1 or np.any(np.diff(self.times) <= 0):
             raise ValueError("sampled maps need strictly increasing time stamps")
+        self.field_fn = field_fn
+        self.dt = dt
+        self.bbox = bbox
+        self._last = None  # (labels, t, positions) of the last advected query
+        if field_fn is not None:
+            if positions_table is not None:
+                raise ValueError("a sampled map with its field marches its own table")
+            positions_table = self._march_table()
         self.positions_table = np.asarray(positions_table, dtype=float)
         expected = (len(self.times),) + grid.shape + (3,)
         if self.positions_table.shape != expected:
             raise ValueError(
                 f"positions table shape {self.positions_table.shape} != {expected}"
             )
-        self.field_fn = field_fn
-        self.dt = dt
         self.convention = convention
         self.reference_density = reference_density
         self.name = name
         self.timescale = float(timescale)
-        self.bbox = bbox
-        self.step_halving_error = step_halving_error
+        self.error_floor = error_floor
         if convention == "identity":
             self.check_identity_at_zero(tol=1e-9)
+
+    def _march_table(self):
+        """Start the checkpoint lattice at the grid labels, march it to
+        times[-1] and read the table off it."""
+        if self.times[0] != 0.0:
+            raise ValueError("trajectory tables must start at t=0 (identity labels)")
+        dt = self.dt
+        if dt is None or not dt > 0:
+            raise ValueError(f"a sampled map with its field needs an RK4 step dt > 0, got {dt!r}")
+        steps = [0]
+        for gap in np.diff(self.times):
+            if gap < dt - 1e-12 or abs(round(gap / dt) - gap / dt) > 1e-9:
+                raise ValueError("dt must divide the gaps between requested times")
+            steps.append(steps[-1] + round(gap / dt))
+        self._table_steps = steps
+        # lattice points: step index, time and grid-label state, in time order
+        self._lattice_n, self._lattice_t = [0], [0.0]
+        self._lattice_x = [self.grid_labels()]
+        self._extend_lattice(self.times[-1])
+        return np.stack([self._lattice_x[self._lattice_n.index(n)] for n in steps])
+
+    def _extend_lattice(self, t):
+        """March the lattice until its next point lies beyond time t.
+
+        The point after step n is the next table step or the next multiple
+        of CHECKPOINT_STRIDE, whichever comes first.
+        """
+        from .flows import rk4_advect  # local import to avoid a cycle
+
+        while True:
+            n = self._lattice_n[-1]
+            nxt = (n // CHECKPOINT_STRIDE + 1) * CHECKPOINT_STRIDE
+            tn = nxt * self.dt
+            j = bisect.bisect_right(self._table_steps, n)
+            if j < len(self._table_steps) and self._table_steps[j] <= nxt:
+                nxt, tn = self._table_steps[j], float(self.times[j])
+            if tn > t:
+                return
+            x = rk4_advect(self.field_fn, self._lattice_x[-1], self._lattice_t[-1], tn,
+                           self.dt, bbox=self.bbox)
+            self._lattice_n.append(nxt)
+            self._lattice_t.append(tn)
+            self._lattice_x.append(x)
 
     def _time_index(self, t):
         idx = np.searchsorted(self.times, t)
@@ -224,30 +296,40 @@ class SampledFlowMap(FlowMap):
         return None
 
     def _is_grid_labels(self, labels):
-        labels = _labels3(labels)
         grid_lab = self.grid_labels()
         return labels.shape == grid_lab.shape and np.array_equal(labels, grid_lab)
 
-    def _advect(self, labels, t):
+    def positions(self, labels, t):
         from .flows import rk4_advect  # local import to avoid a cycle
 
+        labels, t = _labels3(labels), float(t)
+        if not np.isfinite(t):
+            raise ValueError(f"sampled map queried at non-finite time {t}")
+        on_grid = self._is_grid_labels(labels)
+        j = self._time_index(t)
+        if j is not None and on_grid:
+            return self.positions_table[j]
         if self.field_fn is None:
             raise ValueError(
                 "off-table query on a sampled map without its generating field"
             )
-        return rk4_advect(self.field_fn, _labels3(labels), 0.0, float(t), self.dt, bbox=self.bbox)
-
-    def positions(self, labels, t):
-        j = self._time_index(t)
-        if j is not None and self._is_grid_labels(labels):
-            return self.positions_table[j]
-        return self._advect(labels, t)
+        last = self._last
+        if last is not None and last[1] == t and np.array_equal(last[0], labels):
+            return last[2]
+        start, t0 = labels, 0.0
+        if on_grid:
+            self._extend_lattice(t)
+            i = max(0, bisect.bisect_right(self._lattice_t, t) - 1)
+            start, t0 = self._lattice_x[i], self._lattice_t[i]
+        pos = rk4_advect(self.field_fn, start, t0, t, self.dt, bbox=self.bbox)
+        self._last = (labels.copy(), t, pos)
+        return pos
 
     def velocities(self, labels, t):
         if self.field_fn is not None:
             return np.asarray(self.field_fn(self.positions(labels, t), float(t)), dtype=float)
         j = self._time_index(t)
-        if j is None or not self._is_grid_labels(labels):
+        if j is None or not self._is_grid_labels(_labels3(labels)):
             raise ValueError("fieldless sampled map: only table times/grid labels")
         # centered time differences of the stored trajectories
         times, tab = self.times, self.positions_table

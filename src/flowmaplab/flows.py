@@ -76,32 +76,24 @@ def integrate_trajectories(field_fn, grid, times, dt, bbox=None, convention="ide
     """Build a SampledFlowMap by marching the grid labels through ``times``
     with fixed-step RK4 over a (possibly unsteady) field.
 
-    Stores a step-halving error estimate (max final-position change when
-    dt is halved), which bounds the integration error at ~O(dt^4)/15.
+    The map's one march at ``dt`` fills its table and its checkpoint lattice
+    (see SampledFlowMap). Its ``error_floor`` is the step-doubling estimate
+    of the table's integration error: a second march at 2*dt to times[-1]
+    gives max |x_dt - x_2dt| / 15, the Richardson estimate of the dt march's
+    own error for a 4th-order method (Hairer, Norsett & Wanner, Solving
+    ODEs I, II.4). A table of one time has no estimate (None).
     """
     times = np.asarray(times, dtype=float)
-    if times[0] != 0.0:
-        raise ValueError("trajectory tables must start at t=0 (identity labels)")
-    labels = grid.nodes3().reshape(grid.shape + (3,))
-    table = np.empty((len(times),) + grid.shape + (3,))
-    table[0] = labels
-    pts = labels
-    for j in range(1, len(times)):
-        gap = times[j] - times[j - 1]
-        if gap < dt - 1e-12 or abs(round(gap / dt) - gap / dt) > 1e-9:
-            raise ValueError("dt must divide the gaps between requested times")
-        pts = rk4_advect(field_fn, pts, times[j - 1], times[j], dt, bbox)
-        table[j] = pts
-    est = None
-    if len(times) > 1:
-        fine = rk4_advect(field_fn, labels, times[0], times[-1], dt / 2, bbox)
-        est = float(np.max(np.abs(fine - table[-1])))
-    return SampledFlowMap(
-        grid, times, table, field_fn=field_fn, dt=dt, convention=convention,
+    m = SampledFlowMap(
+        grid, times, None, field_fn=field_fn, dt=dt, convention=convention,
         reference_density=reference_density, name=name,
         timescale=timescale if timescale is not None else float(times[-1] or 1.0),
-        bbox=bbox, step_halving_error=est,
+        bbox=bbox,
     )
+    if len(times) > 1:
+        coarse = rk4_advect(field_fn, m.grid_labels(), 0.0, times[-1], 2 * dt, bbox)
+        m.error_floor = float(np.max(np.abs(m.positions_table[-1] - coarse))) / 15
+    return m
 
 
 @dataclass
@@ -301,8 +293,14 @@ def _stagnation(grid, k=1.0):
     return CatalogEntry("stagnation", {"k": kk}, 2, m, force, props)
 
 
+def _gerstner_k(k):
+    if not float(k) > 0:
+        raise ValueError(f"gerstner wavenumber k must be positive, got {k!r}")
+    return float(k)
+
+
 def _gerstner(grid, k=1.0, g=1.0):
-    kk, gg = float(k), float(g)
+    kk, gg = _gerstner_k(k), float(g)
     cw = np.sqrt(gg / kk)
     bmax = grid.origin[1] + grid.spacing[1] * (grid.shape[1] - 1)
     if np.exp(2 * kk * bmax) >= 1.0:
@@ -461,9 +459,7 @@ def _taylor_green(grid, times=None, dt=None):
 
 def _gerstner_hi(k=1.0, **_):
     # one wavelength in a, so the x-extent follows k
-    if not float(k) > 0:
-        raise ValueError(f"gerstner wavenumber k must be positive, got {k!r}")
-    return (2 * np.pi / float(k), -0.5)
+    return (2 * np.pi / _gerstner_k(k), -0.5)
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+import flowmaplab.flows as flows
 from flowmaplab import LabelGrid, catalog_flow, catalog_names, integrate_trajectories
+from flowmaplab.flowmap import CHECKPOINT_STRIDE
 from flowmaplab.flows import ParticleEscapeError, default_grid, rk4_advect
+from flowmaplab.suite import run_suite
 from flowmaplab.dynamics import eulerian_eom_residual
 from flowmaplab.grids import Field
 
@@ -41,6 +44,12 @@ def test_gerstner_degenerate_grid_rejected():
     bad = LabelGrid((17, 17), (0.0, -1.0), (0.4, 0.1), (False, False))  # b up to 0.6
     with pytest.raises(ValueError):
         catalog_flow("gerstner", grid=bad)
+
+
+def test_gerstner_nonpositive_k_named_on_explicit_grid():
+    # the grid's extent does not go through k, so the factory must check it
+    with pytest.raises(ValueError, match="wavenumber k must be positive"):
+        catalog_flow("gerstner", grid=default_grid("gerstner"), k=0)
 
 
 def test_gerstner_dispersion_enforced():
@@ -151,8 +160,91 @@ class TestRK4:
 
     def test_step_halving_estimate_recorded(self):
         e = catalog_flow("point_vortex")
-        assert e.map.step_halving_error is not None
-        assert e.map.step_halving_error < 1e-9
+        assert e.map.error_floor is not None
+        assert e.map.error_floor < 1e-9
+
+
+class TestCheckpointLattice:
+    """Sampled maps resume grid-label queries from a fixed checkpoint lattice,
+    and their error floor is the step-doubling estimate of the table's error."""
+
+    def test_error_floor_brackets_point_vortex_exact_error(self):
+        # oracle: r is constant and theta = theta0 + Gamma t / (2 pi r^2)
+        e = catalog_flow("point_vortex")
+        m, G = e.map, e.params["gamma"]
+        lab = m.grid_labels()
+        r = np.hypot(lab[..., 0], lab[..., 1])
+        th = np.arctan2(lab[..., 1], lab[..., 0]) + G * m.times[-1] / (2 * np.pi * r ** 2)
+        exact = np.stack([r * np.cos(th), r * np.sin(th), lab[..., 2]], axis=-1)
+        err = np.abs(m.positions_table[-1] - exact).max()
+        assert err <= m.error_floor <= 2 * err
+
+    def test_error_floor_bounds_taylor_green_streamfunction_drift(self):
+        # psi = cos x cos y is constant along trajectories and |grad psi| <= 1,
+        # so |d psi| / sqrt(2) is a lower bound of the max-norm position error
+        m = catalog_flow("taylor_green").map
+        psi = lambda x: np.cos(x[..., 0]) * np.cos(x[..., 1])  # noqa: E731
+        lab = m.grid_labels()
+        drift = max(np.abs(psi(x) - psi(lab)).max() for x in m.positions_table)
+        assert drift > 0
+        assert m.error_floor >= drift / np.sqrt(2)
+
+    @pytest.mark.parametrize("flow", ["point_vortex", "taylor_green"])
+    def test_rows_do_not_depend_on_which_checks_ran_before(self, flow):
+        checks = ["cauchy.invariant_drift", "flowmap.density_lagrangian",
+                  "dynamics.lagrangian_eom", "circulation.kelvin_drift"]
+
+        def linf(ids):
+            cfg = {"flows": [{"name": flow}], "grids": [[16, 16]],
+                   "checks": [{"id": c, "tolerance": 1.0} for c in ids]}
+            return {r.check: r.linf for r in run_suite(cfg)[0].rows}
+
+        together = linf(checks[::-1])
+        for c in checks:
+            assert linf([c]) == {c: together[c]}
+
+    def test_positions_do_not_depend_on_query_order(self):
+        grid = default_grid("taylor_green", (16, 16))
+        fresh, used = (catalog_flow("taylor_green", grid=grid).map for _ in range(2))
+        lab = grid.nodes3().reshape(grid.shape + (3,))
+        for t in (1.571, 0.3):  # grows the lattice past times[-1], then goes back
+            used.positions(lab, t)
+        assert np.array_equal(used.positions(lab, 0.785), fresh.positions(lab, 0.785))
+
+    def test_off_table_query_resumes_from_a_checkpoint(self, monkeypatch):
+        m = catalog_flow("taylor_green").map  # table (0, 0.5, 1.0), dt 1/256
+        spans = []
+
+        def counting(field_fn, labels, t0, t1, dt, bbox=None):
+            spans.append((float(t0), float(t1), np.size(labels) // 3))
+            return rk4_advect(field_fn, labels, t0, t1, dt, bbox)
+
+        monkeypatch.setattr(flows, "rk4_advect", counting)
+        lab = m.grid_labels()
+        longest = CHECKPOINT_STRIDE * m.dt * (1 + 1e-12)
+        for t in (0.785, 1.571, 0.3):  # between, past and before the table times
+            spans.clear()
+            pos = m.positions(lab, t)
+            assert spans and all(abs(t1 - t0) <= longest for t0, t1, _ in spans)
+            assert spans[-1][1] == t
+            fresh = rk4_advect(m.field_fn, lab, 0.0, t, m.dt)
+            assert np.abs(pos - fresh).max() <= 10 * m.error_floor
+            # the last query is remembered: velocities reuse its positions
+            spans.clear()
+            m.velocities(lab, t)
+            assert np.array_equal(m.positions(lab, t), pos) and not spans
+        # other labels advect from t = 0
+        spans.clear()
+        m.positions(lab[:2, :2] + 0.01, 0.785)
+        assert spans == [(0.0, 0.785, 4)]
+
+    def test_bad_step_and_time_rejected(self):
+        g = default_grid("taylor_green", (8, 8))
+        with pytest.raises(ValueError, match="dt > 0"):
+            integrate_trajectories(lambda x, t: np.zeros_like(x), g, [0.0, 1.0], 0.0)
+        m = integrate_trajectories(lambda x, t: np.zeros_like(x), g, [0.0, 1.0], 0.25)
+        with pytest.raises(ValueError, match="non-finite"):
+            m.positions(m.grid_labels(), np.inf)  # the lattice would never reach it
 
 
 # each flow's label domain: lower corner, upper corner, periodicity

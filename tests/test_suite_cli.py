@@ -13,7 +13,9 @@ import pytest
 
 import flowmaplab.suite
 from flowmaplab.reporting import VerificationReport, report_diff
-from flowmaplab.suite import CHECKS, ConfigError, convergence_study, load_config, run_suite
+from flowmaplab.suite import (
+    CHECKS, CONFIG_SCHEMA, ConfigError, convergence_study, load_config, run_suite,
+)
 
 SUITE = {
     "name": "mini",
@@ -45,6 +47,11 @@ def run_cli(*args):
 
 
 class TestConfig:
+    def test_config_schema_is_a_valid_schema(self):
+        import jsonschema
+
+        jsonschema.Draft202012Validator.check_schema(CONFIG_SCHEMA)
+
     def test_schema_rejects_missing_sections(self):
         with pytest.raises(ConfigError):
             load_config({"flows": []})
@@ -334,6 +341,28 @@ class TestCLI:
                      "wavenumber k", id="gerstner_k0"),
         pytest.param(("flows", "describe", "gerstner", "--params", '{"k": 0}'),
                      "wavenumber k", id="describe_gerstner_k0"),
+        pytest.param(("run", {"checks": [{"id": "circulation.kelvin_drift", "tolerance": 1.0,
+                                          "options": {"radius": -1}}]}),
+                     "radius", id="kelvin_negative_radius"),
+        pytest.param(("run", {"checks": [{"id": "circulation.kelvin_drift", "tolerance": 1.0,
+                                          "options": {"points": "x"}}]}),
+                     "points", id="kelvin_points_not_integer"),
+        pytest.param(("run", {"checks": [{"id": "circulation.stokes", "tolerance": 1.0,
+                                          "options": {"points": 8}}]}),
+                     "points", id="stokes_too_few_points"),
+        pytest.param(("run", {"checks": [{"id": "circulation.stokes", "tolerance": 1.0,
+                                          "options": {"radial_points": 1}}]}),
+                     "radial_points", id="stokes_too_few_radial_points"),
+        pytest.param(("run", {"checks": [{"id": "circulation.kelvin_drift", "tolerance": 1.0,
+                                          "options": {"center": [0.0, 0.0]}}]}),
+                     "center", id="kelvin_center_not_3_vector"),
+        pytest.param(("run", {"checks": [{"id": "circulation.stokes", "tolerance": 1.0,
+                                          "options": {"normal": [0.0, 0.0, "z"]}}]}),
+                     "normal", id="stokes_normal_not_numbers"),
+        pytest.param(("converge", "flows.rk4_closure", "gerstner", "--dts", "0.1,0.05"),
+                     "gerstner", id="rk4_closure_other_flow"),
+        pytest.param(("converge", "flows.rk4_closure", "rigid_rotation", "--dts", "0.1,0.05",
+                      "--params", '{"omgea": 2}'), "omgea", id="rk4_closure_param"),
     ])
     def test_malformed_input_exits_two(self, args, named, tmp_path):
         if isinstance(args[1], dict):
