@@ -468,7 +468,11 @@ def density_residual(m, t, mode="lagrangian", spec=StencilSpec(), gradient_mode=
     exactly on a uniform grid inscribed in the advected domain, by inverting
     the flow map at its nodes, u(X, t) = velocity(phi^-1(X, t), t), so the
     divergence error is purely the grid stencil's. max |div u| is reported;
-    rho is taken constant.
+    rho is taken constant. Before inverting, the grid's four corners must lie
+    inside the convex hull of the advected label nodes (an exact test, since
+    the hull is convex); otherwise a ValueError says the grid exits the
+    mapped domain. ``invert_map`` seeds Newton by one backward march of the
+    grid nodes when the map has its field.
     """
     if mode == "lagrangian":
         ratio = 1.0 if density_ratio is None else density_ratio
@@ -478,13 +482,10 @@ def density_residual(m, t, mode="lagrangian", spec=StencilSpec(), gradient_mode=
         return summarize_residual(res, m.grid, rind=rind)
     if mode != "eulerian":
         raise ValueError("mode must be 'lagrangian' or 'eulerian'")
-    from scipy.spatial import Delaunay
-
     pos = m.positions(m.grid_labels(), t)
     sgrid = _inscribed_grid(m, pos)
-    # where a linear interpolant of the advected nodes would have no data
-    if np.any(Delaunay(pos.reshape(-1, 3)[:, :2]).find_simplex(sgrid.nodes()) < 0):
-        raise ValueError("spatial grid exits the mapped domain: resampling failed")
+    if not _grid_in_hull(pos.reshape(-1, 3)[:, :2], sgrid):
+        raise ValueError("spatial grid exits the mapped domain")
     lab = invert_map(m, sgrid.nodes3().reshape(sgrid.shape + (3,)), t)
     vel = m.velocities(lab, t)
     dudx = differentiate(vel[..., 0], 0, spec, grid=sgrid)
@@ -498,9 +499,18 @@ def invert_map(m, points, t, tol=1e-12, max_iter=50):
 
     Newton iteration using the deformation gradient; needs a well-resolved,
     non-singular map (|J| above the singularity threshold along the way).
+    A sampled map with its field starts Newton from one backward RK4 march
+    of the points from t to 0, which lands within the integration error of
+    the answer, so one or two iterations polish it to ``tol``; other maps
+    start from the points themselves.
     """
     pts = np.asarray(points, dtype=float)
-    lab = pts.copy()
+    if getattr(m, "field_fn", None) is not None:
+        from .flows import rk4_advect  # local import to avoid a cycle
+
+        lab = rk4_advect(m.field_fn, pts, t, 0.0, m.dt, bbox=m.bbox)
+    else:
+        lab = pts.copy()
     for _ in range(max_iter):
         res = pts - m.positions(lab, t)
         if np.max(np.abs(res)) < tol:
@@ -512,6 +522,22 @@ def invert_map(m, points, t, tol=1e-12, max_iter=50):
         if err > 1e-8:
             raise ValueError(f"map inversion stalled at residual {err:.3e}")
     return lab
+
+
+def _grid_in_hull(xy, grid):
+    """Whether the 2-D ``grid`` lies inside the convex hull of the points
+    ``xy`` (N, 2).
+
+    A box lies inside a convex set if and only if its four corners do, and a
+    corner c lies inside the hull if and only if the points, seen from c,
+    leave no angular gap of pi or more. No triangulation is built.
+    """
+    for cx in grid.axis_coords(0)[[0, -1]]:
+        for cy in grid.axis_coords(1)[[0, -1]]:
+            ang = np.sort(np.arctan2(xy[:, 1] - cy, xy[:, 0] - cx))
+            if np.diff(ang, append=ang[0] + 2 * np.pi).max() >= np.pi:
+                return False
+    return True
 
 
 def _inscribed_grid(m, pos_full):

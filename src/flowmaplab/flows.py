@@ -77,11 +77,13 @@ def integrate_trajectories(field_fn, grid, times, dt, bbox=None, convention="ide
     with fixed-step RK4 over a (possibly unsteady) field.
 
     The map's one march at ``dt`` fills its table and its checkpoint lattice
-    (see SampledFlowMap). Its ``error_floor`` is the step-doubling estimate
-    of the table's integration error: a second march at 2*dt to times[-1]
-    gives max |x_dt - x_2dt| / 15, the Richardson estimate of the dt march's
-    own error for a 4th-order method (Hairer, Norsett & Wanner, Solving
-    ODEs I, II.4). A table of one time has no estimate (None).
+    (see SampledFlowMap). Its ``error_floor`` is the Richardson estimate of
+    the table's integration error for a 4th-order method (Hairer, Norsett &
+    Wanner, Solving ODEs I, II.4), from a second march to times[-1] in k
+    steps against the table's n: step doubling, max |x_dt - x_2dt| / 15,
+    when n is even (k = n/2), else step halving, max |x_dt - x_dt/2| * 16/15
+    (k = 2n), since 2*dt does not divide an odd count. A table of one time
+    has no estimate (None).
     """
     times = np.asarray(times, dtype=float)
     m = SampledFlowMap(
@@ -91,8 +93,11 @@ def integrate_trajectories(field_fn, grid, times, dt, bbox=None, convention="ide
         bbox=bbox,
     )
     if len(times) > 1:
-        coarse = rk4_advect(field_fn, m.grid_labels(), 0.0, times[-1], 2 * dt, bbox)
-        m.error_floor = float(np.max(np.abs(m.positions_table[-1] - coarse))) / 15
+        n = round(times[-1] / dt)
+        k = n // 2 if n % 2 == 0 else 2 * n
+        other = rk4_advect(field_fn, m.grid_labels(), 0.0, times[-1], times[-1] / k, bbox)
+        diff = float(np.max(np.abs(m.positions_table[-1] - other)))
+        m.error_floor = diff / abs((n / k) ** 4 - 1)
     return m
 
 

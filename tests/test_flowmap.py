@@ -1,10 +1,17 @@
 """Flow-map calculus: deformation gradients, density equations, cofactor
 relations, the volume-integral transform, and the trajectory file format."""
 
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import flowmaplab.flowmap as flowmap
+import flowmaplab.flows as flows
 
 from flowmaplab import (
     AnalyticFlowMap,
@@ -20,7 +27,8 @@ from flowmaplab import (
     mass_integral_transform,
     save_flowmap,
 )
-from flowmaplab.flowmap import det3, invert_map
+from flowmaplab.flowmap import _grid_in_hull, det3, invert_map
+from flowmaplab.flows import default_grid
 from flowmaplab.quadrature import SIMPSON
 
 HEADER = "<8sI3I3d3d3BBI"  # save_flowmap's header layout
@@ -211,6 +219,97 @@ class TestDensityResidual:
         e = catalog_flow(name, grid=default_grid(name, (16, 16)))
         with pytest.raises(ValueError, match=message):
             density_residual(e.map, 0.25 * e.map.timescale, "eulerian")
+
+
+class TestEulerianInversionCost:
+    """The Eulerian path guards its spatial grid by the four corners of the
+    box and seeds Newton by one backward march of the target points."""
+
+    @staticmethod
+    def clouds():
+        rng = np.random.default_rng(7)
+        yield rng.uniform(-1.0, 1.0, (400, 2))
+        yield rng.normal(0.0, 0.5, (300, 2)) * (1.0, 0.4)
+        a, b = np.meshgrid(np.linspace(-1, 1, 24), np.linspace(-1, 1, 24), indexing="ij")
+        r2 = a ** 2 + b ** 2
+        swirl = 1.5 * (1.0 - r2)  # rotation that depends on the radius
+        yield np.stack([a * np.cos(swirl) - b * np.sin(swirl),
+                        a * np.sin(swirl) + b * np.cos(swirl)], axis=-1).reshape(-1, 2)
+        yield np.stack([a + 0.3 * np.sin(3 * b), b + 0.2 * np.cos(2 * a)],
+                       axis=-1).reshape(-1, 2)
+
+    def test_corner_guard_matches_triangulation_over_every_node(self):
+        from scipy.spatial import Delaunay
+
+        rng = np.random.default_rng(11)
+        kinds = set()
+        for xy in self.clouds():
+            tri = Delaunay(xy)
+            lo, hi = xy.min(axis=0), xy.max(axis=0)
+            span = hi - lo
+            for _ in range(60):
+                centre = rng.uniform(lo - 0.3 * span, hi + 0.3 * span)
+                half = rng.uniform(0.02, 0.4) * span
+                box = LabelGrid((8, 8), tuple(centre - half), tuple(2 * half / 7))
+                inside = tri.find_simplex(box.nodes()) >= 0
+                kinds.add("inside" if inside.all() else "outside" if not inside.any()
+                          else "straddling")
+                assert _grid_in_hull(xy, box) == bool(inside.all())
+        assert kinds == {"inside", "straddling", "outside"}
+
+    def test_eulerian_path_imports_no_scipy(self):
+        code = ("import sys, flowmaplab\n"
+                "from flowmaplab import catalog_flow, density_residual\n"
+                "density_residual(catalog_flow('gerstner').map, 1.0, 'eulerian')\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+        src = Path(flowmap.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.strip() == "[]"
+
+    def test_sampled_inversion_marches_the_targets_back_once(self, monkeypatch):
+        m = catalog_flow("point_vortex", grid=default_grid("point_vortex", (16, 16))).map
+        t = 0.37 * m.timescale  # off the table (0, T/8, T/4) and its lattice
+        rk4, jacobian, invert = flows.rk4_advect, flowmap.deformation_at, flowmap.invert_map
+        marches, jacobians, inversions = [], [], []
+
+        def counting_rk4(field_fn, labels, t0, t1, dt, bbox=None):
+            marches.append((float(t0), float(t1), np.size(labels) // 3))
+            return rk4(field_fn, labels, t0, t1, dt, bbox)
+
+        def counting_jacobian(*args, **kwargs):
+            jacobians.append(args[2])
+            return jacobian(*args, **kwargs)
+
+        def recording_invert(*args, **kwargs):
+            lab = invert(*args, **kwargs)
+            inversions.append((args[1], lab))
+            return lab
+
+        monkeypatch.setattr(flows, "rk4_advect", counting_rk4)
+        monkeypatch.setattr(flowmap, "deformation_at", counting_jacobian)
+        monkeypatch.setattr(flowmap, "invert_map", recording_invert)
+        density_residual(m, t, "eulerian")
+        (targets, lab), = inversions
+        assert [s for s in marches if s[1] == 0.0] == [(t, 0.0, np.size(targets) // 3)]
+        assert len(jacobians) <= 2
+        back = rk4(m.field_fn, lab, 0.0, t, m.dt, bbox=m.bbox)
+        assert np.abs(back - targets).max() <= 1e-12
+
+    def test_guard_raises_before_any_march_of_target_points(self, monkeypatch):
+        m = catalog_flow("taylor_green", grid=default_grid("taylor_green", (16, 16))).map
+        rk4, marches = flows.rk4_advect, []
+
+        def counting_rk4(*args, **kwargs):
+            marches.append(args[2:4])
+            return rk4(*args, **kwargs)
+
+        monkeypatch.setattr(flows, "rk4_advect", counting_rk4)
+        with pytest.raises(ValueError, match="exits the mapped domain"):
+            density_residual(m, 1.0, "eulerian")
+        assert marches == []
 
 
 class TestMassIntegralTransform:

@@ -189,6 +189,24 @@ class TestCheckpointLattice:
         assert drift > 0
         assert m.error_floor >= drift / np.sqrt(2)
 
+    @pytest.mark.parametrize("n", [1, 3, 4, 64, 65])
+    def test_error_floor_within_factor_two_at_any_step_count(self, n):
+        # oracle: rigid rotation turns the labels by the angle t exactly;
+        # odd step counts cannot be doubled, so the floor must halve instead
+        grid = default_grid("rigid_rotation", (8, 8))
+        dt, t = 1 / 16, n / 16
+
+        def field(x, t):
+            return np.stack([-x[..., 1], x[..., 0], np.zeros_like(x[..., 0])], axis=-1)
+
+        m = integrate_trajectories(field, grid, [0.0, t], dt)
+        lab = m.grid_labels()
+        c, s = np.cos(t), np.sin(t)
+        exact = np.stack([c * lab[..., 0] - s * lab[..., 1],
+                          s * lab[..., 0] + c * lab[..., 1], lab[..., 2]], axis=-1)
+        err = np.abs(m.positions_table[-1] - exact).max()
+        assert err / 2 <= m.error_floor <= 2 * err
+
     @pytest.mark.parametrize("flow", ["point_vortex", "taylor_green"])
     def test_rows_do_not_depend_on_which_checks_ran_before(self, flow):
         checks = ["cauchy.invariant_drift", "flowmap.density_lagrangian",
