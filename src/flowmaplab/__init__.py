@@ -86,8 +86,6 @@ from .curvilinear import (
 from .clebsch import (
     ClebschTriple,
     clebsch_advection_residual,
-    clebsch_fixture,
-    clebsch_fixture_names,
     clebsch_velocity,
     clebsch_vorticity_residual,
     potential_flow_checks,

@@ -110,17 +110,17 @@ class MaterialSurface:
 
     @classmethod
     def disk(cls, center=(0.0, 0.0, 0.0), radius=1.0, normal=(0.0, 0.0, 1.0),
-             nr=32, ntheta=256, lift=None, inner_radius=0.0):
-        """Flat disk (or annulus, or cap lifted by ``lift(r)`` along the normal).
+             nr=32, ntheta=256, lift=None):
+        """Flat disk (or cap lifted by ``lift(r)`` along the normal).
 
         Parameter axes: radius (non-periodic) x angle (periodic). The outer
         boundary ring equals MaterialLoop.circle with the same n and
         orientation (counterclockwise around the normal).
         """
-        if radius <= 0 or inner_radius < 0 or inner_radius >= radius:
-            raise ValueError("need 0 <= inner_radius < radius")
+        if radius <= 0:
+            raise ValueError(f"disk radius must be positive, got {radius!r}")
         e1, e2, nrm = _frame_from_normal(normal)
-        r = np.linspace(inner_radius, radius, nr)
+        r = np.linspace(0.0, radius, nr)
         s = 2 * np.pi * np.arange(ntheta) / ntheta
         R, S = np.meshgrid(r, s, indexing="ij")
         pts = (np.asarray(center, float)[None, None, :]

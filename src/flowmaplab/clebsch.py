@@ -10,6 +10,9 @@ Bernoulli integral dF/dt + |grad F|^2 / 2 - Omega = 0.
 Multivalued potentials (the point-vortex azimuth) declare a branch cut; every
 stencil touching the cut is dropped from norms and the dropped count is
 reported.
+
+The triples, Bernoulli functions and advected scalars of the exact flows are
+carried by their catalog entries (``flows.CatalogEntry``).
 """
 
 from __future__ import annotations
@@ -26,8 +29,6 @@ __all__ = [
     "clebsch_vorticity_residual",
     "clebsch_advection_residual",
     "potential_flow_checks",
-    "clebsch_fixture",
-    "clebsch_fixture_names",
 ]
 
 
@@ -182,170 +183,3 @@ def potential_flow_checks(F_fn, omega_fn, grid, t=0.0, spec=StencilSpec(),
     lap_s = summarize_residual(lap, grid, rind=max(rind, 1), mask=mask)
     bern_s = summarize_residual(bern, grid, rind=rind, mask=mask)
     return lap_s, bern_s
-
-
-# ---------------------------------------------------------------------------
-# named fixtures (each docstring records the hand derivation it encodes)
-
-
-def _fixture_uniform(k=1.0):
-    """Pure potential flow u = (k, 0, 0): F = k x, phi = psi = 0.
-
-    Bernoulli: |grad F|^2/2 = k^2/2, so Omega = k^2/2 (constant).
-    """
-    return {
-        "triple": ClebschTriple(F=lambda p, t: k * p[..., 0], name="uniform"),
-        "velocity": lambda p, t: np.stack(
-            [k * np.ones_like(p[..., 0]), np.zeros_like(p[..., 0]), np.zeros_like(p[..., 0])],
-            axis=-1),
-        "omega": lambda p, t: np.full(p.shape[:-1], 0.5 * k * k),
-        "incompressible": True,
-    }
-
-
-def _fixture_shear_xy():
-    """F = 0, phi = x, psi = y: u = phi grad psi = (0, x, 0).
-
-    curl u = (0, 0, 1) = grad x cross grad y; divergence-free.
-    """
-    return {
-        "triple": ClebschTriple(phi=lambda p, t: p[..., 0], psi=lambda p, t: p[..., 1],
-                                name="shear_xy"),
-        "velocity": lambda p, t: np.stack(
-            [np.zeros_like(p[..., 0]), p[..., 0], np.zeros_like(p[..., 0])], axis=-1),
-        "incompressible": True,
-    }
-
-
-def _fixture_rigid_rotation(omega=1.0):
-    """Rigid body rotation u = (-w y, w x, 0) as a Clebsch field.
-
-    One valid triple is F = -w x y, phi = 2 w x, psi = y:
-    grad F = (-w y, -w x, 0) and phi grad psi = (0, 2 w x, 0) sum to u;
-    curl u = (0, 0, 2 w) = grad phi x grad psi.
-    """
-    w = float(omega)
-    return {
-        "triple": ClebschTriple(
-            F=lambda p, t: -w * p[..., 0] * p[..., 1],
-            phi=lambda p, t: 2 * w * p[..., 0],
-            psi=lambda p, t: p[..., 1],
-            name="rigid_rotation",
-        ),
-        "velocity": lambda p, t: np.stack(
-            [-w * p[..., 1], w * p[..., 0], np.zeros_like(p[..., 0])], axis=-1),
-        "incompressible": True,
-    }
-
-
-def _fixture_rotation_material(omega=1.0):
-    """Materially advected scalars under rigid rotation: phi = x^2 + y^2,
-    psi = z. Both are constant along circular orbits, so their material
-    derivatives vanish (u . grad phi = 0, steady fields). This pair checks
-    advection only; it does not reproduce the vorticity of the rotation.
-    """
-    w = float(omega)
-    return {
-        "triple": ClebschTriple(
-            phi=lambda p, t: p[..., 0] ** 2 + p[..., 1] ** 2,
-            psi=lambda p, t: p[..., 2],
-            name="rotation_material",
-        ),
-        "velocity": lambda p, t: np.stack(
-            [-w * p[..., 1], w * p[..., 0], np.zeros_like(p[..., 0])], axis=-1),
-        "advection_only": True,
-    }
-
-
-def _fixture_translation_material():
-    """Uniform translation u = (1, 0, 0) with phi = x - t, psi = y:
-    dphi/dt = -1 and u . grad phi = 1 cancel exactly."""
-    return {
-        "triple": ClebschTriple(
-            phi=lambda p, t: p[..., 0] - t,
-            psi=lambda p, t: p[..., 1],
-            name="translation_material",
-        ),
-        "velocity": lambda p, t: np.stack(
-            [np.ones_like(p[..., 0]), np.zeros_like(p[..., 0]), np.zeros_like(p[..., 0])],
-            axis=-1),
-        "advection_only": True,
-    }
-
-
-def _fixture_stagnation(k=1.0):
-    """Potential flow F = k (x^2 - y^2) / 2, u = (k x, -k y, 0).
-
-    Laplacian of F vanishes; Bernoulli requires
-    Omega = |grad F|^2 / 2 = k^2 (x^2 + y^2) / 2.
-    """
-    kk = float(k)
-    return {
-        "triple": ClebschTriple(F=lambda p, t: 0.5 * kk * (p[..., 0] ** 2 - p[..., 1] ** 2),
-                                name="stagnation"),
-        "velocity": lambda p, t: np.stack(
-            [kk * p[..., 0], -kk * p[..., 1], np.zeros_like(p[..., 0])], axis=-1),
-        "omega": lambda p, t: 0.5 * kk * kk * (p[..., 0] ** 2 + p[..., 1] ** 2),
-        "incompressible": True,
-    }
-
-
-def _fixture_point_vortex(gamma=2 * np.pi):
-    """Multivalued potential F = Gamma * atan2(y, x) / (2 pi), cut on the
-    negative-x half plane. u = Gamma/(2 pi r^2) (-y, x, 0);
-    Omega = |u|^2/2 = Gamma^2 / (8 pi^2 r^2).
-    """
-    G = float(gamma)
-
-    def F(p, t):
-        return G / (2 * np.pi) * np.arctan2(p[..., 1], p[..., 0])
-
-    def omega(p, t):
-        r2 = p[..., 0] ** 2 + p[..., 1] ** 2
-        # the origin is inside the declared exclusion; keep it finite so
-        # masked nodes do not poison array arithmetic
-        return G ** 2 / (8 * np.pi ** 2 * np.where(r2 < 1e-12, 1.0, r2))
-
-    def cut(p):
-        # points adjacent to the branch cut {y = 0, x < 0}, plus the core
-        # disk where the potential itself is singular
-        near_cut = (p[..., 0] < 0.0) & (np.abs(p[..., 1]) < 0.35 * np.abs(p[..., 0]) + 0.3)
-        near_core = p[..., 0] ** 2 + p[..., 1] ** 2 < 0.25 ** 2
-        return near_cut | near_core
-
-    return {
-        "triple": ClebschTriple(F=F, name="point_vortex", cut_mask=cut),
-        "velocity": lambda p, t: np.stack(
-            [-G / (2 * np.pi) * p[..., 1]
-             / np.where(p[..., 0] ** 2 + p[..., 1] ** 2 < 1e-12, 1.0,
-                        p[..., 0] ** 2 + p[..., 1] ** 2),
-             G / (2 * np.pi) * p[..., 0]
-             / np.where(p[..., 0] ** 2 + p[..., 1] ** 2 < 1e-12, 1.0,
-                        p[..., 0] ** 2 + p[..., 1] ** 2),
-             np.zeros_like(p[..., 0])], axis=-1),
-        "omega": omega,
-        "incompressible": True,
-        "cut": cut,
-    }
-
-
-_FIXTURES = {
-    "uniform": _fixture_uniform,
-    "shear_xy": _fixture_shear_xy,
-    "rigid_rotation": _fixture_rigid_rotation,
-    "rotation_material": _fixture_rotation_material,
-    "translation_material": _fixture_translation_material,
-    "stagnation": _fixture_stagnation,
-    "point_vortex": _fixture_point_vortex,
-}
-
-
-def clebsch_fixture_names():
-    return sorted(_FIXTURES)
-
-
-def clebsch_fixture(name, **params):
-    """Named preset: dict with the triple, its velocity field, and extras."""
-    if name not in _FIXTURES:
-        raise KeyError(f"unknown fixture {name!r}; known: {', '.join(clebsch_fixture_names())}")
-    return _FIXTURES[name](**params)

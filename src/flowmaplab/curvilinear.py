@@ -75,7 +75,6 @@ class Chart:
     orthogonal: bool = False
     domain: object = None
     sample_domain: object = None
-    singular_margin: float = 1e-3
 
     def partials_at(self, rho, h=1e-6):
         if self.position_partials is not None:
@@ -403,8 +402,7 @@ def cylindrical_chart(singular_margin=1e-3):
         return np.stack([r, th, z], axis=-1)
 
     return Chart("cylindrical", forward, inverse, partials, metric_partials,
-                 orthogonal=True, domain=domain, sample_domain=sample,
-                 singular_margin=singular_margin)
+                 orthogonal=True, domain=domain, sample_domain=sample)
 
 
 def polar_chart(singular_margin=1e-3):
@@ -460,8 +458,7 @@ def polar_chart(singular_margin=1e-3):
         return np.stack([r, th, ph], axis=-1)
 
     return Chart("polar", forward, inverse, partials, metric_partials,
-                 orthogonal=True, domain=domain, sample_domain=sample,
-                 singular_margin=singular_margin)
+                 orthogonal=True, domain=domain, sample_domain=sample)
 
 
 def elliptical_chart(alpha=3.0, beta=2.0, gamma=1.0):

@@ -349,9 +349,6 @@ class DeformationGradient:
     values: np.ndarray  # grid.shape + (3, 3)
     mode: str = "fd-grid"
 
-    def as_field(self):
-        return Field(self.grid, self.values)
-
 
 def det3(m):
     """Determinant of stacked 3x3 matrices by cofactor expansion."""
@@ -377,11 +374,11 @@ def adjugate3(m):
     return adj
 
 
-def inv3(m, singular_tol=SINGULAR_J_TOL):
+def inv3(m):
     d = det3(m)
-    if np.any(np.abs(d) <= singular_tol):
+    if np.any(np.abs(d) <= SINGULAR_J_TOL):
         raise SingularMapError(
-            f"Jacobian magnitude <= {singular_tol:g}: singular (self-intersecting) map"
+            f"Jacobian magnitude <= {SINGULAR_J_TOL:g}: singular (self-intersecting) map"
         )
     return adjugate3(m) / d[..., None, None]
 
@@ -494,15 +491,20 @@ def density_residual(m, t, mode="lagrangian", spec=StencilSpec(), gradient_mode=
     return summarize_residual(res, sgrid, rind=max(rind, 1))
 
 
-def invert_map(m, points, t, tol=1e-12, max_iter=50):
+INVERT_TOL = 1e-12
+INVERT_MAX_ITER = 50
+
+
+def invert_map(m, points, t):
     """Labels whose images under the map at time t are the given points.
 
-    Newton iteration using the deformation gradient; needs a well-resolved,
-    non-singular map (|J| above the singularity threshold along the way).
-    A sampled map with its field starts Newton from one backward RK4 march
-    of the points from t to 0, which lands within the integration error of
-    the answer, so one or two iterations polish it to ``tol``; other maps
-    start from the points themselves.
+    Newton iteration using the deformation gradient, to a max-norm position
+    residual below INVERT_TOL within INVERT_MAX_ITER steps; needs a
+    well-resolved, non-singular map (|J| above the singularity threshold
+    along the way). A sampled map with its field starts Newton from one
+    backward RK4 march of the points from t to 0, which lands within the
+    integration error of the answer, so one or two iterations polish it;
+    other maps start from the points themselves.
     """
     pts = np.asarray(points, dtype=float)
     if getattr(m, "field_fn", None) is not None:
@@ -511,9 +513,9 @@ def invert_map(m, points, t, tol=1e-12, max_iter=50):
         lab = rk4_advect(m.field_fn, pts, t, 0.0, m.dt, bbox=m.bbox)
     else:
         lab = pts.copy()
-    for _ in range(max_iter):
+    for _ in range(INVERT_MAX_ITER):
         res = pts - m.positions(lab, t)
-        if np.max(np.abs(res)) < tol:
+        if np.max(np.abs(res)) < INVERT_TOL:
             break
         F = deformation_at(m, lab, t)
         lab = lab + np.einsum("...ij,...j->...i", inv3(F), res)

@@ -9,6 +9,12 @@ balance under, plus its known kinematic properties, and self-validates at
 construction: registered analytic partials are cross-checked against finite
 differences and the Lagrangian momentum residual is evaluated on the entry's
 grid at a nonzero time.
+
+Entries also carry their Eulerian velocity u(x, t) where the flow has one in
+closed form or is integrated from one (every flow but gerstner), and the
+Clebsch data the ``clebsch`` checks read: a triple (F, phi, psi) realizing
+u, the Bernoulli Omega of a pure potential F, and a pair of materially
+advected scalars.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
+from .clebsch import ClebschTriple
 from .grids import LabelGrid, StencilSpec
 from .flowmap import (
     AnalyticFlowMap,
@@ -71,10 +78,11 @@ def rk4_advect(field_fn, labels, t0, t1, dt, bbox=None):
     return pts
 
 
-def integrate_trajectories(field_fn, grid, times, dt, bbox=None, convention="identity",
-                           reference_density=1.0, name="sampled", timescale=None):
+def integrate_trajectories(field_fn, grid, times, dt, bbox=None, name="sampled",
+                           timescale=None):
     """Build a SampledFlowMap by marching the grid labels through ``times``
-    with fixed-step RK4 over a (possibly unsteady) field.
+    with fixed-step RK4 over a (possibly unsteady) field. The map is
+    identity-at-zero with unit reference density.
 
     The map's one march at ``dt`` fills its table and its checkpoint lattice
     (see SampledFlowMap). Its ``error_floor`` is the Richardson estimate of
@@ -87,8 +95,7 @@ def integrate_trajectories(field_fn, grid, times, dt, bbox=None, convention="ide
     """
     times = np.asarray(times, dtype=float)
     m = SampledFlowMap(
-        grid, times, None, field_fn=field_fn, dt=dt, convention=convention,
-        reference_density=reference_density, name=name,
+        grid, times, None, field_fn=field_fn, dt=dt, name=name,
         timescale=timescale if timescale is not None else float(times[-1] or 1.0),
         bbox=bbox,
     )
@@ -103,7 +110,17 @@ def integrate_trajectories(field_fn, grid, times, dt, bbox=None, convention="ide
 
 @dataclass
 class CatalogEntry:
-    """An exact solution: its flow map, driving potential, and known facts."""
+    """An exact solution: its flow map, driving potential, and known facts.
+
+    ``velocity_field`` is the Eulerian u(points, t): the closed form of an
+    analytic flow (its map's velocities are u at its positions) or the field
+    a sampled flow is integrated from. ``clebsch`` is a ClebschTriple
+    realizing u = grad F + phi grad psi, with the cut mask of a multivalued
+    potential; ``bernoulli`` is Omega(points, t) of the unsteady Bernoulli
+    integral when the triple is a potential F alone; ``material_scalars`` is
+    a ClebschTriple whose phi and psi are advected by u (it does not realize
+    u). Each is None where the flow has no such data.
+    """
 
     name: str
     params: dict
@@ -112,6 +129,10 @@ class CatalogEntry:
     force: ForcePotential
     properties: dict = dc_field(default_factory=dict)
     validation_residual: float = None
+    velocity_field: object = None
+    clebsch: ClebschTriple = None
+    bernoulli: object = None
+    material_scalars: ClebschTriple = None
 
     def describe(self):
         lines = [f"{self.name} ({self.dimensionality}D embedded in 3D)"]
@@ -133,9 +154,11 @@ def _rigid_rotation(grid, omega=1.0):
         a, b, cc = lab[..., 0], lab[..., 1], lab[..., 2]
         return np.stack([a * c - b * s, a * s + b * c, cc], axis=-1)
 
+    def field(x, t):
+        return np.stack([-w * x[..., 1], w * x[..., 0], np.zeros_like(x[..., 2])], axis=-1)
+
     def vel(lab, t):
-        p = pos(lab, t)
-        return np.stack([-w * p[..., 1], w * p[..., 0], np.zeros_like(p[..., 2])], axis=-1)
+        return field(pos(lab, t), t)
 
     def acc(lab, t):
         p = pos(lab, t)
@@ -178,7 +201,14 @@ def _rigid_rotation(grid, omega=1.0):
         "half_vorticity": (0.0, 0.0, w),
         "pressure": "rho * omega^2 (x^2+y^2) / 2 (centripetal balance)",
     }
-    return CatalogEntry("rigid_rotation", {"omega": w}, 2, m, force, props)
+    # grad(-w x y) + 2 w x grad y = u; grad(2 w x) x grad y = (0, 0, 2 w) = curl u
+    clebsch = ClebschTriple(F=lambda x, t: -w * x[..., 0] * x[..., 1],
+                            phi=lambda x, t: 2 * w * x[..., 0], psi=lambda x, t: x[..., 1])
+    # constant along the circular orbits
+    scalars = ClebschTriple(phi=lambda x, t: x[..., 0] ** 2 + x[..., 1] ** 2,
+                            psi=lambda x, t: x[..., 2])
+    return CatalogEntry("rigid_rotation", {"omega": w}, 2, m, force, props,
+                        velocity_field=field, clebsch=clebsch, material_scalars=scalars)
 
 
 def _uniform_translation(grid, velocity=(1.0, 0.0, 0.0)):
@@ -187,8 +217,11 @@ def _uniform_translation(grid, velocity=(1.0, 0.0, 0.0)):
     def pos(lab, t):
         return lab + U * t
 
+    def field(x, t):
+        return np.broadcast_to(U, x.shape).copy()
+
     def vel(lab, t):
-        return np.broadcast_to(U, lab.shape).copy()
+        return field(pos(lab, t), t)
 
     def acc(lab, t):
         return np.zeros(lab.shape)
@@ -208,7 +241,14 @@ def _uniform_translation(grid, velocity=(1.0, 0.0, 0.0)):
                         name="uniform_translation", timescale=1.0)
     force = ForcePotential(pressure=0.0)
     props = {"jacobian": "1", "half_vorticity": (0.0, 0.0, 0.0)}
-    return CatalogEntry("uniform_translation", {"velocity": tuple(U)}, 2, m, force, props)
+    # the potential U . x; |grad F|^2 / 2 = |U|^2 / 2 is its Bernoulli Omega
+    clebsch = ClebschTriple(F=lambda x, t: x @ U)
+    scalars = ClebschTriple(phi=lambda x, t: x[..., 0] - U[0] * t,
+                            psi=lambda x, t: x[..., 1] - U[1] * t)
+    return CatalogEntry("uniform_translation", {"velocity": tuple(U)}, 2, m, force, props,
+                        velocity_field=field, clebsch=clebsch,
+                        bernoulli=lambda x, t: np.full(x.shape[:-1], 0.5 * (U @ U)),
+                        material_scalars=scalars)
 
 
 def _simple_shear(grid, gamma=1.0):
@@ -219,11 +259,14 @@ def _simple_shear(grid, gamma=1.0):
             [lab[..., 0] + g * t * lab[..., 1], lab[..., 1], lab[..., 2]], axis=-1
         )
 
-    def vel(lab, t):
+    def field(x, t):
         return np.stack(
-            [g * lab[..., 1], np.zeros_like(lab[..., 1]), np.zeros_like(lab[..., 2])],
+            [g * x[..., 1], np.zeros_like(x[..., 1]), np.zeros_like(x[..., 2])],
             axis=-1,
         )
+
+    def vel(lab, t):
+        return field(pos(lab, t), t)
 
     def acc(lab, t):
         return np.zeros(lab.shape)
@@ -246,7 +289,10 @@ def _simple_shear(grid, gamma=1.0):
                         name=f"simple_shear(gamma={g})", timescale=1.0 / abs(g))
     force = ForcePotential(pressure=0.0)
     props = {"jacobian": "1", "half_vorticity": (0.0, 0.0, -g / 2)}
-    return CatalogEntry("simple_shear", {"gamma": g}, 2, m, force, props)
+    # g y grad x = u; grad(g y) x grad x = (0, 0, -g) = curl u
+    clebsch = ClebschTriple(phi=lambda x, t: g * x[..., 1], psi=lambda x, t: x[..., 0])
+    return CatalogEntry("simple_shear", {"gamma": g}, 2, m, force, props,
+                        velocity_field=field, clebsch=clebsch)
 
 
 def _stagnation(grid, k=1.0):
@@ -258,9 +304,11 @@ def _stagnation(grid, k=1.0):
             axis=-1,
         )
 
+    def field(x, t):
+        return np.stack([kk * x[..., 0], -kk * x[..., 1], np.zeros_like(x[..., 2])], axis=-1)
+
     def vel(lab, t):
-        p = pos(lab, t)
-        return np.stack([kk * p[..., 0], -kk * p[..., 1], np.zeros_like(p[..., 2])], axis=-1)
+        return field(pos(lab, t), t)
 
     def acc(lab, t):
         p = pos(lab, t)
@@ -295,7 +343,11 @@ def _stagnation(grid, k=1.0):
         "half_vorticity": (0.0, 0.0, 0.0),
         "pressure": "-rho k^2 (x^2+y^2)/2 (Bernoulli)",
     }
-    return CatalogEntry("stagnation", {"k": kk}, 2, m, force, props)
+    # the harmonic potential k (x^2 - y^2) / 2; Omega = |grad F|^2 / 2
+    clebsch = ClebschTriple(F=lambda x, t: 0.5 * kk * (x[..., 0] ** 2 - x[..., 1] ** 2))
+    return CatalogEntry("stagnation", {"k": kk}, 2, m, force, props,
+                        velocity_field=field, clebsch=clebsch,
+                        bernoulli=lambda x, t: 0.5 * kk * kk * (x[..., 0] ** 2 + x[..., 1] ** 2))
 
 
 def _gerstner_k(k):
@@ -430,7 +482,27 @@ def _point_vortex(grid, gamma=2 * np.pi, times=None, dt=None):
         "orbit_period_at_r1": period,
         "core_exclusion_radius": POINT_VORTEX_CORE_RADIUS,
     }
-    return CatalogEntry("point_vortex", {"gamma": G}, 2, m, force, props)
+
+    def potential(x, t):
+        return G / (2 * np.pi) * np.arctan2(x[..., 1], x[..., 0])
+
+    def bernoulli(x, t):
+        r2 = x[..., 0] ** 2 + x[..., 1] ** 2
+        # the origin is inside the cut mask; keep it finite so masked nodes
+        # do not poison array arithmetic
+        return G ** 2 / (8 * np.pi ** 2 * np.where(r2 < 1e-12, 1.0, r2))
+
+    def cut(x):
+        # points adjacent to the branch cut {y = 0, x < 0} of the azimuth,
+        # plus the core disk where the potential itself is singular
+        near_cut = (x[..., 0] < 0.0) & (np.abs(x[..., 1]) < 0.35 * np.abs(x[..., 0]) + 0.3)
+        near_core = x[..., 0] ** 2 + x[..., 1] ** 2 < 0.25 ** 2
+        return near_cut | near_core
+
+    return CatalogEntry("point_vortex", {"gamma": G}, 2, m, force, props,
+                        velocity_field=field,
+                        clebsch=ClebschTriple(F=potential, cut_mask=cut),
+                        bernoulli=bernoulli)
 
 
 def _taylor_green(grid, times=None, dt=None):
@@ -459,7 +531,7 @@ def _taylor_green(grid, times=None, dt=None):
         "field": "steady cellular field (cos x sin y, -sin x cos y, 0)",
         "pressure": "-rho (cos 2x + cos 2y)/4",
     }
-    return CatalogEntry("taylor_green", {}, 2, m, force, props)
+    return CatalogEntry("taylor_green", {}, 2, m, force, props, velocity_field=field)
 
 
 def _gerstner_hi(k=1.0, **_):

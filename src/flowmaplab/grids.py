@@ -156,14 +156,6 @@ class Field:
         data.setflags(write=False)
         self.data = data
 
-    @property
-    def rank(self):
-        comp = self.data.shape[self.grid.ndim:]
-        return {(): "scalar", (3,): "vector", (3, 3): "tensor"}[comp]
-
-    def component(self, *idx):
-        return self.data[(Ellipsis,) + idx]
-
 
 def _diff_along_axis0(f, h, order, wrap):
     """d/dx of f along its leading axis; one-sided edges unless wrap."""

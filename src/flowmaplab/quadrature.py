@@ -29,16 +29,15 @@ __all__ = [
 @dataclass(frozen=True)
 class QuadratureRule:
     kind: str
-    description: str = ""
 
     def __post_init__(self):
         if self.kind not in ("trapezoid", "midpoint", "simpson"):
             raise ValueError(f"unknown quadrature rule {self.kind!r}")
 
 
-TRAPEZOID = QuadratureRule("trapezoid", "composite trapezoid on node samples")
-MIDPOINT = QuadratureRule("midpoint", "midpoint rule on cell-center samples")
-SIMPSON = QuadratureRule("simpson", "composite Simpson, even interval count")
+TRAPEZOID = QuadratureRule("trapezoid")
+MIDPOINT = QuadratureRule("midpoint")
+SIMPSON = QuadratureRule("simpson")
 
 
 def _as_rule(rule):

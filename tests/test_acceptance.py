@@ -216,21 +216,21 @@ def test_criterion_6_clebsch():
     g = LabelGrid((33, 33), (-1.0, -1.0), (1 / 16, 1 / 16))
     h2 = max(g.spacing) ** 2
 
-    for name in ("uniform", "shear_xy", "rigid_rotation", "stagnation"):
-        fx = fl.clebsch_fixture(name)
-        s = fl.clebsch_vorticity_residual(fx["triple"], g)
+    for name in ("uniform_translation", "simple_shear", "rigid_rotation", "stagnation"):
+        e = catalog_flow(name)
+        s = fl.clebsch_vorticity_residual(e.clebsch, g)
         checks.append((f"{name} curl identity at O(h^2)", s.linf <= 5 * h2, s.linf))
 
-    for name in ("rotation_material", "translation_material"):
-        fx = fl.clebsch_fixture(name)
-        r_phi, r_psi = fl.clebsch_advection_residual(fx["triple"], fx["velocity"], g)
+    for name in ("rigid_rotation", "uniform_translation"):
+        e = catalog_flow(name)
+        r_phi, r_psi = fl.clebsch_advection_residual(e.material_scalars, e.velocity_field, g)
         worst = max(r_phi.linf, r_psi.linf)
-        checks.append((f"{name} advection residuals at O(h^2)",
+        checks.append((f"{name} material scalars: advection residuals at O(h^2)",
                        worst <= 5 * h2, worst))
 
-    for name in ("uniform", "stagnation"):
-        fx = fl.clebsch_fixture(name)
-        lap, bern = fl.potential_flow_checks(fx["triple"].F, fx["omega"], g)
+    for name in ("uniform_translation", "stagnation"):
+        e = catalog_flow(name)
+        lap, bern = fl.potential_flow_checks(e.clebsch.F, e.bernoulli, g)
         worst = max(lap.linf, bern.linf)
         checks.append((f"{name} Laplace+Bernoulli residuals <= 1e-12",
                        worst <= 1e-12, worst))

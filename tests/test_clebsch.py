@@ -6,9 +6,9 @@ import pytest
 from flowmaplab import (
     ClebschTriple,
     LabelGrid,
+    catalog_flow,
+    catalog_names,
     clebsch_advection_residual,
-    clebsch_fixture,
-    clebsch_fixture_names,
     clebsch_velocity,
     clebsch_vorticity_residual,
     potential_flow_checks,
@@ -30,41 +30,47 @@ def pts_of(grid):
     return grid.nodes3().reshape(grid.shape + (3,))
 
 
+@pytest.fixture(scope="module")
+def catalog():
+    return {name: catalog_flow(name) for name in catalog_names()}
+
+
 class TestVelocityAssembly:
     def test_pure_potential(self):
-        fx = clebsch_fixture("uniform", k=2.0)
+        e = catalog_flow("uniform_translation", velocity=(2.0, 0.0, 0.0))
         pts = pts_of(grid_2d())
-        u = clebsch_velocity(fx["triple"], pts)
+        u = clebsch_velocity(e.clebsch, pts)
         assert np.abs(u - np.array([2.0, 0.0, 0.0])).max() < 1e-9
 
     def test_phi_grad_psi_term(self):
-        # oracle: F=0, phi=x, psi=y gives u = (0, x, 0) by hand
-        fx = clebsch_fixture("shear_xy")
+        # oracle: F=0, phi=gamma y, psi=x gives u = (gamma y, 0, 0) by hand
+        g = 1.0
+        e = catalog_flow("simple_shear", gamma=g)
         pts = pts_of(grid_2d())
-        u = clebsch_velocity(fx["triple"], pts)
-        assert np.abs(u[..., 1] - pts[..., 0]).max() < 1e-9
-        assert np.abs(u[..., 0]).max() < 1e-9
+        u = clebsch_velocity(e.clebsch, pts)
+        assert np.abs(u[..., 0] - g * pts[..., 1]).max() < 1e-9
+        assert np.abs(u[..., 1]).max() < 1e-9
 
     def test_rigid_rotation_fixture(self):
         # oracle: F = -w x y, phi = 2 w x, psi = y assembles (-w y, w x, 0)
         w = 1.0
-        fx = clebsch_fixture("rigid_rotation", omega=w)
+        e = catalog_flow("rigid_rotation", omega=w)
         pts = pts_of(grid_2d())
-        u = clebsch_velocity(fx["triple"], pts)
+        u = clebsch_velocity(e.clebsch, pts)
         expect = np.stack([-w * pts[..., 1], w * pts[..., 0], 0 * pts[..., 0]], -1)
         assert np.abs(u - expect).max() < 1e-9
 
 
 class TestVorticityIdentity:
     @pytest.mark.parametrize("name,expected_curl", [
-        ("uniform", (0.0, 0.0, 0.0)),
-        ("shear_xy", (0.0, 0.0, 1.0)),
+        ("uniform_translation", (0.0, 0.0, 0.0)),
+        ("simple_shear", (0.0, 0.0, -1.0)),
         ("rigid_rotation", (0.0, 0.0, 2.0)),
     ])
     def test_curl_equals_cross_gradients(self, name, expected_curl):
-        fx = clebsch_fixture(name)
+        e = catalog_flow(name)
         g = grid_2d()
-        s = clebsch_vorticity_residual(fx["triple"], g)
+        s = clebsch_vorticity_residual(e.clebsch, g)
         h2 = max(g.spacing) ** 2
         assert s.linf <= 5 * h2
 
@@ -74,59 +80,58 @@ class TestVorticityIdentity:
         from flowmaplab import Field, eulerian_vorticity
 
         w = 1.0
-        fx = clebsch_fixture("rigid_rotation", omega=w)
+        e = catalog_flow("rigid_rotation", omega=w)
         g = grid_2d()
         pts = pts_of(g)
-        u = clebsch_velocity(fx["triple"], pts)
+        u = clebsch_velocity(e.clebsch, pts)
         W = eulerian_vorticity(*(Field(g, u[..., i]) for i in range(3)))
         assert np.abs(W.values[..., 2] - w).max() <= max(g.spacing) ** 2
 
 
 class TestAdvection:
     def test_material_scalars_under_rotation(self):
-        fx = clebsch_fixture("rotation_material")
+        e = catalog_flow("rigid_rotation")
         g = grid_2d()
-        r_phi, r_psi = clebsch_advection_residual(fx["triple"], fx["velocity"], g)
+        r_phi, r_psi = clebsch_advection_residual(e.material_scalars, e.velocity_field, g)
         h2 = max(g.spacing) ** 2
         assert r_phi.linf <= 5 * h2 and r_psi.linf <= 5 * h2
 
     def test_rest_steady(self):
-        fx = clebsch_fixture("rotation_material")
+        e = catalog_flow("rigid_rotation")
         g = grid_2d()
         r_phi, r_psi = clebsch_advection_residual(
-            fx["triple"], lambda p, t: np.zeros_like(p), g)
+            e.material_scalars, lambda p, t: np.zeros_like(p), g)
         assert r_phi.linf <= 1e-10 and r_psi.linf <= 1e-10
 
     def test_translating_level_set(self):
         # oracle: d(x - t)/dt = -1 cancels u . grad(x - t) = 1 exactly
-        fx = clebsch_fixture("translation_material")
+        e = catalog_flow("uniform_translation")
         g = grid_2d()
-        r_phi, _ = clebsch_advection_residual(fx["triple"], fx["velocity"], g)
+        r_phi, _ = clebsch_advection_residual(e.material_scalars, e.velocity_field, g)
         assert r_phi.linf <= 1e-9
 
 
 class TestPotentialFlow:
     def test_uniform_flow(self):
-        fx = clebsch_fixture("uniform", k=1.5)
+        e = catalog_flow("uniform_translation", velocity=(1.5, 0.0, 0.0))
         g = grid_2d()
-        lap, bern = potential_flow_checks(fx["triple"].F, fx["omega"], g)
+        lap, bern = potential_flow_checks(e.clebsch.F, e.bernoulli, g)
         assert lap.linf <= 1e-12 and bern.linf <= 1e-12
 
     def test_stagnation_quadratics_are_stencil_exact(self):
-        fx = clebsch_fixture("stagnation", k=1.0)
+        e = catalog_flow("stagnation", k=1.0)
         g = grid_2d()
-        lap, bern = potential_flow_checks(fx["triple"].F, fx["omega"], g)
+        lap, bern = potential_flow_checks(e.clebsch.F, e.bernoulli, g)
         assert lap.linf <= 1e-12
         assert bern.linf <= 1e-12
 
-    def test_point_vortex_away_from_cut(self):
+    def test_point_vortex_away_from_cut(self, catalog):
         # residuals away from the cut and core are pure stencil truncation:
         # bounded by C h^2 (C set by the closest included radius) and
         # shrinking at order 2 under refinement
-        fx = clebsch_fixture("point_vortex")
+        ct, omega = catalog["point_vortex"].clebsch, catalog["point_vortex"].bernoulli
         g = grid_2d(n=65, lo=-2.0, hi=2.0)
-        lap, bern = potential_flow_checks(fx["triple"].F, fx["omega"], g,
-                                          cut_mask=fx["cut"])
+        lap, bern = potential_flow_checks(ct.F, omega, g, cut_mask=ct.cut_mask)
         assert lap.excluded > 0  # stencils near cut/core were dropped
         h2 = max(g.spacing) ** 2
         assert lap.linf <= 400 * h2 and bern.linf <= 50 * h2
@@ -134,13 +139,12 @@ class TestPotentialFlow:
         # order study at a fixed standoff: excluding a larger disk pins the
         # truncation constant, so the residual shrinks cleanly at order 2
         def wide_cut(p):
-            return fx["cut"](p) | (p[..., 0] ** 2 + p[..., 1] ** 2 < 0.5 ** 2)
+            return ct.cut_mask(p) | (p[..., 0] ** 2 + p[..., 1] ** 2 < 0.5 ** 2)
 
         laps, berns = [], []
         for n in (65, 129):
             gn = grid_2d(n=n, lo=-2.0, hi=2.0)
-            lapn, bernn = potential_flow_checks(fx["triple"].F, fx["omega"], gn,
-                                                cut_mask=wide_cut)
+            lapn, bernn = potential_flow_checks(ct.F, omega, gn, cut_mask=wide_cut)
             laps.append(lapn.l2)
             berns.append(bernn.l2)
         # rms order: the Linf max rides the exclusion rim, whose truncation
@@ -167,20 +171,45 @@ class TestPotentialFlow:
 
 class TestIncompressibility:
     def test_divergence_of_fixtures(self):
-        for name in ("uniform", "shear_xy", "rigid_rotation", "stagnation"):
-            fx = clebsch_fixture(name)
+        for name in ("uniform_translation", "simple_shear", "rigid_rotation", "stagnation"):
+            e = catalog_flow(name)
             g = grid_2d()
-            s = incompressibility_residual(fx["triple"], g)
+            s = incompressibility_residual(e.clebsch, g)
             assert s.linf <= 5 * max(g.spacing) ** 2, name
 
 
-def test_fixture_names():
-    assert "rigid_rotation" in clebsch_fixture_names()
-    with pytest.raises(KeyError):
-        clebsch_fixture("nope")
+class TestCatalogData:
+    def test_triple_realizes_the_velocity_field(self, catalog):
+        # grad F + phi grad psi against the entry's own u, at the nodes of
+        # its default grid that lie off the declared cut
+        checked = []
+        for name, e in catalog.items():
+            if e.clebsch is None:
+                continue
+            pts = pts_of(e.map.grid)
+            off_cut = np.ones(e.map.grid.shape, dtype=bool)
+            if e.clebsch.cut_mask is not None:
+                off_cut = ~e.clebsch.cut_mask(pts)
+            err = np.abs(clebsch_velocity(e.clebsch, pts) - e.velocity_field(pts, 0.0))
+            assert err[off_cut].max() <= 1e-8, name
+            checked.append(name)
+        assert checked == ["point_vortex", "rigid_rotation", "simple_shear", "stagnation",
+                           "uniform_translation"]
+
+    def test_material_scalars_advect_under_the_velocity_field(self, catalog):
+        g = grid_2d()
+        h2 = max(g.spacing) ** 2
+        checked = []
+        for name, e in catalog.items():
+            if e.material_scalars is None:
+                continue
+            r_phi, r_psi = clebsch_advection_residual(e.material_scalars, e.velocity_field, g)
+            assert max(r_phi.linf, r_psi.linf) <= 5 * h2, name
+            checked.append(name)
+        assert checked == ["rigid_rotation", "uniform_translation"]
 
 
 def test_smoothness_probe():
-    fx = clebsch_fixture("stagnation")
+    e = catalog_flow("stagnation")
     pts = pts_of(grid_2d(9))
-    assert fx["triple"].smoothness_residual(pts) <= 1e-6
+    assert e.clebsch.smoothness_residual(pts) <= 1e-6

@@ -1,5 +1,10 @@
 """Exact-solution catalog and the trajectory integrator."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -312,6 +317,47 @@ def test_entries_self_validate():
 def test_describe_mentions_parameters():
     text = catalog_flow("point_vortex").describe()
     assert "gamma" in text and "core_exclusion_radius" in text
+
+
+# params away from 1, so that a velocity written in other arithmetic shows
+ANALYTIC_PARAMS = {"rigid_rotation": {"omega": 0.7}, "simple_shear": {"gamma": 0.6},
+                   "stagnation": {"k": 1.3}, "uniform_translation": {"velocity": (0.3, -1.2, 0.0)}}
+
+
+@pytest.mark.parametrize("name", sorted(ANALYTIC_PARAMS))
+def test_analytic_velocities_are_the_velocity_field_at_the_positions(name):
+    e = catalog_flow(name, **ANALYTIC_PARAMS[name])
+    lab = e.map.grid_labels()
+    for t in (0.0, 0.3 * e.map.timescale, 1.7):
+        expect = e.velocity_field(e.map.positions(lab, t), t)
+        assert np.array_equal(e.map.velocities(lab, t), expect), t
+
+
+def test_gerstner_has_no_velocity_field_or_clebsch_data():
+    e = catalog_flow("gerstner")
+    assert e.velocity_field is None
+    assert (e.clebsch, e.bernoulli, e.material_scalars) == (None, None, None)
+
+
+def test_catalog_and_cli_run_without_scipy():
+    code = (
+        "import sys\n"
+        "class NoScipy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name.split('.')[0] == 'scipy':\n"
+        "            raise ImportError(name + ' is blocked')\n"
+        "sys.meta_path.insert(0, NoScipy())\n"
+        "import flowmaplab\n"
+        "from flowmaplab.cli import main\n"
+        "for name in flowmaplab.catalog_names():\n"
+        "    flowmaplab.catalog_flow(name)\n"
+        "sys.exit(main(['flows', 'describe', 'gerstner']))\n"
+    )
+    src = Path(flows.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.startswith("gerstner (2D embedded in 3D)")
 
 
 def test_taylor_green_momentum_balance_symbolic_oracle():
