@@ -8,8 +8,8 @@ specialization: Laplace residual of a velocity potential and the unsteady
 Bernoulli integral dF/dt + |grad F|^2 / 2 - Omega = 0.
 
 Multivalued potentials (the point-vortex azimuth) declare a branch cut; every
-stencil touching the cut is dropped from norms and the dropped count is
-reported.
+stencil touching the cut is dropped from norms (a summary's ``excluded``
+counts these nodes with the rind's).
 
 The triples, Bernoulli functions and advected scalars of the exact flows are
 carried by their catalog entries (``flows.CatalogEntry``).
@@ -51,7 +51,6 @@ class ClebschTriple:
     F: object = None
     phi: object = None
     psi: object = None
-    name: str = "clebsch"
     cut_mask: object = None
 
     def velocity(self, pts, t=0.0, h=1e-6):
@@ -96,18 +95,24 @@ def _grid_points(grid):
     return grid.nodes3().reshape(grid.shape + (3,))
 
 
-def _cut_exclusion_mask(ct, grid, spec):
-    """Nodes whose stencil neighbourhood touches the declared cut."""
-    if ct.cut_mask is None:
-        return None, 0
-    pts = _grid_points(grid)
-    near = np.asarray(ct.cut_mask(pts), dtype=bool)
+def _cut_exclusion_mask(cut_mask, grid, spec):
+    """Nodes whose stencil neighbourhood misses the declared cut (None when
+    there is no cut). The cut widens by the stencil reach along each axis,
+    wrapping around the ends of periodic axes only."""
+    if cut_mask is None:
+        return None
+    near = np.asarray(cut_mask(_grid_points(grid)), dtype=bool)
     reach = 2 if spec.order == 4 else 1
     bad = near.copy()
-    for axis in range(grid.ndim):
-        for shift in range(1, reach + 1):
-            bad |= np.roll(near, shift, axis=axis) | np.roll(near, -shift, axis=axis)
-    return ~bad, int(np.count_nonzero(bad))
+    for axis, periodic in enumerate(grid.periodic):
+        for shift in [s for r in range(1, reach + 1) for s in (r, -r)]:
+            moved = np.roll(near, shift, axis=axis)
+            if not periodic:  # drop what the roll carried around the end
+                ends = [slice(None)] * near.ndim
+                ends[axis] = slice(0, shift) if shift > 0 else slice(shift, None)
+                moved[tuple(ends)] = False
+            bad |= moved
+    return ~bad
 
 
 def clebsch_velocity(ct, pts, t=0.0, h=1e-6):
@@ -127,7 +132,7 @@ def clebsch_vorticity_residual(ct, grid, t=0.0, spec=StencilSpec(), rind=1):
     gphi = gradient(_call_scalar(ct.phi, pts, t), spec, grid=grid)
     gpsi = gradient(_call_scalar(ct.psi, pts, t), spec, grid=grid)
     cross = np.cross(gphi, gpsi)
-    mask, _ = _cut_exclusion_mask(ct, grid, spec)
+    mask = _cut_exclusion_mask(ct.cut_mask, grid, spec)
     res = np.max(np.abs(cu - cross), axis=-1)
     return summarize_residual(res, grid, rind=rind, mask=mask)
 
@@ -142,7 +147,7 @@ def clebsch_advection_residual(ct, velocity_fn, grid, t=0.0, spec=StencilSpec(),
     pts = _grid_points(grid)
     u = np.asarray(velocity_fn(pts, t), dtype=float)
     out = []
-    mask, _ = _cut_exclusion_mask(ct, grid, spec)
+    mask = _cut_exclusion_mask(ct.cut_mask, grid, spec)
     for fn in (ct.phi, ct.psi):
         vals_p = _call_scalar(fn, pts, t + dt)
         vals_m = _call_scalar(fn, pts, t - dt)
@@ -157,7 +162,7 @@ def incompressibility_residual(ct, grid, t=0.0, spec=StencilSpec(), rind=1):
     """Linf of div(grad F + phi grad psi) on the grid."""
     pts = _grid_points(grid)
     u = ct.velocity(pts, t)
-    mask, _ = _cut_exclusion_mask(ct, grid, spec)
+    mask = _cut_exclusion_mask(ct.cut_mask, grid, spec)
     return summarize_residual(divergence(u, spec, grid=grid), grid, rind=rind, mask=mask)
 
 
@@ -175,11 +180,7 @@ def potential_flow_checks(F_fn, omega_fn, grid, t=0.0, spec=StencilSpec(),
     lap = divergence(gF, spec, grid=grid)
     dFdt = (np.asarray(F_fn(pts, t + dt)) - np.asarray(F_fn(pts, t - dt))) / (2 * dt)
     bern = dFdt + 0.5 * np.einsum("...i,...i->...", gF, gF) - np.asarray(omega_fn(pts, t), dtype=float)
-    mask = None
-    dropped = 0
-    if cut_mask is not None:
-        ct = ClebschTriple(F=F_fn, cut_mask=cut_mask)
-        mask, dropped = _cut_exclusion_mask(ct, grid, spec)
+    mask = _cut_exclusion_mask(cut_mask, grid, spec)
     lap_s = summarize_residual(lap, grid, rind=max(rind, 1), mask=mask)
     bern_s = summarize_residual(bern, grid, rind=rind, mask=mask)
     return lap_s, bern_s

@@ -4,6 +4,10 @@ Closed-form entries: rigid_rotation, uniform_translation, simple_shear,
 stagnation, gerstner. Trajectory-integrated entries (classical 4-stage
 Runge-Kutta over a steady velocity field): point_vortex, taylor_green.
 
+The first four are affine in the labels, x = M(t) a + U t under the steady
+field u = L x + U; ``_affine_entry`` derives each one's positions, velocity,
+acceleration and label partials from its (M(t), L, U).
+
 Every entry carries the force potential and pressure it solves the momentum
 balance under, plus its known kinematic properties, and self-validates at
 construction: registered analytic partials are cross-checked against finite
@@ -146,50 +150,66 @@ class CatalogEntry:
         return "\n".join(lines)
 
 
+def _affine(A, x, b=(0.0, 0.0, 0.0)):
+    """A x + b at points x (..., 3) for a 3x3 A: component i sums A[i, j] *
+    x[..., j] over the row's nonzero entries, left to right (a unit entry
+    passes x[..., j] unscaled), then adds b[i] when nonzero. Each component
+    is then the sum of products the closed form writes, to the bit, which
+    matmul and einsum are not. Components are stacked: filling one
+    preallocated array instead cost page faults in later allocations and
+    ~1.5% of the grid_calculus benchmark's wall time (2-core machine)."""
+    comps = []
+    for row, bi in zip(A, b):
+        terms = [x[..., j] if a == 1 else a * x[..., j] for j, a in enumerate(row) if a != 0]
+        comp = sum(terms[1:], terms[0]) if terms else np.zeros(x.shape[:-1])
+        comps.append(comp + bi if bi != 0 else comp)
+    return np.stack(comps, axis=-1)
+
+
+def _product(A, B):
+    """A B for 3x3 A and B, each entry summed over the k where both factors
+    are nonzero; an entry with no such k is +0."""
+    return np.array([[sum(A[i][k] * B[k][j] for k in range(3) if A[i][k] != 0 and B[k][j] != 0)
+                      for j in range(3)] for i in range(3)], dtype=float)
+
+
+def _affine_entry(name, params, grid, M, L, force, props, U=(0.0, 0.0, 0.0), timescale=1.0,
+                  map_name=None, **entry_data):
+    """A catalog entry whose map is affine in the labels: x = M(t) a + U t,
+    the motion of the steady field u = L x + U (M' = L M, M(0) = I, L U = 0).
+
+    ``M`` is a callable t -> 3x3 matrix; ``L`` and ``U`` are constant. The
+    velocity is the field at the positions, the acceleration L^2 x, the
+    label partials M(t), the velocity partials L M(t); second partials are
+    zero. ``entry_data`` are the entry's Clebsch and Bernoulli fields.
+    """
+    def pos(lab, t):
+        return _affine(M(t), lab, [u * t for u in U])
+
+    def field(x, t):
+        return _affine(L, x, U)
+
+    def tile(A, lab):  # the matrix A at every label
+        return np.broadcast_to(np.asarray(A, dtype=float), lab.shape[:-1] + (3, 3)).copy()
+
+    L2 = _product(L, L)
+    m = AnalyticFlowMap(
+        grid, pos, lambda lab, t: field(pos(lab, t), t), lambda lab, t: _affine(L2, pos(lab, t)),
+        lambda lab, t: tile(M(t), lab), lambda lab, t: tile(_product(L, M(t)), lab),
+        lambda lab, t: np.zeros(lab.shape[:-1] + (3, 3, 3)),
+        name=map_name or f"{name}({', '.join(f'{k}={v}' for k, v in params.items())})",
+        timescale=timescale,
+    )
+    return CatalogEntry(name, params, 2, m, force, props, velocity_field=field, **entry_data)
+
+
 def _rigid_rotation(grid, omega=1.0):
     w = float(omega)
 
-    def pos(lab, t):
+    def M(t):
         c, s = np.cos(w * t), np.sin(w * t)
-        a, b, cc = lab[..., 0], lab[..., 1], lab[..., 2]
-        return np.stack([a * c - b * s, a * s + b * c, cc], axis=-1)
+        return [[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]
 
-    def field(x, t):
-        return np.stack([-w * x[..., 1], w * x[..., 0], np.zeros_like(x[..., 2])], axis=-1)
-
-    def vel(lab, t):
-        return field(pos(lab, t), t)
-
-    def acc(lab, t):
-        p = pos(lab, t)
-        return np.stack([-w * w * p[..., 0], -w * w * p[..., 1], np.zeros_like(p[..., 2])], axis=-1)
-
-    def partials(lab, t):
-        c, s = np.cos(w * t), np.sin(w * t)
-        F = np.zeros(lab.shape[:-1] + (3, 3))
-        F[..., 0, 0] = c
-        F[..., 0, 1] = -s
-        F[..., 1, 0] = s
-        F[..., 1, 1] = c
-        F[..., 2, 2] = 1.0
-        return F
-
-    def vel_partials(lab, t):
-        c, s = np.cos(w * t), np.sin(w * t)
-        G = np.zeros(lab.shape[:-1] + (3, 3))
-        G[..., 0, 0] = -w * s
-        G[..., 0, 1] = -w * c
-        G[..., 1, 0] = w * c
-        G[..., 1, 1] = -w * s
-        return G
-
-    def second_partials(lab, t):
-        return np.zeros(lab.shape[:-1] + (3, 3, 3))
-
-    m = AnalyticFlowMap(
-        grid, pos, vel, acc, partials, vel_partials, second_partials,
-        name=f"rigid_rotation(omega={w})", timescale=2 * np.pi / abs(w),
-    )
     force = ForcePotential(
         pressure=lambda x, t: 0.5 * w * w * (x[..., 0] ** 2 + x[..., 1] ** 2),
         pressure_grad=lambda x, t: np.stack(
@@ -207,131 +227,39 @@ def _rigid_rotation(grid, omega=1.0):
     # constant along the circular orbits
     scalars = ClebschTriple(phi=lambda x, t: x[..., 0] ** 2 + x[..., 1] ** 2,
                             psi=lambda x, t: x[..., 2])
-    return CatalogEntry("rigid_rotation", {"omega": w}, 2, m, force, props,
-                        velocity_field=field, clebsch=clebsch, material_scalars=scalars)
+    return _affine_entry("rigid_rotation", {"omega": w}, grid, M,
+                         [[0.0, -w, 0.0], [w, 0.0, 0.0], [0.0, 0.0, 0.0]], force, props,
+                         timescale=2 * np.pi / abs(w), clebsch=clebsch, material_scalars=scalars)
 
 
 def _uniform_translation(grid, velocity=(1.0, 0.0, 0.0)):
     U = np.asarray(velocity, dtype=float)
-
-    def pos(lab, t):
-        return lab + U * t
-
-    def field(x, t):
-        return np.broadcast_to(U, x.shape).copy()
-
-    def vel(lab, t):
-        return field(pos(lab, t), t)
-
-    def acc(lab, t):
-        return np.zeros(lab.shape)
-
-    def partials(lab, t):
-        F = np.zeros(lab.shape[:-1] + (3, 3))
-        F[..., 0, 0] = F[..., 1, 1] = F[..., 2, 2] = 1.0
-        return F
-
-    def vel_partials(lab, t):
-        return np.zeros(lab.shape[:-1] + (3, 3))
-
-    def second_partials(lab, t):
-        return np.zeros(lab.shape[:-1] + (3, 3, 3))
-
-    m = AnalyticFlowMap(grid, pos, vel, acc, partials, vel_partials, second_partials,
-                        name="uniform_translation", timescale=1.0)
-    force = ForcePotential(pressure=0.0)
-    props = {"jacobian": "1", "half_vorticity": (0.0, 0.0, 0.0)}
     # the potential U . x; |grad F|^2 / 2 = |U|^2 / 2 is its Bernoulli Omega
     clebsch = ClebschTriple(F=lambda x, t: x @ U)
     scalars = ClebschTriple(phi=lambda x, t: x[..., 0] - U[0] * t,
                             psi=lambda x, t: x[..., 1] - U[1] * t)
-    return CatalogEntry("uniform_translation", {"velocity": tuple(U)}, 2, m, force, props,
-                        velocity_field=field, clebsch=clebsch,
-                        bernoulli=lambda x, t: np.full(x.shape[:-1], 0.5 * (U @ U)),
-                        material_scalars=scalars)
+    return _affine_entry("uniform_translation", {"velocity": tuple(U)}, grid,
+                         lambda t: np.eye(3), np.zeros((3, 3)), ForcePotential(pressure=0.0),
+                         {"jacobian": "1", "half_vorticity": (0.0, 0.0, 0.0)}, U=U,
+                         map_name="uniform_translation", clebsch=clebsch,
+                         bernoulli=lambda x, t: np.full(x.shape[:-1], 0.5 * (U @ U)),
+                         material_scalars=scalars)
 
 
 def _simple_shear(grid, gamma=1.0):
     g = float(gamma)
-
-    def pos(lab, t):
-        return np.stack(
-            [lab[..., 0] + g * t * lab[..., 1], lab[..., 1], lab[..., 2]], axis=-1
-        )
-
-    def field(x, t):
-        return np.stack(
-            [g * x[..., 1], np.zeros_like(x[..., 1]), np.zeros_like(x[..., 2])],
-            axis=-1,
-        )
-
-    def vel(lab, t):
-        return field(pos(lab, t), t)
-
-    def acc(lab, t):
-        return np.zeros(lab.shape)
-
-    def partials(lab, t):
-        F = np.zeros(lab.shape[:-1] + (3, 3))
-        F[..., 0, 0] = F[..., 1, 1] = F[..., 2, 2] = 1.0
-        F[..., 0, 1] = g * t
-        return F
-
-    def vel_partials(lab, t):
-        G = np.zeros(lab.shape[:-1] + (3, 3))
-        G[..., 0, 1] = g
-        return G
-
-    def second_partials(lab, t):
-        return np.zeros(lab.shape[:-1] + (3, 3, 3))
-
-    m = AnalyticFlowMap(grid, pos, vel, acc, partials, vel_partials, second_partials,
-                        name=f"simple_shear(gamma={g})", timescale=1.0 / abs(g))
-    force = ForcePotential(pressure=0.0)
-    props = {"jacobian": "1", "half_vorticity": (0.0, 0.0, -g / 2)}
     # g y grad x = u; grad(g y) x grad x = (0, 0, -g) = curl u
     clebsch = ClebschTriple(phi=lambda x, t: g * x[..., 1], psi=lambda x, t: x[..., 0])
-    return CatalogEntry("simple_shear", {"gamma": g}, 2, m, force, props,
-                        velocity_field=field, clebsch=clebsch)
+    return _affine_entry("simple_shear", {"gamma": g}, grid,
+                         lambda t: [[1.0, g * t, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+                         [[0.0, g, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+                         ForcePotential(pressure=0.0),
+                         {"jacobian": "1", "half_vorticity": (0.0, 0.0, -g / 2)},
+                         timescale=1.0 / abs(g), clebsch=clebsch)
 
 
 def _stagnation(grid, k=1.0):
     kk = float(k)
-
-    def pos(lab, t):
-        return np.stack(
-            [lab[..., 0] * np.exp(kk * t), lab[..., 1] * np.exp(-kk * t), lab[..., 2]],
-            axis=-1,
-        )
-
-    def field(x, t):
-        return np.stack([kk * x[..., 0], -kk * x[..., 1], np.zeros_like(x[..., 2])], axis=-1)
-
-    def vel(lab, t):
-        return field(pos(lab, t), t)
-
-    def acc(lab, t):
-        p = pos(lab, t)
-        return np.stack([kk * kk * p[..., 0], kk * kk * p[..., 1], np.zeros_like(p[..., 2])], axis=-1)
-
-    def partials(lab, t):
-        F = np.zeros(lab.shape[:-1] + (3, 3))
-        F[..., 0, 0] = np.exp(kk * t)
-        F[..., 1, 1] = np.exp(-kk * t)
-        F[..., 2, 2] = 1.0
-        return F
-
-    def vel_partials(lab, t):
-        G = np.zeros(lab.shape[:-1] + (3, 3))
-        G[..., 0, 0] = kk * np.exp(kk * t)
-        G[..., 1, 1] = -kk * np.exp(-kk * t)
-        return G
-
-    def second_partials(lab, t):
-        return np.zeros(lab.shape[:-1] + (3, 3, 3))
-
-    m = AnalyticFlowMap(grid, pos, vel, acc, partials, vel_partials, second_partials,
-                        name=f"stagnation(k={kk})", timescale=1.0 / abs(kk))
     force = ForcePotential(
         pressure=lambda x, t: -0.5 * kk * kk * (x[..., 0] ** 2 + x[..., 1] ** 2),
         pressure_grad=lambda x, t: np.stack(
@@ -345,9 +273,12 @@ def _stagnation(grid, k=1.0):
     }
     # the harmonic potential k (x^2 - y^2) / 2; Omega = |grad F|^2 / 2
     clebsch = ClebschTriple(F=lambda x, t: 0.5 * kk * (x[..., 0] ** 2 - x[..., 1] ** 2))
-    return CatalogEntry("stagnation", {"k": kk}, 2, m, force, props,
-                        velocity_field=field, clebsch=clebsch,
-                        bernoulli=lambda x, t: 0.5 * kk * kk * (x[..., 0] ** 2 + x[..., 1] ** 2))
+    return _affine_entry("stagnation", {"k": kk}, grid,
+                         lambda t: [[np.exp(kk * t), 0.0, 0.0], [0.0, np.exp(-kk * t), 0.0],
+                                    [0.0, 0.0, 1.0]],
+                         [[kk, 0.0, 0.0], [0.0, -kk, 0.0], [0.0, 0.0, 0.0]], force, props,
+                         timescale=1.0 / abs(kk), clebsch=clebsch,
+                         bernoulli=lambda x, t: 0.5 * kk * kk * (x[..., 0] ** 2 + x[..., 1] ** 2))
 
 
 def _gerstner_k(k):

@@ -21,7 +21,6 @@ from .flows import catalog_flow, catalog_names, catalog_params, default_grid, rk
 from .dynamics import lagrangian_eom_residual
 from .cauchy import cauchy_invariants, invariant_drift, solenoidality_residual
 from .circulation import MaterialLoop, MaterialSurface, kelvin_drift, stokes_residual
-from .curvilinear import svanberg_invariant
 from .energy import living_force
 from .quadrature import SIMPSON, TRAPEZOID
 from .reporting import ReportRow, VerificationReport
@@ -125,6 +124,8 @@ def load_config(path_or_dict):
             msg += f"; accepted: {', '.join(exc.schema['properties'])}"
         raise ConfigError(msg)
     for chk in cfg["checks"]:
+        if chk["id"] in _RETIRED:
+            raise ConfigError(f"check {chk['id']!r} was removed: {_RETIRED[chk['id']]}")
         if chk["id"] not in CHECKS:
             raise ConfigError(
                 f"unknown check {chk['id']!r}; known: {', '.join(sorted(CHECKS))}"
@@ -226,11 +227,6 @@ def _chk_lagrangian_eom(entry, times, ctx, *, mode="auto", stencil_order=None):
     return _from_summary(worst, times[-1])
 
 
-def _chk_svanberg(entry, times, ctx):
-    out = svanberg_invariant(entry.map, times, rind=ctx["rind"])
-    return {"linf": out["drift"], "location": out["location"], "time": times[-1]}
-
-
 def _loop_points(entry, points):
     # loop/surface resolution follows the grid resolution unless pinned, so
     # convergence studies refine the discrete theorem, not just the grid
@@ -280,14 +276,18 @@ CHECKS = {
         _chk_cofactor, "J * inverse gradient = cofactors of forward gradient"),
     "dynamics.lagrangian_eom": (
         _chk_lagrangian_eom, "label-space momentum residual under V and p"),
-    "curvilinear.svanberg": (
-        _chk_svanberg, "H = r^2 dtheta/dt constant per particle"),
     "circulation.kelvin_drift": (
         _chk_kelvin, "material-loop circulation constant in time"),
     "circulation.stokes": (
         _chk_stokes, "circulation equals vorticity flux through a spanning surface"),
     "energy.living_force_drift": (
         _chk_energy_drift, "kinetic energy constant for steady volume-preserving flow"),
+}
+
+# checks that could not fail where they apply, and why
+_RETIRED = {
+    "curvilinear.svanberg": "H = r^2 dtheta/dt is constant by construction on the flows it "
+                            "applies to; curvilinear.svanberg_invariant still computes it",
 }
 
 
@@ -367,21 +367,17 @@ def convergence_study(check_id, flow_name, resolutions=None, dts=None,
     flow_params = flow_params or {}
     table = []
     if check_id == "flows.rk4_closure":
-        # the study integrates rigid rotation's own field and reads only omega
+        # the study integrates the rigid_rotation entry's field, which reads only omega
         if flow_name != "rigid_rotation":
             raise ConfigError(f"flows.rk4_closure runs on rigid_rotation only, not {flow_name!r}")
         _reject_unknown("flows.rk4_closure", "param", flow_params, ("omega",))
         if not dts:
             raise ConfigError("rk4 closure study needs --dts")
-        w = flow_params.get("omega", 1.0)
-        period = 2 * math.pi / w
-
-        def field(x, t):
-            return np.stack([-w * x[..., 1], w * x[..., 0], np.zeros_like(x[..., 0])], axis=-1)
-
+        entry = catalog_flow("rigid_rotation", validate=False, **flow_params)
+        period = 2 * math.pi / entry.params["omega"]
         start = np.array([[1.0, 0.0, 0.0], [0.5, 0.25, 0.0]])
         for dt in dts:
-            end = rk4_advect(field, start, 0.0, period, dt)
+            end = rk4_advect(entry.velocity_field, start, 0.0, period, dt)
             table.append((float(dt), float(np.max(np.abs(end - start)))))
     else:
         if not resolutions:

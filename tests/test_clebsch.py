@@ -168,6 +168,29 @@ class TestPotentialFlow:
         u1 = ClebschTriple(F=F1).velocity(pts, 0.3)
         assert np.abs(u0 - u1).max() <= 1e-9
 
+    @pytest.mark.parametrize("periodic, excluded", [(False, 2 * 65), (True, 3 * 65)])
+    def test_cut_widens_around_the_ends_of_periodic_axes_only(self, periodic, excluded):
+        # a cut on the x = -2 column, graded by a residual x + 2 that peaks
+        # on the far x = +2 column: the widened cut reaches that column only
+        # when the x axis wraps around
+        g = LabelGrid((65, 65), (-2.0, -2.0), (4 / 64, 4 / 64), (periodic, False))
+        _, bern = potential_flow_checks(lambda p, t: np.zeros(p.shape[:-1]),
+                                        lambda p, t: -(p[..., 0] + 2.0), g, rind=0,
+                                        cut_mask=lambda p: p[..., 0] < -1.99)
+        assert bern.excluded == excluded
+        assert bern.location[0] == (2.0 - g.spacing[0] if periodic else 2.0)
+
+    def test_point_vortex_cut_spares_the_far_edge(self, catalog):
+        # the order-4 stencil reaches two nodes; no node with x > 1 is near
+        # the point vortex's cut {y = 0, x < 0} or its core
+        from flowmaplab.clebsch import _cut_exclusion_mask
+        from flowmaplab.grids import StencilSpec
+
+        g = grid_2d(n=65, lo=-2.0, hi=2.0)
+        mask = _cut_exclusion_mask(catalog["point_vortex"].clebsch.cut_mask, g,
+                                   StencilSpec(order=4))
+        assert mask[pts_of(g)[..., 0] > 1.0].all()
+
 
 class TestIncompressibility:
     def test_divergence_of_fixtures(self):

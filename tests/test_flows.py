@@ -324,13 +324,56 @@ ANALYTIC_PARAMS = {"rigid_rotation": {"omega": 0.7}, "simple_shear": {"gamma": 0
                    "stagnation": {"k": 1.3}, "uniform_translation": {"velocity": (0.3, -1.2, 0.0)}}
 
 
+
+
+def closed_form(name, lab, t):
+    """Positions, accelerations, label partials and velocity partials of the
+    affine flows at ANALYTIC_PARAMS, each written out component by component."""
+    a, b, c = lab[..., 0], lab[..., 1], lab[..., 2]
+    zero = np.zeros_like(a)
+    if name == "rigid_rotation":
+        w = 0.7
+        co, si = np.cos(w * t), np.sin(w * t)
+        x = np.stack([a * co - b * si, a * si + b * co, c], axis=-1)
+        acc = np.stack([-w * w * x[..., 0], -w * w * x[..., 1], zero], axis=-1)
+        F = [[co, -si, 0], [si, co, 0], [0, 0, 1]]
+        G = [[-w * si, -w * co, 0], [w * co, -w * si, 0], [0, 0, 0]]
+    elif name == "simple_shear":
+        g = 0.6
+        x = np.stack([a + g * t * b, b, c], axis=-1)
+        acc = np.zeros(lab.shape)
+        F = [[1, g * t, 0], [0, 1, 0], [0, 0, 1]]
+        G = [[0, g, 0], [0, 0, 0], [0, 0, 0]]
+    elif name == "stagnation":
+        k = 1.3
+        x = np.stack([a * np.exp(k * t), b * np.exp(-k * t), c], axis=-1)
+        acc = np.stack([k * k * x[..., 0], k * k * x[..., 1], zero], axis=-1)
+        F = [[np.exp(k * t), 0, 0], [0, np.exp(-k * t), 0], [0, 0, 1]]
+        G = [[k * np.exp(k * t), 0, 0], [0, -k * np.exp(-k * t), 0], [0, 0, 0]]
+    else:
+        x = lab + np.array([0.3, -1.2, 0.0]) * t
+        acc = np.zeros(lab.shape)
+        F, G = np.eye(3), np.zeros((3, 3))
+    tile = lab.shape[:-1] + (3, 3)
+    return x, acc, np.broadcast_to(np.array(F, float), tile), np.broadcast_to(np.array(G, float), tile)
+
+
 @pytest.mark.parametrize("name", sorted(ANALYTIC_PARAMS))
 def test_analytic_velocities_are_the_velocity_field_at_the_positions(name):
+    # and every other piece of the map is its closed form to the bit: the
+    # affine entries apply M(t) and L row by row, in the closed forms' order
+    # (equality as values, so the sign of a zero may differ)
     e = catalog_flow(name, **ANALYTIC_PARAMS[name])
     lab = e.map.grid_labels()
     for t in (0.0, 0.3 * e.map.timescale, 1.7):
         expect = e.velocity_field(e.map.positions(lab, t), t)
         assert np.array_equal(e.map.velocities(lab, t), expect), t
+        x, acc, F, G = closed_form(name, lab, t)
+        assert np.array_equal(e.map.positions(lab, t), x), t
+        assert np.array_equal(e.map.accelerations(lab, t), acc), t
+        assert np.array_equal(e.map.label_partials(lab, t), F), t
+        assert np.array_equal(e.map.velocity_label_partials(lab, t), G), t
+        assert np.array_equal(e.map.second_label_partials(lab, t), np.zeros(lab.shape + (3, 3))), t
 
 
 def test_gerstner_has_no_velocity_field_or_clebsch_data():
