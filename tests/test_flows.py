@@ -332,26 +332,26 @@ def closed_form(name, lab, t):
     a, b, c = lab[..., 0], lab[..., 1], lab[..., 2]
     zero = np.zeros_like(a)
     if name == "rigid_rotation":
-        w = 0.7
+        w = ANALYTIC_PARAMS[name]["omega"]
         co, si = np.cos(w * t), np.sin(w * t)
         x = np.stack([a * co - b * si, a * si + b * co, c], axis=-1)
         acc = np.stack([-w * w * x[..., 0], -w * w * x[..., 1], zero], axis=-1)
         F = [[co, -si, 0], [si, co, 0], [0, 0, 1]]
         G = [[-w * si, -w * co, 0], [w * co, -w * si, 0], [0, 0, 0]]
     elif name == "simple_shear":
-        g = 0.6
+        g = ANALYTIC_PARAMS[name]["gamma"]
         x = np.stack([a + g * t * b, b, c], axis=-1)
         acc = np.zeros(lab.shape)
         F = [[1, g * t, 0], [0, 1, 0], [0, 0, 1]]
         G = [[0, g, 0], [0, 0, 0], [0, 0, 0]]
     elif name == "stagnation":
-        k = 1.3
+        k = ANALYTIC_PARAMS[name]["k"]
         x = np.stack([a * np.exp(k * t), b * np.exp(-k * t), c], axis=-1)
         acc = np.stack([k * k * x[..., 0], k * k * x[..., 1], zero], axis=-1)
         F = [[np.exp(k * t), 0, 0], [0, np.exp(-k * t), 0], [0, 0, 1]]
         G = [[k * np.exp(k * t), 0, 0], [0, -k * np.exp(-k * t), 0], [0, 0, 0]]
     else:
-        x = lab + np.array([0.3, -1.2, 0.0]) * t
+        x = lab + np.array(ANALYTIC_PARAMS[name]["velocity"]) * t
         acc = np.zeros(lab.shape)
         F, G = np.eye(3), np.zeros((3, 3))
     tile = lab.shape[:-1] + (3, 3)
