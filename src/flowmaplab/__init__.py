@@ -65,6 +65,7 @@ from .circulation import (
     MaterialSurface,
     circulation,
     kelvin_drift,
+    label_circulation,
     stokes_residual,
     tube_section_flux,
     vorticity_flux,

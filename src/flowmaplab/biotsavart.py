@@ -35,6 +35,8 @@ __all__ = [
 ]
 
 COMPACT_TOL = 1e-14
+# targets nearer than this many grid cells to the support raise
+MIN_DISTANCE_CELLS = 2.0
 
 
 @dataclass
@@ -84,25 +86,14 @@ class VorticitySource:
         pts = grid.nodes3().reshape(grid.shape + (3,))
         return cls(grid, np.asarray(fn(pts), dtype=float), **kw)
 
-    @classmethod
-    def from_file(cls, path, time_index=0, **kw):
-        """Read (X, Y, Z) from the columnar flowmap container: the payload's
-        3-component block at ``time_index`` is taken as the field."""
-        from .flowmap import load_flowmap
-
-        m = load_flowmap(path)
-        vals = m.positions_table[time_index]
-        return cls(m.grid, vals, **kw)
-
     def positions(self):
         return self.grid.nodes3()
 
 
-def velocity_from_vorticity(src, targets, min_distance_cells=2.0,
-                            allow_interior_targets=False, grad_P=None):
+def velocity_from_vorticity(src, targets, allow_interior_targets=False, grad_P=None):
     """Direct-sum reconstruction of the velocity at each target point.
 
-    Targets closer than ``min_distance_cells * h`` to any node carrying
+    Targets closer than ``MIN_DISTANCE_CELLS * h`` to any node carrying
     non-negligible vorticity raise, unless ``allow_interior_targets`` is set
     (no self-singularity handling ships: interior targets work on lattices
     that keep targets off the nodes, at the cost of a locally first-order
@@ -118,7 +109,7 @@ def velocity_from_vorticity(src, targets, min_distance_cells=2.0,
     pos = pos[carrying]
     w = w[carrying]
     hmin = min(src.grid.spacing)
-    gate = min_distance_cells * hmin
+    gate = MIN_DISTANCE_CELLS * hmin
     out = np.zeros((tgts.shape[0], 3))
     dv = src.grid.cell_volume
     for i, x1 in enumerate(tgts):

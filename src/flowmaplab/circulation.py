@@ -8,7 +8,7 @@ along a loop is the map's velocity at the loop's label points.
 
 Conventions: loop samples are uniform in parameter; circulation integrates
 u . dx/ds ds with order-4 tangents (keeps absolute circulation values near
-machine precision on smooth loops); surface tangents default to order-2
+machine precision on smooth loops); flux surface tangents are order-2
 parameter differences, so flux-vs-circulation mismatches converge at second
 order. Surface normals follow the right-hand rule relative to the boundary
 orientation, and the flux integrand is 2 * (X, Y, Z) . n dS, i.e. the full
@@ -28,14 +28,19 @@ from .flowmap import deformation_at, velocity_gradient_at, inv3
 __all__ = [
     "MaterialLoop",
     "MaterialSurface",
-    "CirculationValues",
+    "StokesCheck",
     "circulation",
+    "label_circulation",
     "vorticity_flux",
     "stokes_residual",
     "kelvin_drift",
     "tube_section_flux",
     "spatial_half_vorticity_at",
 ]
+
+LOOP_TANGENT_ORDER = 4
+SURFACE_TANGENT_ORDER = 2
+STENCIL_H = 1e-5
 
 
 def _frame_from_normal(normal):
@@ -82,9 +87,6 @@ class MaterialLoop:
 
     def reversed(self):
         return MaterialLoop(self.labels[::-1].copy())
-
-    def advected(self, m, t):
-        return m.positions(self.labels, t)
 
 
 @dataclass
@@ -153,12 +155,9 @@ class MaterialSurface:
             return MaterialLoop(ring)
         raise ValueError("boundary extraction unsupported for this periodicity")
 
-    def advected(self, m, t):
-        return m.positions(self.labels, t)
-
     def advected_normals(self, m, t, order=2):
         """Unnormalized normals T1 x T2 (area-weighted) on the advected patch."""
-        pos = self.advected(m, t)
+        pos = m.positions(self.labels, t)
         t1 = _param_derivative(pos, 0, self.param_periodic[0], order)
         t2 = _param_derivative(pos, 1, self.param_periodic[1], order)
         return pos, np.cross(t1, t2)
@@ -190,39 +189,28 @@ def _param_derivative(pos, axis, periodic, order=2):
     return np.moveaxis(out, 0, axis)
 
 
-@dataclass
-class CirculationValues:
-    """Circulation in both forms: along positions and along labels.
-
-    The two are the same 1-form written in different variables, so they agree
-    to quadrature tolerance; both are kept so the agreement can be asserted.
-    """
-
-    position_form: float
-    label_form: float
-
-    def __float__(self):
-        return self.position_form
-
-
-def circulation(m, loop, t, tangent_order=4):
-    """Closed-loop integral of u . dx along the advected loop at time t.
-
-    Also returns the label-space form: covelocity . dlabel along the label
-    loop, computed with its own tangents (an independent discretization of
-    the same value).
-    """
-    pos = loop.advected(m, t)
+def circulation(m, loop, t):
+    """Closed-loop integral of u . dx along the advected loop at time t."""
+    pos = m.positions(loop.labels, t)
     if np.max(np.linalg.norm(pos - pos.mean(axis=0), axis=1)) < 1e-14:
         raise ValueError("degenerate loop: near-zero extent")
     vel = m.velocities(loop.labels, t)
-    position_form = path_integral(pos, vel, tangent_order=tangent_order)
-    covel = np.einsum("...i,...ij->...j", vel, deformation_at(m, loop.labels, t))
-    label_form = path_integral(loop.labels, covel, tangent_order=tangent_order)
-    return CirculationValues(position_form, label_form)
+    return path_integral(pos, vel, tangent_order=LOOP_TANGENT_ORDER)
 
 
-def spatial_half_vorticity_at(m, labels, t, h=1e-5):
+def label_circulation(m, loop, t):
+    """Circulation in label space: covelocity . dlabel along the label loop.
+
+    Hankel's Lagrangian form of the value ``circulation`` returns, with its
+    own tangents, so the two are independent discretizations that agree to
+    quadrature tolerance.
+    """
+    covel = np.einsum("...i,...ij->...j", m.velocities(loop.labels, t),
+                      deformation_at(m, loop.labels, t))
+    return path_integral(loop.labels, covel, tangent_order=LOOP_TANGENT_ORDER)
+
+
+def spatial_half_vorticity_at(m, labels, t, h=STENCIL_H):
     """(X, Y, Z) at the mapped points of arbitrary labels.
 
     Built from the instantaneous kinematics: the velocity gradient in space
@@ -239,14 +227,14 @@ def spatial_half_vorticity_at(m, labels, t, h=1e-5):
     )
 
 
-def vorticity_flux(m, surf, t, tangent_order=2, stencil_h=1e-5):
+def vorticity_flux(m, surf, t):
     """2 * integral of (X, Y, Z) . n dS over the advected surface.
 
     The factor 2 makes the value the flux of the full vorticity vector, which
     is what circulation equals under the Stokes identity.
     """
-    pos, nw = surf.advected_normals(m, t, order=tangent_order)
-    w = spatial_half_vorticity_at(m, surf.labels, t, h=stencil_h)
+    pos, nw = surf.advected_normals(m, t, order=SURFACE_TANGENT_ORDER)
+    w = spatial_half_vorticity_at(m, surf.labels, t)
     integrand = 2.0 * np.sum(w * nw, axis=-1)
     w1, w2 = surf.param_weights()
     return float(np.sum(integrand * w1[:, None] * w2[None, :]))
@@ -262,38 +250,23 @@ class StokesCheck:
         return abs(self.circulation - self.flux)
 
 
-def stokes_residual(m, loop, surf, t, tangent_order=2, stencil_h=1e-5):
+def stokes_residual(m, loop, surf, t):
     """|circulation around the loop - vorticity flux through its spanning
     surface| at time t, with both values reported."""
-    circ = circulation(m, loop, t).position_form
-    flux = vorticity_flux(m, surf, t, tangent_order=tangent_order, stencil_h=stencil_h)
-    return StokesCheck(circ, flux)
+    return StokesCheck(circulation(m, loop, t), vorticity_flux(m, surf, t))
 
 
-def kelvin_drift(m, loop, times, surf=None):
-    """Max over times of |circulation(t) - circulation(t0)| on a material loop.
-
-    When a spanning surface is supplied its flux drift is reported alongside
-    (the surface form of the same conservation law).
-    """
+def kelvin_drift(m, loop, times):
+    """Max over times of |circulation(t) - circulation(t0)| on a material loop."""
     times = np.asarray(times, dtype=float)
     if times.size < 2:
         raise ValueError("kelvin drift needs at least two times")
-    c0 = circulation(m, loop, times[0]).position_form
+    c0 = circulation(m, loop, times[0])
     rows = {"circulation_t0": c0, "per_time": {}, "drift": 0.0}
-    if surf is not None:
-        f0 = vorticity_flux(m, surf, times[0])
-        rows["flux_t0"] = f0
-        rows["flux_per_time"] = {}
-        rows["flux_drift"] = 0.0
     for t in times[1:]:
-        c = circulation(m, loop, t).position_form
+        c = circulation(m, loop, t)
         rows["per_time"][float(t)] = abs(c - c0)
         rows["drift"] = max(rows["drift"], abs(c - c0))
-        if surf is not None:
-            f = vorticity_flux(m, surf, t)
-            rows["flux_per_time"][float(t)] = abs(f - f0)
-            rows["flux_drift"] = max(rows["flux_drift"], abs(f - f0))
     return rows
 
 

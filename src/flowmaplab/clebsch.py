@@ -29,6 +29,7 @@ __all__ = [
     "clebsch_vorticity_residual",
     "clebsch_advection_residual",
     "potential_flow_checks",
+    "incompressibility_residual",
 ]
 
 

@@ -54,6 +54,7 @@ __all__ = [
     "cofactor_identity_residual",
     "density_residual",
     "mass_integral_transform",
+    "invert_map",
     "validate_analytic_partials",
     "save_flowmap",
     "load_flowmap",
@@ -454,12 +455,12 @@ def cofactor_identity_residual(m, t, spec=StencilSpec(), mode="auto", rind=0):
 
 
 def density_residual(m, t, mode="lagrangian", spec=StencilSpec(), gradient_mode="auto",
-                     density_ratio=None, rind=0):
+                     rind=0):
     """Residual of the density equation in either dependence.
 
-    lagrangian: max |J(t) - J(0) * density_ratio| over nodes. density_ratio
-    is rho0/rho relative to its t=0 value (1 for incompressible flows and for
-    generalized-label maps, where constancy of J is the equation).
+    lagrangian: max |J(t) - J(0)| over nodes; constancy of J is the density
+    equation of incompressible flows and of generalized-label maps
+    (``curvilinear_density_residual`` takes a density ratio).
 
     eulerian: the spatial velocity field (2D, embedded flows) is evaluated
     exactly on a uniform grid inscribed in the advected domain, by inverting
@@ -472,10 +473,9 @@ def density_residual(m, t, mode="lagrangian", spec=StencilSpec(), gradient_mode=
     grid nodes when the map has its field.
     """
     if mode == "lagrangian":
-        ratio = 1.0 if density_ratio is None else density_ratio
         J0 = det3(deformation_gradient(m, 0.0, spec, gradient_mode).values)
         Jt = det3(deformation_gradient(m, t, spec, gradient_mode).values)
-        res = np.abs(Jt - J0 * ratio)
+        res = np.abs(Jt - J0)
         return summarize_residual(res, m.grid, rind=rind)
     if mode != "eulerian":
         raise ValueError("mode must be 'lagrangian' or 'eulerian'")

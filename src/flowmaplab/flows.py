@@ -38,6 +38,7 @@ from .flowmap import (
 from .dynamics import ForcePotential, lagrangian_eom_residual
 
 __all__ = [
+    "ParticleEscapeError",
     "CatalogEntry",
     "default_grid",
     "catalog_flow",

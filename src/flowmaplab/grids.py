@@ -138,8 +138,10 @@ class Field:
     """Values sampled on a LabelGrid: scalar, vector(3), or tensor(3,3).
 
     Data layout is row-major over nodes with components innermost, i.e.
-    array shape = grid.shape + component shape. Arrays are frozen after
-    construction so fields can be shared across threads.
+    array shape = grid.shape + component shape. The constructor copies the
+    data and makes the copy read-only, so a field keeps the values it was
+    built with: writing into ``.data`` raises instead of changing a field
+    that other results were derived from.
     """
 
     grid: LabelGrid

@@ -25,8 +25,8 @@ from .energy import living_force
 from .quadrature import SIMPSON, TRAPEZOID
 from .reporting import ReportRow, VerificationReport
 
-__all__ = ["CONFIG_SCHEMA", "CHECKS", "load_config", "validate_flow", "run_suite",
-           "convergence_study"]
+__all__ = ["CONFIG_SCHEMA", "CHECKS", "ConfigError", "load_config", "validate_flow",
+           "run_suite", "convergence_study"]
 
 
 _VECTOR3 = {"type": "array", "items": {"type": "number"}, "minItems": 3, "maxItems": 3}
@@ -355,8 +355,7 @@ def run_suite(cfg):
 
 
 def convergence_study(check_id, flow_name, resolutions=None, dts=None,
-                      flow_params=None, tolerance=1.0, out_path=None,
-                      time_fractions=None):
+                      flow_params=None, tolerance=1.0, out_path=None):
     """(h, error) table plus least-squares order for one check and flow.
 
     Either grid ``resolutions`` (list of shapes) or, for the integrator
@@ -387,8 +386,6 @@ def convergence_study(check_id, flow_name, resolutions=None, dts=None,
             "checks": [{"id": check_id, "tolerance": tolerance}],
             "grids": [list(r) for r in resolutions],
         }
-        if time_fractions:
-            cfg["time_fractions"] = time_fractions
         report, _ = run_suite(cfg)
         for row, shape in zip(report.rows, resolutions):
             table.append((max(default_grid(flow_name, shape, **flow_params).spacing), row.linf))

@@ -199,10 +199,9 @@ def test_criterion_5_stokes_kelvin():
                    drift <= 1e-5, drift))
 
     t = float(pv.map.times[1])
-    c_in = fl.circulation(pv.map, loop, t).position_form
+    c_in = fl.circulation(pv.map, loop, t)
     c_out = fl.circulation(
-        pv.map, MaterialLoop.circle(center=(1.2, 1.2, 0.0), radius=0.2, n=256),
-        t).position_form
+        pv.map, MaterialLoop.circle(center=(1.2, 1.2, 0.0), radius=0.2, n=256), t)
     checks.append(("enclosing loop carries the full strength within 1e-6",
                    abs(c_in - G) <= 1e-6, abs(c_in - G)))
     checks.append(("non-enclosing loop carries zero within 1e-6",

@@ -1,5 +1,7 @@
 """Material loops and surfaces: circulation, flux, Stokes, Kelvin, tubes."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from flowmaplab import (
     catalog_flow,
     circulation,
     kelvin_drift,
+    label_circulation,
     stokes_residual,
     tube_section_flux,
     vorticity_flux,
@@ -39,8 +42,8 @@ class TestLoopType:
     def test_reversal_negates_circulation_exactly(self):
         e = catalog_flow("rigid_rotation", omega=1.0)
         loop = MaterialLoop.circle(radius=0.3, n=64)
-        c = circulation(e.map, loop, 0.7).position_form
-        cr = circulation(e.map, loop.reversed(), 0.7).position_form
+        c = circulation(e.map, loop, 0.7)
+        cr = circulation(e.map, loop.reversed(), 0.7)
         assert c == -cr
 
     def test_degenerate_loop_rejected(self):
@@ -90,7 +93,7 @@ class TestSurfaceType:
 class TestCirculation:
     def test_rest_zero(self):
         loop = MaterialLoop.circle(radius=0.5, n=64)
-        assert circulation(rest_map(), loop, 1.0).position_form == 0.0
+        assert circulation(rest_map(), loop, 1.0) == 0.0
 
     def test_point_vortex_enclosing(self):
         G = 2 * np.pi
@@ -98,14 +101,14 @@ class TestCirculation:
         loop = MaterialLoop.circle(center=(0, 0, 0), radius=1.0, n=256)
         t = float(e.map.times[1])
         c = circulation(e.map, loop, t)
-        assert abs(c.position_form - G) <= 1e-6
+        assert isinstance(c, float)
+        assert abs(c - G) <= 1e-6
 
     def test_point_vortex_non_enclosing(self):
         e = catalog_flow("point_vortex", gamma=2 * np.pi)
         loop = MaterialLoop.circle(center=(1.2, 1.2, 0.0), radius=0.2, n=256)
         t = float(e.map.times[1])
-        c = circulation(e.map, loop, t)
-        assert abs(c.position_form) <= 1e-6
+        assert abs(circulation(e.map, loop, t)) <= 1e-6
 
     def test_label_and_position_forms_agree(self):
         # the two integrals are the same 1-form in different variables
@@ -119,8 +122,8 @@ class TestCirculation:
                 loop = MaterialLoop.circle(radius=0.4, n=256)
             t = 0.25 * e.map.timescale
             c = circulation(e.map, loop, t)
-            scale = max(1.0, abs(c.position_form))
-            assert abs(c.position_form - c.label_form) <= 1e-7 * scale, name
+            scale = max(1.0, abs(c))
+            assert abs(c - label_circulation(e.map, loop, t)) <= 1e-7 * scale, name
 
 
 class TestVorticityFlux:
@@ -205,11 +208,35 @@ class TestKelvin:
         assert out["drift"] <= 1e-5
 
     def test_surface_form_reported(self):
+        # the surface form of the same law: the flux through a material disk
         e = catalog_flow("rigid_rotation", omega=0.5)
-        loop = MaterialLoop.circle(radius=0.4, n=64)
         surf = MaterialSurface.disk(radius=0.4, nr=16, ntheta=64)
-        out = kelvin_drift(e.map, loop, [0.0, 1.0, 2.0], surf=surf)
-        assert out["flux_drift"] <= 1e-10
+        f0 = vorticity_flux(e.map, surf, 0.0)
+        assert max(abs(vorticity_flux(e.map, surf, t) - f0) for t in (1.0, 2.0)) <= 1e-10
+
+    def test_loop_path_needs_no_deformation_gradient(self, monkeypatch):
+        # the position form reads positions and velocities only; the values
+        # are those of the version that also built the label form
+        from flowmaplab.suite import run_suite
+
+        module = importlib.import_module("flowmaplab.circulation")  # the package attribute is the function
+
+        e = catalog_flow("point_vortex")
+        loop = MaterialLoop.circle(center=(0.6, 0.6, 0.0), radius=0.2, n=64)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("deformation_at called on the loop path")
+
+        monkeypatch.setattr(module, "deformation_at", refuse)
+        out = kelvin_drift(e.map, loop, [0.0, 0.5, 1.0, 1.5])
+        assert out["drift"] == float.fromhex("0x1.088642cf53b36p-15")
+        report, _ = run_suite({
+            "flows": [{"name": "point_vortex"}],
+            "checks": [{"id": "circulation.kelvin_drift", "tolerance": 1e-12,
+                        "options": {"center": [0.6, 0.6, 0.0], "radius": 0.2}}],
+            "grids": [[16, 16]],
+        })
+        assert report.rows[0].linf == float.fromhex("0x1.1d95f9f1302a3p-11")
 
 
 class TestTubeSections:
