@@ -93,7 +93,6 @@ from .clebsch import (
 )
 from .biotsavart import (
     VorticitySource,
-    biot_savart_geometry,
     gaussian_swirl_blob,
     velocity_from_vorticity,
 )

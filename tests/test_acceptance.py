@@ -240,13 +240,28 @@ def test_criterion_6_clebsch():
 def test_criterion_7_biot_savart():
     checks = []
 
+    # the element law on the library's kernel: ten one-node sources, each
+    # graded at 1e4 random targets, residuals relative to dV |w| / (2 pi r^2)
     rng = np.random.default_rng(0)
-    pos = rng.normal(size=(100000, 3))
-    wv = rng.normal(size=(100000, 3))
-    tgt = pos + rng.normal(size=(100000, 3)) * 2 + 0.5
-    out = fl.biot_savart_geometry(pos, wv, 0.37, tgt)
-    worst = max(out["radial_orthogonality"].max(), out["axis_orthogonality"].max(),
-                out["magnitude_law"].max())
+    g = LabelGrid((8, 8, 8), (-1.75, -1.75, -1.75), (0.5,) * 3)
+    worst = 0.0
+    for _ in range(10):
+        index = tuple(rng.integers(0, 8, 3))
+        wv = rng.normal(size=3)
+        vals = np.zeros((8, 8, 8, 3))
+        vals[index] = wv
+        src = fl.VorticitySource(g, vals, compact=False)
+        node = g.nodes3().reshape(g.shape + (3,))[index]
+        tgt = node + rng.normal(size=(10000, 3)) * 2 + 0.5
+        u = fl.velocity_from_vorticity(src, tgt, allow_interior_targets=True)
+        d = tgt - node
+        r = np.linalg.norm(d, axis=1)
+        scale = g.cell_volume * np.linalg.norm(wv) / (2 * np.pi * r ** 2)
+        sin_eps = np.linalg.norm(np.cross(wv, d), axis=1) / (np.linalg.norm(wv) * r)
+        worst = max(worst,
+                    (np.abs(np.einsum("ij,ij->i", d, u)) / (r * scale)).max(),
+                    (np.abs(u @ wv) / (np.linalg.norm(wv) * scale)).max(),
+                    (np.abs(np.linalg.norm(u, axis=1) - scale * sin_eps) / scale).max())
     checks.append(("element-law identities <= 1e-12 over 1e5 random pairs",
                    float(worst) <= 1e-12, float(worst)))
 

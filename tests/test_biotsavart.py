@@ -1,5 +1,7 @@
 """Velocity reconstruction from vorticity and the element-law identities."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,10 +11,10 @@ from flowmaplab import (
     LabelGrid,
     StencilSpec,
     VorticitySource,
-    biot_savart_geometry,
     gaussian_swirl_blob,
     velocity_from_vorticity,
 )
+from flowmaplab.biotsavart import BLOCK, TILE
 from flowmaplab.grids import differentiate
 
 
@@ -133,35 +135,129 @@ class TestReconstruction:
         assert np.abs(u - 0.5).max() == 0.0
 
 
+def one_node_source(index, w, h=0.5):
+    """A source whose only carrying node is ``index`` of an 8^3 grid, and
+    that node's position. At h = 0.5 a single node passes the divergence
+    gate wherever it sits."""
+    g = LabelGrid((8, 8, 8), (-3.5 * h,) * 3, (h,) * 3)
+    vals = np.zeros((8, 8, 8, 3))
+    vals[tuple(index)] = w
+    return VorticitySource(g, vals, compact=False), g.nodes3().reshape(g.shape + (3,))[tuple(index)]
+
+
+def element_law_residuals(node, w, targets, u, dv):
+    """The three element-law identities, each divided by the magnitudes it
+    involves: (x1 - x) . u = 0, w . u = 0, |u| = dV |w| sin(eps) / (2 pi r^2)."""
+    d = np.atleast_2d(targets) - node
+    r = np.linalg.norm(d, axis=1)
+    delta = np.linalg.norm(w)
+    scale = dv * delta / (2 * np.pi * r ** 2)  # |u| at sin(eps) = 1
+    sin_eps = np.linalg.norm(np.cross(w, d), axis=1) / (delta * r)
+    mag = np.linalg.norm(u, axis=1)
+    return (np.abs(np.einsum("ij,ij->i", d, u)) / (r * scale),
+            np.abs(u @ w) / (delta * scale),
+            np.abs(mag - scale * sin_eps) / scale)
+
+
 class TestElementLaw:
+    """The element-law identities graded on the library's own kernel, one
+    carrying node at a time; the nodes sit off the grid's centre so the
+    split's cancellation is exercised."""
+
     def test_axis_through_target(self):
-        out = biot_savart_geometry((0, 0, 0), (0, 0, 1.0), 1.0, (0, 0, 2.0))
-        assert np.linalg.norm(out["du"]) == 0.0
+        src, node = one_node_source((1, 6, 2), (0, 0, 1.0))
+        u = velocity_from_vorticity(src, [node + (0, 0, 2.0)])
+        assert np.linalg.norm(u) == 0.0
 
     def test_perpendicular_unit_case(self):
-        # eps = pi/2, r = 1, Delta = 1, unit volume: |du| = 1/(2 pi)
-        out = biot_savart_geometry((0, 0, 0), (0, 0, 1.0), 1.0, (1.0, 0, 0))
-        assert np.linalg.norm(out["du"]) == pytest.approx(1 / (2 * np.pi), abs=1e-15)
-        assert out["magnitude_law"].max() <= 1e-12
+        # eps = pi/2, r = 1, Delta = 1, unit volume: |u| = 1/(2 pi) along w x d
+        src, node = one_node_source((6, 1, 2), (0, 0, 1.0), h=1.0)
+        u = velocity_from_vorticity(src, [node + (1.0, 0, 0)], allow_interior_targets=True)[0]
+        assert np.abs(u - (0, 1 / (2 * np.pi), 0)).max() <= 1e-15
 
     def test_hundred_thousand_random_pairs(self):
         rng = np.random.default_rng(0)
-        pos = rng.normal(size=(100000, 3))
-        w = rng.normal(size=(100000, 3))
-        tgt = pos + rng.normal(size=(100000, 3)) * 2 + 0.5
-        out = biot_savart_geometry(pos, w, 0.37, tgt)
-        assert out["radial_orthogonality"].max() <= 1e-12
-        assert out["axis_orthogonality"].max() <= 1e-12
-        assert out["magnitude_law"].max() <= 1e-12
+        worst = 0.0
+        for _ in range(100):
+            w = rng.normal(size=3)
+            src, node = one_node_source(rng.integers(0, 8, 3), w)
+            tgt = node + rng.normal(size=(1000, 3)) * 2 + 0.5
+            u = velocity_from_vorticity(src, tgt, allow_interior_targets=True)
+            res = element_law_residuals(node, w, tgt, u, src.grid.cell_volume)
+            worst = max(worst, *(r.max() for r in res))
+        assert worst <= 1e-12
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1))
     def test_identity_properties(self, seed):
         rng = np.random.default_rng(seed)
-        pos = rng.uniform(-2, 2, 3)
         w = rng.uniform(-3, 3, 3)
-        tgt = pos + rng.uniform(0.2, 2, 3)
-        out = biot_savart_geometry(pos, w, 1.0, tgt)
-        assert out["radial_orthogonality"].max() <= 1e-12
-        assert out["axis_orthogonality"].max() <= 1e-12
-        assert out["magnitude_law"].max() <= 1e-12
+        src, node = one_node_source(rng.integers(0, 8, 3), w)
+        tgt = node + rng.uniform(0.2, 2, 3)
+        u = velocity_from_vorticity(src, [tgt], allow_interior_targets=True)
+        for res in element_law_residuals(node, w, tgt, u, src.grid.cell_volume):
+            assert res.max() <= 1e-12
+
+
+def direct_sum(src, targets):
+    """u(x1) = dV/(2 pi) sum (X,Y,Z) x (x1 - x) / |x1 - x|^3 over every node,
+    one target at a time, the cross product written out in components."""
+    x, y, z = src.positions().T
+    w = src.values.reshape(-1, 3)
+    out = []
+    for t in targets:
+        dx, dy, dz = t[0] - x, t[1] - y, t[2] - z
+        r3 = (dx * dx + dy * dy + dz * dz) ** 1.5
+        out.append([np.sum((w[:, 1] * dz - w[:, 2] * dy) / r3),
+                    np.sum((w[:, 2] * dx - w[:, 0] * dz) / r3),
+                    np.sum((w[:, 0] * dy - w[:, 1] * dx) / r3)])
+    return np.array(out) * src.grid.cell_volume / (2 * np.pi)
+
+
+class TestKernelBlocks:
+    """The kernel walks tiles of TILE targets and blocks of BLOCK sources in
+    coordinates centred on the source grid."""
+
+    @pytest.mark.parametrize("count", [1, TILE - 1, TILE, TILE + 1, 2 * TILE + 1])
+    def test_partial_tiles_and_blocks_match_direct_sum(self, count):
+        rng = np.random.default_rng(count)
+        g = LabelGrid((20, 20, 20), (-0.65, -1.15, -0.85), (0.1,) * 3)  # centre (0.3, -0.2, 0.1)
+        # small values keep the random field under the divergence gate
+        vals = rng.uniform(-1e-3, 1e-3, g.shape + (3,))
+        vals[rng.random(g.shape) < 0.3] = 0.0
+        src = VorticitySource(g, vals, compact=False)
+        carrying = int(np.count_nonzero(np.abs(vals).max(axis=-1) > 0))
+        assert carrying > BLOCK and carrying % BLOCK
+        v = rng.normal(size=(count, 3))
+        targets = 2.5 * v / np.linalg.norm(v, axis=1)[:, None] + (0.3, -0.2, 0.1)
+        u = velocity_from_vorticity(src, targets)
+        want = direct_sum(src, targets)
+        assert np.abs(u - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_translation_leaves_the_field_unchanged(self):
+        src, _, _, _ = small_blob(32)
+        ring = [(0.16 * np.cos(a), 0.16 * np.sin(a), 0.0)
+                for a in np.linspace(0, 2 * np.pi, 16, endpoint=False)]
+        g = src.grid
+        moved = VorticitySource(LabelGrid(g.shape, tuple(o + 100 for o in g.origin), g.spacing),
+                                src.values)
+        u = velocity_from_vorticity(src, ring, allow_interior_targets=True)
+        u_moved = velocity_from_vorticity(moved, np.add(ring, 100.0), allow_interior_targets=True)
+        assert np.abs(u_moved - u).max() <= 1e-12 * np.abs(u).max()
+
+    def test_gate_names_a_target_in_the_second_tile(self):
+        # moved off the origin, so the message must undo the centring
+        blob, _, _, _ = small_blob(32)
+        g = blob.grid
+        shift = np.array([1.0, 2.0, 3.0])
+        src = VorticitySource(LabelGrid(g.shape, tuple(g.origin + shift), g.spacing), blob.values)
+        near = shift + (0.0, 0.01, 0.02)
+        targets = [shift + (1.3, 0.1 * k, 0.0) for k in range(TILE)] + [shift + (0, 1.3, 0), near]
+        w = src.values.reshape(-1, 3)
+        pos = src.positions()[np.abs(w).max(axis=1) > 1e-14]
+        dmin = np.sqrt(((pos - near) ** 2).sum(axis=1).min())
+        gate = 2.0 * min(g.spacing)
+        msg = (f"target {near} within {dmin:.3e} of the vorticity support "
+               f"(< {gate:.3e}); pass allow_interior_targets=True to override")
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            velocity_from_vorticity(src, targets)
