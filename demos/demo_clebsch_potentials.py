@@ -21,7 +21,7 @@ print("\n--- assembling velocities from potentials ----------------------")
 for name in ("uniform_translation", "simple_shear", "rigid_rotation"):
     e = fl.catalog_flow(name)
     pts = grid.nodes3().reshape(grid.shape + (3,))
-    u = fl.clebsch_velocity(e.clebsch, pts)
+    u = e.clebsch.velocity(pts)
     s = fl.clebsch_vorticity_residual(e.clebsch, grid)
     print(f"  {name:19s} |u| max {np.linalg.norm(u, axis=-1).max():.3f}; "
           f"curl u = grad phi x grad psi to {s.linf:.2e}")
@@ -51,7 +51,7 @@ from flowmaplab import Field, eulerian_vorticity
 
 e = fl.catalog_flow("rigid_rotation", omega=1.0)
 pts = grid.nodes3().reshape(grid.shape + (3,))
-u = fl.clebsch_velocity(e.clebsch, pts)
+u = e.clebsch.velocity(pts)
 W = eulerian_vorticity(*(Field(grid, u[..., i]) for i in range(3)))
 print(f"  half-curl of the assembled field: (0, 0, {W.values[..., 2].mean():.6f}) "
       "(half of grad phi x grad psi)")

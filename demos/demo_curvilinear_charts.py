@@ -14,8 +14,8 @@ for chart in (fl.cylindrical_chart(), fl.polar_chart(), fl.elliptical_chart()):
     rho = chart.sample_domain(rng, 5)
     mc = fl.chart_metrics(chart, rho)
     print(f"  {chart.name:12s} N at one point: {np.round(mc.N[0], 6)}")
-    cross, recip = fl.orthogonality_residual(chart, chart.sample_domain(rng, 200))
-    print(f"  {'':12s} orthogonality: cross {cross:.2e}, reciprocal {recip:.2e}")
+    n = fl.chart_metrics(chart, chart.sample_domain(rng, 200)).n
+    print(f"  {'':12s} largest cross term |n_i|: {np.abs(n).max():.2e}")
 
 print("\n--- a deliberately skewed chart is caught ----------------------")
 from flowmaplab.curvilinear import skewed_chart

@@ -23,7 +23,7 @@ from .grids import (
     point_jacobian,
     summarize_residual,
 )
-from .quadrature import MIDPOINT, SIMPSON, TRAPEZOID, QuadratureRule, integrate, path_integral
+from .quadrature import MIDPOINT, SIMPSON, TRAPEZOID, QuadratureRule, path_integral
 from .flowmap import (
     AnalyticFlowMap,
     DeformationGradient,
@@ -80,14 +80,12 @@ from .curvilinear import (
     curvilinear_lagrangian_eom_residual,
     cylindrical_chart,
     elliptical_chart,
-    orthogonality_residual,
     polar_chart,
     svanberg_invariant,
 )
 from .clebsch import (
     ClebschTriple,
     clebsch_advection_residual,
-    clebsch_velocity,
     clebsch_vorticity_residual,
     potential_flow_checks,
 )

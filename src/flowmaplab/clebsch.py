@@ -25,7 +25,6 @@ from .grids import StencilSpec, curl, divergence, gradient, point_jacobian, summ
 
 __all__ = [
     "ClebschTriple",
-    "clebsch_velocity",
     "clebsch_vorticity_residual",
     "clebsch_advection_residual",
     "potential_flow_checks",
@@ -45,8 +44,7 @@ class ClebschTriple:
 
     cut_mask: optional callable (points) -> bool array, True where a point
     is adjacent to a declared branch cut (those stencils are excluded from
-    norms). smoothness of the fields is probed at construction sites by the
-    mixed-partial commutation check in ``smoothness_residual``.
+    norms).
     """
 
     F: object = None
@@ -55,41 +53,17 @@ class ClebschTriple:
     cut_mask: object = None
 
     def velocity(self, pts, t=0.0, h=1e-6):
+        """u = grad F + phi grad psi at the given points."""
         gF = _fd_gradient(self.F, pts, t, h)
         gpsi = _fd_gradient(self.psi, pts, t, h)
         phi = _call_scalar(self.phi, pts, t)
         return gF + phi[..., None] * gpsi
-
-    def smoothness_residual(self, pts, t=0.0, h=1e-4):
-        """Max mixed-partial commutation defect over F, phi, psi (FD probe)."""
-        worst = 0.0
-        for fn in (self.F, self.phi, self.psi):
-            if fn is None:
-                continue
-            for i in range(3):
-                for j in range(i + 1, 3):
-                    worst = max(worst, float(np.max(np.abs(
-                        _fd_mixed(fn, pts, t, i, j, h) - _fd_mixed(fn, pts, t, j, i, h)
-                    ))))
-        return worst
 
 
 def _fd_gradient(fn, pts, t, h=1e-6):
     if fn is None:
         return np.zeros(np.asarray(pts).shape)
     return point_jacobian(lambda p: fn(p, t), pts, h)
-
-
-def _fd_mixed(fn, pts, t, i, j, h):
-    pts = np.asarray(pts, dtype=float)
-    di = np.zeros(3)
-    di[i] = h
-    dj = np.zeros(3)
-    dj[j] = h
-    return (
-        np.asarray(fn(pts + di + dj, t)) - np.asarray(fn(pts + di - dj, t))
-        - np.asarray(fn(pts - di + dj, t)) + np.asarray(fn(pts - di - dj, t))
-    ) / (4 * h * h)
 
 
 def _grid_points(grid):
@@ -114,11 +88,6 @@ def _cut_exclusion_mask(cut_mask, grid, spec):
                 moved[tuple(ends)] = False
             bad |= moved
     return ~bad
-
-
-def clebsch_velocity(ct, pts, t=0.0, h=1e-6):
-    """u = grad F + phi grad psi at the given points."""
-    return ct.velocity(pts, t, h)
 
 
 def clebsch_vorticity_residual(ct, grid, t=0.0, spec=StencilSpec(), rind=1):

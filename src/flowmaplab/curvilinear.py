@@ -41,7 +41,6 @@ __all__ = [
     "Chart",
     "MetricCoefficients",
     "chart_metrics",
-    "orthogonality_residual",
     "curvilinear_eom_residual",
     "curvilinear_lagrangian_eom_residual",
     "curvilinear_density_residual",
@@ -64,7 +63,7 @@ class Chart:
     metric_partials:   optional (rho) -> (..., 3, 3) with [i, j] = dN_i/drho_j
                        (orthogonal charts only)
     domain:  predicate over chart coords marking the validity region
-    sample_domain: callable (rng, n) -> (n, 3) chart coords for round-trip checks
+    sample_domain: callable (rng, n) -> (n, 3) chart coords inside the domain
     """
 
     name: str
@@ -84,15 +83,6 @@ class Chart:
     def check_domain(self, rho):
         if self.domain is not None and not np.all(self.domain(np.asarray(rho, float))):
             raise ValueError(f"points outside the {self.name} chart validity domain")
-
-    def roundtrip_residual(self, rng=None, n=10000):
-        """Max |inverse(forward(x)) - x| over sampled domain points."""
-        rng = np.random.default_rng(0) if rng is None else rng
-        if self.sample_domain is None:
-            raise ValueError("chart has no domain sampler")
-        rho = self.sample_domain(rng, n)
-        pos = self.inverse(rho)
-        return float(np.max(np.abs(self.inverse(self.forward(pos)) - pos)))
 
 
 @dataclass
@@ -129,30 +119,6 @@ def chart_metrics(chart, rho):
          np.einsum("...i,...i->...", P[..., 0], P[..., 1])], axis=-1,
     )
     return MetricCoefficients(N, n)
-
-
-def orthogonality_residual(chart, rho):
-    """Two orthogonality measures at the given chart points.
-
-    Returns (cross_residual, reciprocal_residual): the first is
-    max |n_i| / sqrt(N_j N_k) (normalized cross metric terms); the second is
-    max |N_i * Delta_i^2 - 1| where Delta_i^2 is the squared gradient of the
-    i-th chart function in position space. Both vanish for orthogonal charts.
-    """
-    rho = np.asarray(rho, dtype=float)
-    mc = chart_metrics(chart, rho)
-    N, n = mc.N, mc.n
-    denom = np.stack(
-        [np.sqrt(N[..., 1] * N[..., 2]),
-         np.sqrt(N[..., 2] * N[..., 0]),
-         np.sqrt(N[..., 0] * N[..., 1])], axis=-1,
-    )
-    cross = float(np.max(np.abs(n) / denom))
-    P = chart.partials_at(rho)
-    Q = np.linalg.inv(P)  # drho_i/dx_j
-    delta2 = np.einsum("...ij,...ij->...i", Q, Q)
-    reciprocal = float(np.max(np.abs(N * delta2 - 1.0)))
-    return cross, reciprocal
 
 
 def _trajectory_chart_rates(m, chart, t):
@@ -281,13 +247,11 @@ def curvilinear_lagrangian_eom_residual(m, chart, omega_fn, t, spec=StencilSpec(
 
 
 def curvilinear_density_residual(m, chart, t, spec=StencilSpec(), density_ratio=1.0,
-                                 rind=1, orthogonal_form=None):
+                                 rind=1):
     """Mismatch of the transformed density equation at time t.
 
     Compares det(d rho_i / d rho_j^0) * (rho/rho0 ratio) against
-    sqrt(det Gram0 / det Gram); for orthogonal charts the right side reduces
-    to sqrt(N1^0 N2^0 N3^0 / (N1 N2 N3)) and ``orthogonal_form`` selects it
-    (defaults to the chart's orthogonality flag).
+    sqrt(det Gram0 / det Gram), which holds for any chart.
     """
     grid = m.grid
     labels = m.grid_labels()
@@ -295,13 +259,8 @@ def curvilinear_density_residual(m, chart, t, spec=StencilSpec(), density_ratio=
     rho_0 = np.asarray(chart.forward(m.positions(labels, 0.0)), dtype=float)
     chart.check_domain(rho_t)
     det_jac = det3(_chart_jacobian(rho_t, rho_0, spec, grid))
-    use_orth = chart.orthogonal if orthogonal_form is None else orthogonal_form
-    mc_t = chart_metrics(chart, rho_t)
-    mc_0 = chart_metrics(chart, rho_0)
-    if use_orth:
-        rhs = np.sqrt(np.prod(mc_0.N, axis=-1) / np.prod(mc_t.N, axis=-1))
-    else:
-        rhs = np.sqrt(det3(mc_0.gram()) / det3(mc_t.gram()))
+    rhs = np.sqrt(det3(chart_metrics(chart, rho_0).gram())
+                  / det3(chart_metrics(chart, rho_t).gram()))
     res = det_jac * density_ratio - rhs
     return summarize_residual(res, grid, rind=rind)
 
@@ -324,16 +283,12 @@ def svanberg_invariant(m, times, rind=0):
         return pos[..., 0] * vel[..., 1] - pos[..., 1] * vel[..., 0]
 
     H0 = H(times[0])
-    per_time = {}
     worst = None
     for t in times[1:]:
-        dev = np.abs(H(t) - H0)
-        s = summarize_residual(dev, m.grid, rind=rind)
-        per_time[float(t)] = s.linf
+        s = summarize_residual(np.abs(H(t) - H0), m.grid, rind=rind)
         if worst is None or s.linf > worst.linf:
             worst = s
-    return {"drift": worst.linf, "per_time": per_time, "H_reference": H0,
-            "location": worst.location}
+    return {"drift": worst.linf, "H_reference": H0, "location": worst.location}
 
 
 # ---------------------------------------------------------------------------

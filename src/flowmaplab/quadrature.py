@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .grids import Field, _diff_along_axis0
+from .grids import _diff_along_axis0
 
 __all__ = [
     "QuadratureRule",
@@ -20,7 +20,6 @@ __all__ = [
     "SIMPSON",
     "axis_weights",
     "grid_integral",
-    "integrate",
     "path_integral",
     "closed_path_tangents",
 ]
@@ -86,30 +85,6 @@ def grid_integral(values, spacings, rule=TRAPEZOID, periodic=None):
         shape[axis] = len(w)
         out = np.sum(out * w.reshape(shape), axis=axis)
     return out
-
-
-def integrate(f, domain="volume", rule=TRAPEZOID, grid=None, spacings=None, periodic=None):
-    """Composite quadrature of a Field or sampled values over its grid.
-
-    domain: "line", "surface", or "volume"; must match the sample dimensionality
-    (1, 2, or 3 axes). For integrals along embedded paths with direction, see
-    ``path_integral``.
-    """
-    if isinstance(f, Field):
-        return integrate(
-            f.data, domain, rule,
-            spacings=f.grid.spacing, periodic=f.grid.periodic,
-        )
-    if grid is not None:
-        spacings = grid.spacing
-        periodic = grid.periodic
-    values = np.asarray(f, dtype=float)
-    if values.size == 0:
-        raise ValueError("empty domain")
-    want = {"line": 1, "surface": 2, "volume": 3}[domain]
-    if spacings is None or len(tuple(np.atleast_1d(spacings))) != want:
-        raise ValueError(f"{domain} integral needs {want} spacing value(s)")
-    return grid_integral(values, spacings, rule, periodic)
 
 
 def closed_path_tangents(points, order=4):

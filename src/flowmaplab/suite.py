@@ -67,7 +67,6 @@ CONFIG_SCHEMA = {
                         "type": "object",
                         "properties": {
                             "mode": {"enum": ["auto", "analytic", "fd"]},
-                            "stencil_order": {"enum": [2, 4]},
                             "radius": {"type": "number", "exclusiveMinimum": 0},
                             "points": {"type": "integer", "minimum": 16},
                             "radial_points": {"type": "integer", "minimum": 2},
@@ -180,48 +179,41 @@ def _from_summary(s, t):
     return {"linf": s.linf, "l2": s.l2, "location": s.location, "time": t}
 
 
-def _spec(ctx, stencil_order):
-    # a check's own stencil_order overrides the config's top-level one
-    return StencilSpec(order=ctx["stencil_order"] if stencil_order is None else stencil_order)
-
-
-def _chk_invariant_drift(entry, times, ctx, *, mode="auto", stencil_order=None):
-    out = invariant_drift(entry.map, times, _spec(ctx, stencil_order), mode=mode,
-                          rind=ctx["rind"])
+def _chk_invariant_drift(entry, times, ctx, *, mode="auto"):
+    out = invariant_drift(entry.map, times, ctx["spec"], mode=mode, rind=ctx["rind"])
     return {"linf": out["drift"], "time": times[-1]}
 
 
-def _chk_solenoidality(entry, times, ctx, *, mode="auto", stencil_order=None):
-    spec = _spec(ctx, stencil_order)
+def _chk_solenoidality(entry, times, ctx, *, mode="auto"):
+    spec = ctx["spec"]
     w = cauchy_invariants(entry.map, times[-1], spec, mode=mode)
     s = solenoidality_residual(w, spec, rind=max(1, ctx["rind"]))
     return _from_summary(s, times[-1])
 
 
-def _chk_density_lagrangian(entry, times, ctx, *, mode="auto", stencil_order=None):
-    spec = _spec(ctx, stencil_order)
+def _chk_density_lagrangian(entry, times, ctx, *, mode="auto"):
     worst = None
     for t in times[1:]:
-        s = density_residual(entry.map, t, "lagrangian", spec, gradient_mode=mode,
+        s = density_residual(entry.map, t, "lagrangian", ctx["spec"], gradient_mode=mode,
                              rind=ctx["rind"])
         if worst is None or s.linf > worst["linf"]:
             worst = _from_summary(s, t)
     return worst
 
 
-def _chk_density_eulerian(entry, times, ctx, *, stencil_order=None):
-    s = density_residual(entry.map, times[-1], "eulerian", _spec(ctx, stencil_order))
+def _chk_density_eulerian(entry, times, ctx):
+    s = density_residual(entry.map, times[-1], "eulerian", ctx["spec"])
     return _from_summary(s, times[-1])
 
 
-def _chk_cofactor(entry, times, ctx, *, mode="auto", stencil_order=None):
-    s = cofactor_identity_residual(entry.map, times[-1], _spec(ctx, stencil_order),
-                                   mode=mode, rind=ctx["rind"])
+def _chk_cofactor(entry, times, ctx, *, mode="auto"):
+    s = cofactor_identity_residual(entry.map, times[-1], ctx["spec"], mode=mode,
+                                   rind=ctx["rind"])
     return _from_summary(s, times[-1])
 
 
-def _chk_lagrangian_eom(entry, times, ctx, *, mode="auto", stencil_order=None):
-    res = lagrangian_eom_residual(entry.map, entry.force, times[-1], _spec(ctx, stencil_order),
+def _chk_lagrangian_eom(entry, times, ctx, *, mode="auto"):
+    res = lagrangian_eom_residual(entry.map, entry.force, times[-1], ctx["spec"],
                                   mode=mode, rind=ctx["rind"])
     worst = max(res, key=lambda r: r.linf)
     return _from_summary(worst, times[-1])
@@ -303,7 +295,7 @@ def run_suite(cfg):
     cfg = load_config(cfg)
     ctx = {
         "rind": cfg.get("rind", 1),
-        "stencil_order": cfg.get("stencil_order", 2),
+        "spec": StencilSpec(order=cfg.get("stencil_order", 2)),
     }
     checks = cfg["checks"]
     shapes = [tuple(shape) for shape in cfg["grids"]]
@@ -359,9 +351,10 @@ def convergence_study(check_id, flow_name, resolutions=None, dts=None,
     """(h, error) table plus least-squares order for one check and flow.
 
     Either grid ``resolutions`` (list of shapes) or, for the integrator
-    closure study, a list of ``dts``. Emits a two-column whitespace data file
-    when out_path is given and returns a dict with the table and the fitted
-    slope (None when the errors sit at the noise floor).
+    closure study, a list of ``dts``, each positive and finite. Emits a
+    two-column whitespace data file when out_path is given and returns a dict
+    with the table and the fitted slope (None when the errors sit at the
+    noise floor).
     """
     flow_params = flow_params or {}
     table = []
@@ -372,6 +365,9 @@ def convergence_study(check_id, flow_name, resolutions=None, dts=None,
         _reject_unknown("flows.rk4_closure", "param", flow_params, ("omega",))
         if not dts:
             raise ConfigError("rk4 closure study needs --dts")
+        for dt in dts:
+            if not (math.isfinite(dt) and dt > 0):
+                raise ConfigError(f"rk4 closure step {dt!r} is not positive and finite")
         entry = catalog_flow("rigid_rotation", validate=False, **flow_params)
         period = 2 * math.pi / entry.params["omega"]
         start = np.array([[1.0, 0.0, 0.0], [0.5, 0.25, 0.0]])

@@ -9,7 +9,6 @@ from flowmaplab import (
     catalog_flow,
     catalog_names,
     clebsch_advection_residual,
-    clebsch_velocity,
     clebsch_vorticity_residual,
     potential_flow_checks,
 )
@@ -39,7 +38,7 @@ class TestVelocityAssembly:
     def test_pure_potential(self):
         e = catalog_flow("uniform_translation", velocity=(2.0, 0.0, 0.0))
         pts = pts_of(grid_2d())
-        u = clebsch_velocity(e.clebsch, pts)
+        u = e.clebsch.velocity(pts)
         assert np.abs(u - np.array([2.0, 0.0, 0.0])).max() < 1e-9
 
     def test_phi_grad_psi_term(self):
@@ -47,7 +46,7 @@ class TestVelocityAssembly:
         g = 1.0
         e = catalog_flow("simple_shear", gamma=g)
         pts = pts_of(grid_2d())
-        u = clebsch_velocity(e.clebsch, pts)
+        u = e.clebsch.velocity(pts)
         assert np.abs(u[..., 0] - g * pts[..., 1]).max() < 1e-9
         assert np.abs(u[..., 1]).max() < 1e-9
 
@@ -56,7 +55,7 @@ class TestVelocityAssembly:
         w = 1.0
         e = catalog_flow("rigid_rotation", omega=w)
         pts = pts_of(grid_2d())
-        u = clebsch_velocity(e.clebsch, pts)
+        u = e.clebsch.velocity(pts)
         expect = np.stack([-w * pts[..., 1], w * pts[..., 0], 0 * pts[..., 0]], -1)
         assert np.abs(u - expect).max() < 1e-9
 
@@ -83,7 +82,7 @@ class TestVorticityIdentity:
         e = catalog_flow("rigid_rotation", omega=w)
         g = grid_2d()
         pts = pts_of(g)
-        u = clebsch_velocity(e.clebsch, pts)
+        u = e.clebsch.velocity(pts)
         W = eulerian_vorticity(*(Field(g, u[..., i]) for i in range(3)))
         assert np.abs(W.values[..., 2] - w).max() <= max(g.spacing) ** 2
 
@@ -213,7 +212,7 @@ class TestCatalogData:
             off_cut = np.ones(e.map.grid.shape, dtype=bool)
             if e.clebsch.cut_mask is not None:
                 off_cut = ~e.clebsch.cut_mask(pts)
-            err = np.abs(clebsch_velocity(e.clebsch, pts) - e.velocity_field(pts, 0.0))
+            err = np.abs(e.clebsch.velocity(pts) - e.velocity_field(pts, 0.0))
             assert err[off_cut].max() <= 1e-8, name
             checked.append(name)
         assert checked == ["point_vortex", "rigid_rotation", "simple_shear", "stagnation",
@@ -231,8 +230,3 @@ class TestCatalogData:
             checked.append(name)
         assert checked == ["rigid_rotation", "uniform_translation"]
 
-
-def test_smoothness_probe():
-    e = catalog_flow("stagnation")
-    pts = pts_of(grid_2d(9))
-    assert e.clebsch.smoothness_residual(pts) <= 1e-6

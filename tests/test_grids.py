@@ -182,9 +182,7 @@ class TestStencilLayer:
         # grids.py is the only stencil layer. This guard catches one spelling
         # of a spatial difference quotient, `/ (c * step ...)` with c in
         # {2, 4, 12} and a step named as in STEPS, in any spacing; it misses
-        # others such as `0.5 / h`. Time steps (`dt`) are not label stencils,
-        # and clebsch._fd_mixed, a mixed second derivative with one caller,
-        # is allowed by name.
+        # others such as `0.5 / h`. Time steps (`dt`) are not label stencils.
         STEPS = {"h", "eps", "dx", "dy", "dz", "step", "delta"}
 
         def factors(e):
@@ -193,14 +191,9 @@ class TestStencilLayer:
             return [e]
 
         def quotient_lines(path):
-            tree = ast.parse(path.read_text())
-            allowed = {id(n) for f in ast.walk(tree)
-                       if isinstance(f, ast.FunctionDef) and f.name == "_fd_mixed"
-                       for n in ast.walk(f)}
             lines = []
-            for node in ast.walk(tree):
-                if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
-                        and id(node) not in allowed):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
                     fs = factors(node.right)
                     if (any(isinstance(f, ast.Constant) and f.value in (2, 4, 12) for f in fs)
                             and any(isinstance(f, ast.Name) and f.id in STEPS for f in fs)):

@@ -223,6 +223,16 @@ class TestRunSuite:
             (r.linf, r.order) for r in alone]
         assert all(r.order is not None for r in alone[1::2])
 
+    @pytest.mark.parametrize("order,lo,hi", [(2, 1.5, 2.5), (4, 3.5, 4.5)])
+    def test_top_level_stencil_order_reaches_the_grid_checks(self, order, lo, hi):
+        cfg = {"flows": [{"name": "gerstner"}], "stencil_order": order,
+               "checks": [{"id": c, "tolerance": 1.0, "options": {"mode": "fd"}}
+                          for c in ("cauchy.invariant_drift", "flowmap.density_lagrangian")],
+               "grids": [[32, 32], [64, 64]]}
+        report, _ = run_suite(cfg)
+        fitted = [r.order for r in report.rows[1::2]]
+        assert len(fitted) == 2 and all(lo <= p < hi for p in fitted), fitted
+
     def test_min_order_gates_only_its_own_declared_check(self):
         check = {"id": "cauchy.invariant_drift", "tolerance": 1.0, "options": {"mode": "fd"}}
         cfg = {"flows": [{"name": "gerstner"}],
@@ -367,6 +377,9 @@ class TestCLI:
         pytest.param(("run", {"checks": [{"id": "circulation.kelvin_drift", "tolerance": 1.0,
                                           "options": {"stencil_order": 4}}]}),
                      "stencil_order", id="kelvin_stencil_order"),
+        pytest.param(("run", {"checks": [{"id": "cauchy.invariant_drift", "tolerance": 1.0,
+                                          "options": {"stencil_order": 4}}]}),
+                     "stencil_order", id="invariant_drift_stencil_order"),
         pytest.param(("run", {"flows": [{"name": "stagnation"}],
                               "checks": [{"id": "flowmap.density_eulerian", "tolerance": 1.0,
                                           "options": {"resample": "cubic"}}]}),
@@ -400,6 +413,14 @@ class TestCLI:
                      "gerstner", id="rk4_closure_other_flow"),
         pytest.param(("converge", "flows.rk4_closure", "rigid_rotation", "--dts", "0.1,0.05",
                       "--params", '{"omgea": 2}'), "omgea", id="rk4_closure_param"),
+        pytest.param(("converge", "flows.rk4_closure", "rigid_rotation", "--dts", "0,0.1"),
+                     "step 0.0 is not positive and finite", id="rk4_closure_dt_zero"),
+        pytest.param(("converge", "flows.rk4_closure", "rigid_rotation", "--dts=-0.1,0.1"),
+                     "step -0.1 is not positive and finite", id="rk4_closure_dt_negative"),
+        pytest.param(("converge", "flows.rk4_closure", "rigid_rotation", "--dts", "nan,0.1"),
+                     "step nan is not positive and finite", id="rk4_closure_dt_nan"),
+        pytest.param(("converge", "flows.rk4_closure", "rigid_rotation", "--dts", "inf,0.1"),
+                     "step inf is not positive and finite", id="rk4_closure_dt_inf"),
     ])
     def test_malformed_input_exits_two(self, args, named, tmp_path):
         if isinstance(args[1], dict):
