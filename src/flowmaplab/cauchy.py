@@ -70,10 +70,11 @@ def label_covelocity(m, t, spec=StencilSpec(), mode="auto"):
     """Velocity contracted with the deformation gradient per node.
 
     At t=0 with identity labels this is the initial velocity field itself.
+    F is fetched before the velocities are evaluated, so the gradient the map
+    kept from an earlier time is released before that evaluation allocates.
     """
-    labels = m.grid_labels()
-    u = m.velocities(labels, t)
     g = deformation_gradient(m, t, spec, mode)
+    u = m.velocities(m.grid_labels(), t)
     vals = np.einsum("...i,...ij->...j", u, g.values)
     return LabelCovelocity(m.grid, float(t), vals, mode=g.mode)
 
@@ -100,9 +101,8 @@ def cauchy_invariants(m, t, spec=StencilSpec(), mode="auto"):
     (no grid truncation); otherwise the covelocity is differentiated over the
     label grid with the given stencil.
     """
-    labels = m.grid_labels()
     if mode in ("auto", "analytic"):
-        D = _analytic_covelocity_partials(m, labels, t)
+        D = _analytic_covelocity_partials(m, m.grid_labels(), t)
         if D is not None:
             w = 0.5 * np.stack(
                 [D[..., 2, 1] - D[..., 1, 2],

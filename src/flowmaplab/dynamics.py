@@ -108,14 +108,12 @@ def eulerian_eom_residual(u, v, w, fp, t=0.0, dudt=None, spec=StencilSpec(), rin
     return tuple(out)
 
 
-def _pressure_label_gradient(m, fp, t, spec, F):
-    labels = m.grid_labels()
+def _pressure_label_gradient(grid, labels, pos, fp, t, spec, F):
     if fp.pressure_frame == "label":
         if fp.pressure_grad is not None:
             return np.asarray(fp.pressure_grad(labels, t), dtype=float)
-        return gradient(fp.pressure_at(labels, t), spec, grid=m.grid)
+        return gradient(fp.pressure_at(labels, t), spec, grid=grid)
     # position-frame pressure: chain rule through the advected positions
-    pos = m.positions(labels, t)
     if fp.pressure_grad is not None:
         gp = np.asarray(fp.pressure_grad(pos, t), dtype=float)
     else:
@@ -130,7 +128,7 @@ def _label_momentum(m, fp, t, spec, mode):
     acc = m.accelerations(labels, t)
     pos = m.positions(labels, t)
     force = fp.V_grad_at(pos, t)
-    dp = _pressure_label_gradient(m, fp, t, spec, F)
+    dp = _pressure_label_gradient(m.grid, labels, pos, fp, t, spec, F)
     return F, pos, np.einsum("...i,...ij->...j", acc - force, F) + dp / fp.density
 
 

@@ -82,6 +82,7 @@ class FlowMap:
     convention: str  # "identity" (x=a at t=0) or "generalized"
     name: str = "flowmap"
     timescale: float = 1.0
+    _gradient = None  # (key, DeformationGradient) kept by deformation_gradient
 
     def positions(self, labels, t):
         raise NotImplementedError
@@ -401,17 +402,32 @@ def deformation_gradient(m, t, spec=StencilSpec(), mode="auto"):
 
     mode "auto" prefers registered analytic partials and falls back to finite
     differences of positions over the grid; the choice is recorded.
+
+    The map keeps the last gradient it was asked for, keyed by (t, stencil
+    order, mode), so checks that contract the same F at the same time share
+    one build; its ``values`` are read-only. A call with another key drops
+    the kept gradient before building its own, so at most one is held.
     """
-    labels = m.grid_labels()
+    key = (float(t), spec.order, mode)
+    if m._gradient is not None and m._gradient[0] == key:
+        return m._gradient[1]
+    m._gradient = None
+    F, kind = None, "fd-grid"
     if mode in ("auto", "analytic"):
-        F = m.label_partials(labels, t)
+        F = m.label_partials(m.grid_labels(), t)
         if F is not None:
             if not np.all(np.isfinite(F)):
                 raise ValueError("non-finite analytic partials")
-            return DeformationGradient(m.grid, float(t), F, mode="analytic")
-        if mode == "analytic":
+            kind = "analytic"
+        elif mode == "analytic":
             raise ValueError("map has no analytic partials registered")
-    return DeformationGradient(m.grid, float(t), _fd_partials_on_grid(m, t, spec), mode="fd-grid")
+    if F is None:
+        F = _fd_partials_on_grid(m, t, spec)
+    F = F.view()  # read-only without touching an array the partials callable kept
+    F.setflags(write=False)
+    g = DeformationGradient(m.grid, float(t), F, mode=kind)
+    m._gradient = (key, g)
+    return g
 
 
 def deformation_at(m, labels, t, h=1e-5):
@@ -442,16 +458,19 @@ def cofactor_identity_residual(m, t, spec=StencilSpec(), mode="auto", rind=0):
 
     The left side inverts the deformation gradient numerically; the right
     side forms the cofactors directly. The identity is exact linear algebra,
-    so the residual is machine-level whenever the gradient itself is.
+    so the residual is machine-level whenever the gradient itself is. Both
+    sides meet in the one array ``np.linalg.inv`` returns, so the check holds
+    two gradient-sized arrays besides F itself.
     """
-    g = deformation_gradient(m, t, spec, mode)
-    J = det3(g.values)
+    F = deformation_gradient(m, t, spec, mode).values
+    J = det3(F)
     if np.any(np.abs(J) <= SINGULAR_J_TOL):
         raise SingularMapError("singular deformation gradient in cofactor identity")
-    lhs = J[..., None, None] * np.linalg.inv(g.values)
-    rhs = adjugate3(g.values)
-    res = np.max(np.abs(lhs - rhs), axis=(-2, -1))
-    return summarize_residual(res, m.grid, rind=rind)
+    res = np.linalg.inv(F)
+    res *= J[..., None, None]
+    res -= adjugate3(F)
+    np.abs(res, out=res)
+    return summarize_residual(np.max(res, axis=(-2, -1)), m.grid, rind=rind)
 
 
 def density_residual(m, t, mode="lagrangian", spec=StencilSpec(), gradient_mode="auto",
@@ -473,10 +492,7 @@ def density_residual(m, t, mode="lagrangian", spec=StencilSpec(), gradient_mode=
     grid nodes when the map has its field.
     """
     if mode == "lagrangian":
-        J0 = det3(deformation_gradient(m, 0.0, spec, gradient_mode).values)
-        Jt = det3(deformation_gradient(m, t, spec, gradient_mode).values)
-        res = np.abs(Jt - J0)
-        return summarize_residual(res, m.grid, rind=rind)
+        return _lagrangian_density_residuals(m, [t], spec, gradient_mode, rind)[0]
     if mode != "eulerian":
         raise ValueError("mode must be 'lagrangian' or 'eulerian'")
     pos = m.positions(m.grid_labels(), t)
@@ -489,6 +505,13 @@ def density_residual(m, t, mode="lagrangian", spec=StencilSpec(), gradient_mode=
     dvdy = differentiate(vel[..., 1], 1, spec, grid=sgrid)
     res = np.abs(dudx + dvdy)
     return summarize_residual(res, sgrid, rind=max(rind, 1))
+
+
+def _lagrangian_density_residuals(m, times, spec, mode, rind):
+    """Summaries of |J(t) - J(0)| at each of ``times``; J(0) is built once."""
+    J0 = det3(deformation_gradient(m, 0.0, spec, mode).values)
+    return [summarize_residual(np.abs(det3(deformation_gradient(m, t, spec, mode).values) - J0),
+                               m.grid, rind=rind) for t in times]
 
 
 INVERT_TOL = 1e-12

@@ -97,13 +97,16 @@ class LabelGrid:
         return np.stack([m.ravel() for m in self.meshgrid()], axis=-1)
 
     def nodes3(self):
-        """Node labels padded with zeros to 3 components, shape (N, 3)."""
-        pts = self.nodes()
-        if pts.shape[1] == 3:
-            return pts
-        out = np.zeros((pts.shape[0], 3))
-        out[:, : pts.shape[1]] = pts
-        return out
+        """Node labels padded with zeros to 3 components, shape (N, 3).
+
+        Each axis's coordinates are broadcast into one zeroed array. Every
+        call returns a fresh array: a copy cached on the grid would stay
+        alive as long as the grid (6 MiB on a 64^3 grid).
+        """
+        out = np.zeros(self.shape + (3,))
+        for k in range(self.ndim):
+            out[..., k] = self.axis_coords(k).reshape((-1,) + (1,) * (self.ndim - 1 - k))
+        return out.reshape(-1, 3)
 
     def interior_slices(self, rind):
         """Slices dropping ``rind`` nodes at each non-periodic boundary."""

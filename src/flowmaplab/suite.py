@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .grids import StencilSpec
-from .flowmap import cofactor_identity_residual, density_residual
+from .flowmap import _lagrangian_density_residuals, cofactor_identity_residual, density_residual
 from .flows import catalog_flow, catalog_names, catalog_params, default_grid, rk4_advect
 from .dynamics import lagrangian_eom_residual
 from .cauchy import cauchy_invariants, invariant_drift, solenoidality_residual
@@ -192,13 +192,10 @@ def _chk_solenoidality(entry, times, ctx, *, mode="auto"):
 
 
 def _chk_density_lagrangian(entry, times, ctx, *, mode="auto"):
-    worst = None
-    for t in times[1:]:
-        s = density_residual(entry.map, t, "lagrangian", ctx["spec"], gradient_mode=mode,
-                             rind=ctx["rind"])
-        if worst is None or s.linf > worst["linf"]:
-            worst = _from_summary(s, t)
-    return worst
+    residuals = _lagrangian_density_residuals(entry.map, times[1:], ctx["spec"], mode,
+                                              ctx["rind"])
+    t, s = max(zip(times[1:], residuals), key=lambda ts: ts[1].linf)
+    return _from_summary(s, t)
 
 
 def _chk_density_eulerian(entry, times, ctx):

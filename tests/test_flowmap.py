@@ -5,6 +5,8 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +29,8 @@ from flowmaplab import (
     mass_integral_transform,
     save_flowmap,
 )
-from flowmaplab.flowmap import _grid_in_hull, det3, invert_map
+from flowmaplab.flowmap import _grid_in_hull, adjugate3, det3, invert_map
+from flowmaplab.grids import summarize_residual
 from flowmaplab.flows import default_grid
 from flowmaplab.quadrature import SIMPSON
 
@@ -106,6 +109,71 @@ class TestDeformationGradient:
         assert np.abs(g.values - A).max() < 1e-12
 
 
+class TestGradientMemo:
+    """deformation_gradient keeps one gradient per map, read-only."""
+
+    def test_a_new_key_releases_the_kept_gradient(self):
+        m = catalog_flow("rigid_rotation", validate=False).map
+        g1 = deformation_gradient(m, 0.1, mode="fd")
+        assert deformation_gradient(m, 0.1, mode="fd") is g1
+        kept = weakref.ref(g1)
+        del g1
+        g2 = deformation_gradient(m, 0.2, mode="fd")
+        assert kept() is None
+        assert deformation_gradient(m, 0.2, mode="fd") is g2
+
+    def test_kept_gradient_is_released_before_the_next_build(self):
+        # the second build may rise no higher above the memory without a kept
+        # gradient than the first did; holding the old F through it adds F
+        n = 128
+        f_bytes = 8 * 9 * n * n
+        m = catalog_flow("rigid_rotation", validate=False,
+                         grid=default_grid("rigid_rotation", (n, n))).map
+        tracemalloc.start()
+        try:
+            rises = []
+            for t in (0.1, 0.2):
+                start = tracemalloc.get_traced_memory()[0] - (f_bytes if rises else 0)
+                tracemalloc.reset_peak()
+                deformation_gradient(m, t, mode="fd")
+                rises.append(tracemalloc.get_traced_memory()[1] - start)
+        finally:
+            tracemalloc.stop()
+        assert rises[1] <= rises[0] + f_bytes / 4
+
+    @pytest.mark.parametrize("name", ["gerstner", "point_vortex"])
+    def test_catalog_entry_holds_no_gradient(self, name):
+        # the construction gate builds one; the entry must not keep it
+        e = catalog_flow(name, grid=default_grid(name, (16, 16)))
+        assert e.map._gradient is None
+
+    @pytest.mark.parametrize("mode", ["analytic", "fd"])
+    def test_values_are_read_only(self, mode):
+        g = deformation_gradient(catalog_flow("gerstner").map, 1.0, mode=mode)
+        with pytest.raises(ValueError):
+            g.values[0, 0, 0, 0] = 1.0
+
+    def test_partials_callable_array_stays_writable(self):
+        grid = box_grid()
+        eye = np.broadcast_to(np.eye(3), grid.shape + (3, 3)).copy()
+        m = AnalyticFlowMap(grid, lambda lab, t: lab, lambda lab, t: np.zeros_like(lab),
+                            partials=lambda lab, t: eye)
+        deformation_gradient(m, 0.5)
+        eye[0, 0, 0, 0, 0] = 1.0  # the callable's own array is not frozen
+
+    def test_keys_do_not_collide(self):
+        # time, stencil order and mode each key the kept gradient; every
+        # result equals, bit for bit, a build on a fresh map
+        grid = default_grid("gerstner", (32, 32))
+        m = catalog_flow("gerstner", grid=grid).map
+        for t, order, mode in [(1.0, 2, "fd"), (1.0, 4, "fd"), (1.0, 4, "auto"),
+                               (1.0, 2, "fd"), (2.0, 2, "fd"), (1.0, 2, "fd")]:
+            fresh = catalog_flow("gerstner", validate=False, grid=grid).map
+            got = deformation_gradient(m, t, StencilSpec(order), mode).values
+            want = deformation_gradient(fresh, t, StencilSpec(order), mode).values
+            assert got.tobytes() == want.tobytes(), (t, order, mode)
+
+
 class TestJacobian:
     def test_identity_is_one(self):
         m = identity_map()
@@ -152,6 +220,18 @@ class TestCofactorIdentity:
             e = catalog_flow(name)
             t = 0.4 * e.map.timescale
             assert cofactor_identity_residual(e.map, t).linf <= 1e-10, name
+
+    def test_in_place_form_matches_the_reference(self):
+        # the in-place arithmetic performs the same operations as the plain
+        # expression, so the summary agrees bit for bit
+        e = catalog_flow("gerstner", grid=default_grid("gerstner", (32, 32)))
+        F = deformation_gradient(e.map, 1.0, mode="fd").values
+        ref = np.max(np.abs(det3(F)[..., None, None] * np.linalg.inv(F) - adjugate3(F)),
+                     axis=(-2, -1))
+        want = summarize_residual(ref, e.map.grid, rind=1)
+        got = cofactor_identity_residual(e.map, 1.0, mode="fd", rind=1)
+        assert (got.linf.hex(), got.l2.hex()) == (want.linf.hex(), want.l2.hex())
+        assert got.location == want.location
 
     def test_singular_map_raises(self):
         def collapse(lab, t):

@@ -280,6 +280,67 @@ class TestRunSuite:
                                 (r.order is not None and r.passed))
 
 
+GRID_CHECKS = ("cauchy.invariant_drift", "cauchy.solenoidality", "flowmap.density_lagrangian",
+               "flowmap.cofactor_identity", "dynamics.lagrangian_eom")
+
+
+def _row_bits(row):
+    """A row's linf, l2 and location as float hex, so equality is bitwise."""
+    hexes = lambda xs: None if xs is None else tuple(float(x).hex() for x in xs)
+    return hexes([row.linf]), hexes(None if row.l2 is None else [row.l2]), hexes(row.location)
+
+
+class TestSharedEntry:
+    """Checks on one catalog entry share its deformation gradient; each row
+    must equal, bit for bit, the same check run alone on its own entry."""
+
+    @staticmethod
+    def _shared_and_alone(flow, checks, grids):
+        cfg = {"flows": [flow], "grids": grids,
+               "checks": [{"id": c, "tolerance": 1.0, "options": {"mode": mode}}
+                          for c, mode in checks]}
+        shared, _ = run_suite(cfg)
+        for i, chk in enumerate(cfg["checks"]):
+            alone, _ = run_suite(dict(cfg, checks=[chk]))
+            rows = shared.rows[i * len(grids):(i + 1) * len(grids)]
+            assert [_row_bits(r) for r in rows] == [_row_bits(r) for r in alone.rows], chk
+
+    @pytest.mark.parametrize("flow", [
+        {"name": "rigid_rotation", "params": {"omega": 1.0}},
+        {"name": "gerstner", "params": {"k": 1.0, "g": 1.0}},
+        {"name": "stagnation", "params": {"k": 1.0}},
+    ])
+    def test_fd_grid_checks(self, flow):
+        self._shared_and_alone(flow, [(c, "fd") for c in GRID_CHECKS], [[32, 32], [64, 64]])
+
+    def test_sampled_map(self):
+        self._shared_and_alone({"name": "point_vortex"}, [(c, "auto") for c in GRID_CHECKS],
+                               [[16, 16]])
+
+    def test_auto_and_fd_on_one_entry(self):
+        # gerstner registers analytic partials, so "auto" and "fd" build
+        # different gradients at the same time
+        checks = [(c, mode) for c in GRID_CHECKS for mode in ("auto", "fd", "auto")]
+        self._shared_and_alone({"name": "gerstner"}, checks, [[32, 32]])
+
+    def test_gradient_builds_per_entry(self, monkeypatch):
+        # one build for the construction gate, then three times for the
+        # drift (the solenoidality check reuses the last), J(0) and two later
+        # times for the density check, and none for the cofactor and
+        # momentum checks at the last time
+        import flowmaplab.flowmap as flowmap
+
+        builds = []
+        build = flowmap._fd_partials_on_grid
+        monkeypatch.setattr(flowmap, "_fd_partials_on_grid",
+                            lambda m, t, spec: builds.append(t) or build(m, t, spec))
+        cfg = {"flows": [{"name": "rigid_rotation"}], "grids": [[32, 32]],
+               "checks": [{"id": c, "tolerance": 1.0, "options": {"mode": "fd"}}
+                          for c in GRID_CHECKS]}
+        run_suite(cfg)
+        assert len(builds) == 7
+
+
 class TestConvergenceStudy:
     def test_stokes_slope_band(self):
         out = convergence_study(
