@@ -229,6 +229,9 @@ class SampledFlowMap(FlowMap):
         self.dt = dt
         self.bbox = bbox
         self._last = None  # (labels, t, positions) of the last advected query
+        # the grid labels, read-only: queries compare against them
+        self._grid_lab = self.grid_labels()
+        self._grid_lab.flags.writeable = False
         if field_fn is not None:
             if positions_table is not None:
                 raise ValueError("a sampled map with its field marches its own table")
@@ -263,7 +266,7 @@ class SampledFlowMap(FlowMap):
         self._table_steps = steps
         # lattice points: step index, time and grid-label state, in time order
         self._lattice_n, self._lattice_t = [0], [0.0]
-        self._lattice_x = [self.grid_labels()]
+        self._lattice_x = [self._grid_lab]
         self._extend_lattice(self.times[-1])
         return np.stack([self._lattice_x[self._lattice_n.index(n)] for n in steps])
 
@@ -298,8 +301,7 @@ class SampledFlowMap(FlowMap):
         return None
 
     def _is_grid_labels(self, labels):
-        grid_lab = self.grid_labels()
-        return labels.shape == grid_lab.shape and np.array_equal(labels, grid_lab)
+        return labels.shape == self._grid_lab.shape and np.array_equal(labels, self._grid_lab)
 
     def positions(self, labels, t):
         from .flows import rk4_advect  # local import to avoid a cycle

@@ -57,8 +57,19 @@ class ParticleEscapeError(RuntimeError):
 def rk4_advect(field_fn, labels, t0, t1, dt, bbox=None):
     """Advect points through a velocity field with fixed-step RK4.
 
-    field_fn(points, t) -> velocities. dt is a target step; the interval is
-    covered by equal steps no larger than dt (reversed sign for t1 < t0).
+    field_fn(points, t) -> velocities, an array of the points' shape or one
+    that broadcasts to it. dt is a target step; the interval is covered by
+    equal steps no larger than dt (reversed sign for t1 < t0). The result is
+    a fresh array; with float64 velocities it is bit for bit the textbook
+    step pts + (h/6)*(((k1 + 2*k2) + 2*k3) + k4), each stage input
+    pts + (c*h)*k.
+
+    The march owns three scratch arrays (stage input ``y``, weighted stage
+    sum ``acc`` and ``tmp``), allocated once per call and updated in place.
+    It never writes into an array the field returned, and overwrites ``y``
+    only after the stage value computed from it is spent, so a field may
+    return its own input or a read-only broadcast. A field must not keep
+    ``y`` or the points it is passed: both change after it returns.
     """
     pts = np.array(labels, dtype=float)
     span = float(t1) - float(t0)
@@ -66,20 +77,28 @@ def rk4_advect(field_fn, labels, t0, t1, dt, bbox=None):
         return pts
     nsteps = max(1, int(np.ceil(abs(span) / dt - 1e-12)))
     h = span / nsteps
+    half_h, sixth_h = 0.5 * h, h / 6.0
+    if bbox is not None:
+        lo, hi = np.asarray(bbox[0]), np.asarray(bbox[1])
+    y, acc, tmp = np.empty_like(pts), np.empty_like(pts), np.empty_like(pts)
     t = float(t0)
     for _ in range(nsteps):
         k1 = np.asarray(field_fn(pts, t))
-        k2 = np.asarray(field_fn(pts + 0.5 * h * k1, t + 0.5 * h))
-        k3 = np.asarray(field_fn(pts + 0.5 * h * k2, t + 0.5 * h))
-        k4 = np.asarray(field_fn(pts + h * k3, t + h))
-        pts = pts + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        np.add(pts, np.multiply(k1, half_h, out=tmp), out=y)
+        k2 = np.asarray(field_fn(y, t + half_h))
+        np.add(k1, np.multiply(k2, 2, out=acc), out=acc)
+        np.add(pts, np.multiply(k2, half_h, out=tmp), out=y)
+        k3 = np.asarray(field_fn(y, t + half_h))
+        np.add(acc, np.multiply(k3, 2, out=tmp), out=acc)
+        np.add(pts, np.multiply(k3, h, out=tmp), out=y)
+        k4 = np.asarray(field_fn(y, t + h))
+        np.add(acc, k4, out=acc)
+        np.add(pts, np.multiply(acc, sixth_h, out=acc), out=pts)
         t += h
-        if bbox is not None:
-            lo, hi = np.asarray(bbox[0]), np.asarray(bbox[1])
-            if np.any(pts < lo) or np.any(pts > hi):
-                raise ParticleEscapeError(
-                    f"particle left bounding box {bbox} at t={t:.6g}"
-                )
+        if bbox is not None and (np.any(pts < lo) or np.any(pts > hi)):
+            raise ParticleEscapeError(
+                f"particle left bounding box {bbox} at t={t:.6g}"
+            )
     return pts
 
 
@@ -389,11 +408,17 @@ def _point_vortex(grid, gamma=2 * np.pi, times=None, dt=None):
         dt = period / 2048
 
     def field(x, t):
-        r2 = x[..., 0] ** 2 + x[..., 1] ** 2
-        if np.any(r2 < POINT_VORTEX_CORE_RADIUS ** 2):
+        # (-f x1, f x0, 0) with f = G / (2 pi r^2), written into one array
+        x0, x1 = x[..., 0], x[..., 1]
+        r2 = x0 * x0 + x1 * x1
+        if (r2 < POINT_VORTEX_CORE_RADIUS ** 2).any():
             raise ValueError("point-vortex evaluation inside the excluded core disk")
         f = G / (2 * np.pi * r2)
-        return np.stack([-f * x[..., 1], f * x[..., 0], np.zeros_like(f)], axis=-1)
+        out = np.empty(x.shape)
+        np.multiply(-f, x1, out=out[..., 0])
+        np.multiply(f, x0, out=out[..., 1])
+        out[..., 2] = 0.0
+        return out
 
     lab = grid.nodes3()
     if np.any(lab[:, 0] ** 2 + lab[:, 1] ** 2 < POINT_VORTEX_CORE_RADIUS ** 2):
@@ -444,11 +469,13 @@ def _taylor_green(grid, times=None, dt=None):
         dt = 1.0 / 256
 
     def field(x, t):
-        return np.stack(
-            [np.cos(x[..., 0]) * np.sin(x[..., 1]),
-             -np.sin(x[..., 0]) * np.cos(x[..., 1]),
-             np.zeros_like(x[..., 0])], axis=-1,
-        )
+        # (cos x0 sin x1, -sin x0 cos x1, 0), written into one array
+        x0, x1 = x[..., 0], x[..., 1]
+        out = np.empty(x.shape)
+        np.multiply(np.cos(x0), np.sin(x1), out=out[..., 0])
+        np.multiply(-np.sin(x0), np.cos(x1), out=out[..., 1])
+        out[..., 2] = 0.0
+        return out
 
     m = integrate_trajectories(field, grid, times, dt, name="taylor_green",
                                timescale=2 * np.pi)

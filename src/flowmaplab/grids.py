@@ -88,14 +88,6 @@ class LabelGrid:
     def axis_coords(self, axis):
         return self.origin[axis] + self.spacing[axis] * np.arange(self.shape[axis])
 
-    def meshgrid(self):
-        """Per-axis coordinate arrays of shape ``self.shape``."""
-        return np.meshgrid(*[self.axis_coords(k) for k in range(self.ndim)], indexing="ij")
-
-    def nodes(self):
-        """All node label coordinates, shape (node_count, ndim)."""
-        return np.stack([m.ravel() for m in self.meshgrid()], axis=-1)
-
     def nodes3(self):
         """Node labels padded with zeros to 3 components, shape (N, 3).
 

@@ -331,7 +331,7 @@ class TestEulerianInversionCost:
                 centre = rng.uniform(lo - 0.3 * span, hi + 0.3 * span)
                 half = rng.uniform(0.02, 0.4) * span
                 box = LabelGrid((8, 8), tuple(centre - half), tuple(2 * half / 7))
-                inside = tri.find_simplex(box.nodes()) >= 0
+                inside = tri.find_simplex(box.nodes3()[:, :2]) >= 0
                 kinds.add("inside" if inside.all() else "outside" if not inside.any()
                           else "straddling")
                 assert _grid_in_hull(xy, box) == bool(inside.all())

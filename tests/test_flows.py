@@ -92,7 +92,7 @@ def test_taylor_green_field_is_steady_euler_solution():
     e = catalog_flow("taylor_green")
     n = 64
     g = LabelGrid((n, n), (0.0, 0.0), (2 * np.pi / n,) * 2, (True, True))
-    X, Y = g.meshgrid()
+    X, Y = np.meshgrid(g.axis_coords(0), g.axis_coords(1), indexing="ij")
     u = Field(g, np.cos(X) * np.sin(Y))
     v = Field(g, -np.sin(X) * np.cos(Y))
     w = Field(g, np.zeros_like(X))
@@ -167,6 +167,141 @@ class TestRK4:
         e = catalog_flow("point_vortex")
         assert e.map.error_floor is not None
         assert e.map.error_floor < 1e-9
+
+
+def _textbook_rk4(field_fn, labels, t0, t1, dt, bbox=None):
+    """The plain RK4 loop: fresh arrays at every stage. ``rk4_advect`` must
+    reproduce it bit for bit."""
+    pts = np.array(labels, dtype=float)
+    span = float(t1) - float(t0)
+    if span == 0.0:
+        return pts
+    nsteps = max(1, int(np.ceil(abs(span) / dt - 1e-12)))
+    h = span / nsteps
+    t = float(t0)
+    for _ in range(nsteps):
+        k1 = np.asarray(field_fn(pts, t))
+        k2 = np.asarray(field_fn(pts + 0.5 * h * k1, t + 0.5 * h))
+        k3 = np.asarray(field_fn(pts + 0.5 * h * k2, t + 0.5 * h))
+        k4 = np.asarray(field_fn(pts + h * k3, t + h))
+        pts = pts + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        t += h
+        if bbox is not None and (np.any(pts < np.asarray(bbox[0]))
+                                 or np.any(pts > np.asarray(bbox[1]))):
+            raise ParticleEscapeError(f"particle left bounding box {bbox} at t={t:.6g}")
+    return pts
+
+
+_U = np.array([0.3, -1.1, 0.7])
+
+# velocity fields (points, t) -> (..., 3), each returning a different kind of array
+_RK4_FIELDS = {
+    # its own input: the march must spend a stage before overwriting it
+    "own_input": lambda x, t: x,
+    # a read-only view: the march must never write into what the field returned
+    "broadcast": lambda x, t: np.broadcast_to(_U, x.shape),
+    "unsteady": lambda x, t: np.stack(
+        [-np.cos(t) * x[..., 1] + np.sin(3 * t), np.cos(t) * x[..., 0],
+         x[..., 0] * x[..., 1] * np.exp(-t)], axis=-1),
+}
+
+
+class TestRK4BitForBit:
+    """rk4_advect's in-place march against the textbook loop, compared with
+    np.array_equal: stage buffers change no bit."""
+
+    @pytest.mark.parametrize("span", [(0.25, 1.1), (1.1, 0.25)], ids=["forward", "backward"])
+    @pytest.mark.parametrize("shape", [(37, 3), (6, 37, 3)], ids=["points", "batch"])
+    @pytest.mark.parametrize("kind", sorted(_RK4_FIELDS))
+    def test_matches_textbook_loop(self, kind, shape, span):
+        labels = np.random.default_rng(5).uniform(-1.0, 1.0, size=shape)
+        before = labels.copy()
+        got = rk4_advect(_RK4_FIELDS[kind], labels, *span, 0.07)
+        want = _textbook_rk4(_RK4_FIELDS[kind], labels, *span, 0.07)
+        assert got.shape == want.shape == shape
+        assert np.array_equal(got, want)
+        assert np.array_equal(labels, before)
+        assert not np.shares_memory(got, labels)
+
+    @pytest.mark.parametrize("name", ["point_vortex", "taylor_green"])
+    def test_catalog_field_matches_textbook_loop(self, name):
+        e = catalog_flow(name, grid=default_grid(name, (16, 16)), validate=False)
+        lab = e.map.grid_labels()
+        got = rk4_advect(e.velocity_field, lab, 0.0, 0.3, e.map.dt)
+        assert np.array_equal(got, _textbook_rk4(e.velocity_field, lab, 0.0, 0.3, e.map.dt))
+
+    @pytest.mark.parametrize("kind, span", [("own_input", (0.0, 3.0)),
+                                            ("broadcast", (0.5, 3.0)),
+                                            ("broadcast", (0.5, -3.0))])
+    def test_escape_raised_at_the_same_time(self, kind, span):
+        bbox = ((-2.0, -2.0, -2.0), (2.0, 2.0, 2.0))
+        labels = np.random.default_rng(7).uniform(-1.0, 1.0, size=(30, 3))
+        field = _RK4_FIELDS[kind]
+        with pytest.raises(ParticleEscapeError) as want:
+            _textbook_rk4(field, labels, *span, 0.01, bbox)
+        with pytest.raises(ParticleEscapeError) as got:
+            rk4_advect(field, labels, *span, 0.01, bbox)
+        assert str(got.value) == str(want.value)
+
+
+def _point_vortex_closed_form(x, G):
+    r2 = x[..., 0] ** 2 + x[..., 1] ** 2
+    f = G / (2 * np.pi * r2)
+    return np.stack([-f * x[..., 1], f * x[..., 0], np.zeros_like(f)], axis=-1)
+
+
+def _taylor_green_closed_form(x):
+    return np.stack([np.cos(x[..., 0]) * np.sin(x[..., 1]),
+                     -np.sin(x[..., 0]) * np.cos(x[..., 1]),
+                     np.zeros_like(x[..., 0])], axis=-1)
+
+
+class TestSampledCatalogFields:
+    """The point_vortex and taylor_green fields, written into one array,
+    equal their np.stack closed forms bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def fields(self):
+        out = {}
+        for name, params in (("point_vortex", {"gamma": 1.7}), ("taylor_green", {})):
+            e = catalog_flow(name, grid=default_grid(name, (16, 16)), validate=False, **params)
+            out[name] = e.velocity_field
+        return out
+
+    @staticmethod
+    def points(shape):
+        rng = np.random.default_rng(8)
+        pts = rng.uniform(-4.0, 4.0, size=shape)
+        r = np.hypot(pts[..., 0], pts[..., 1])
+        pts[..., :2] *= np.where(r < 0.2, 0.2 / r, 1.0)[..., None]  # outside the core
+        return pts
+
+    @pytest.mark.parametrize("shape", [(257, 3), (6, 40, 3), (4, 4, 4, 3)])
+    @pytest.mark.parametrize("name", ["point_vortex", "taylor_green"])
+    def test_equals_closed_form(self, fields, name, shape):
+        closed_form = {"point_vortex": lambda x: _point_vortex_closed_form(x, 1.7),
+                       "taylor_green": _taylor_green_closed_form}[name]
+        x = self.points(shape)
+        for pts in (x, x[::2], x.reshape(-1, 3)[::-1]):  # contiguous and strided
+            got = fields[name](pts, 0.4)
+            assert got.shape == pts.shape and got.dtype == np.float64
+            assert np.array_equal(got, closed_form(pts))
+
+    @pytest.mark.parametrize("name", ["point_vortex", "taylor_green"])
+    def test_returns_a_fresh_writable_array(self, fields, name):
+        x = self.points((6, 40, 3))
+        before = x.copy()
+        x.flags.writeable = False  # a stored table is read-only
+        a, b = fields[name](x, 0.0), fields[name](x, 0.0)
+        assert a.flags.writeable and a.flags.c_contiguous
+        assert not np.shares_memory(a, x) and not np.shares_memory(a, b)
+        assert np.array_equal(x, before)
+
+    def test_point_vortex_core_disk_raises(self, fields):
+        x = self.points((6, 40, 3))
+        x[3, 17] = (0.05, -0.06, 0.4)
+        with pytest.raises(ValueError, match="core disk"):
+            fields["point_vortex"](x, 0.0)
 
 
 class TestCheckpointLattice:
@@ -268,6 +403,24 @@ class TestCheckpointLattice:
         m = integrate_trajectories(lambda x, t: np.zeros_like(x), g, [0.0, 1.0], 0.25)
         with pytest.raises(ValueError, match="non-finite"):
             m.positions(m.grid_labels(), np.inf)  # the lattice would never reach it
+
+    def test_grid_label_queries_build_no_labels(self, monkeypatch):
+        # queries compare against the map's one read-only copy of its grid
+        # labels, which also starts the lattice, instead of building labels
+        e = catalog_flow("point_vortex", grid=default_grid("point_vortex", (16, 16)))
+        m = e.map
+        lab = m.grid_labels()
+        assert not m._grid_lab.flags.writeable and m._lattice_x[0] is m._grid_lab
+        assert np.array_equal(m._grid_lab, lab)
+        built = []
+        nodes3 = LabelGrid.nodes3
+        monkeypatch.setattr(LabelGrid, "nodes3", lambda g: built.append(g) or nodes3(g))
+        for t in (m.times[1], 0.3, 0.3):
+            m.positions(lab, t)
+            m.velocities(lab, t)
+        m.positions(lab + 0.01, 0.3)
+        assert built == []
+        assert np.array_equal(m.positions(lab, m.times[1]), m.positions_table[1])
 
 
 # each flow's label domain: lower corner, upper corner, periodicity

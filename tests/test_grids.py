@@ -42,11 +42,12 @@ class TestLabelGrid:
 
     def test_node_layout(self):
         g = LabelGrid((4, 5), (1.0, 2.0), (0.5, 0.25))
-        pts = g.nodes()
-        assert pts.shape == (20, 2)
+        pts = g.nodes3()
+        assert pts.shape == (20, 3)
+        assert not pts[:, 2].any()
         # row-major: second axis fastest
-        assert pts[1] == pytest.approx([1.0, 2.25])
-        assert pts[5] == pytest.approx([1.5, 2.0])
+        assert pts[1] == pytest.approx([1.0, 2.25, 0.0])
+        assert pts[5] == pytest.approx([1.5, 2.0, 0.0])
 
     @pytest.mark.parametrize("grid", [
         LabelGrid((7,), (0.3,), (0.1,)),
