@@ -28,8 +28,8 @@ print(f"  enclosing loop:    {c1:+.9f}  (strength {G:.9f})")
 print(f"  non-enclosing:     {c2:+.2e}")
 print(f"  label-space form agrees to {abs(c1 - c1_label):.2e}")
 
-out = fl.kelvin_drift(pv.map, enclosing, pv.map.times)
-print(f"  circulation drift over one orbit: {out['drift']:.3e}")
+drift = fl.kelvin_drift(pv.map, enclosing, pv.map.times)
+print(f"  circulation drift over one orbit: {drift:.3e}")
 
 print("\n--- rotation disk: circulation equals the vorticity flux -------")
 rot = fl.catalog_flow("rigid_rotation", omega=0.1)

@@ -7,8 +7,8 @@ x1 is the quadrature sum of
     du = (1/(2 pi)) (X, Y, Z) x (x1 - x) / r^3  dV,
 
 which is the r^-3 volume kernel of the unbounded-domain solution (compact
-support makes every surface term vanish; the harmonic correction grad P is
-an optional caller-supplied addition, no boundary solver ships). Summation
+support makes every surface term vanish, and no harmonic correction grad P
+or boundary solver ships). Summation
 is direct, O(sources x targets), and stays auditable; it is evaluated as
 (sum inv w) x x1 - sum inv (w x x) with inv = 1/r^3, in blocks of targets
 and sources that each cost one small matrix product, in coordinates centred
@@ -50,7 +50,7 @@ MIN_DISTANCE_CELLS = 2.0
 class VorticitySource:
     """Half-vorticity samples (X, Y, Z) on a spatial grid.
 
-    The grid is interpreted as node positions in space (for midpoint-style
+    The grid is interpreted as node positions in space (for cell-centred
     lattices build the grid so nodes sit at cell centers). Construction
     verifies compact support (|field| <= 1e-14 within 2 cells of every
     boundary) and that the discrete divergence is small (O(h^2) gate).
@@ -97,7 +97,7 @@ class VorticitySource:
         return self.grid.nodes3()
 
 
-def velocity_from_vorticity(src, targets, allow_interior_targets=False, grad_P=None):
+def velocity_from_vorticity(src, targets, allow_interior_targets=False):
     """Direct-sum reconstruction of the velocity at each target point.
 
     The sum is direct, O(sources x targets), written through the split
@@ -113,8 +113,7 @@ def velocity_from_vorticity(src, targets, allow_interior_targets=False, grad_P=N
     non-negligible vorticity raise, unless ``allow_interior_targets`` is set
     (no self-singularity handling ships: interior targets work on lattices
     that keep targets off the nodes, at the cost of a locally first-order
-    kernel error that symmetric placement largely cancels). ``grad_P``:
-    optional callable adding a harmonic-correction gradient at the targets.
+    kernel error that symmetric placement largely cancels).
     """
     tgts = np.atleast_2d(np.asarray(targets, dtype=float))
     g = src.grid
@@ -164,8 +163,6 @@ def velocity_from_vorticity(src, targets, allow_interior_targets=False, grad_P=N
                 f"(< {gate:.3e}); pass allow_interior_targets=True to override"
             )
         out = (np.cross(acc[:, :3], t) - acc[:, 3:]) * (g.cell_volume / (2 * np.pi))
-    if grad_P is not None:
-        out = out + np.asarray(grad_P(tgts), dtype=float)
     return out
 
 

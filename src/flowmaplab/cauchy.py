@@ -165,15 +165,14 @@ def eulerian_vorticity(u, v, w, spec=StencilSpec(), t=0.0):
 def vortex_line_function_residual(phi, psi, w, spec=StencilSpec(), rind=0):
     """Linf mismatch of -2(A,B,C) against the (phi, psi) Jacobian pairs.
 
-    phi, psi: scalar label Fields (or arrays on w.grid). The three relations
+    phi, psi: scalar arrays on w.grid. The three relations
     checked are -2A = dphi/db dpsi/dc - dphi/dc dpsi/db and cyclic.
     """
     if w.frame != "label":
         raise TypeError("vortex-line functions live in label space")
     grid = w.grid
-    phi_d = phi.data if isinstance(phi, Field) else np.asarray(phi, float)
-    psi_d = psi.data if isinstance(psi, Field) else np.asarray(psi, float)
-    gp, gq = gradient(phi_d, spec, grid=grid), gradient(psi_d, spec, grid=grid)
+    gp = gradient(np.asarray(phi, float), spec, grid=grid)
+    gq = gradient(np.asarray(psi, float), spec, grid=grid)
     cross = np.stack(
         [gp[..., 1] * gq[..., 2] - gp[..., 2] * gq[..., 1],
          gp[..., 2] * gq[..., 0] - gp[..., 0] * gq[..., 2],

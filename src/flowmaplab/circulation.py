@@ -40,7 +40,6 @@ __all__ = [
 
 LOOP_TANGENT_ORDER = 4
 SURFACE_TANGENT_ORDER = 2
-STENCIL_H = 1e-5
 
 
 def _frame_from_normal(normal):
@@ -167,14 +166,6 @@ class MaterialSurface:
         return tuple(axis_weights(n, _param_step(n, p), TRAPEZOID, p)
                      for n, p in zip(self.labels.shape[:2], self.param_periodic))
 
-    def unit_normals(self, m, t, order=2):
-        pos, nw = self.advected_normals(m, t, order)
-        mag = np.linalg.norm(nw, axis=-1, keepdims=True)
-        if np.any(mag == 0.0):
-            # degenerate rows (disk center): leave zeros, quadrature weight is 0
-            mag = np.where(mag == 0.0, 1.0, mag)
-        return pos, nw / mag
-
 
 def _param_step(n, periodic):
     return 2 * np.pi / n if periodic else 1.0 / (n - 1)
@@ -210,15 +201,15 @@ def label_circulation(m, loop, t):
     return path_integral(loop.labels, covel, tangent_order=LOOP_TANGENT_ORDER)
 
 
-def spatial_half_vorticity_at(m, labels, t, h=STENCIL_H):
+def spatial_half_vorticity_at(m, labels, t):
     """(X, Y, Z) at the mapped points of arbitrary labels.
 
     Built from the instantaneous kinematics: the velocity gradient in space
     is G F^-1 (label derivatives chained through the inverse deformation
     gradient), and the half-curl is read off its antisymmetric part.
     """
-    F = deformation_at(m, labels, t, h)
-    G = velocity_gradient_at(m, labels, t, h)
+    F = deformation_at(m, labels, t)
+    G = velocity_gradient_at(m, labels, t)
     L = np.einsum("...ik,...kj->...ij", G, inv3(F))
     return 0.5 * np.stack(
         [L[..., 2, 1] - L[..., 1, 2],
@@ -265,7 +256,7 @@ def kelvin_drift(m, loop, times):
     drift = 0.0
     for t in times[1:]:
         drift = max(drift, abs(circulation(m, loop, t) - c0))
-    return {"drift": drift}
+    return drift
 
 
 def tube_section_flux(m, section_a, section_b, t):

@@ -31,6 +31,10 @@ __all__ = [
     "incompressibility_residual",
 ]
 
+# step of the central differences of the potentials in space and in time
+STENCIL_H = 1e-6
+TIME_STEP = 1e-5
+
 
 def _call_scalar(fn, pts, t):
     if fn is None:
@@ -52,18 +56,18 @@ class ClebschTriple:
     psi: object = None
     cut_mask: object = None
 
-    def velocity(self, pts, t=0.0, h=1e-6):
+    def velocity(self, pts, t=0.0):
         """u = grad F + phi grad psi at the given points."""
-        gF = _fd_gradient(self.F, pts, t, h)
-        gpsi = _fd_gradient(self.psi, pts, t, h)
+        gF = _fd_gradient(self.F, pts, t)
+        gpsi = _fd_gradient(self.psi, pts, t)
         phi = _call_scalar(self.phi, pts, t)
         return gF + phi[..., None] * gpsi
 
 
-def _fd_gradient(fn, pts, t, h=1e-6):
+def _fd_gradient(fn, pts, t):
     if fn is None:
         return np.zeros(np.asarray(pts).shape)
-    return point_jacobian(lambda p: fn(p, t), pts, h)
+    return point_jacobian(lambda p: fn(p, t), pts, STENCIL_H)
 
 
 def _grid_points(grid):
@@ -107,13 +111,13 @@ def clebsch_vorticity_residual(ct, grid, t=0.0, spec=StencilSpec(), rind=1):
     return summarize_residual(res, grid, rind=rind, mask=mask)
 
 
-def clebsch_advection_residual(ct, velocity_fn, grid, t=0.0, spec=StencilSpec(),
-                               dt=1e-5, rind=1):
+def clebsch_advection_residual(ct, velocity_fn, grid, t=0.0, spec=StencilSpec(), rind=1):
     """Material-derivative residuals (for phi, for psi) under a velocity field.
 
     d/dt + u . grad of each potential, with the time term by a centered
     difference of the callable and the space term by grid stencils.
     """
+    dt = TIME_STEP
     pts = _grid_points(grid)
     u = np.asarray(velocity_fn(pts, t), dtype=float)
     out = []
@@ -136,14 +140,15 @@ def incompressibility_residual(ct, grid, t=0.0, spec=StencilSpec(), rind=1):
     return summarize_residual(divergence(u, spec, grid=grid), grid, rind=rind, mask=mask)
 
 
-def potential_flow_checks(F_fn, omega_fn, grid, t=0.0, spec=StencilSpec(),
-                          dt=1e-5, rind=1, cut_mask=None):
+def potential_flow_checks(F_fn, omega_fn, grid, t=0.0, spec=StencilSpec(), rind=1,
+                          cut_mask=None):
     """Laplace and Bernoulli residuals for a velocity potential.
 
     Returns (laplace_summary, bernoulli_summary): Linf of the grid Laplacian
     of F, and of dF/dt + |grad F|^2 / 2 - Omega. omega_fn(points, t) is the
     combined potential; a function of t alone shifts nothing (gauge).
     """
+    dt = TIME_STEP
     pts = _grid_points(grid)
     vals = np.asarray(F_fn(pts, t), dtype=float)
     gF = gradient(vals, spec, grid=grid)

@@ -52,6 +52,11 @@ __all__ = [
     "skewed_chart",
 ]
 
+# step of the central differences taken in chart coordinates
+CHART_STENCIL_H = 1e-6
+# the cylindrical and polar charts exclude r (and polar sin theta) below this
+SINGULAR_MARGIN = 1e-3
+
 
 @dataclass
 class Chart:
@@ -63,7 +68,6 @@ class Chart:
     metric_partials:   optional (rho) -> (..., 3, 3) with [i, j] = dN_i/drho_j
                        (orthogonal charts only)
     domain:  predicate over chart coords marking the validity region
-    sample_domain: callable (rng, n) -> (n, 3) chart coords inside the domain
     """
 
     name: str
@@ -73,12 +77,11 @@ class Chart:
     metric_partials: object = None
     orthogonal: bool = False
     domain: object = None
-    sample_domain: object = None
 
-    def partials_at(self, rho, h=1e-6):
+    def partials_at(self, rho):
         if self.position_partials is not None:
             return np.asarray(self.position_partials(np.asarray(rho, float)), dtype=float)
-        return point_jacobian(self.inverse, rho, h)
+        return point_jacobian(self.inverse, rho, CHART_STENCIL_H)
 
     def check_domain(self, rho):
         if self.domain is not None and not np.all(self.domain(np.asarray(rho, float))):
@@ -137,17 +140,17 @@ def _trajectory_chart_rates(m, chart, t):
     return rho, rates
 
 
-def _metric_partials(chart, rho, h=1e-6):
+def _metric_partials(chart, rho):
     if chart.metric_partials is not None:
         return np.asarray(chart.metric_partials(np.asarray(rho, float)), dtype=float)
-    return point_jacobian(lambda r: chart_metrics(chart, r).N, rho, h)
+    return point_jacobian(lambda r: chart_metrics(chart, r).N, rho, CHART_STENCIL_H)
 
 
-def _omega_chart_gradient(omega_fn, rho, omega_grad=None, h=1e-6):
+def _omega_chart_gradient(omega_fn, rho, omega_grad=None):
     rho = np.asarray(rho, dtype=float)
     if omega_grad is not None:
         return np.asarray(omega_grad(rho), dtype=float)
-    return point_jacobian(omega_fn, rho, h)
+    return point_jacobian(omega_fn, rho, CHART_STENCIL_H)
 
 
 def _momentum_terms(m, chart, t, dt):
@@ -304,14 +307,10 @@ def cartesian_chart():
     def metric_partials(rho):
         return np.zeros(np.asarray(rho).shape[:-1] + (3, 3))
 
-    def sample(rng, n):
-        return rng.uniform(-1.0, 1.0, size=(n, 3))
-
-    return Chart("cartesian", ident, ident, partials, metric_partials,
-                 orthogonal=True, sample_domain=sample)
+    return Chart("cartesian", ident, ident, partials, metric_partials, orthogonal=True)
 
 
-def cylindrical_chart(singular_margin=1e-3):
+def cylindrical_chart():
     """(r, theta, z): x = r cos theta, y = r sin theta. N = (1, r^2, 1)."""
 
     def forward(p):
@@ -346,19 +345,13 @@ def cylindrical_chart(singular_margin=1e-3):
         return out
 
     def domain(rho):
-        return rho[..., 0] > singular_margin
-
-    def sample(rng, n):
-        r = rng.uniform(2 * singular_margin, 2.0, size=n)
-        th = rng.uniform(-np.pi + 0.1, np.pi - 0.1, size=n)
-        z = rng.uniform(-1.0, 1.0, size=n)
-        return np.stack([r, th, z], axis=-1)
+        return rho[..., 0] > SINGULAR_MARGIN
 
     return Chart("cylindrical", forward, inverse, partials, metric_partials,
-                 orthogonal=True, domain=domain, sample_domain=sample)
+                 orthogonal=True, domain=domain)
 
 
-def polar_chart(singular_margin=1e-3):
+def polar_chart():
     """Spherical (r, theta, phi): theta the colatitude from +z, phi the
     azimuth. N = (1, r^2, r^2 sin^2 theta)."""
 
@@ -402,16 +395,10 @@ def polar_chart(singular_margin=1e-3):
 
     def domain(rho):
         rho = np.asarray(rho, dtype=float)
-        return (rho[..., 0] > singular_margin) & (np.sin(rho[..., 1]) > singular_margin)
-
-    def sample(rng, n):
-        r = rng.uniform(0.1, 2.0, size=n)
-        th = rng.uniform(0.2, np.pi - 0.2, size=n)
-        ph = rng.uniform(-np.pi + 0.1, np.pi - 0.1, size=n)
-        return np.stack([r, th, ph], axis=-1)
+        return (rho[..., 0] > SINGULAR_MARGIN) & (np.sin(rho[..., 1]) > SINGULAR_MARGIN)
 
     return Chart("polar", forward, inverse, partials, metric_partials,
-                 orthogonal=True, domain=domain, sample_domain=sample)
+                 orthogonal=True, domain=domain)
 
 
 def elliptical_chart(alpha=3.0, beta=2.0, gamma=1.0):
@@ -485,15 +472,8 @@ def elliptical_chart(alpha=3.0, beta=2.0, gamma=1.0):
             & (gamma > rho[..., 2]) & (rho[..., 2] > 0)
         )
 
-    def sample(rng, n):
-        pad = 0.05
-        r1 = rng.uniform(beta + pad, alpha - pad, size=n)
-        r2 = rng.uniform(gamma + pad, beta - pad, size=n)
-        r3 = rng.uniform(pad, gamma - pad, size=n)
-        return np.stack([r1, r2, r3], axis=-1)
-
     return Chart("elliptical", forward, inverse, partials, None,
-                 orthogonal=True, domain=domain, sample_domain=sample)
+                 orthogonal=True, domain=domain)
 
 
 def skewed_chart():
@@ -507,7 +487,4 @@ def skewed_chart():
         rho = np.asarray(rho, dtype=float)
         return np.stack([rho[..., 0], rho[..., 1] - rho[..., 0], rho[..., 2]], axis=-1)
 
-    def sample(rng, n):
-        return rng.uniform(-1.0, 1.0, size=(n, 3))
-
-    return Chart("skewed", forward, inverse, orthogonal=False, sample_domain=sample)
+    return Chart("skewed", forward, inverse, orthogonal=False)

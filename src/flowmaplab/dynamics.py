@@ -28,6 +28,11 @@ __all__ = [
     "chain_rule_mismatch",
 ]
 
+# central-difference steps: V and pressure gradients; velocity callables
+POTENTIAL_STENCIL_H = 1e-6
+POINT_STENCIL_H = 1e-5
+POINT_TIME_STEP = 1e-5
+
 
 @dataclass
 class ForcePotential:
@@ -57,12 +62,12 @@ class ForcePotential:
             return np.zeros(np.asarray(points).shape[:-1])
         return np.asarray(self.V(points, t), dtype=float)
 
-    def V_grad_at(self, points, t=0.0, h=1e-6):
+    def V_grad_at(self, points, t=0.0):
         if self.V is None:
             return np.zeros(np.asarray(points).shape)
         if self.V_grad is not None:
             return np.asarray(self.V_grad(points, t), dtype=float)
-        return point_jacobian(lambda p: self.V(p, t), points, h)
+        return point_jacobian(lambda p: self.V(p, t), points, POTENTIAL_STENCIL_H)
 
     def pressure_at(self, points, t=0.0):
         if callable(self.pressure):
@@ -80,13 +85,12 @@ class ForcePotential:
         return self.V_at(points, t) - self.f_at(points, t)
 
 
-def eulerian_eom_residual(u, v, w, fp, t=0.0, dudt=None, spec=StencilSpec(), rind=1):
-    """Linf of the three momentum residuals on a common spatial grid.
+def eulerian_eom_residual(u, v, w, fp, t=0.0, spec=StencilSpec(), rind=1):
+    """Linf of the three steady momentum residuals on a common spatial grid.
 
     u, v, w: scalar Fields of the velocity components over a spatial grid
-    whose axes are x, y(, z). dudt: optional (..., 3) array of the local time
-    derivative (zero for steady fields). The pressure and V come from ``fp``
-    evaluated at the grid nodes (pressure_frame must be "position").
+    whose axes are x, y(, z). The pressure and V come from ``fp`` evaluated
+    at the grid nodes (pressure_frame must be "position").
     """
     grid = u.grid
     if fp.pressure_frame != "position":
@@ -102,8 +106,7 @@ def eulerian_eom_residual(u, v, w, fp, t=0.0, dudt=None, spec=StencilSpec(), rin
         for k in range(grid.ndim):
             adv += comps[k] * differentiate(c, k, spec, grid=grid)
         dpdxi = differentiate(p, i, spec, grid=grid) if i < grid.ndim else np.zeros(grid.shape)
-        local = dudt[..., i] if dudt is not None else 0.0
-        res = local + adv - Vg[..., i] + dpdxi / rho
+        res = adv - Vg[..., i] + dpdxi / rho
         out.append(summarize_residual(res, grid, rind=rind))
     return tuple(out)
 
@@ -117,7 +120,7 @@ def _pressure_label_gradient(grid, labels, pos, fp, t, spec, F):
     if fp.pressure_grad is not None:
         gp = np.asarray(fp.pressure_grad(pos, t), dtype=float)
     else:
-        gp = point_jacobian(lambda p: fp.pressure_at(p, t), pos, 1e-6)
+        gp = point_jacobian(lambda p: fp.pressure_at(p, t), pos, POTENTIAL_STENCIL_H)
     return np.einsum("...i,...ij->...j", gp, F)
 
 
@@ -143,13 +146,14 @@ def lagrangian_eom_residual(m, fp, t, spec=StencilSpec(), mode="auto", rind=0):
     return tuple(summarize_residual(core[..., j], m.grid, rind=rind) for j in range(3))
 
 
-def eulerian_residual_at_points(u_fn, fp, points, t, h=1e-5, dt=1e-5):
+def eulerian_residual_at_points(u_fn, fp, points, t):
     """Momentum residual of a velocity-field callable at arbitrary points.
 
-    Space and time derivatives are taken by small central differences on the
-    callable itself; used to check the chain-rule tie between the two
-    residual forms away from any grid.
+    Space and time derivatives are central differences of the callable itself;
+    used to check the chain-rule tie between the two residual forms away from
+    any grid.
     """
+    h, dt = POINT_STENCIL_H, POINT_TIME_STEP
     pts = np.asarray(points, dtype=float)
     u0 = np.asarray(u_fn(pts, t), dtype=float)
     dudt = (np.asarray(u_fn(pts, t + dt)) - np.asarray(u_fn(pts, t - dt))) / (2 * dt)

@@ -18,7 +18,7 @@ with it the entire gradient field, must vanish.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,6 +32,9 @@ __all__ = [
     "energy_flux_residual",
     "boundary_energy_identity",
 ]
+
+# a max |dF/dn| at or below this counts as a vanishing normal derivative
+HELMHOLTZ_TOL = 1e-10
 
 
 def living_force(m, t, rule=SIMPSON):
@@ -66,7 +69,6 @@ class EnergyLedger:
     K: np.ndarray
     dKdt: np.ndarray
     flux: np.ndarray
-    metadata: dict = dc_field(default_factory=dict)
 
     @property
     def residual(self):
@@ -107,9 +109,7 @@ def energy_flux_residual(m, V_fn, times, boundary_surfaces, dt=None, rule=SIMPSO
         for t in times
     ])
     flux = np.array([_boundary_flux(m, V_fn, boundary_surfaces, t) for t in times])
-    return EnergyLedger(times, K, dKdt, flux, metadata={
-        "flow": m.name, "grid": m.grid.shape, "dt": dt,
-    })
+    return EnergyLedger(times, K, dKdt, flux)
 
 
 def _box_faces(grid):
@@ -122,7 +122,7 @@ def _box_faces(grid):
 
 
 def boundary_energy_identity(F_fn, grid, spec=StencilSpec(), rule=TRAPEZOID,
-                             grad_fn=None, helmholtz_tol=1e-10):
+                             grad_fn=None):
     """Volume-vs-boundary energy identity for a harmonic potential on a box.
 
     Computes volume_side = 1/2 * integral |grad F|^2 over the box and
@@ -130,8 +130,8 @@ def boundary_energy_identity(F_fn, grid, spec=StencilSpec(), rule=TRAPEZOID,
     derivative by one-sided order-2 differences unless an analytic gradient
     is supplied). Returns a dict with both sides, their mismatch, the grid
     Laplace residual of F (harmonicity gate), the max |dF/dn| over the
-    boundary, and the stationarity check: when that max is below
-    ``helmholtz_tol`` the energy must vanish at the discretization level,
+    boundary, and the stationarity check: when that max is at most
+    HELMHOLTZ_TOL the energy must vanish at the discretization level,
     and ``stationary_energy`` reports it for the caller to assert against
     C*h^2 bounds.
     """
@@ -166,7 +166,7 @@ def boundary_energy_identity(F_fn, grid, spec=StencilSpec(), rule=TRAPEZOID,
         "residual": abs(volume_side - boundary_side),
         "laplace_linf": laplace_linf,
         "max_normal_derivative": max_dFdn,
-        "normal_derivative_vanishes": max_dFdn <= helmholtz_tol,
-        "stationary_energy": volume_side if max_dFdn <= helmholtz_tol else None,
+        "normal_derivative_vanishes": max_dFdn <= HELMHOLTZ_TOL,
+        "stationary_energy": volume_side if max_dFdn <= HELMHOLTZ_TOL else None,
         "max_gradient": float(np.abs(gF).max()),
     }

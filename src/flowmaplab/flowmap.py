@@ -23,7 +23,7 @@ from __future__ import annotations
 import bisect
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -211,16 +211,15 @@ class SampledFlowMap(FlowMap):
 
     The last advected (labels, t) is remembered, so velocities (the field
     at the positions) and repeated queries reuse its positions.
-    ``error_floor`` is the table's estimated integration error (see
-    ``integrate_trajectories``). Maps loaded from disk have no field:
+    ``error_floor`` (None unless ``integrate_trajectories`` set it) is the
+    table's estimated integration error. Maps loaded from disk have no field:
     off-grid and off-time queries raise, and velocities fall back to time
     differences of the table.
     """
 
     def __init__(self, grid, times, positions_table,
                  field_fn=None, dt=None, convention="identity",
-                 reference_density=1.0, name="sampled", timescale=1.0,
-                 bbox=None, error_floor=None):
+                 name="sampled", timescale=1.0, bbox=None):
         self.grid = grid
         self.times = np.asarray(times, dtype=float)
         if self.times.ndim != 1 or np.any(np.diff(self.times) <= 0):
@@ -243,10 +242,10 @@ class SampledFlowMap(FlowMap):
                 f"positions table shape {self.positions_table.shape} != {expected}"
             )
         self.convention = convention
-        self.reference_density = reference_density
+        self.reference_density = 1.0
         self.name = name
         self.timescale = float(timescale)
-        self.error_floor = error_floor
+        self.error_floor = None
         if convention == "identity":
             self.check_identity_at_zero(tol=1e-9)
 
@@ -432,20 +431,27 @@ def deformation_gradient(m, t, spec=StencilSpec(), mode="auto"):
     return g
 
 
-def deformation_at(m, labels, t, h=1e-5):
+POINT_STENCIL_H = 1e-5
+
+
+def deformation_at(m, labels, t):
     """dx_i/dlab_j at arbitrary labels: analytic partials or local stencils.
 
-    The local fallback advects +/-h shifted copies of the labels (one batched
-    map evaluation), so it works for sampled maps backed by their field.
+    The local fallback advects +/-POINT_STENCIL_H shifted copies of the labels
+    (one batched evaluation), so it works for sampled maps backed by their field.
     """
     F = m.label_partials(_labels3(labels), t)
-    return F if F is not None else point_jacobian(lambda p: m.positions(p, t), labels, h)
+    if F is not None:
+        return F
+    return point_jacobian(lambda p: m.positions(p, t), labels, POINT_STENCIL_H)
 
 
-def velocity_gradient_at(m, labels, t, h=1e-5):
+def velocity_gradient_at(m, labels, t):
     """du_i/dlab_j at arbitrary labels (analytic or local stencils)."""
     G = m.velocity_label_partials(_labels3(labels), t)
-    return G if G is not None else point_jacobian(lambda p: m.velocities(p, t), labels, h)
+    if G is not None:
+        return G
+    return point_jacobian(lambda p: m.velocities(p, t), labels, POINT_STENCIL_H)
 
 
 def jacobian_det(g):
@@ -610,21 +616,25 @@ def mass_integral_transform(m, t, f, rule=TRAPEZOID):
     return float(mapped), float(ref)
 
 
-def validate_analytic_partials(m, t, spec=StencilSpec(), factor=50.0):
+PARTIALS_GATE_FACTOR = 50.0
+
+
+def validate_analytic_partials(m, t):
     """Cross-check registered analytic partials against grid differences.
 
-    Returns the max mismatch; raises if it exceeds factor * h^2 (a loose
+    Returns the max mismatch over the grid interior against order-2
+    differences; raises if it exceeds PARTIALS_GATE_FACTOR * h^2 (a loose
     O(h^2) gate meant to catch transcription errors, not to measure order).
     """
     labels = m.grid_labels()
     F = m.label_partials(labels, t)
     if F is None:
         return 0.0
-    F_fd = _fd_partials_on_grid(m, t, spec)
+    F_fd = _fd_partials_on_grid(m, t, StencilSpec(order=2))
     interior = m.grid.interior_slices(2)
     err = float(np.max(np.abs((F - F_fd)[interior])))
     hmax = max(m.grid.spacing)
-    gate = factor * hmax ** 2
+    gate = PARTIALS_GATE_FACTOR * hmax ** 2
     if err > gate:
         raise ValueError(
             f"analytic partials disagree with finite differences: {err:.3e} > {gate:.3e}"

@@ -191,18 +191,12 @@ def _diff_along_axis0(f, h, order, wrap):
     return out
 
 
-def differentiate(f, axis, spec=StencilSpec(), grid=None):
-    """Partial derivative of a sampled field along one label axis.
+def differentiate(f, axis, spec=StencilSpec(), *, grid):
+    """Partial derivative of an array sampled on ``grid`` along one label axis.
 
-    Accepts a Field (returns a Field) or a bare array plus ``grid``.
     Central differences of the stated order in the interior; one-sided rows
     of matching order at non-periodic boundaries; periodic axes wrap.
     """
-    if isinstance(f, Field):
-        out = differentiate(f.data, axis, spec, grid=f.grid)
-        return Field(f.grid, out)
-    if grid is None:
-        raise ValueError("differentiate needs a grid when given a bare array")
     if not 0 <= axis < grid.ndim:
         raise ValueError(f"axis {axis} invalid for a {grid.ndim}-axis grid")
     if not np.all(np.isfinite(f)):
@@ -215,37 +209,31 @@ def differentiate(f, axis, spec=StencilSpec(), grid=None):
         _diff_along_axis0(moved, grid.spacing[axis], spec.order, grid.periodic[axis]), 0, axis)
 
 
-def gradient(f, spec=StencilSpec(), grid=None):
+def gradient(f, spec=StencilSpec(), *, grid):
     """Label-space gradient, the derivative axis appended innermost.
 
-    A scalar field gives (..., 3); a (..., 3) vector field gives the Jacobian
+    A scalar array gives (..., 3); a (..., 3) vector array gives the Jacobian
     layout (..., 3, 3) with ``[..., i, k] = d f_i / d lab_k``. Missing axes
     of 1D/2D grids contribute zero derivative (fields are taken
     label-invariant along unrepresented axes), so the derivative axis always
     has 3 entries.
     """
-    if isinstance(f, Field):
-        return Field(f.grid, gradient(f.data, spec, grid=f.grid))
     out = np.zeros(f.shape + (3,))
     for k in range(grid.ndim):
         out[..., k] = differentiate(f, k, spec, grid=grid)
     return out
 
 
-def divergence(vec, spec=StencilSpec(), grid=None):
-    """Label-space divergence of a 3-component field (missing axes -> 0)."""
-    if isinstance(vec, Field):
-        return Field(vec.grid, divergence(vec.data, spec, grid=vec.grid))
+def divergence(vec, spec=StencilSpec(), *, grid):
+    """Label-space divergence of a 3-component array (missing axes -> 0)."""
     out = np.zeros(vec.shape[:-1])
     for k in range(grid.ndim):
         out += differentiate(vec[..., k], k, spec, grid=grid)
     return out
 
 
-def curl(vec, spec=StencilSpec(), grid=None):
-    """Label-space curl of a 3-component field (missing axes -> 0)."""
-    if isinstance(vec, Field):
-        return Field(vec.grid, curl(vec.data, spec, grid=vec.grid))
+def curl(vec, spec=StencilSpec(), *, grid):
+    """Label-space curl of a 3-component array (missing axes -> 0)."""
 
     def d(comp, axis):
         if axis >= grid.ndim:

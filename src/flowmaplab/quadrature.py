@@ -1,7 +1,8 @@
 """Composite quadrature for line, surface, and volume integrals.
 
-Rules: trapezoid (node samples), midpoint (cell-center samples), simpson
-(node samples, even interval count per axis). Reductions go through numpy's
+Rules: trapezoid and simpson, both on node samples (simpson needs an even
+interval count per axis); a periodic axis gets uniform weights under
+either. Line integrals run around closed loops. Reductions go through numpy's
 pairwise summation, so results are deterministic and independent of how
 callers parallelize around them.
 """
@@ -16,7 +17,6 @@ from .grids import _diff_along_axis0
 __all__ = [
     "QuadratureRule",
     "TRAPEZOID",
-    "MIDPOINT",
     "SIMPSON",
     "axis_weights",
     "grid_integral",
@@ -30,12 +30,11 @@ class QuadratureRule:
     kind: str
 
     def __post_init__(self):
-        if self.kind not in ("trapezoid", "midpoint", "simpson"):
+        if self.kind not in ("trapezoid", "simpson"):
             raise ValueError(f"unknown quadrature rule {self.kind!r}")
 
 
 TRAPEZOID = QuadratureRule("trapezoid")
-MIDPOINT = QuadratureRule("midpoint")
 SIMPSON = QuadratureRule("simpson")
 
 
@@ -50,8 +49,8 @@ def axis_weights(n, h, rule, periodic=False):
     rule = _as_rule(rule)
     if n < 2:
         raise ValueError("need at least 2 samples per axis")
-    if periodic or rule.kind == "midpoint":
-        # closed loop / cell-center samples: uniform weights (n cells)
+    if periodic:
+        # closed loop: uniform weights (n cells)
         return np.full(n, h)
     if rule.kind == "trapezoid":
         w = np.full(n, h)
@@ -98,12 +97,11 @@ def closed_path_tangents(points, order=4):
     return _diff_along_axis0(pts, 2 * np.pi / pts.shape[0], order, wrap=True)
 
 
-def path_integral(points, vectors, closed=True, tangent_order=4):
-    """Integral of vectors . dx along a polyline of uniformly spaced samples.
+def path_integral(points, vectors, tangent_order=4):
+    """Integral of vectors . dx around a closed loop of uniformly spaced samples.
 
-    For closed paths the samples are treated as one period of a smooth curve
-    (trapezoid there is spectrally accurate in the parameter). Open paths use
-    chord-trapezoid on the segments.
+    The samples are treated as one period of a smooth curve (trapezoid there
+    is spectrally accurate in the parameter).
     """
     pts = np.asarray(points, dtype=float)
     vec = np.asarray(vectors, dtype=float)
@@ -111,10 +109,6 @@ def path_integral(points, vectors, closed=True, tangent_order=4):
         raise ValueError("points and vectors must have matching shapes")
     if pts.shape[0] < 2:
         raise ValueError("empty path")
-    if closed:
-        tangents = closed_path_tangents(pts, order=tangent_order)
-        integrand = np.sum(vec * tangents, axis=-1)
-        return float(np.sum(integrand) * (2 * np.pi / pts.shape[0]))
-    chords = pts[1:] - pts[:-1]
-    mids = 0.5 * (vec[1:] + vec[:-1])
-    return float(np.sum(np.sum(mids * chords, axis=-1)))
+    tangents = closed_path_tangents(pts, order=tangent_order)
+    integrand = np.sum(vec * tangents, axis=-1)
+    return float(np.sum(integrand) * (2 * np.pi / pts.shape[0]))

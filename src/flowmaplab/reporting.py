@@ -135,8 +135,12 @@ class VerificationReport:
 def report_diff(path_a, path_b):
     """Human-readable comparison of two report files.
 
-    Returns (identical: bool, text). Identity means equal determinism hashes;
-    the text lists row-level numeric differences otherwise.
+    Returns (identical: bool, text). Identity means equal determinism hashes.
+    Otherwise rows are matched by (flow, check, grid) and their order of
+    appearance, and the text names every field that differs in a matched
+    row (``linf 0.1 -> 0.2``) and every row found in one report only; when
+    no row differs, it names the top-level config keys that do (or says the
+    rows only changed order).
     """
     a = VerificationReport.from_file(path_a)
     b = VerificationReport.from_file(path_b)
@@ -144,15 +148,29 @@ def report_diff(path_a, path_b):
     if ha == hb:
         return True, f"reports identical (hash {ha[:16]}...)"
     lines = [f"hash A {ha}", f"hash B {hb}"]
-    key = lambda r: (r.flow, r.check, r.grid, r.time)
-    rows_a = {key(r): r for r in a.rows}
-    rows_b = {key(r): r for r in b.rows}
+    rows_a, rows_b = dict(_keyed_rows(a.rows)), dict(_keyed_rows(b.rows))
     for k in sorted(set(rows_a) | set(rows_b)):
         ra, rb = rows_a.get(k), rows_b.get(k)
         if ra is None or rb is None:
             lines.append(f"only in {'B' if ra is None else 'A'}: {k}")
-        elif (ra.linf, ra.passed, ra.order) != (rb.linf, rb.passed, rb.order):
-            lines.append(
-                f"{k}: linf {ra.linf!r} -> {rb.linf!r}, passed {ra.passed} -> {rb.passed}"
-            )
+            continue
+        diffs = [f"{f} {getattr(ra, f)!r} -> {getattr(rb, f)!r}"
+                 for f in ("anchor", "time", "linf", "l2", "location", "order", "tolerance",
+                           "passed") if getattr(ra, f) != getattr(rb, f)]
+        if diffs:
+            lines.append(f"{k}: {', '.join(diffs)}")
+    if len(lines) == 2:  # no row differs
+        ca, cb = _jsonable(a.config), _jsonable(b.config)
+        keys = sorted(k for k in set(ca) | set(cb) if ca.get(k) != cb.get(k))
+        lines.append(f"rows equal; config keys differ: {', '.join(keys)}" if keys
+                     else "rows and config equal; rows in a different order")
     return False, "\n".join(lines)
+
+
+def _keyed_rows(rows):
+    """(flow, check, grid, n) and the row: the n-th row with that triple."""
+    seen = {}
+    for r in rows:
+        base = (r.flow, r.check, r.grid)
+        seen[base] = seen.get(base, -1) + 1
+        yield base + (seen[base],), r

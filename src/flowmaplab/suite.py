@@ -46,7 +46,7 @@ CONFIG_SCHEMA = {
         "stencil_order": {"enum": [2, 4]},
         "quadrature": {"enum": ["trapezoid", "midpoint", "simpson"]},
         "time_fractions": {
-            "type": "array", "items": {"type": "number"}, "minItems": 1,
+            "type": "array", "items": {"type": "number"}, "minItems": 2,
         },
         "flows": {
             "type": "array", "minItems": 1,
@@ -99,9 +99,9 @@ def load_config(path_or_dict):
     """A suite config (a path or a dict), validated before anything is built.
 
     Beyond the schema, every check id, check option, flow name and flow param
-    must be one the code reads, and every flow's domain must mesh at every
-    grid. Any violation raises ConfigError naming the key and the accepted
-    names.
+    must be one the code reads, every flow's domain must mesh at every grid,
+    and ``time_fractions`` must strictly increase. Any violation raises
+    ConfigError naming the key and the accepted names or values.
     """
     import json
 
@@ -122,6 +122,9 @@ def load_config(path_or_dict):
         if exc.validator == "additionalProperties":
             msg += f"; accepted: {', '.join(exc.schema['properties'])}"
         raise ConfigError(msg)
+    fracs = cfg.get("time_fractions", ())
+    if any(b <= a for a, b in zip(fracs, fracs[1:])):
+        raise ConfigError(f"config.time_fractions {fracs} must strictly increase")
     for chk in cfg["checks"]:
         if chk["id"] in _RETIRED:
             raise ConfigError(f"check {chk['id']!r} was removed: {_RETIRED[chk['id']]}")
@@ -226,8 +229,7 @@ def _chk_kelvin(entry, times, ctx, *, center=(0.0, 0.0, 0.0), radius=0.25,
                 normal=(0.0, 0.0, 1.0), points=None):
     loop = MaterialLoop.circle(center=tuple(center), radius=radius, normal=tuple(normal),
                                n=_loop_points(entry, points))
-    out = kelvin_drift(entry.map, loop, times)
-    return {"linf": out["drift"], "time": times[-1]}
+    return {"linf": kelvin_drift(entry.map, loop, times), "time": times[-1]}
 
 
 def _chk_stokes(entry, times, ctx, *, center=(0.0, 0.0, 0.0), radius=0.25,

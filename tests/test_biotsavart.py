@@ -127,13 +127,6 @@ class TestReconstruction:
         with pytest.raises(ValueError):
             velocity_from_vorticity(src, [(0.0, 0.0, 0.0)])
 
-    def test_harmonic_correction_added(self):
-        g = LabelGrid((8, 8, 8), (-1, -1, -1), (2 / 7,) * 3)
-        src = VorticitySource(g, np.zeros((8, 8, 8, 3)))
-        u = velocity_from_vorticity(src, [(2.0, 0.0, 0.0)],
-                                    grad_P=lambda t: np.full((len(t), 3), 0.5))
-        assert np.abs(u - 0.5).max() == 0.0
-
 
 def one_node_source(index, w, h=0.5):
     """A source whose only carrying node is ``index`` of an 8^3 grid, and

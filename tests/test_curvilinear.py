@@ -38,10 +38,10 @@ def rest_3d():
 
 
 class TestMetrics:
-    def test_polar_coefficients(self):
+    def test_polar_coefficients(self, sample_domain):
         chart = polar_chart()
         rng = np.random.default_rng(1)
-        rho = chart.sample_domain(rng, 200)
+        rho = sample_domain(chart, rng, 200)
         mc = chart_metrics(chart, rho)
         r, th = rho[..., 0], rho[..., 1]
         assert np.abs(mc.N[..., 0] - 1.0).max() < 1e-12
@@ -49,20 +49,20 @@ class TestMetrics:
         assert np.abs(mc.N[..., 2] - (r * np.sin(th)) ** 2).max() < 1e-10
         assert np.abs(mc.n).max() < 1e-10
 
-    def test_cylindrical_coefficients(self):
+    def test_cylindrical_coefficients(self, sample_domain):
         chart = cylindrical_chart()
         rng = np.random.default_rng(2)
-        rho = chart.sample_domain(rng, 200)
+        rho = sample_domain(chart, rng, 200)
         mc = chart_metrics(chart, rho)
         assert np.abs(mc.N[..., 0] - 1.0).max() < 1e-12
         assert np.abs(mc.N[..., 1] - rho[..., 0] ** 2).max() < 1e-10
         assert np.abs(mc.N[..., 2] - 1.0).max() < 1e-12
 
-    def test_elliptical_coefficients_positive_and_closed_form(self):
+    def test_elliptical_coefficients_positive_and_closed_form(self, sample_domain):
         al, be, ga = 3.0, 2.0, 1.0
         chart = elliptical_chart(al, be, ga)
         rng = np.random.default_rng(3)
-        rho = chart.sample_domain(rng, 300)
+        rho = sample_domain(chart, rng, 300)
         mc = chart_metrics(chart, rho)
         assert np.all(mc.N > 0)
         # closed-form coefficients from the square-root coordinate relations
@@ -74,11 +74,11 @@ class TestMetrics:
                 (r2[..., i] - a2) * (r2[..., i] - b2) * (r2[..., i] - g2))
             assert np.abs(mc.N[..., i] - expect).max() < 1e-8
 
-    def test_determinant_identity(self):
+    def test_determinant_identity(self, sample_domain):
         # det(dx/drho)^2 equals det of the Gram matrix, per point
         for chart in (polar_chart(), cylindrical_chart(), elliptical_chart()):
             rng = np.random.default_rng(4)
-            rho = chart.sample_domain(rng, 200)
+            rho = sample_domain(chart, rng, 200)
             P = chart.partials_at(rho)
             gram = chart_metrics(chart, rho).gram()
             lhs = det3(P) ** 2
@@ -100,21 +100,21 @@ def orthogonality(chart, rho):
 
 
 class TestOrthogonality:
-    def test_polar(self):
+    def test_polar(self, sample_domain):
         chart = polar_chart()
-        rho = chart.sample_domain(np.random.default_rng(5), 300)
+        rho = sample_domain(chart, np.random.default_rng(5), 300)
         cross, recip = orthogonality(chart, rho)
         assert cross <= 1e-10 and recip <= 1e-10
 
-    def test_elliptical(self):
+    def test_elliptical(self, sample_domain):
         chart = elliptical_chart()
-        rho = chart.sample_domain(np.random.default_rng(6), 300)
+        rho = sample_domain(chart, np.random.default_rng(6), 300)
         cross, recip = orthogonality(chart, rho)
         assert cross <= 1e-8 and recip <= 1e-8
 
-    def test_skewed_chart_detected(self):
+    def test_skewed_chart_detected(self, sample_domain):
         chart = skewed_chart()
-        rho = chart.sample_domain(np.random.default_rng(7), 50)
+        rho = sample_domain(chart, np.random.default_rng(7), 50)
         mc = chart_metrics(chart, rho)
         assert np.abs(np.abs(mc.n[..., 2]) - 1.0).max() < 1e-8  # |n3| = 1
         assert not chart.orthogonal
@@ -125,9 +125,9 @@ class TestOrthogonality:
 class TestRoundTrip:
     @pytest.mark.parametrize("maker", [cartesian_chart, cylindrical_chart,
                                        polar_chart, elliptical_chart, skewed_chart])
-    def test_roundtrip_1e4_points(self, maker):
+    def test_roundtrip_1e4_points(self, maker, sample_domain):
         chart = maker()
-        pos = chart.inverse(chart.sample_domain(np.random.default_rng(0), 10000))
+        pos = chart.inverse(sample_domain(chart, np.random.default_rng(0), 10000))
         assert np.abs(chart.inverse(chart.forward(pos)) - pos).max() <= 1e-10
 
 
@@ -289,7 +289,7 @@ class TestSvanberg:
         assert out["drift"] == 0.0
 
 
-def test_chart_partials_match_finite_differences():
+def test_chart_partials_match_finite_differences(sample_domain):
     # chart invariant: registered analytic partials agree with central
     # differences of the inverse map to O(h^2)
     from flowmaplab.grids import point_jacobian
@@ -297,7 +297,7 @@ def test_chart_partials_match_finite_differences():
     rng = np.random.default_rng(11)
     for maker in (cylindrical_chart, polar_chart, elliptical_chart):
         chart = maker()
-        rho = chart.sample_domain(rng, 100)
+        rho = sample_domain(chart, rng, 100)
         exact = chart.partials_at(rho)
         fd = point_jacobian(chart.inverse, rho, h=1e-6)
         assert np.abs(exact - fd).max() <= 1e-7, chart.name

@@ -20,3 +20,27 @@ def test_all_resolves_and_lists_every_public_function_and_class(name):
               if not n.startswith("_") and (inspect.isfunction(obj) or inspect.isclass(obj))
               and obj.__module__ == mod.__name__}
     assert sorted(public - set(exported)) == []
+
+
+def test_surface_census_counts_the_tree():
+    # tools/surface_census.py, loaded from its file: three positive counts,
+    # and the tool imports only the standard library and flowmaplab
+    import ast
+    import importlib.util
+    import sys
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "tools" / "surface_census.py"
+    spec = importlib.util.spec_from_file_location("surface_census", path)
+    census = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(census)
+    counts = census.census()
+    assert list(counts) == ["lines", "public names", "settable values"]
+    assert all(type(v) is int and v > 0 for v in counts.values()), counts
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            imported |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.add(node.module.split(".")[0])
+    assert imported - set(sys.stdlib_module_names) <= {"flowmaplab"}, imported

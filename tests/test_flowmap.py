@@ -511,3 +511,32 @@ def test_det3_matches_numpy():
     rng = np.random.default_rng(0)
     M = rng.normal(size=(50, 3, 3))
     assert np.abs(det3(M) - np.linalg.det(M)).max() < 1e-12
+
+
+def test_analytic_partials_gate():
+    # x = (a + t sin b, b, c) on [0, 1]^2, h = 1/16: the true partial
+    # dx/db = t cos b passes the gate with an O(h^2) mismatch; a sign error
+    # there misses by up to 2 t and trips the gate, 50 h^2 ~ 0.195
+    from flowmaplab.flowmap import PARTIALS_GATE_FACTOR, validate_analytic_partials
+
+    grid = LabelGrid((17, 17), (0.0, 0.0), (1 / 16, 1 / 16))
+
+    def shear_map(sign):
+        def partials(lab, t):
+            F = np.broadcast_to(np.eye(3), lab.shape[:-1] + (3, 3)).copy()
+            F[..., 0, 1] = sign * t * np.cos(lab[..., 1])
+            return F
+
+        return AnalyticFlowMap(
+            grid,
+            position=lambda lab, t: lab + np.stack(
+                [t * np.sin(lab[..., 1]), 0 * lab[..., 1], 0 * lab[..., 1]], axis=-1),
+            velocity=lambda lab, t: np.stack(
+                [np.sin(lab[..., 1]), 0 * lab[..., 1], 0 * lab[..., 1]], axis=-1),
+            partials=partials,
+        )
+
+    err = validate_analytic_partials(shear_map(1.0), 0.5)
+    assert 0.0 < err <= PARTIALS_GATE_FACTOR * (1 / 16) ** 2
+    with pytest.raises(ValueError, match="analytic partials disagree with finite differences"):
+        validate_analytic_partials(shear_map(-1.0), 0.5)

@@ -164,12 +164,6 @@ class TestDifferentiate:
         rhs = a * differentiate(f, 0, spec, grid=g) + b * differentiate(h, 0, spec, grid=g)
         assert np.max(np.abs(lhs - rhs)) < 1e-12 * (1 + abs(a) + abs(b))
 
-    def test_field_roundtrip(self):
-        g = LabelGrid((8, 8), (0, 0), (0.1, 0.1))
-        f = Field(g, np.random.default_rng(0).normal(size=(8, 8, 3)))
-        out = differentiate(f, 0)
-        assert isinstance(out, Field) and out.data.shape == (8, 8, 3)
-
 
 class TestStencilLayer:
     @pytest.mark.parametrize("shape", [(40, 3), (6, 8, 3)])

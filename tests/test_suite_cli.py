@@ -264,6 +264,36 @@ class TestRunSuite:
         same, text = report_diff(a, b)
         assert not same and "999" in text
 
+    def test_diff_names_every_differing_field(self, tmp_path):
+        from flowmaplab.reporting import ReportRow
+
+        def write(name, config, **changes):
+            row = dict(flow="gerstner", check="c", anchor="x", grid="16x16", time=0.5,
+                       linf=1e-3, tolerance=1e-2)
+            rows = [ReportRow(**row, l2=1e-4, location=(0.25, 0.5)),
+                    ReportRow(**dict(row, linf=2e-3, **changes))]
+            path = tmp_path / name
+            VerificationReport(rows, config=config).to_json(path)
+            return path
+
+        cfg = {"name": "n", "seed": 0, "grids": [[16, 16]]}
+        a = write("a.json", cfg)
+        # the second row of one (flow, check, grid), so the match is by position
+        b = write("b.json", cfg, tolerance=1e-1, l2=3e-4, location=(0.5, 0.5),
+                  anchor="y", time=0.75)
+        same, text = report_diff(a, b)
+        row_line = text.splitlines()[2]
+        assert not same and len(text.splitlines()) == 3
+        assert row_line.startswith("('gerstner', 'c', '16x16', 1): ")
+        for part in ("anchor 'x' -> 'y'", "time 0.5 -> 0.75", "l2 None -> 0.0003",
+                     "location None -> (0.5, 0.5)", "tolerance 0.01 -> 0.1"):
+            assert part in row_line, (part, row_line)
+        assert "linf" not in row_line and "passed" not in row_line
+        # rows equal: the top-level config keys that differ are named
+        c = write("c.json", dict(cfg, seed=1, name="m"))
+        same, text = report_diff(a, c)
+        assert not same and text.splitlines()[2:] == ["rows equal; config keys differ: name, seed"]
+
     def test_csv_rows_written(self, tmp_path):
         report, _ = run_suite(SUITE)
         out = tmp_path / "rows.csv"
@@ -448,6 +478,10 @@ class TestCLI:
         pytest.param(("run", {"checks": [{"id": "cauchy.invariant_drift", "tolerance": 1.0,
                                           "options": {"mode": "FD"}}]}), "mode", id="mode_FD"),
         pytest.param(("run", {"stencil_ordr": 4}), "stencil_ordr", id="top_level_key"),
+        pytest.param(("run", {"time_fractions": [0.0]}), "time_fractions",
+                     id="one_time_fraction"),
+        pytest.param(("run", {"time_fractions": [0.0, 0.0]}), "time_fractions",
+                     id="repeated_time_fraction"),
         pytest.param(("run", {"flows": [{"name": "gerstner", "params": {"k": 0}}]}),
                      "wavenumber k", id="gerstner_k0"),
         pytest.param(("flows", "describe", "gerstner", "--params", '{"k": 0}'),
