@@ -2,7 +2,7 @@
 
 Walks through the deformation gradient, the Jacobian determinant and its
 conservation, the nine cofactor relations, the Eulerian divergence check, and
-the trajectory file format. Everything prints; nothing plots.
+mass carried by the labels. Everything prints; nothing plots.
 """
 
 import numpy as np
@@ -42,15 +42,3 @@ print("\n--- mass is carried by the labels ----------------------------")
 mapped, reference = fl.mass_integral_transform(
     wave.map, 3.0, lambda p: np.ones(p.shape[:-1]))
 print(f"  total mass, composed vs reference: {mapped:.12f} vs {reference:.12f}")
-
-print("\n--- trajectory file round trip -------------------------------")
-import tempfile, pathlib
-
-with tempfile.TemporaryDirectory() as tmp:
-    path = pathlib.Path(tmp) / "rotation.fmap"
-    fl.save_flowmap(rot.map, path, times=[0.0, 0.5, 1.0])
-    loaded = fl.load_flowmap(path)
-    err = np.abs(loaded.positions(loaded.grid_labels(), 1.0)
-                 - rot.map.positions(rot.map.grid_labels(), 1.0)).max()
-    print(f"  positions after save/load differ by {err:.1e}")
-    print("  sidecar:", (str(path) + ".json").split("/")[-1])

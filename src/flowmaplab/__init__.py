@@ -34,9 +34,7 @@ from .flowmap import (
     deformation_gradient,
     density_residual,
     jacobian_det,
-    load_flowmap,
     mass_integral_transform,
-    save_flowmap,
 )
 from .flows import (
     CatalogEntry,

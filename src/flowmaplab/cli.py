@@ -150,7 +150,11 @@ def main(argv=None):
             else:
                 params = _parse_params(args.params)
                 validate_flow(args.name, params)
-                print(catalog_flow(args.name, **params).describe())
+                try:
+                    entry = catalog_flow(args.name, **params)
+                except ValueError as exc:  # a param value the flow cannot be built with
+                    raise ConfigError(str(exc)) from None
+                print(entry.describe())
             return 0
     except ConfigError as exc:  # malformed config or command-line input
         print(f"error: {exc}", file=sys.stderr)

@@ -2,27 +2,19 @@
 
 A flow map x = phi(a, b, c, t) is either analytic (closed-form position /
 velocity / acceleration callables, optionally with exact label partials) or
-sampled (a trajectory table over a label grid plus, when available, the
-generating velocity field for on-demand advection of arbitrary labels).
+sampled (a trajectory table over a label grid, marched by RK4 through its
+generating velocity field, which also advects arbitrary labels on demand).
 
 The operations here cover the deformation gradient dx_i/da_j, its Jacobian
 determinant and the density equations in both dependences, the nine cofactor
 relations tying the inverse map gradient to minors of the forward one, and
 the volume-integral transform that moves integrals between position and
 label space.
-
-Sampled maps serialize to a columnar binary file (see ``save_flowmap``):
-an ASCII magic, little-endian header with grid dims / origin / spacing /
-periodicity / label convention and the time stamps, then float64 positions
-ordered node-major, then time, with the 3 components innermost. A JSON
-sidecar (same path + ".json") carries free-form metadata.
 """
 
 from __future__ import annotations
 
 import bisect
-import json
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,11 +48,12 @@ __all__ = [
     "mass_integral_transform",
     "invert_map",
     "validate_analytic_partials",
-    "save_flowmap",
-    "load_flowmap",
 ]
 
 SINGULAR_J_TOL = 1e-10
+# step of the central time difference FlowMap.accelerations takes, in units
+# of the map's timescale
+ACCELERATION_STEP = 1e-4
 
 
 class SingularMapError(RuntimeError):
@@ -90,9 +83,10 @@ class FlowMap:
     def velocities(self, labels, t):
         raise NotImplementedError
 
-    def accelerations(self, labels, t, dt=None):
-        """Central time difference of velocities along trajectories."""
-        dt = dt if dt is not None else 1e-4 * self.timescale
+    def accelerations(self, labels, t):
+        """Central time difference of velocities along trajectories, over a
+        step of ACCELERATION_STEP * timescale."""
+        dt = ACCELERATION_STEP * self.timescale
         vp = self.velocities(labels, t + dt)
         vm = self.velocities(labels, t - dt)
         return (vp - vm) / (2 * dt)
@@ -116,10 +110,10 @@ class FlowMap:
     def grid_labels(self):
         return self.grid.nodes3().reshape(self.grid.shape + (3,))
 
-    def check_identity_at_zero(self, tol=1e-12):
+    def check_identity_at_zero(self):
         labels = self.grid_labels()
         err = np.max(np.abs(self.positions(labels, 0.0) - labels))
-        if err > tol:
+        if err > 1e-12:
             raise ValueError(
                 f"map declared identity-at-zero but |x(a,0)-a| reaches {err:.3e}"
             )
@@ -162,10 +156,10 @@ class AnalyticFlowMap(FlowMap):
     def velocities(self, labels, t):
         return np.asarray(self._velocity(_labels3(labels), float(t)), dtype=float)
 
-    def accelerations(self, labels, t, dt=None):
+    def accelerations(self, labels, t):
         if self._acceleration is not None:
             return np.asarray(self._acceleration(_labels3(labels), float(t)), dtype=float)
-        return super().accelerations(labels, t, dt)
+        return super().accelerations(labels, t)
 
     def label_partials(self, labels, t):
         if self._partials is None:
@@ -192,15 +186,15 @@ CHECKPOINT_STRIDE = 16
 
 
 class SampledFlowMap(FlowMap):
-    """Trajectory table on a label grid, optionally backed by its velocity field.
+    """Trajectory table on a label grid, marched through its velocity field.
 
-    positions_table: shape (n_times,) + grid.shape + (3,). A map built with
-    its generating field and RK4 step ``dt`` marches its own table instead
-    (pass ``positions_table=None``; ``integrate_trajectories`` does): one
-    fixed-step march from t=0 fills the table and a checkpoint lattice of
-    grid-label states at the table times and at every CHECKPOINT_STRIDE-th
-    step of dt. One checkpoint is one state of the grid, 24 bytes per node
-    (24 KiB at 32x32). Queries go as follows:
+    ``field_fn(points, t)`` is the generating velocity field and ``dt`` the
+    RK4 step; ``integrate_trajectories`` builds these maps. One fixed-step
+    march from t=0 fills ``positions_table``, of shape (n_times,) +
+    grid.shape + (3,), starting from the grid labels themselves, and a
+    checkpoint lattice of grid-label states at the table times and at every
+    CHECKPOINT_STRIDE-th step of dt. One checkpoint is one state of the
+    grid, 24 bytes per node (24 KiB at 32x32). Queries go as follows:
 
     - grid labels at a table time read the table;
     - grid labels at any other time resume from the checkpoint at or below
@@ -212,14 +206,14 @@ class SampledFlowMap(FlowMap):
     The last advected (labels, t) is remembered, so velocities (the field
     at the positions) and repeated queries reuse its positions.
     ``error_floor`` (None unless ``integrate_trajectories`` set it) is the
-    table's estimated integration error. Maps loaded from disk have no field:
-    off-grid and off-time queries raise, and velocities fall back to time
-    differences of the table.
+    table's estimated integration error. The map is identity-at-zero with
+    unit reference density.
     """
 
-    def __init__(self, grid, times, positions_table,
-                 field_fn=None, dt=None, convention="identity",
-                 name="sampled", timescale=1.0, bbox=None):
+    convention = "identity"
+    reference_density = 1.0
+
+    def __init__(self, grid, times, field_fn, dt, name="sampled", timescale=1.0, bbox=None):
         self.grid = grid
         self.times = np.asarray(times, dtype=float)
         if self.times.ndim != 1 or np.any(np.diff(self.times) <= 0):
@@ -231,23 +225,10 @@ class SampledFlowMap(FlowMap):
         # the grid labels, read-only: queries compare against them
         self._grid_lab = self.grid_labels()
         self._grid_lab.flags.writeable = False
-        if field_fn is not None:
-            if positions_table is not None:
-                raise ValueError("a sampled map with its field marches its own table")
-            positions_table = self._march_table()
-        self.positions_table = np.asarray(positions_table, dtype=float)
-        expected = (len(self.times),) + grid.shape + (3,)
-        if self.positions_table.shape != expected:
-            raise ValueError(
-                f"positions table shape {self.positions_table.shape} != {expected}"
-            )
-        self.convention = convention
-        self.reference_density = 1.0
+        self.positions_table = self._march_table()
         self.name = name
         self.timescale = float(timescale)
         self.error_floor = None
-        if convention == "identity":
-            self.check_identity_at_zero(tol=1e-9)
 
     def _march_table(self):
         """Start the checkpoint lattice at the grid labels, march it to
@@ -255,8 +236,8 @@ class SampledFlowMap(FlowMap):
         if self.times[0] != 0.0:
             raise ValueError("trajectory tables must start at t=0 (identity labels)")
         dt = self.dt
-        if dt is None or not dt > 0:
-            raise ValueError(f"a sampled map with its field needs an RK4 step dt > 0, got {dt!r}")
+        if not dt > 0:
+            raise ValueError(f"a sampled map needs an RK4 step dt > 0, got {dt!r}")
         steps = [0]
         for gap in np.diff(self.times):
             if gap < dt - 1e-12 or abs(round(gap / dt) - gap / dt) > 1e-9:
@@ -312,10 +293,6 @@ class SampledFlowMap(FlowMap):
         j = self._time_index(t)
         if j is not None and on_grid:
             return self.positions_table[j]
-        if self.field_fn is None:
-            raise ValueError(
-                "off-table query on a sampled map without its generating field"
-            )
         last = self._last
         if last is not None and last[1] == t and np.array_equal(last[0], labels):
             return last[2]
@@ -329,18 +306,7 @@ class SampledFlowMap(FlowMap):
         return pos
 
     def velocities(self, labels, t):
-        if self.field_fn is not None:
-            return np.asarray(self.field_fn(self.positions(labels, t), float(t)), dtype=float)
-        j = self._time_index(t)
-        if j is None or not self._is_grid_labels(_labels3(labels)):
-            raise ValueError("fieldless sampled map: only table times/grid labels")
-        # centered time differences of the stored trajectories
-        times, tab = self.times, self.positions_table
-        if j == 0:
-            return (tab[1] - tab[0]) / (times[1] - times[0])
-        if j == len(times) - 1:
-            return (tab[-1] - tab[-2]) / (times[-1] - times[-2])
-        return (tab[j + 1] - tab[j - 1]) / (times[j + 1] - times[j - 1])
+        return np.asarray(self.field_fn(self.positions(labels, t), float(t)), dtype=float)
 
 
 @dataclass
@@ -438,7 +404,7 @@ def deformation_at(m, labels, t):
     """dx_i/dlab_j at arbitrary labels: analytic partials or local stencils.
 
     The local fallback advects +/-POINT_STENCIL_H shifted copies of the labels
-    (one batched evaluation), so it works for sampled maps backed by their field.
+    (one batched evaluation), so it works for sampled maps too.
     """
     F = m.label_partials(_labels3(labels), t)
     if F is not None:
@@ -497,7 +463,7 @@ def density_residual(m, t, mode="lagrangian", spec=StencilSpec(), gradient_mode=
     inside the convex hull of the advected label nodes (an exact test, since
     the hull is convex); otherwise a ValueError says the grid exits the
     mapped domain. ``invert_map`` seeds Newton by one backward march of the
-    grid nodes when the map has its field.
+    grid nodes when the map is sampled.
     """
     if mode == "lagrangian":
         return _lagrangian_density_residuals(m, [t], spec, gradient_mode, rind)[0]
@@ -532,13 +498,13 @@ def invert_map(m, points, t):
     Newton iteration using the deformation gradient, to a max-norm position
     residual below INVERT_TOL within INVERT_MAX_ITER steps; needs a
     well-resolved, non-singular map (|J| above the singularity threshold
-    along the way). A sampled map with its field starts Newton from one
-    backward RK4 march of the points from t to 0, which lands within the
-    integration error of the answer, so one or two iterations polish it;
-    other maps start from the points themselves.
+    along the way). A sampled map starts Newton from one backward RK4 march
+    of the points from t to 0, which lands within the integration error of
+    the answer, so one or two iterations polish it; other maps start from
+    the points themselves.
     """
     pts = np.asarray(points, dtype=float)
-    if getattr(m, "field_fn", None) is not None:
+    if isinstance(m, SampledFlowMap):
         from .flows import rk4_advect  # local import to avoid a cycle
 
         lab = rk4_advect(m.field_fn, pts, t, 0.0, m.dt, bbox=m.bbox)
@@ -640,100 +606,3 @@ def validate_analytic_partials(m, t):
             f"analytic partials disagree with finite differences: {err:.3e} > {gate:.3e}"
         )
     return err
-
-
-# ---------------------------------------------------------------------------
-# columnar file format
-
-_MAGIC = b"FLOWMAP1"
-
-
-def save_flowmap(m, path, times=None, metadata=None):
-    """Write a sampled trajectory table to ``path`` (+ JSON sidecar).
-
-    Analytic maps are sampled at the given times first. Positions are stored
-    node-major, then time, components innermost, as little-endian float64.
-    """
-    if times is None:
-        if not isinstance(m, SampledFlowMap):
-            raise ValueError("saving an analytic map requires explicit times")
-        times = m.times
-    times = np.asarray(times, dtype=float)
-    labels = m.grid_labels()
-    table = np.stack([m.positions(labels, t) for t in times])
-    grid = m.grid
-    nd = grid.ndim
-    shape3 = tuple(grid.shape) + (1,) * (3 - nd)
-    origin3 = tuple(grid.origin) + (0.0,) * (3 - nd)
-    spacing3 = tuple(grid.spacing) + (1.0,) * (3 - nd)
-    periodic3 = tuple(int(p) for p in grid.periodic) + (0,) * (3 - nd)
-    header = struct.pack(
-        "<8sI3I3d3d3BBI",
-        _MAGIC, nd, *shape3, *origin3, *spacing3, *periodic3,
-        0 if m.convention == "identity" else 1, len(times),
-    )
-    node_major = np.moveaxis(table.reshape(len(times), -1, 3), 0, 1)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(times.astype("<f8").tobytes())
-        fh.write(np.ascontiguousarray(node_major, dtype="<f8").tobytes())
-    side = {
-        "format": "flowmaplab-flowmap",
-        "version": 1,
-        "name": m.name,
-        "convention": m.convention,
-        "grid": {"shape": list(grid.shape), "origin": list(grid.origin),
-                 "spacing": list(grid.spacing), "periodic": list(grid.periodic)},
-        "times": [float(t) for t in times],
-    }
-    if metadata:
-        side.update(metadata)
-    with open(str(path) + ".json", "w") as fh:
-        json.dump(side, fh, indent=2, sort_keys=True)
-
-
-def load_flowmap(path):
-    """Read a trajectory table written by ``save_flowmap``.
-
-    The result has no generating field: only table times and grid labels are
-    queryable, with velocities reconstructed by time differences. A file with
-    a bad magic, a bad header field (ndim, spacing) or a times block or
-    payload shorter or longer than its header says raises a ValueError that
-    names the fault.
-    """
-    head_size = struct.calcsize("<8sI3I3d3d3BBI")
-    with open(path, "rb") as fh:
-        head = fh.read(head_size)
-        if len(head) < 8 or head[:8] != _MAGIC:
-            raise ValueError(f"not a flowmap file: bad magic {head[:8]!r}")
-        if len(head) < head_size:
-            raise ValueError("truncated flowmap header")
-        _, nd, n0, n1, n2, o0, o1, o2, h0, h1, h2, p0, p1, p2, conv, nt = struct.unpack(
-            "<8sI3I3d3d3BBI", head
-        )
-        if not 1 <= nd <= 3:
-            raise ValueError(f"bad flowmap header: ndim {nd} is not 1, 2 or 3")
-        spacing = (h0, h1, h2)[:nd]
-        if not all(np.isfinite(h) and h > 0 for h in spacing):
-            raise ValueError(f"bad flowmap header: spacing {spacing} must be finite and > 0")
-        grid = LabelGrid((n0, n1, n2)[:nd], (o0, o1, o2)[:nd], spacing,
-                         tuple(bool(b) for b in (p0, p1, p2)[:nd]))
-        raw = fh.read(8 * nt)
-        if len(raw) != 8 * nt:
-            raise ValueError(f"truncated flowmap times block: {len(raw)} of {8 * nt} bytes")
-        times = np.frombuffer(raw, dtype="<f8")
-        raw = fh.read()
-        expected = 8 * 3 * nt * grid.node_count
-        if len(raw) != expected:
-            raise ValueError(
-                f"{'truncated' if len(raw) < expected else 'oversized'} flowmap payload: "
-                f"{len(raw)} bytes, header (nt={nt}, nodes={grid.node_count}) needs {expected}"
-            )
-        payload = np.frombuffer(raw, dtype="<f8")
-    node_major = payload.reshape(grid.node_count, nt, 3)
-    table = np.moveaxis(node_major, 1, 0).reshape((nt,) + grid.shape + (3,))
-    return SampledFlowMap(
-        grid, times, table,
-        convention="identity" if conv == 0 else "generalized",
-        name="loaded",
-    )

@@ -119,7 +119,7 @@ def integrate_trajectories(field_fn, grid, times, dt, bbox=None, name="sampled",
     """
     times = np.asarray(times, dtype=float)
     m = SampledFlowMap(
-        grid, times, None, field_fn=field_fn, dt=dt, name=name,
+        grid, times, field_fn, dt, name=name,
         timescale=timescale if timescale is not None else float(times[-1] or 1.0),
         bbox=bbox,
     )
@@ -223,8 +223,27 @@ def _affine_entry(name, params, grid, M, L, force, props, U=(0.0, 0.0, 0.0), tim
     return CatalogEntry(name, params, 2, m, force, props, velocity_field=field, **entry_data)
 
 
+def _param(flow, name, value, positive=False):
+    """``value`` as a float: nonzero, since the flow's timescale divides by
+    it, or with ``positive`` above zero; otherwise a ValueError naming it."""
+    v = float(value)
+    if not (v > 0 if positive else v != 0):
+        raise ValueError(f"{flow} {name} must be {'positive' if positive else 'nonzero'}, "
+                         f"got {value!r}")
+    return v
+
+
+def _table_times(flow, times):
+    """A sampled flow's table times: two or more, since its construction
+    gate grades the second."""
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or len(times) < 2:
+        raise ValueError(f"{flow} times must hold two or more values, got {times.tolist()!r}")
+    return times
+
+
 def _rigid_rotation(grid, omega=1.0):
-    w = float(omega)
+    w = _param("rigid_rotation", "omega", omega)
 
     def M(t):
         c, s = np.cos(w * t), np.sin(w * t)
@@ -254,6 +273,8 @@ def _rigid_rotation(grid, omega=1.0):
 
 def _uniform_translation(grid, velocity=(1.0, 0.0, 0.0)):
     U = np.asarray(velocity, dtype=float)
+    if U.shape != (3,):
+        raise ValueError(f"uniform_translation velocity must have 3 components, got {velocity!r}")
     # the potential U . x; |grad F|^2 / 2 = |U|^2 / 2 is its Bernoulli Omega
     clebsch = ClebschTriple(F=lambda x, t: x @ U)
     scalars = ClebschTriple(phi=lambda x, t: x[..., 0] - U[0] * t,
@@ -267,7 +288,7 @@ def _uniform_translation(grid, velocity=(1.0, 0.0, 0.0)):
 
 
 def _simple_shear(grid, gamma=1.0):
-    g = float(gamma)
+    g = _param("simple_shear", "gamma", gamma)
     # g y grad x = u; grad(g y) x grad x = (0, 0, -g) = curl u
     clebsch = ClebschTriple(phi=lambda x, t: g * x[..., 1], psi=lambda x, t: x[..., 0])
     return _affine_entry("simple_shear", {"gamma": g}, grid,
@@ -279,7 +300,7 @@ def _simple_shear(grid, gamma=1.0):
 
 
 def _stagnation(grid, k=1.0):
-    kk = float(k)
+    kk = _param("stagnation", "k", k)
     force = ForcePotential(
         pressure=lambda x, t: -0.5 * kk * kk * (x[..., 0] ** 2 + x[..., 1] ** 2),
         pressure_grad=lambda x, t: np.stack(
@@ -302,13 +323,11 @@ def _stagnation(grid, k=1.0):
 
 
 def _gerstner_k(k):
-    if not float(k) > 0:
-        raise ValueError(f"gerstner wavenumber k must be positive, got {k!r}")
-    return float(k)
+    return _param("gerstner", "wavenumber k", k, positive=True)
 
 
 def _gerstner(grid, k=1.0, g=1.0):
-    kk, gg = _gerstner_k(k), float(g)
+    kk, gg = _gerstner_k(k), _param("gerstner", "gravity g", g, positive=True)
     cw = np.sqrt(gg / kk)
     bmax = grid.origin[1] + grid.spacing[1] * (grid.shape[1] - 1)
     if np.exp(2 * kk * bmax) >= 1.0:
@@ -400,10 +419,9 @@ POINT_VORTEX_CORE_RADIUS = 0.1
 
 
 def _point_vortex(grid, gamma=2 * np.pi, times=None, dt=None):
-    G = float(gamma)
+    G = _param("point_vortex", "gamma", gamma)
     period = 4 * np.pi ** 2 / G  # orbit period at radius 1
-    if times is None:
-        times = (0.0, period / 8, period / 4)
+    times = _table_times("point_vortex", (0.0, period / 8, period / 4) if times is None else times)
     if dt is None:
         dt = period / 2048
 
@@ -463,8 +481,7 @@ def _point_vortex(grid, gamma=2 * np.pi, times=None, dt=None):
 
 
 def _taylor_green(grid, times=None, dt=None):
-    if times is None:
-        times = (0.0, 0.5, 1.0)
+    times = _table_times("taylor_green", (0.0, 0.5, 1.0) if times is None else times)
     if dt is None:
         dt = 1.0 / 256
 

@@ -286,6 +286,8 @@ def run_suite(cfg):
     """Execute every (flow, check, grid) combination of a validated config.
 
     Returns (VerificationReport, exit_code): 0 all rows pass, 1 otherwise.
+    A ValueError raised while a flow entry is built (a param value the flow
+    cannot take) raises ConfigError.
     Each declared flow is built once per grid and every check runs on that
     entry, which is dropped before the next one is built; rows land in
     declared (flow, check, grid) order. Measured orders are attached to the
@@ -303,8 +305,11 @@ def run_suite(cfg):
     for fi, flow_cfg in enumerate(cfg["flows"]):
         for gi, shape in enumerate(shapes):
             params = flow_cfg.get("params", {})
-            grid = default_grid(flow_cfg["name"], shape, **params)
-            entry = catalog_flow(flow_cfg["name"], grid=grid, **params)
+            try:
+                grid = default_grid(flow_cfg["name"], shape, **params)
+                entry = catalog_flow(flow_cfg["name"], grid=grid, **params)
+            except ValueError as exc:  # a param value the flow cannot be built with
+                raise ConfigError(str(exc)) from None
             hs[fi, gi] = max(entry.map.grid.spacing)
             times = _times_for(entry, cfg)
             for ci, check_cfg in enumerate(checks):

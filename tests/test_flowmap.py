@@ -1,8 +1,7 @@
 """Flow-map calculus: deformation gradients, density equations, cofactor
-relations, the volume-integral transform, and the trajectory file format."""
+relations, the volume-integral transform and map inversion."""
 
 import os
-import struct
 import subprocess
 import sys
 import tracemalloc
@@ -25,16 +24,12 @@ from flowmaplab import (
     deformation_gradient,
     density_residual,
     jacobian_det,
-    load_flowmap,
     mass_integral_transform,
-    save_flowmap,
 )
 from flowmaplab.flowmap import _grid_in_hull, adjugate3, det3, invert_map
 from flowmaplab.grids import summarize_residual
 from flowmaplab.flows import default_grid
 from flowmaplab.quadrature import SIMPSON
-
-HEADER = "<8sI3I3d3d3BBI"  # save_flowmap's header layout
 
 
 def box_grid(n=9, lo=-0.5, hi=0.5, dims=3):
@@ -430,81 +425,6 @@ class TestMapInversion:
         pos = e.map.positions(lab, 1.0)
         back = invert_map(e.map, pos, 1.0)
         assert np.abs(back - lab).max() < 1e-10
-
-
-class TestFileFormat:
-    def test_roundtrip(self, tmp_path):
-        e = catalog_flow("rigid_rotation")
-        times = [0.0, 0.5, 1.0]
-        path = tmp_path / "rot.fmap"
-        save_flowmap(e.map, path, times=times, metadata={"note": "test"})
-        assert (tmp_path / "rot.fmap.json").exists()
-        loaded = load_flowmap(path)
-        assert loaded.grid.shape == e.map.grid.shape
-        assert np.allclose(loaded.times, times)
-        lab = loaded.grid_labels()
-        for t in times:
-            assert np.abs(loaded.positions(lab, t) - e.map.positions(lab, t)).max() < 1e-15
-
-    def test_loaded_map_velocities_by_time_differences(self, tmp_path):
-        e = catalog_flow("uniform_translation", velocity=(2.0, 0.0, 0.0))
-        path = tmp_path / "trans.fmap"
-        save_flowmap(e.map, path, times=[0.0, 0.25, 0.5])
-        loaded = load_flowmap(path)
-        v = loaded.velocities(loaded.grid_labels(), 0.25)
-        assert np.abs(v - np.array([2.0, 0.0, 0.0])).max() < 1e-12
-
-    def test_loaded_map_rejects_offgrid(self, tmp_path):
-        e = catalog_flow("rigid_rotation")
-        path = tmp_path / "r.fmap"
-        save_flowmap(e.map, path, times=[0.0, 1.0])
-        loaded = load_flowmap(path)
-        with pytest.raises(ValueError):
-            loaded.positions(np.zeros((4, 3)), 0.7)
-
-    def test_bad_magic_rejected(self, tmp_path):
-        p = tmp_path / "junk.fmap"
-        p.write_bytes(b"NOTAMAP!" + b"\x00" * 64)
-        with pytest.raises(ValueError):
-            load_flowmap(p)
-
-    def _saved(self, tmp_path):
-        path = tmp_path / "r.fmap"
-        save_flowmap(catalog_flow("rigid_rotation").map, path, times=[0.0, 1.0])
-        return path, bytearray(path.read_bytes())
-
-    def test_truncated_payload_rejected(self, tmp_path):
-        path, data = self._saved(tmp_path)
-        path.write_bytes(data[:-8])
-        with pytest.raises(ValueError, match="truncated flowmap payload"):
-            load_flowmap(path)
-
-    def test_oversized_payload_rejected(self, tmp_path):
-        path, data = self._saved(tmp_path)
-        path.write_bytes(data + bytes(8))
-        with pytest.raises(ValueError, match="oversized flowmap payload"):
-            load_flowmap(path)
-
-    def test_bad_ndim_rejected(self, tmp_path):
-        path, data = self._saved(tmp_path)
-        struct.pack_into("<I", data, 8, 4)  # ndim follows the 8-byte magic
-        path.write_bytes(data)
-        with pytest.raises(ValueError, match="bad flowmap header: ndim"):
-            load_flowmap(path)
-
-    def test_truncated_times_block_rejected(self, tmp_path):
-        path, data = self._saved(tmp_path)
-        path.write_bytes(data[:struct.calcsize(HEADER) + 12])  # 1.5 of 2 times
-        with pytest.raises(ValueError, match="truncated flowmap times block"):
-            load_flowmap(path)
-
-    @pytest.mark.parametrize("h", [0.0, float("nan"), float("inf")])
-    def test_bad_spacing_rejected(self, tmp_path, h):
-        path, data = self._saved(tmp_path)
-        struct.pack_into("<d", data, struct.calcsize("<8sI3I3d"), h)  # first spacing
-        path.write_bytes(data)
-        with pytest.raises(ValueError, match="bad flowmap header: spacing"):
-            load_flowmap(path)
 
 
 def test_det3_matches_numpy():

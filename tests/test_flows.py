@@ -396,6 +396,14 @@ class TestCheckpointLattice:
         m.positions(lab[:2, :2] + 0.01, 0.785)
         assert spans == [(0.0, 0.785, 4)]
 
+    @pytest.mark.parametrize("name", ["point_vortex", "taylor_green"])
+    def test_table_starts_at_the_grid_labels(self, name):
+        # the map marches its table from its own grid labels, so the table
+        # needs no shape or identity-at-zero check
+        m = catalog_flow(name, grid=default_grid(name, (16, 16)), validate=False).map
+        assert m.positions_table.shape == (len(m.times),) + m.grid.shape + (3,)
+        assert np.array_equal(m.positions_table[0], m.grid_labels())
+
     def test_bad_step_and_time_rejected(self):
         g = default_grid("taylor_green", (8, 8))
         with pytest.raises(ValueError, match="dt > 0"):

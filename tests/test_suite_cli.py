@@ -486,6 +486,37 @@ class TestCLI:
                      "wavenumber k", id="gerstner_k0"),
         pytest.param(("flows", "describe", "gerstner", "--params", '{"k": 0}'),
                      "wavenumber k", id="describe_gerstner_k0"),
+        # param values a flow cannot be built with: each factory names the param
+        pytest.param(("run", {"flows": [{"name": "rigid_rotation", "params": {"omega": 0}}]}),
+                     "omega", id="rigid_rotation_omega0"),
+        pytest.param(("run", {"flows": [{"name": "simple_shear", "params": {"gamma": 0}}]}),
+                     "gamma", id="simple_shear_gamma0"),
+        pytest.param(("run", {"flows": [{"name": "stagnation", "params": {"k": 0}}]}),
+                     "stagnation k", id="stagnation_k0"),
+        pytest.param(("run", {"flows": [{"name": "point_vortex", "params": {"gamma": 0}}]}),
+                     "gamma", id="point_vortex_gamma0"),
+        pytest.param(("run", {"flows": [{"name": "gerstner", "params": {"g": 0}}]}),
+                     "gravity g", id="gerstner_g0"),
+        pytest.param(("run", {"flows": [{"name": "gerstner", "params": {"g": -1}}]}),
+                     "gravity g", id="gerstner_g_negative"),
+        pytest.param(("run", {"flows": [{"name": "point_vortex", "params": {"dt": 0}}]}),
+                     "dt > 0", id="point_vortex_dt0"),
+        pytest.param(("run", {"flows": [{"name": "point_vortex", "params": {"dt": -0.01}}]}),
+                     "dt > 0", id="point_vortex_dt_negative"),
+        pytest.param(("run", {"flows": [{"name": "taylor_green", "params": {"dt": 0.3}}]}),
+                     "dt must divide", id="taylor_green_dt_not_dividing"),
+        pytest.param(("run", {"flows": [{"name": "point_vortex", "params": {"times": [0.0]}}]}),
+                     "times", id="point_vortex_one_time"),
+        pytest.param(("run", {"flows": [{"name": "taylor_green", "params": {"times": []}}]}),
+                     "times", id="taylor_green_no_times"),
+        pytest.param(("run", {"flows": [{"name": "taylor_green",
+                                         "params": {"times": [0.5, 1.0]}}]}),
+                     "t=0", id="taylor_green_times_not_from_zero"),
+        pytest.param(("run", {"flows": [{"name": "uniform_translation",
+                                         "params": {"velocity": [1.0, 0.0]}}]}),
+                     "velocity", id="uniform_translation_velocity_2"),
+        pytest.param(("flows", "describe", "rigid_rotation", "--params", '{"omega": 0}'),
+                     "omega", id="describe_rigid_rotation_omega0"),
         pytest.param(("run", {"checks": [{"id": "circulation.kelvin_drift", "tolerance": 1.0,
                                           "options": {"radius": -1}}]}),
                      "radius", id="kelvin_negative_radius"),

@@ -15,6 +15,10 @@ parameter. Uses the standard library only. Run from the repository root,
 optionally naming another source tree (the directory holding flowmaplab/):
 
     python tools/surface_census.py [src]
+
+``census(src)`` runs this script in a fresh interpreter, so the counts are
+those of the tree at ``src`` even in a process that has already imported
+another flowmaplab.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from __future__ import annotations
 import importlib
 import inspect
 import pkgutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -47,10 +52,20 @@ def _public_methods(cls):
 
 
 def census(src=SRC):
+    """The three counts of the tree at ``src``, taken in a fresh interpreter."""
+    out = subprocess.run([sys.executable, __file__, str(Path(src).resolve())],
+                         capture_output=True, text=True, check=True).stdout
+    return {key: int(value) for key, value in (line.split(": ") for line in out.splitlines())}
+
+
+def _count(src):
+    src = Path(src).resolve()
     sys.path.insert(0, str(src))
     import flowmaplab
 
-    pkg = Path(flowmaplab.__file__).parent
+    pkg = Path(flowmaplab.__file__).resolve().parent
+    if pkg != src / "flowmaplab":
+        raise SystemExit(f"imported flowmaplab from {pkg}, not from {src}")
     lines = sum(len(p.read_text().splitlines()) for p in sorted(pkg.glob("*.py")))
     names = settable = 0
     for info in pkgutil.iter_modules(flowmaplab.__path__):
@@ -70,5 +85,5 @@ def census(src=SRC):
 
 if __name__ == "__main__":
     src = Path(sys.argv[1]) if len(sys.argv) > 1 else SRC
-    for key, value in census(src).items():
+    for key, value in _count(src).items():
         print(f"{key}: {value}")
