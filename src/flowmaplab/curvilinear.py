@@ -14,9 +14,12 @@ equations of motion take the compact form
 
     2 dOmega/drho_i = 2 d(N_i drho_i/dt)/dt - sum_j (drho_j/dt)^2 dN_j/drho_i
 
-and contracting with d(rho_i)/d(rho_j^0) gives the label (initial-coordinate)
-form. The transformed density equation compares the initial-coordinate
-Jacobian against sqrt(det Gram0 / det Gram), which for orthogonal charts is
+and contracting with d(rho_i)/d(rho_j^0), rho^0 = forward(labels), gives the
+label (initial-coordinate) form. Both forms summarize one residual R, whose
+time derivative is a centred difference at CHART_TIME_STEP times the map's
+time scale, so a chart and Omega are all they need. The transformed density
+equation compares the initial-coordinate Jacobian against
+sqrt(det Gram0 / det Gram), which for orthogonal charts is
 sqrt(N1^0 N2^0 N3^0 / (N1 N2 N3)).
 
 Shipped charts: cartesian (trivial), cylindrical (r, theta, z), polar
@@ -25,7 +28,8 @@ elliptical chart whose coordinates are the ordered roots of
 
     x^2/(alpha^2 - e^2) + y^2/(beta^2 - e^2) + z^2/(gamma^2 - e^2) = 1,
 
-with alpha > rho1 > beta > rho2 > gamma > rho3 > 0.
+with alpha > rho1 > beta > rho2 > gamma > rho3 > 0, found for all points at
+once as companion-matrix eigenvalues.
 """
 
 from __future__ import annotations
@@ -54,6 +58,9 @@ __all__ = [
 
 # step of the central differences taken in chart coordinates
 CHART_STENCIL_H = 1e-6
+# step of the momentum forms' centred time difference, in units of the map's
+# time scale (flowmap.ACCELERATION_STEP takes the same)
+CHART_TIME_STEP = 1e-4
 # the cylindrical and polar charts exclude r (and polar sin theta) below this
 SINGULAR_MARGIN = 1e-3
 
@@ -125,9 +132,11 @@ def chart_metrics(chart, rho):
 
 
 def _trajectory_chart_rates(m, chart, t):
-    """Chart coordinates and their time rates at the map's grid nodes.
+    """Chart coordinates, their time rates and the metric coefficients N at
+    the map's grid nodes.
 
-    rho(t) = forward(x(a, t)); rates by the chain rule drho = (drho/dx) u.
+    rho(t) = forward(x(a, t)); rates by the chain rule drho = (drho/dx) u;
+    N_j = sum_i (dx_i/drho_j)^2 from the same partials.
     """
     labels = m.grid_labels()
     pos = m.positions(labels, t)
@@ -135,9 +144,8 @@ def _trajectory_chart_rates(m, chart, t):
     rho = np.asarray(chart.forward(pos), dtype=float)
     chart.check_domain(rho)
     P = chart.partials_at(rho)
-    Q = np.linalg.inv(P)
-    rates = np.einsum("...ij,...j->...i", Q, vel)
-    return rho, rates
+    rates = np.einsum("...ij,...j->...i", np.linalg.inv(P), vel)
+    return rho, rates, np.einsum("...ij,...ij->...j", P, P)
 
 
 def _metric_partials(chart, rho):
@@ -146,53 +154,39 @@ def _metric_partials(chart, rho):
     return point_jacobian(lambda r: chart_metrics(chart, r).N, rho, CHART_STENCIL_H)
 
 
-def _omega_chart_gradient(omega_fn, rho, omega_grad=None):
-    rho = np.asarray(rho, dtype=float)
-    if omega_grad is not None:
-        return np.asarray(omega_grad(rho), dtype=float)
-    return point_jacobian(omega_fn, rho, CHART_STENCIL_H)
-
-
-def _momentum_terms(m, chart, t, dt):
-    """Per-node d(N_i rho_i')/dt and the rho rates at time t.
-
-    The time derivative is a centered difference of N_i rho_i' along each
-    trajectory, which is exact for steady chart-rate motions and O(dt^2)
-    otherwise; dt defaults to 1e-4 of the map's time scale.
-    """
-    def terms(tt):
-        rho, rates = _trajectory_chart_rates(m, chart, tt)
-        N = chart_metrics(chart, rho).N
-        return rho, rates, N * rates
-
-    rho_m, rates_m, P_m = terms(t - dt)
-    rho_0, rates_0, _ = terms(t)
-    rho_p, rates_p, P_p = terms(t + dt)
-    dPdt = (P_p - P_m) / (2 * dt)
-    return rho_0, rates_0, dPdt
-
-
-def curvilinear_eom_residual(m, chart, omega_fn, t, dt=None, rind=0,
-                             omega_grad=None):
-    """Linf of the orthogonal-chart momentum residuals at time t.
-
-    omega_fn is the combined potential Omega as a function of chart
-    coordinates (omega_grad: optional analytic chart-gradient; the finite
-    difference fallback adds ~1e-10 of roundoff). Raises for non-orthogonal
-    charts (the compact residual form only holds when the cross metric terms
-    vanish).
-    """
+def _chart_momentum(m, chart, omega_fn, t, omega_grad):
+    """Chart coordinates rho and the momentum residual R (see
+    ``curvilinear_eom_residual``) at the map's grid nodes at time t. The
+    Omega gradient is omega_grad(rho) when given, else central differences
+    of omega_fn (~1e-10 of roundoff)."""
     if not chart.orthogonal:
-        raise ValueError("curvilinear momentum residual needs an orthogonal chart")
-    dt = dt if dt is not None else 1e-4 * m.timescale
-    rho, rates, dPdt = _momentum_terms(m, chart, t, dt)
+        raise ValueError("the chart momentum residual needs an orthogonal chart")
+    dt = CHART_TIME_STEP * m.timescale
+    _, rates_m, N_m = _trajectory_chart_rates(m, chart, t - dt)
+    rho, rates, _ = _trajectory_chart_rates(m, chart, t)
+    _, rates_p, N_p = _trajectory_chart_rates(m, chart, t + dt)
+    dPdt = (N_p * rates_p - N_m * rates_m) / (2 * dt)
     dN = _metric_partials(chart, rho)
-    dOm = _omega_chart_gradient(omega_fn, rho, omega_grad)
-    out = []
-    for i in range(3):
-        res = 2 * dOm[..., i] - 2 * dPdt[..., i] + np.sum(rates ** 2 * dN[..., :, i], axis=-1)
-        out.append(summarize_residual(res, m.grid, rind=rind))
-    return tuple(out)
+    dOm = (np.asarray(omega_grad(rho), dtype=float) if omega_grad is not None
+           else point_jacobian(omega_fn, rho, CHART_STENCIL_H))
+    # [..., j, i] = rho_j'^2 dN_j/drho_i, summed over j
+    return rho, 2 * dOm - 2 * dPdt + np.sum(rates[..., :, None] ** 2 * dN, axis=-2)
+
+
+def curvilinear_eom_residual(m, chart, omega_fn, t, rind=0, omega_grad=None):
+    """Summaries of the three orthogonal-chart momentum residuals at time t,
+
+        R_i = 2 dOmega/drho_i - 2 d(N_i rho_i')/dt + sum_j rho_j'^2 dN_j/drho_i.
+
+    d/dt is a centred difference of N_i rho_i' along each trajectory at
+    CHART_TIME_STEP times the map's time scale: exact for steady chart-rate
+    motions, O(dt^2) otherwise. omega_fn is the combined potential Omega as
+    a function of chart coordinates, omega_grad an optional analytic chart
+    gradient of it. Raises for non-orthogonal charts: the compact form only
+    holds when the cross metric terms vanish.
+    """
+    _, R = _chart_momentum(m, chart, omega_fn, t, omega_grad)
+    return tuple(summarize_residual(R[..., i], m.grid, rind=rind) for i in range(3))
 
 
 def _chart_jacobian(rho, rho0, spec, grid):
@@ -211,42 +205,20 @@ def _chart_jacobian(rho, rho0, spec, grid):
 
 
 def curvilinear_lagrangian_eom_residual(m, chart, omega_fn, t, spec=StencilSpec(),
-                                        dt=None, rho0="chart", rind=0,
-                                        omega_grad=None):
-    """Initial-coordinate (label) form of the chart momentum residuals.
+                                        rind=0, omega_grad=None):
+    """Initial-coordinate (label) form of the chart momentum residuals:
+    summaries of sum_i R_i d(rho_i)/d(rho_j^0), with R as in
+    ``curvilinear_eom_residual``.
 
-    The three orthogonal-form residual vectors are contracted with the
-    Jacobian d(rho_i)/d(rho_j^0), where rho^0 defaults to the chart
-    coordinates at t=0 ("chart") or, with rho0="labels", the raw labels
-    (useful for generalized-label maps, where it reduces to the Cartesian
-    label-space momentum residual when the chart is trivial).
+    rho^0 = chart.forward(labels): on an identity-at-zero map, the chart
+    coordinates at t=0. Under the cartesian chart rho^0 is the labels, so
+    the contraction is with dx/da, as in ``lagrangian_eom_residual``, on
+    any map.
     """
-    if not chart.orthogonal:
-        raise ValueError("needs an orthogonal chart")
-    dt = dt if dt is not None else 1e-4 * m.timescale
-    grid = m.grid
-    labels = m.grid_labels()
-    rho, rates, dPdt = _momentum_terms(m, chart, t, dt)
-    dN = _metric_partials(chart, rho)
-    dOm = _omega_chart_gradient(omega_fn, rho, omega_grad)
-
-    if isinstance(rho0, str) and rho0 == "labels":
-        rho0_vals = labels
-    else:
-        rho0_vals = np.asarray(chart.forward(m.positions(labels, 0.0)), dtype=float)
-    Jmat = _chart_jacobian(rho, rho0_vals, spec, grid)
-    # orthogonal-form residual pieces per chart axis i
-    eom = np.stack(
-        [2 * dPdt[..., i] - np.sum(rates ** 2 * dN[..., :, i], axis=-1) for i in range(3)],
-        axis=-1,
-    )
-    dOm0 = np.einsum("...i,...ij->...j", dOm, Jmat)
-    contracted = np.einsum("...i,...ij->...j", eom, Jmat)
-    out = []
-    for j in range(3):
-        res = 2 * dOm0[..., j] - contracted[..., j]
-        out.append(summarize_residual(res, grid, rind=rind))
-    return tuple(out)
+    rho, R = _chart_momentum(m, chart, omega_fn, t, omega_grad)
+    rho0 = np.asarray(chart.forward(m.grid_labels()), dtype=float)
+    RJ = np.einsum("...i,...ij->...j", R, _chart_jacobian(rho, rho0, spec, m.grid))
+    return tuple(summarize_residual(RJ[..., j], m.grid, rind=rind) for j in range(3))
 
 
 def curvilinear_density_residual(m, chart, t, spec=StencilSpec(), density_ratio=1.0,
@@ -405,9 +377,10 @@ def elliptical_chart(alpha=3.0, beta=2.0, gamma=1.0):
     """Confocal elliptical coordinates: the ordered roots in epsilon^2 of
     x^2/(alpha^2-e^2) + y^2/(beta^2-e^2) + z^2/(gamma^2-e^2) = 1.
 
-    Inversion solves the cubic in s = e^2 by companion-matrix root
-    extraction (with a bisection refinement near coincident roots) and sorts
-    the roots into alpha > rho1 > beta > rho2 > gamma > rho3 > 0.
+    ``forward`` solves the cubic in s = e^2 at every point at once, as the
+    eigenvalues of its stacked companion matrices, sorts the roots and clips
+    them to their brackets (beta^2, alpha^2), (gamma^2, beta^2), (0, gamma^2),
+    so that alpha >= rho1 >= beta >= rho2 >= gamma >= rho3 >= 0.
     """
     a2, b2, g2 = float(alpha) ** 2, float(beta) ** 2, float(gamma) ** 2
     if not (alpha > beta > gamma > 0):
@@ -424,35 +397,19 @@ def elliptical_chart(alpha=3.0, beta=2.0, gamma=1.0):
                          np.sqrt(np.maximum(z2, 0.0))], axis=-1)
 
     def forward(p):
+        # the cubic in s, monic: prod(c - s) - x^2 (b2 - s)(g2 - s) - ... = 0;
+        # its roots are the eigenvalues of the companion matrix np.roots builds
         p = np.asarray(p, dtype=float)
-        flat = p.reshape(-1, 3)
-        out = np.empty_like(flat)
-        for i, (x, y, z) in enumerate(flat):
-            # cubic in s: prod(c - s) - x^2(b2-s)(g2-s) - ... = 0, monic in s^3
-            x2, y2, z2 = x * x, y * y, z * z
-            c2 = -(a2 + b2 + g2) + x2 + y2 + z2
-            c1 = (a2 * b2 + b2 * g2 + g2 * a2) - x2 * (b2 + g2) - y2 * (a2 + g2) - z2 * (a2 + b2)
-            c0 = -(a2 * b2 * g2) + x2 * b2 * g2 + y2 * a2 * g2 + z2 * a2 * b2
-            roots = np.roots([1.0, c2, c1, c0])
-            roots = np.sort(np.real(roots))[::-1]
-            # intervals (b2,a2), (g2,b2), (0,g2); refine by bisection if a
-            # root drifted outside its bracket (near-coincident roots)
-            brackets = [(b2, a2), (g2, b2), (0.0, g2)]
-            poly = lambda s: ((s ** 3) + c2 * s ** 2 + c1 * s + c0)
-            for k, (lo, hi) in enumerate(brackets):
-                if not (lo - 1e-9 <= roots[k] <= hi + 1e-9):
-                    flo, fhi = poly(lo + 1e-14), poly(hi - 1e-14)
-                    ss_lo, ss_hi = lo + 1e-14, hi - 1e-14
-                    for _ in range(200):
-                        mid = 0.5 * (ss_lo + ss_hi)
-                        fm = poly(mid)
-                        if flo * fm <= 0:
-                            ss_hi, fhi = mid, fm
-                        else:
-                            ss_lo, flo = mid, fm
-                    roots[k] = 0.5 * (ss_lo + ss_hi)
-            out[i] = np.sqrt(np.clip(roots, 0.0, None))
-        return out.reshape(p.shape)
+        x2, y2, z2 = p[..., 0] ** 2, p[..., 1] ** 2, p[..., 2] ** 2
+        c2 = -(a2 + b2 + g2) + x2 + y2 + z2
+        c1 = (a2 * b2 + b2 * g2 + g2 * a2) - x2 * (b2 + g2) - y2 * (a2 + g2) - z2 * (a2 + b2)
+        c0 = -(a2 * b2 * g2) + x2 * b2 * g2 + y2 * a2 * g2 + z2 * a2 * b2
+        companion = np.zeros(p.shape[:-1] + (3, 3))
+        companion[..., 0, 0], companion[..., 0, 1], companion[..., 0, 2] = -c2, -c1, -c0
+        companion[..., 1, 0] = companion[..., 2, 1] = 1.0
+        s = np.sort(np.real(np.linalg.eigvals(companion)), axis=-1)[..., ::-1]
+        # near coincident roots round-off can push a root past its bracket
+        return np.sqrt(np.clip(s, (b2, g2, 0.0), (a2, b2, g2)))
 
     def partials(rho):
         rho = np.asarray(rho, dtype=float)

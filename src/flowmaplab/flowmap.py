@@ -216,8 +216,9 @@ class SampledFlowMap(FlowMap):
     def __init__(self, grid, times, field_fn, dt, name="sampled", timescale=1.0, bbox=None):
         self.grid = grid
         self.times = np.asarray(times, dtype=float)
-        if self.times.ndim != 1 or np.any(np.diff(self.times) <= 0):
-            raise ValueError("sampled maps need strictly increasing time stamps")
+        if self.times.ndim != 1 or not self.times.size or np.any(np.diff(self.times) <= 0):
+            raise ValueError("sampled map times must be a non-empty, strictly increasing "
+                             f"1-D sequence, got {self.times.tolist()!r}")
         self.field_fn = field_fn
         self.dt = dt
         self.bbox = bbox

@@ -117,12 +117,9 @@ def integrate_trajectories(field_fn, grid, times, dt, bbox=None, name="sampled",
     (k = 2n), since 2*dt does not divide an odd count. A table of one time
     has no estimate (None).
     """
-    times = np.asarray(times, dtype=float)
-    m = SampledFlowMap(
-        grid, times, field_fn, dt, name=name,
-        timescale=timescale if timescale is not None else float(times[-1] or 1.0),
-        bbox=bbox,
-    )
+    m = SampledFlowMap(grid, times, field_fn, dt, name=name, bbox=bbox)
+    times = m.times
+    m.timescale = float(timescale if timescale is not None else times[-1] or 1.0)
     if len(times) > 1:
         n = round(times[-1] / dt)
         k = n // 2 if n % 2 == 0 else 2 * n

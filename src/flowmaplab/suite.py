@@ -38,13 +38,11 @@ CONFIG_SCHEMA = {
     "additionalProperties": False,
     "properties": {
         "name": {"type": "string"},
-        # "seed", "threads" and "quadrature" are accepted for old configs;
-        # nothing reads them
+        # "seed" and "threads" are accepted for old configs; nothing reads them
         "seed": {"type": "integer"},
         "threads": {"type": "integer", "minimum": 1},
         "rind": {"type": "integer", "minimum": 0},
         "stencil_order": {"enum": [2, 4]},
-        "quadrature": {"enum": ["trapezoid", "midpoint", "simpson"]},
         "time_fractions": {
             "type": "array", "items": {"type": "number"}, "minItems": 2,
         },
@@ -351,7 +349,7 @@ def run_suite(cfg):
 
 
 def convergence_study(check_id, flow_name, resolutions=None, dts=None,
-                      flow_params=None, tolerance=1.0, out_path=None):
+                      flow_params=None, out_path=None):
     """(h, error) table plus least-squares order for one check and flow.
 
     Either grid ``resolutions`` (list of shapes) or, for the integrator
@@ -383,7 +381,8 @@ def convergence_study(check_id, flow_name, resolutions=None, dts=None,
             raise ConfigError("convergence study needs grid resolutions")
         cfg = {
             "flows": [{"name": flow_name, "params": flow_params}],
-            "checks": [{"id": check_id, "tolerance": tolerance}],
+            # the study keeps each row's error, not its grade
+            "checks": [{"id": check_id, "tolerance": 1.0}],
             "grids": [list(r) for r in resolutions],
         }
         report, _ = run_suite(cfg)

@@ -130,6 +130,30 @@ class TestRoundTrip:
         pos = chart.inverse(sample_domain(chart, np.random.default_rng(0), 10000))
         assert np.abs(chart.inverse(chart.forward(pos)) - pos).max() <= 1e-10
 
+    def test_elliptical_forward_matches_per_point_roots(self, sample_domain):
+        # the batched companion eigenvalues are np.roots of each point's cubic
+        chart = elliptical_chart()
+        a2, b2, g2 = 9.0, 4.0, 1.0
+        pos = chart.inverse(sample_domain(chart, np.random.default_rng(0), 500))
+        expect = []
+        for x2, y2, z2 in pos ** 2:
+            c2 = -(a2 + b2 + g2) + x2 + y2 + z2
+            c1 = (a2 * b2 + b2 * g2 + g2 * a2) - x2 * (b2 + g2) - y2 * (a2 + g2) - z2 * (a2 + b2)
+            c0 = -(a2 * b2 * g2) + x2 * b2 * g2 + y2 * a2 * g2 + z2 * a2 * b2
+            expect.append(np.sqrt(np.sort(np.real(np.roots([1.0, c2, c1, c0])))[::-1]))
+        assert np.array_equal(chart.forward(pos), np.array(expect))
+
+    def test_elliptical_roots_near_coincident(self):
+        # near rho1 = rho2 = beta round-off pushes a root of the cubic past
+        # its bracket; it must be clipped back, not replaced by a bracket end
+        chart = elliptical_chart()
+        rng = np.random.default_rng(12)
+        n = 2000
+        band = np.stack([2.0 + 10 ** rng.uniform(-12, -3, n), 2.0 - 10 ** rng.uniform(-12, -3, n),
+                         rng.uniform(0.05, 0.95, n)], axis=-1)
+        band[0] = (2.0000000009852448, 1.9999999981651924, 0.5251971950781755)
+        assert np.abs(chart.forward(chart.inverse(band)) - band).max() <= 1e-7
+
 
 class TestEOMResiduals:
     def test_rest_any_chart(self):
@@ -231,8 +255,7 @@ class TestLagrangianForm:
         m = e.map
         t, dt = 1.0, 1e-4 * m.timescale
         res_c = curvilinear_lagrangian_eom_residual(
-            m, cartesian_chart(), lambda rho: 0.0 * rho[..., 0], t, dt=dt,
-            rho0="labels")
+            m, cartesian_chart(), lambda rho: 0.0 * rho[..., 0], t)
         labels = m.grid_labels()
         # the chart route differentiates positions over the label grid, so the
         # comparison uses the finite-difference gradient too
@@ -241,6 +264,15 @@ class TestLagrangianForm:
         lag = np.einsum("...i,...ij->...j", acc, F)
         for j, r in enumerate(res_c):
             assert abs(r.linf - np.abs(2.0 * lag[..., j]).max()) <= 1e-12
+
+    @pytest.mark.parametrize("maker", [polar_chart, cylindrical_chart])
+    def test_wrong_omega_detected(self, maker):
+        # rigid rotation with Omega = 0 instead of -(w^2/2) (distance to the
+        # axis)^2: about 2.44 in the polar chart, 2.56 in the cylindrical one
+        e = rotation_3d(1.0, n=9)
+        res = curvilinear_lagrangian_eom_residual(e.map, maker(),
+                                                  lambda rho: 0.0 * rho[..., 0], 0.4)
+        assert max(r.linf for r in res) > 0.1
 
 class TestDensity:
     def test_rest_both_sides_one(self):

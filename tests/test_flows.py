@@ -10,7 +10,7 @@ import pytest
 
 import flowmaplab.flows as flows
 from flowmaplab import LabelGrid, catalog_flow, catalog_names, integrate_trajectories
-from flowmaplab.flowmap import CHECKPOINT_STRIDE
+from flowmaplab.flowmap import CHECKPOINT_STRIDE, SampledFlowMap
 from flowmaplab.flows import ParticleEscapeError, default_grid, rk4_advect
 from flowmaplab.suite import run_suite
 from flowmaplab.dynamics import eulerian_eom_residual
@@ -411,6 +411,18 @@ class TestCheckpointLattice:
         m = integrate_trajectories(lambda x, t: np.zeros_like(x), g, [0.0, 1.0], 0.25)
         with pytest.raises(ValueError, match="non-finite"):
             m.positions(m.grid_labels(), np.inf)  # the lattice would never reach it
+
+    @pytest.mark.parametrize("sampled,times", [
+        (False, []), (False, [[0.0, 1.0]]), (True, []),
+    ], ids=["integrate_empty", "integrate_2d", "map_empty"])
+    def test_bad_times_named(self, sampled, times):
+        g = default_grid("taylor_green", (8, 8))
+        field = lambda x, t: np.zeros_like(x)
+        with pytest.raises(ValueError, match="times"):
+            if sampled:
+                SampledFlowMap(g, times, field, 0.25)
+            else:
+                integrate_trajectories(field, g, times, 0.25)
 
     def test_grid_label_queries_build_no_labels(self, monkeypatch):
         # queries compare against the map's one read-only copy of its grid

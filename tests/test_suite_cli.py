@@ -95,6 +95,23 @@ class TestConfig:
             signatures[check_id] = {p.name for p in params if p.kind is p.KEYWORD_ONLY}
         assert table == signatures
 
+    def test_readme_check_table_is_what_load_config_accepts(self):
+        # one row per check in CHECKS; each row's options load, others do not
+        text = (ROOT / "README.md").read_text().split("### Suite configs", 1)[1]
+        rows = re.findall(r"^\| `([\w.]+)` \| (.*) \|$", text.split("\n## ", 1)[0], re.M)
+        ids = [check_id for check_id, _ in rows]
+        assert len(ids) == len(set(ids)) and set(ids) == set(CHECKS)
+        sample = {"mode": "fd", "radius": 0.5, "points": 32, "radial_points": 8,
+                  "center": [0.0, 0.0, 0.0], "normal": [0.0, 0.0, 1.0]}
+        for check_id, cell in rows:
+            names = re.findall(r"`(\w+)`", cell)
+            assert cell == "none" if not names else cell == ", ".join(f"`{n}`" for n in names)
+            assert sorted(names) == sorted(flowmaplab.suite._check_options(check_id))
+            check = {"id": check_id, "tolerance": 1.0}
+            load_config(dict(SUITE, checks=[dict(check, options={n: sample[n] for n in names})]))
+            with pytest.raises(ConfigError, match="unlisted"):
+                load_config(dict(SUITE, checks=[dict(check, options={"unlisted": 1})]))
+
     def test_shipped_and_benchmark_configs_load(self):
         # the benchmark's configs are inputs this schema must keep accepting
         spec = importlib.util.spec_from_file_location(
@@ -377,7 +394,6 @@ class TestConvergenceStudy:
             "circulation.stokes", "rigid_rotation",
             resolutions=[(64, 64), (128, 128), (256, 256)],
             flow_params={"omega": 0.1},
-            tolerance=1.0,
         )
         assert 1.8 <= out["order"] <= 2.2, out
 
@@ -515,6 +531,7 @@ class TestCLI:
         pytest.param(("run", {"flows": [{"name": "uniform_translation",
                                          "params": {"velocity": [1.0, 0.0]}}]}),
                      "velocity", id="uniform_translation_velocity_2"),
+        pytest.param(("run", {"quadrature": "simpson"}), "quadrature", id="retired_quadrature_key"),
         pytest.param(("flows", "describe", "rigid_rotation", "--params", '{"omega": 0}'),
                      "omega", id="describe_rigid_rotation_omega0"),
         pytest.param(("run", {"checks": [{"id": "circulation.kelvin_drift", "tolerance": 1.0,
