@@ -380,7 +380,10 @@ def elliptical_chart(alpha=3.0, beta=2.0, gamma=1.0):
     ``forward`` solves the cubic in s = e^2 at every point at once, as the
     eigenvalues of its stacked companion matrices, sorts the roots and clips
     them to their brackets (beta^2, alpha^2), (gamma^2, beta^2), (0, gamma^2),
-    so that alpha >= rho1 >= beta >= rho2 >= gamma >= rho3 >= 0.
+    so that alpha >= rho1 >= beta >= rho2 >= gamma >= rho3 >= 0. A point
+    outside the ellipsoid x^2/alpha^2 + y^2/beta^2 + z^2/gamma^2 = 1 has a
+    negative smallest root and no chart coordinates: it gets rho3 = 0, which
+    the domain excludes.
     """
     a2, b2, g2 = float(alpha) ** 2, float(beta) ** 2, float(gamma) ** 2
     if not (alpha > beta > gamma > 0):

@@ -154,6 +154,13 @@ class TestRoundTrip:
         band[0] = (2.0000000009852448, 1.9999999981651924, 0.5251971950781755)
         assert np.abs(chart.forward(chart.inverse(band)) - band).max() <= 1e-7
 
+    def test_elliptical_point_outside_the_chart_is_off_domain(self):
+        # outside x^2/9 + y^2/4 + z^2 = 1 the smallest root is negative, so
+        # the point has no chart coordinates; it must not get in-domain ones
+        chart = elliptical_chart()
+        rho = chart.forward(np.array([[7 / 12, 0.8, 0.9]]))
+        assert rho[0, 2] == 0.0 and not chart.domain(rho).any()
+
 
 class TestEOMResiduals:
     def test_rest_any_chart(self):
