@@ -11,7 +11,6 @@ import numpy as np
 
 import flowmaplab as fl
 from flowmaplab import LabelGrid, MaterialSurface
-from flowmaplab.quadrature import SIMPSON
 
 print("--- living force -------------------------------------------------")
 grid = LabelGrid((17, 17, 17), (-0.5, -0.5, -0.5), (1 / 16,) * 3)
@@ -92,11 +91,10 @@ print("\n--- boundary energy identity for harmonic potentials ----------------")
 box = LabelGrid((33, 33, 33), (0.0, 0.0, 0.0), (1 / 32,) * 3)
 for F, name, expect in ((lambda p: p[..., 0] * p[..., 1], "xy", 1 / 3),
                         (lambda p: p[..., 0] ** 2 - p[..., 1] ** 2, "x^2-y^2", 4 / 3)):
-    out = fl.boundary_energy_identity(F, box, rule=SIMPSON)
+    out = fl.boundary_energy_identity(F, box)
     print(f"  F = {name:8s}: volume {out['volume_side']:.9f} "
           f"boundary {out['boundary_side']:.9f} (analytic {expect:.9f})")
 
-out = fl.boundary_energy_identity(lambda p: np.full(p.shape[:-1], 1.0), box,
-                                  rule=SIMPSON)
+out = fl.boundary_energy_identity(lambda p: np.full(p.shape[:-1], 1.0), box)
 print(f"  dF/dn = 0 everywhere forces K = {out['stationary_energy']:.1e}: "
       "no stationary potential flow")

@@ -23,7 +23,7 @@ from .grids import (
     point_jacobian,
     summarize_residual,
 )
-from .quadrature import SIMPSON, TRAPEZOID, QuadratureRule, path_integral
+from .quadrature import path_integral
 from .flowmap import (
     AnalyticFlowMap,
     DeformationGradient,

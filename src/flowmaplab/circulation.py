@@ -7,10 +7,12 @@ generating field, never re-interpolating the trajectory table). Velocity
 along a loop is the map's velocity at the loop's label points.
 
 Conventions: loop samples are uniform in parameter; circulation integrates
-u . dx/ds ds with order-4 tangents (keeps absolute circulation values near
-machine precision on smooth loops); flux surface tangents are order-2
-parameter differences, so flux-vs-circulation mismatches converge at second
-order. Surface normals follow the right-hand rule relative to the boundary
+u . dx/ds ds with ``quadrature.path_integral``'s order-4 tangents (keeps
+absolute circulation values near machine precision on smooth loops); flux
+surface tangents are order-2 parameter differences (SURFACE_TANGENT_ORDER),
+so flux-vs-circulation mismatches converge at second order. Surface weights
+are those the parameter samples choose (``quadrature.axis_weights``).
+Surface normals follow the right-hand rule relative to the boundary
 orientation, and the flux integrand is 2 * (X, Y, Z) . n dS, i.e. the full
 vorticity vector against the advected normal.
 """
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import _diff_along_axis0
-from .quadrature import TRAPEZOID, axis_weights, path_integral
+from .quadrature import axis_weights, path_integral
 from .flowmap import deformation_at, velocity_gradient_at, inv3
 
 __all__ = [
@@ -38,7 +40,6 @@ __all__ = [
     "spatial_half_vorticity_at",
 ]
 
-LOOP_TANGENT_ORDER = 4
 SURFACE_TANGENT_ORDER = 2
 
 
@@ -154,16 +155,16 @@ class MaterialSurface:
             return MaterialLoop(ring)
         raise ValueError("boundary extraction unsupported for this periodicity")
 
-    def advected_normals(self, m, t, order=2):
+    def advected_normals(self, m, t):
         """Unnormalized normals T1 x T2 (area-weighted) on the advected patch."""
         pos = m.positions(self.labels, t)
-        t1 = _param_derivative(pos, 0, self.param_periodic[0], order)
-        t2 = _param_derivative(pos, 1, self.param_periodic[1], order)
+        t1 = _param_derivative(pos, 0, self.param_periodic[0])
+        t2 = _param_derivative(pos, 1, self.param_periodic[1])
         return pos, np.cross(t1, t2)
 
     def param_weights(self):
-        """Trapezoid weights in s on both parameter axes, s as in the tangents."""
-        return tuple(axis_weights(n, _param_step(n, p), TRAPEZOID, p)
+        """Quadrature weights in s on both parameter axes, s as in the tangents."""
+        return tuple(axis_weights(n, _param_step(n, p), p)
                      for n, p in zip(self.labels.shape[:2], self.param_periodic))
 
 
@@ -171,12 +172,12 @@ def _param_step(n, periodic):
     return 2 * np.pi / n if periodic else 1.0 / (n - 1)
 
 
-def _param_derivative(pos, axis, periodic, order=2):
+def _param_derivative(pos, axis, periodic):
     """d(pos)/ds along one parameter axis; s spans 2*pi on periodic axes and
     [0, 1] on clamped axes (uniform samples either way), with one-sided
     rows of the same order at clamped ends."""
     h = _param_step(pos.shape[axis], periodic)
-    out = _diff_along_axis0(np.moveaxis(pos, axis, 0), h, order, periodic)
+    out = _diff_along_axis0(np.moveaxis(pos, axis, 0), h, SURFACE_TANGENT_ORDER, periodic)
     return np.moveaxis(out, 0, axis)
 
 
@@ -186,7 +187,7 @@ def circulation(m, loop, t):
     if np.max(np.linalg.norm(pos - pos.mean(axis=0), axis=1)) < 1e-14:
         raise ValueError("degenerate loop: near-zero extent")
     vel = m.velocities(loop.labels, t)
-    return path_integral(pos, vel, tangent_order=LOOP_TANGENT_ORDER)
+    return path_integral(pos, vel)
 
 
 def label_circulation(m, loop, t):
@@ -198,7 +199,7 @@ def label_circulation(m, loop, t):
     """
     covel = np.einsum("...i,...ij->...j", m.velocities(loop.labels, t),
                       deformation_at(m, loop.labels, t))
-    return path_integral(loop.labels, covel, tangent_order=LOOP_TANGENT_ORDER)
+    return path_integral(loop.labels, covel)
 
 
 def spatial_half_vorticity_at(m, labels, t):
@@ -224,7 +225,7 @@ def vorticity_flux(m, surf, t):
     The factor 2 makes the value the flux of the full vorticity vector, which
     is what circulation equals under the Stokes identity.
     """
-    pos, nw = surf.advected_normals(m, t, order=SURFACE_TANGENT_ORDER)
+    pos, nw = surf.advected_normals(m, t)
     w = spatial_half_vorticity_at(m, surf.labels, t)
     integrand = 2.0 * np.sum(w * nw, axis=-1)
     w1, w2 = surf.param_weights()

@@ -9,7 +9,8 @@ Commands:
 Exit codes for ``run``: 0 all rows pass, 1 a check failed (report still
 written), 2 config schema violation or malformed command-line input, 3 I/O
 failure. Flags override config fields. Other commands also exit 2 on
-malformed command-line input.
+malformed command-line input and 3 on I/O failure; ``report diff`` exits 1
+when the reports differ.
 """
 
 from __future__ import annotations
@@ -122,10 +123,14 @@ def _cmd_converge(args):
         dts = [float(x) for x in args.dts.split(",")] if args.dts else None
     except ValueError:
         raise ConfigError(f"bad --dts list {args.dts!r}") from None
-    out = convergence_study(args.check, args.flow,
-                            resolutions=_parse_grids(args.grids) if args.grids else None,
-                            dts=dts, flow_params=_parse_params(args.params),
-                            out_path=args.out)
+    try:
+        out = convergence_study(args.check, args.flow,
+                                resolutions=_parse_grids(args.grids) if args.grids else None,
+                                dts=dts, flow_params=_parse_params(args.params),
+                                out_path=args.out)
+    except OSError as exc:  # the --out data file, the study's only I/O
+        print(f"error: cannot write data file: {exc}", file=sys.stderr)
+        return 3
     print("# h  error")
     for h, e in out["table"]:
         print(f"{h:.6e} {e:.6e}")
@@ -160,7 +165,11 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.command == "report":
-        same, text = report_diff(args.a, args.b)
+        try:
+            same, text = report_diff(args.a, args.b)
+        except (OSError, ValueError) as exc:  # missing, not JSON, or not a report
+            print(f"error: cannot read report: {exc}", file=sys.stderr)
+            return 3
         print(text)
         return 0 if same else 1
     return 2

@@ -2,7 +2,10 @@
 
 K(t) = 1/2 * integral of |velocity|^2 rho0 over labels, evaluated entirely in
 label space (the volume-integral transform makes spatial resampling
-unnecessary). The energy-flux identity dK/dt = boundary integral of V * U_n
+unnecessary). Every integral here uses the rule its samples choose
+(``quadrature.axis_weights``): Simpson's on an axis with an odd node count,
+trapezoid on one with an even count, uniform on a periodic one. The
+energy-flux identity dK/dt = boundary integral of V * U_n
 holds for incompressible motion driven by the potential V with no pressure
 work at the boundary; the residual operation measures it with dK/dt by
 centered time differences and the flux by surface quadrature on advected
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import StencilSpec, divergence, gradient
-from .quadrature import SIMPSON, TRAPEZOID, grid_integral
+from .quadrature import grid_integral
 
 __all__ = [
     "EnergyLedger",
@@ -37,26 +40,27 @@ __all__ = [
 HELMHOLTZ_TOL = 1e-10
 
 
-def living_force(m, t, rule=SIMPSON):
-    """K(t) = 1/2 integral |u|^2 rho0 d(labels). Simpson by default so the
-    quadratic integrands of solid-body motions integrate exactly."""
+def living_force(m, t):
+    """K(t) = 1/2 integral |u|^2 rho0 d(labels). On axes with an odd node
+    count the quadrature is Simpson's, so the quadratic integrands of
+    solid-body motions integrate exactly there."""
     labels = m.grid_labels()
     vel = m.velocities(labels, t)
     rho0 = m.reference_density_at(labels)
     dens = 0.5 * np.einsum("...i,...i->...", vel, vel) * rho0
-    K = float(grid_integral(dens, m.grid.spacing, rule, m.grid.periodic))
+    K = float(grid_integral(dens, m.grid.spacing, m.grid.periodic))
     if K < -1e-12:
         raise ValueError("negative kinetic energy: inconsistent densities")
     return K
 
 
-def momentum_integral(m, t, rule=SIMPSON):
+def momentum_integral(m, t):
     """Integral of rho0 * u over labels, one value per component."""
     labels = m.grid_labels()
     vel = m.velocities(labels, t)
     rho0 = m.reference_density_at(labels)
     return np.array([
-        float(grid_integral(vel[..., i] * rho0, m.grid.spacing, rule, m.grid.periodic))
+        float(grid_integral(vel[..., i] * rho0, m.grid.spacing, m.grid.periodic))
         for i in range(3)
     ])
 
@@ -93,7 +97,7 @@ def _boundary_flux(m, V_fn, surfaces, t):
     return total
 
 
-def energy_flux_residual(m, V_fn, times, boundary_surfaces, dt=None, rule=SIMPSON):
+def energy_flux_residual(m, V_fn, times, boundary_surfaces, dt=None):
     """Ledger comparing dK/dt against the V * U_n boundary flux at each time.
 
     dK/dt uses centered differences with step dt (default 1e-3 of the map
@@ -103,9 +107,9 @@ def energy_flux_residual(m, V_fn, times, boundary_surfaces, dt=None, rule=SIMPSO
     if np.any(np.diff(times) <= 0):
         raise ValueError("ledger times must be strictly increasing")
     dt = dt if dt is not None else 1e-3 * m.timescale
-    K = np.array([living_force(m, t, rule) for t in times])
+    K = np.array([living_force(m, t) for t in times])
     dKdt = np.array([
-        (living_force(m, t + dt, rule) - living_force(m, t - dt, rule)) / (2 * dt)
+        (living_force(m, t + dt) - living_force(m, t - dt)) / (2 * dt)
         for t in times
     ])
     flux = np.array([_boundary_flux(m, V_fn, boundary_surfaces, t) for t in times])
@@ -121,8 +125,7 @@ def _box_faces(grid):
     return faces
 
 
-def boundary_energy_identity(F_fn, grid, spec=StencilSpec(), rule=TRAPEZOID,
-                             grad_fn=None):
+def boundary_energy_identity(F_fn, grid, spec=StencilSpec(), grad_fn=None):
     """Volume-vs-boundary energy identity for a harmonic potential on a box.
 
     Computes volume_side = 1/2 * integral |grad F|^2 over the box and
@@ -144,7 +147,7 @@ def boundary_energy_identity(F_fn, grid, spec=StencilSpec(), rule=TRAPEZOID,
     laplace_linf = float(np.abs(divergence(g_fd, spec, grid=grid)).max())
 
     energy_density = 0.5 * np.einsum("...i,...i->...", gF, gF)
-    volume_side = float(grid_integral(energy_density, grid.spacing, rule, grid.periodic))
+    volume_side = float(grid_integral(energy_density, grid.spacing, grid.periodic))
 
     boundary_side = 0.0
     max_dFdn = 0.0
@@ -157,7 +160,7 @@ def boundary_energy_identity(F_fn, grid, spec=StencilSpec(), rule=TRAPEZOID,
         max_dFdn = max(max_dFdn, float(np.abs(dFdn).max()))
         spacings = [grid.spacing[k] for k in range(3) if k != axis]
         periodic = [grid.periodic[k] for k in range(3) if k != axis]
-        boundary_side += float(grid_integral(face_F * dFdn, spacings, rule, periodic))
+        boundary_side += float(grid_integral(face_F * dFdn, spacings, periodic))
     boundary_side *= 0.5
 
     return {

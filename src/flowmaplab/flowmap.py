@@ -28,7 +28,7 @@ from .grids import (
     point_jacobian,
     summarize_residual,
 )
-from .quadrature import TRAPEZOID, grid_integral
+from .quadrature import grid_integral
 
 __all__ = [
     "FlowMap",
@@ -567,7 +567,7 @@ def _inscribed_grid(m, pos_full):
     return LabelGrid((n, n), tuple(lo), tuple((hi - lo) / (n - 1)), (False, False))
 
 
-def mass_integral_transform(m, t, f, rule=TRAPEZOID):
+def mass_integral_transform(m, t, f):
     """Pair of label-space integrals (with f composed at time t, and at t=0).
 
     Returns (integral of f(x(a,t)) rho0 dlab, integral of f(a) rho0 dlab).
@@ -578,8 +578,8 @@ def mass_integral_transform(m, t, f, rule=TRAPEZOID):
     rho0 = m.reference_density_at(labels)
     mapped_vals = np.asarray(f(m.positions(labels, t)), dtype=float) * rho0
     ref_vals = np.asarray(f(labels), dtype=float) * rho0
-    mapped = grid_integral(mapped_vals, m.grid.spacing, rule, m.grid.periodic)
-    ref = grid_integral(ref_vals, m.grid.spacing, rule, m.grid.periodic)
+    mapped = grid_integral(mapped_vals, m.grid.spacing, m.grid.periodic)
+    ref = grid_integral(ref_vals, m.grid.spacing, m.grid.periodic)
     return float(mapped), float(ref)
 
 

@@ -125,11 +125,17 @@ class VerificationReport:
 
     @classmethod
     def from_file(cls, path):
+        """Load a report written by ``to_json``; raises ValueError when the
+        file is not JSON or holds JSON that is not a report."""
         with open(path) as fh:
             data = json.load(fh)
-        rows = [ReportRow(**{k: (tuple(v) if k == "location" and v is not None else v)
-                             for k, v in rd.items()}) for rd in data["rows"]]
-        return cls(rows, config=data.get("config", {}), environment=data.get("environment", {}))
+        try:
+            rows = [ReportRow(**{k: (tuple(v) if k == "location" and v is not None else v)
+                                 for k, v in rd.items()}) for rd in data["rows"]]
+            return cls(rows, config=data.get("config", {}),
+                       environment=data.get("environment", {}))
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise ValueError(f"{path} is not a flowmaplab report ({exc!r})") from None
 
 
 def report_diff(path_a, path_b):

@@ -22,7 +22,6 @@ from .dynamics import lagrangian_eom_residual
 from .cauchy import cauchy_invariants, invariant_drift, solenoidality_residual
 from .circulation import MaterialLoop, MaterialSurface, kelvin_drift, stokes_residual
 from .energy import living_force
-from .quadrature import SIMPSON, TRAPEZOID
 from .reporting import ReportRow, VerificationReport
 
 __all__ = ["CONFIG_SCHEMA", "CHECKS", "ConfigError", "load_config", "validate_flow",
@@ -243,12 +242,8 @@ def _chk_stokes(entry, times, ctx, *, center=(0.0, 0.0, 0.0), radius=0.25,
 
 
 def _chk_energy_drift(entry, times, ctx):
-    # Simpson needs an odd node count on every non-periodic axis; grids
-    # without one fall back to the trapezoid rule
-    g = entry.map.grid
-    rule = SIMPSON if all(p or n % 2 for n, p in zip(g.shape, g.periodic)) else TRAPEZOID
-    K0 = living_force(entry.map, times[0], rule)
-    worst = max(abs(living_force(entry.map, t, rule) - K0) for t in times[1:])
+    K0 = living_force(entry.map, times[0])
+    worst = max(abs(living_force(entry.map, t) - K0) for t in times[1:])
     return {"linf": worst, "time": times[-1]}
 
 
@@ -356,7 +351,8 @@ def convergence_study(check_id, flow_name, resolutions=None, dts=None,
     closure study, a list of ``dts``, each positive and finite. Emits a
     two-column whitespace data file when out_path is given and returns a dict
     with the table and the fitted slope (None when the errors sit at the
-    noise floor).
+    noise floor). Fewer than two distinct step sizes leave no slope to fit
+    and raise ConfigError.
     """
     flow_params = flow_params or {}
     table = []
@@ -388,10 +384,15 @@ def convergence_study(check_id, flow_name, resolutions=None, dts=None,
         report, _ = run_suite(cfg)
         for row, shape in zip(report.rows, resolutions):
             table.append((max(default_grid(flow_name, shape, **flow_params).spacing), row.linf))
+    steps = len({h for h, _ in table})
+    if steps < 2:
+        flag = "--dts" if check_id == "flows.rk4_closure" else "--grids"
+        raise ConfigError(f"convergence study needs two or more distinct step sizes; "
+                          f"{flag} gives {steps}")
     table.sort(key=lambda he: -he[0])
     errs = np.array([e for _, e in table])
     slope = None
-    if len(table) >= 2 and np.all(errs > 1e-12):
+    if np.all(errs > 1e-12):
         logh = np.log([h for h, _ in table])
         loge = np.log(errs)
         slope = float(np.polyfit(logh, loge, 1)[0])

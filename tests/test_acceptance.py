@@ -18,7 +18,6 @@ from flowmaplab import (
 )
 from flowmaplab.flows import default_grid
 from flowmaplab.suite import run_suite
-from flowmaplab.quadrature import SIMPSON
 
 
 def _criterion(num, desc, checks):
@@ -301,12 +300,11 @@ def test_criterion_8_energy():
     grid = LabelGrid((33, 33, 33), (0.0, 0.0, 0.0), (1 / 32,) * 3)
     for F_fn, desc in ((lambda p: p[..., 0] * p[..., 1], "xy"),
                        (lambda p: p[..., 0] ** 2 - p[..., 1] ** 2, "x^2-y^2")):
-        out = fl.boundary_energy_identity(F_fn, grid, rule=SIMPSON)
+        out = fl.boundary_energy_identity(F_fn, grid)
         checks.append((f"boundary energy identity <= 1e-6 for {desc}",
                        out["residual"] <= 1e-6, out["residual"]))
 
-    out = fl.boundary_energy_identity(lambda p: np.full(p.shape[:-1], 3.0), grid,
-                                      rule=SIMPSON)
+    out = fl.boundary_energy_identity(lambda p: np.full(p.shape[:-1], 3.0), grid)
     h2 = max(grid.spacing) ** 2
     checks.append(("zero normal derivative forces |grad F| <= C h^2",
                    out["normal_derivative_vanishes"] and out["max_gradient"] <= h2,

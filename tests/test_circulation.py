@@ -61,26 +61,18 @@ class TestSurfaceType:
         ring = surf.boundary_loop()
         assert np.abs(ring.labels - loop.labels).max() < 1e-14
 
-    def test_order4_normals_exact_on_clamped_cubic(self):
-        # points cubic in the clamped parameter s, linear in the other:
-        # T1 = (3 s^2, 0, s), T2 = (0, 1, 0), so T1 x T2 = (-s, 0, 3 s^2);
-        # order-4 rows (one-sided at the ends) differentiate cubics exactly
+    def test_normals_exact_on_clamped_quadratic(self):
+        # points quadratic in the clamped parameter s, linear in the other:
+        # T1 = (2 s, 0, s), T2 = (0, 1, 0), so T1 x T2 = (-s, 0, 2 s); the
+        # order-2 surface rows (one-sided at the ends) differentiate
+        # quadratics exactly
         s = np.linspace(0.0, 1.0, 21)
         u = np.linspace(0.0, 1.0, 8)
         S, U = np.meshgrid(s, u, indexing="ij")
-        surf = MaterialSurface(np.stack([S ** 3, U, 0.5 * S ** 2], axis=-1))
-        _, nw = surf.advected_normals(rest_map(), 0.0, order=4)
-        exact = np.stack([-S, np.zeros_like(S), 3 * S ** 2], axis=-1)
+        surf = MaterialSurface(np.stack([S ** 2, U, 0.5 * S ** 2], axis=-1))
+        _, nw = surf.advected_normals(rest_map(), 0.0)
+        exact = np.stack([-S, np.zeros_like(S), 2 * S], axis=-1)
         assert np.abs(nw - exact).max() <= 1e-12
-
-    def test_invalid_tangent_order_rejected(self):
-        from flowmaplab.quadrature import closed_path_tangents
-
-        surf = MaterialSurface.disk(radius=0.5, nr=8, ntheta=32)
-        with pytest.raises(ValueError, match="order"):
-            surf.advected_normals(rest_map(), 0.0, order=3)
-        with pytest.raises(ValueError, match="order"):
-            closed_path_tangents(surf.labels[-1], order=3)
 
 
 class TestCirculation:

@@ -26,8 +26,8 @@ def test_surface_census_counts_the_tree(tmp_path):
     # tools/surface_census.py, loaded from its file: three positive counts,
     # and the tool imports only the standard library and flowmaplab. This
     # process has imported flowmaplab already; the census still counts the
-    # tree it is given, so a copy without mass_integral_transform (four
-    # parameters) counts one name and four settable values fewer.
+    # tree it is given, so a copy without mass_integral_transform (three
+    # parameters) counts one name and three settable values fewer.
     import ast
     import importlib.util
     import shutil
@@ -56,7 +56,7 @@ def test_surface_census_counts_the_tree(tmp_path):
         (pkg / name).write_text(text)
     fewer = census.census(tmp_path / "src")
     assert fewer["public names"] == counts["public names"] - 1
-    assert fewer["settable values"] == counts["settable values"] - 4
+    assert fewer["settable values"] == counts["settable values"] - 3
     assert fewer["lines"] < counts["lines"]
 
     imported = set()

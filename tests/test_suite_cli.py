@@ -180,8 +180,8 @@ class TestRunSuite:
         assert report.failing_rows()
 
     def test_energy_drift_runs_on_even_node_counts(self):
-        # 32 nodes per axis is an odd interval count, which Simpson cannot
-        # integrate; the check falls back to the trapezoid rule there
+        # 32 nodes per axis is an odd interval count: the quadrature takes
+        # trapezoid weights there and Simpson's on the 33-node grid
         cfg = {"flows": [{"name": "rigid_rotation"}],
                "checks": [{"id": "energy.living_force_drift", "tolerance": 1e-8}],
                "grids": [[32, 32], [33, 33]]}
@@ -564,6 +564,11 @@ class TestCLI:
                      "step nan is not positive and finite", id="rk4_closure_dt_nan"),
         pytest.param(("converge", "flows.rk4_closure", "rigid_rotation", "--dts", "inf,0.1"),
                      "step inf is not positive and finite", id="rk4_closure_dt_inf"),
+        # one step size leaves no slope to fit, however far above the floor
+        pytest.param(("converge", "flows.rk4_closure", "rigid_rotation", "--dts", "0.1"),
+                     "--dts", id="rk4_closure_one_dt"),
+        pytest.param(("converge", "circulation.stokes", "rigid_rotation",
+                      "--grids", "16x16,16x16"), "--grids", id="converge_same_grid_twice"),
     ])
     def test_malformed_input_exits_two(self, args, named, tmp_path):
         if isinstance(args[1], dict):
@@ -577,6 +582,24 @@ class TestCLI:
 
     def test_run_unreadable_config_exit_three(self):
         assert run_cli("run", "/nonexistent/suite.json").returncode == 3
+
+    @pytest.mark.parametrize("content", [None, '{"rows": 5}', "[1, 2]", "not json"],
+                             ids=["missing", "rows_not_a_list", "not_an_object", "not_json"])
+    def test_report_diff_unreadable_report_exits_three(self, tmp_path, content):
+        # exit 1 means "reports differ", so a file that is no report exits 3
+        path = tmp_path / "r.json"
+        if content is not None:
+            path.write_text(content)
+        proc = run_cli("report", "diff", str(path), str(path))
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error: cannot read report: ")
+        assert "Traceback" not in proc.stderr
+
+    def test_converge_unwritable_out_exits_three(self, tmp_path):
+        proc = run_cli("converge", "flows.rk4_closure", "rigid_rotation", "--dts", "0.1,0.05",
+                       "--out", str(tmp_path / "missing" / "conv.dat"))
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error: cannot write ") and "Traceback" not in proc.stderr
 
     def test_report_diff_cli(self, tmp_path):
         cfg = dict(SUITE)
