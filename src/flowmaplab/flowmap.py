@@ -428,24 +428,66 @@ def jacobian_det(g):
     return Field(g.grid, det3(g.values))
 
 
+def _inverse_planes(A):
+    """Inverse of stacked 3x3 matrices, as nine grid-shaped planes B[i][j].
+
+    ``A`` holds the matrices' entries as planes, A[i, j] the grid of (i, j)
+    entries, and is reduced in place: the call destroys it. Gauss-Jordan
+    elimination with partial pivoting runs on every node at once, B starting
+    at the identity, and every row operation works in place on whole planes
+    with one scratch plane. A row is swapped up only where its pivot
+    candidate is strictly larger in magnitude, so ties keep the row order.
+    Columns left of the pivot are never read again, so they are not updated.
+    """
+    shape = A.shape[2:]
+    B = [[np.full(shape, float(i == j)) for j in range(3)] for i in range(3)]
+    tmp = np.empty(shape)
+    for k in range(3):
+        for i in range(k + 1, 3):
+            swap = np.abs(A[i, k]) > np.abs(A[k, k])
+            if swap.any():
+                for upper, lower in zip([*A[k, k:], *B[k]], [*A[i, k:], *B[i]]):
+                    np.copyto(tmp, upper)
+                    np.copyto(upper, lower, where=swap)
+                    np.copyto(lower, tmp, where=swap)
+        pivot = A[k, k]
+        for row in [*A[k, k + 1:], *B[k]]:
+            row /= pivot
+        for i in range(3):
+            if i == k:
+                continue
+            factor = A[i, k]
+            for target, source in zip([*A[i, k + 1:], *B[i]], [*A[k, k + 1:], *B[k]]):
+                np.multiply(factor, source, out=tmp)
+                target -= tmp
+    return B
+
+
 def cofactor_identity_residual(m, t, spec=StencilSpec(), mode="auto", rind=0):
     """Mismatch of the nine relations J * d(lab)/d(pos) = minors of dx/dlab.
 
-    The left side inverts the deformation gradient numerically; the right
-    side forms the cofactors directly. The identity is exact linear algebra,
-    so the residual is machine-level whenever the gradient itself is. Both
-    sides meet in the one array ``np.linalg.inv`` returns, so the check holds
-    two gradient-sized arrays besides F itself.
+    The left side inverts the deformation gradient numerically, by pivoted
+    elimination on its nine component planes (``_inverse_planes``); the
+    right side forms the cofactors directly with ``adjugate3``, from a view
+    of the same planes taken before the elimination reduces them. The
+    identity is exact linear algebra, so the residual is machine-level
+    whenever the gradient itself is. |J * inverse - adjugate| is written into
+    the inverse's planes and reduced to its per-node maximum plane by plane.
     """
     F = deformation_gradient(m, t, spec, mode).values
     J = det3(F)
     if np.any(np.abs(J) <= SINGULAR_J_TOL):
         raise SingularMapError("singular deformation gradient in cofactor identity")
-    res = np.linalg.inv(F)
-    res *= J[..., None, None]
-    res -= adjugate3(F)
-    np.abs(res, out=res)
-    return summarize_residual(np.max(res, axis=(-2, -1)), m.grid, rind=rind)
+    A = np.moveaxis(F, (-2, -1), (0, 1)).copy()  # F[..., i, j] as contiguous A[i, j]
+    adj = adjugate3(np.moveaxis(A, (0, 1), (-2, -1)))  # keeps A's plane layout
+    worst = np.zeros(J.shape)
+    for i, row in enumerate(_inverse_planes(A)):
+        for j, res in enumerate(row):
+            res *= J
+            res -= adj[..., i, j]
+            np.abs(res, out=res)
+            np.maximum(worst, res, out=worst)
+    return summarize_residual(worst, m.grid, rind=rind)
 
 
 def density_residual(m, t, mode="lagrangian", spec=StencilSpec(), gradient_mode="auto",

@@ -95,10 +95,12 @@ class ConfigError(ValueError):
 def load_config(path_or_dict):
     """A suite config (a path or a dict), validated before anything is built.
 
-    Beyond the schema, every check id, check option, flow name and flow param
+    Beyond the schema, every number must be finite (JSON readers accept NaN
+    and Infinity), every check id, check option, flow name and flow param
     must be one the code reads, every flow's domain must mesh at every grid,
-    and ``time_fractions`` must strictly increase. Any violation raises
-    ConfigError naming the key and the accepted names or values.
+    ``time_fractions`` must strictly increase, and with ``stencil_order`` 4
+    every grid axis needs at least 6 nodes. Any violation raises ConfigError
+    naming the key and the accepted names or values.
     """
     import json
 
@@ -109,19 +111,27 @@ def load_config(path_or_dict):
     else:
         with open(path_or_dict) as fh:
             cfg = json.load(fh)
+    bad = _non_finite(cfg)
+    if bad is not None:
+        path, value = bad
+        raise ConfigError(f"{_config_path(path)}: {value!r} is not a finite number")
     # the error jsonschema.validate would raise, without re-checking the
     # constant schema itself on every load (a test checks it once)
     exc = jsonschema.exceptions.best_match(
         jsonschema.Draft202012Validator(CONFIG_SCHEMA).iter_errors(cfg))
     if exc is not None:
-        where = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in exc.absolute_path)
-        msg = f"config{where}: {exc.message}"
+        msg = f"{_config_path(exc.absolute_path)}: {exc.message}"
         if exc.validator == "additionalProperties":
             msg += f"; accepted: {', '.join(exc.schema['properties'])}"
         raise ConfigError(msg)
     fracs = cfg.get("time_fractions", ())
     if any(b <= a for a, b in zip(fracs, fracs[1:])):
         raise ConfigError(f"config.time_fractions {fracs} must strictly increase")
+    if cfg.get("stencil_order") == 4:
+        for shape in cfg["grids"]:
+            if min(shape) < 6:
+                raise ConfigError(f"config.grids {shape}: stencil_order 4 needs >= 6 nodes "
+                                  f"on every axis")
     for chk in cfg["checks"]:
         if chk["id"] in _RETIRED:
             raise ConfigError(f"check {chk['id']!r} was removed: {_RETIRED[chk['id']]}")
@@ -134,6 +144,27 @@ def load_config(path_or_dict):
     for flow in cfg["flows"]:
         validate_flow(flow["name"], flow.get("params", {}), cfg["grids"])
     return cfg
+
+
+def _config_path(keys):
+    return "config" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys)
+
+
+def _non_finite(node, path=()):
+    """(path, value) of the first NaN or infinite number in a parsed config."""
+    if isinstance(node, float) and not math.isfinite(node):
+        return path, node
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, (list, tuple)):
+        items = enumerate(node)
+    else:
+        return None
+    for key, value in items:
+        found = _non_finite(value, path + (key,))
+        if found is not None:
+            return found
+    return None
 
 
 def _check_options(check_id):

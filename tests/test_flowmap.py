@@ -215,17 +215,48 @@ class TestCofactorIdentity:
             t = 0.4 * e.map.timescale
             assert cofactor_identity_residual(e.map, t).linf <= 1e-10, name
 
-    def test_in_place_form_matches_the_reference(self):
+    @staticmethod
+    def _elimination_inverse(F):
+        B = flowmap._inverse_planes(np.moveaxis(F, (-2, -1), (0, 1)).copy())
+        return np.moveaxis(np.array(B), (0, 1), (-2, -1))
+
+    def test_in_place_form_matches_the_plain_expression(self):
         # the in-place arithmetic performs the same operations as the plain
-        # expression, so the summary agrees bit for bit
+        # expression on the elimination inverse, so the summary agrees bit for bit
         e = catalog_flow("gerstner", grid=default_grid("gerstner", (32, 32)))
         F = deformation_gradient(e.map, 1.0, mode="fd").values
-        ref = np.max(np.abs(det3(F)[..., None, None] * np.linalg.inv(F) - adjugate3(F)),
-                     axis=(-2, -1))
+        ref = np.max(np.abs(det3(F)[..., None, None] * self._elimination_inverse(F)
+                            - adjugate3(F)), axis=(-2, -1))
         want = summarize_residual(ref, e.map.grid, rind=1)
         got = cofactor_identity_residual(e.map, 1.0, mode="fd", rind=1)
         assert (got.linf.hex(), got.l2.hex()) == (want.linf.hex(), want.l2.hex())
         assert got.location == want.location
+
+    def test_elimination_inverse_matches_lapack(self):
+        # oracle: LAPACK's inverse, node by node, relative to each node's largest entry
+        e = catalog_flow("gerstner", grid=default_grid("gerstner", (32, 32)))
+        F = deformation_gradient(e.map, 1.0, mode="fd").values
+        oracle = np.linalg.inv(F)
+        err = np.max(np.abs(self._elimination_inverse(F) - oracle), axis=(-2, -1))
+        assert np.max(err / np.max(np.abs(oracle), axis=(-2, -1))) <= 1e-14
+
+    @pytest.mark.parametrize("A", [[[0, 1, 0], [1, 0, 0], [0, 0, 1]],
+                                   [[0, -1, 0], [1, 0, 0], [0, 0, 1]]],
+                             ids=["swap", "quarter_turn"])
+    def test_zero_leading_entry_needs_a_pivot(self, A):
+        # F[..., 0, 0] is exactly 0, so elimination without row swaps divides by it
+        m = linear_map(A)
+        assert np.all(deformation_gradient(m, 1.0).values[..., 0, 0] == 0.0)
+        assert cofactor_identity_residual(m, 1.0).linf <= 1e-15
+
+    def test_runs_without_lapack_inverse(self, monkeypatch):
+        e = catalog_flow("gerstner", grid=default_grid("gerstner", (16, 16)))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.inv called")
+
+        monkeypatch.setattr(np.linalg, "inv", refuse)
+        assert cofactor_identity_residual(e.map, 1.0, mode="fd").linf <= 1e-15
 
     def test_singular_map_raises(self):
         def collapse(lab, t):

@@ -3,6 +3,7 @@
 import importlib.util
 import inspect
 import json
+import math
 import re
 import subprocess
 import sys
@@ -532,6 +533,20 @@ class TestCLI:
                                          "params": {"velocity": [1.0, 0.0]}}]}),
                      "velocity", id="uniform_translation_velocity_2"),
         pytest.param(("run", {"quadrature": "simpson"}), "quadrature", id="retired_quadrature_key"),
+        # json reads NaN and Infinity, and the schema's "number" takes them
+        pytest.param(("run", {"time_fractions": [0.0, math.nan]}), "config.time_fractions[1]",
+                     id="time_fraction_nan"),
+        pytest.param(("run", {"time_fractions": [0.0, math.inf]}), "config.time_fractions[1]",
+                     id="time_fraction_inf"),
+        pytest.param(("run", {"time_fractions": [math.nan, 0.25]}), "config.time_fractions[0]",
+                     id="time_fraction_nan_first"),
+        pytest.param(("run", {"checks": [{"id": "cauchy.invariant_drift", "tolerance": math.inf}]}),
+                     "config.checks[0].tolerance", id="tolerance_inf"),
+        pytest.param(("run", {"checks": [{"id": "cauchy.invariant_drift", "tolerance": 1.0,
+                                          "min_order": math.nan}]}),
+                     "config.checks[0].min_order", id="min_order_nan"),
+        pytest.param(("run", {"stencil_order": 4, "grids": [[5, 5]]}),
+                     "config.grids [5, 5]: stencil_order 4", id="order4_grid_under_6"),
         pytest.param(("flows", "describe", "rigid_rotation", "--params", '{"omega": 0}'),
                      "omega", id="describe_rigid_rotation_omega0"),
         pytest.param(("run", {"checks": [{"id": "circulation.kelvin_drift", "tolerance": 1.0,
