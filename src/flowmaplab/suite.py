@@ -154,12 +154,8 @@ def _non_finite(node, path=()):
     """(path, value) of the first NaN or infinite number in a parsed config."""
     if isinstance(node, float) and not math.isfinite(node):
         return path, node
-    if isinstance(node, dict):
-        items = node.items()
-    elif isinstance(node, (list, tuple)):
-        items = enumerate(node)
-    else:
-        return None
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
     for key, value in items:
         found = _non_finite(value, path + (key,))
         if found is not None:
