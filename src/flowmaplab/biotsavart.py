@@ -38,8 +38,10 @@ COMPACT_TOL = 1e-14
 # targets x sources per kernel block. Both axes are blocked so that the two
 # work buffers stay at 8 x 4096 float64 = 256 KiB each: on the 64^3 blob,
 # tiles of 8 or 32 targets across all ~94k sources raised a process's peak
-# RSS from 53 to 62 or 98 MiB. The sizes also fix the order of the sums, so
-# outputs repeat bit for bit.
+# RSS from 53 to 62 or 98 MiB. With fewer than BLOCK carrying sources the
+# tile grows to fill the same buffers (TILE * (BLOCK // sources) targets),
+# so few sources do not cost one small product per 8 targets. The sizes fix
+# the order of the sums, so outputs repeat bit for bit.
 TILE = 8
 BLOCK = 4096
 # targets nearer than this many grid cells to the support raise
@@ -103,11 +105,12 @@ def velocity_from_vorticity(src, targets, allow_interior_targets=False):
     The sum is direct, O(sources x targets), written through the split
     sum_j inv_ij w_j x (t_i - p_j) = (sum_j inv_ij w_j) x t_i
     - sum_j inv_ij (w_j x p_j), inv_ij = 1/r_ij^3: per tile of ``TILE``
-    targets and block of ``BLOCK`` sources, r^2 comes from explicit
-    coordinate differences and one ``inv @ [w | w x p]`` product replaces
-    the per-pair cross products. Coordinates are centred on the source grid,
-    since the split's round-off grows with |t|/r. The fixed tile and block
-    order makes repeated calls bit-identical.
+    targets (more when fewer than ``BLOCK`` nodes carry vorticity) and block
+    of ``BLOCK`` sources, r^2 comes from explicit coordinate differences and
+    one ``inv @ [w | w x p]`` product replaces the per-pair cross products.
+    Coordinates are centred on the source grid, since the split's round-off
+    grows with |t|/r. The fixed tile and block order makes repeated calls
+    bit-identical.
 
     Targets closer than ``MIN_DISTANCE_CELLS * h`` to any node carrying
     non-negligible vorticity raise, unless ``allow_interior_targets`` is set
@@ -132,9 +135,11 @@ def velocity_from_vorticity(src, targets, allow_interior_targets=False):
         px, py, pz = np.ascontiguousarray(pos.T)
         acc = np.zeros((len(t), 6))
         r2min = np.full(len(t), np.inf)
-        r2, inv = np.empty((TILE, BLOCK)), np.empty((TILE, BLOCK))
-        for i0 in range(0, len(t), TILE):
-            tile = slice(i0, i0 + TILE)
+        width = min(BLOCK, len(pos))
+        rows = TILE * (BLOCK // width)
+        r2, inv = np.empty((rows, width)), np.empty((rows, width))
+        for i0 in range(0, len(t), rows):
+            tile = slice(i0, i0 + rows)
             tx, ty, tz = t[tile, :1], t[tile, 1:2], t[tile, 2:]
             for j0 in range(0, len(pos), BLOCK):
                 blk = slice(j0, j0 + BLOCK)

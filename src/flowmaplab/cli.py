@@ -22,7 +22,8 @@ import sys
 from . import __version__
 from .flows import catalog_flow, catalog_names
 from .reporting import report_diff
-from .suite import ConfigError, convergence_study, load_config, run_suite, validate_flow
+from .suite import (ConfigError, _config_path, _non_finite, convergence_study, load_config,
+                    run_suite, validate_flow)
 
 __all__ = ["main", "build_parser"]
 
@@ -79,6 +80,10 @@ def _parse_params(text):
         raise ConfigError(f"--params is not valid JSON: {exc}") from None
     if not isinstance(params, dict):
         raise ConfigError(f"--params must be a JSON object, got {text!r}")
+    bad = _non_finite(params)
+    if bad is not None:
+        path, value = bad
+        raise ConfigError(f"{_config_path(path, '--params')}: {value!r} is not a finite number")
     return params
 
 

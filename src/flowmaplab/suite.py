@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import inspect
 import math
+import numbers
 
 import numpy as np
 
@@ -88,6 +89,71 @@ CONFIG_SCHEMA = {
 }
 
 
+# the draft 2020-12 meaning of each type CONFIG_SCHEMA names: a bool is no
+# number, and an integral float is an integer
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "number": lambda v: isinstance(v, numbers.Number) and not isinstance(v, bool),
+    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool)
+                          or isinstance(v, float) and v.is_integer()),
+}
+# the keywords _schema_errors reads; "$schema" only names the draft
+_KEYWORDS = {"$schema", "type", "required", "properties", "additionalProperties", "items",
+             "enum", "minimum", "exclusiveMinimum", "minItems", "maxItems"}
+
+
+def _schema_errors(node, schema, path=()):
+    """Yield (path, keyword, message) for each way ``node`` breaks ``schema``.
+
+    Implements the draft 2020-12 meaning of the keywords in ``_KEYWORDS``,
+    with jsonschema's messages, and only ``additionalProperties: false``. A
+    schema with any other keyword raises, so that a keyword added to
+    CONFIG_SCHEMA cannot go unchecked.
+    """
+    unknown = schema.keys() - _KEYWORDS
+    if schema.get("additionalProperties", False) is not False:
+        unknown.add("additionalProperties")
+    if unknown:
+        raise NotImplementedError(f"schema keywords {sorted(unknown)} at {_config_path(path)}")
+    if "type" in schema and not _TYPES[schema["type"]](node):
+        yield path, "type", f"{node!r} is not of type {schema['type']!r}"
+    # == with bool kept apart from int, as jsonschema's enum compares
+    if "enum" in schema and not any(
+            node == v and isinstance(node, bool) == isinstance(v, bool) for v in schema["enum"]):
+        yield path, "enum", f"{node!r} is not one of {schema['enum']!r}"
+    if _TYPES["number"](node):
+        if "minimum" in schema and node < schema["minimum"]:
+            yield path, "minimum", f"{node!r} is less than the minimum of {schema['minimum']!r}"
+        if "exclusiveMinimum" in schema and node <= schema["exclusiveMinimum"]:
+            yield (path, "exclusiveMinimum", f"{node!r} is less than or equal to the minimum "
+                                             f"of {schema['exclusiveMinimum']!r}")
+    elif isinstance(node, list):
+        if len(node) < schema.get("minItems", 0):
+            short = "should be non-empty" if schema["minItems"] == 1 else "is too short"
+            yield path, "minItems", f"{node!r} {short}"
+        if len(node) > schema.get("maxItems", len(node)):
+            yield path, "maxItems", f"{node!r} is too long"
+        if "items" in schema:
+            for i, item in enumerate(node):
+                yield from _schema_errors(item, schema["items"], path + (i,))
+    elif isinstance(node, dict):
+        for key in schema.get("required", ()):
+            if key not in node:
+                yield path, "required", f"{key!r} is a required property"
+        props = schema.get("properties", {})
+        extra = sorted((k for k in node if k not in props), key=str)
+        if "additionalProperties" in schema and extra:
+            yield (path, "additionalProperties",
+                   f"Additional properties are not allowed ({', '.join(map(repr, extra))} "
+                   f"{'was' if len(extra) == 1 else 'were'} unexpected); "
+                   f"accepted: {', '.join(props)}")
+        for key, sub in props.items():
+            if key in node:
+                yield from _schema_errors(node[key], sub, path + (key,))
+
+
 class ConfigError(ValueError):
     pass
 
@@ -104,8 +170,6 @@ def load_config(path_or_dict):
     """
     import json
 
-    import jsonschema
-
     if isinstance(path_or_dict, dict):
         cfg = path_or_dict
     else:
@@ -115,15 +179,13 @@ def load_config(path_or_dict):
     if bad is not None:
         path, value = bad
         raise ConfigError(f"{_config_path(path)}: {value!r} is not a finite number")
-    # the error jsonschema.validate would raise, without re-checking the
-    # constant schema itself on every load (a test checks it once)
-    exc = jsonschema.exceptions.best_match(
-        jsonschema.Draft202012Validator(CONFIG_SCHEMA).iter_errors(cfg))
-    if exc is not None:
-        msg = f"{_config_path(exc.absolute_path)}: {exc.message}"
-        if exc.validator == "additionalProperties":
-            msg += f"; accepted: {', '.join(exc.schema['properties'])}"
-        raise ConfigError(msg)
+    # the error jsonschema's best_match picks: the shallowest, and of those
+    # the greatest path, then the first found
+    error = max(_schema_errors(cfg, CONFIG_SCHEMA), key=lambda err: (-len(err[0]), err[0]),
+                default=None)
+    if error is not None:
+        path, _, message = error
+        raise ConfigError(f"{_config_path(path)}: {message}")
     fracs = cfg.get("time_fractions", ())
     if any(b <= a for a, b in zip(fracs, fracs[1:])):
         raise ConfigError(f"config.time_fractions {fracs} must strictly increase")
@@ -146,8 +208,8 @@ def load_config(path_or_dict):
     return cfg
 
 
-def _config_path(keys):
-    return "config" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys)
+def _config_path(keys, root="config"):
+    return root + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys)
 
 
 def _non_finite(node, path=()):

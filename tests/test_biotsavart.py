@@ -227,6 +227,18 @@ class TestKernelBlocks:
         want = direct_sum(src, targets)
         assert np.abs(u - want).max() <= 1e-12 * np.abs(want).max()
 
+    def test_one_node_source_fills_tall_tiles(self):
+        # one carrying node: tiles of TILE * BLOCK targets, so 1e5 targets cost
+        # four kernel products, not 12,500
+        src, node = one_node_source((1, 6, 2), (0.3, -1.0, 0.7))
+        targets = node + np.random.default_rng(3).normal(size=(100_000, 3)) * 2
+        u = velocity_from_vorticity(src, targets, allow_interior_targets=True)
+        d = targets - node
+        want = (np.cross((0.3, -1.0, 0.7), d) / np.linalg.norm(d, axis=1)[:, None] ** 3
+                * src.grid.cell_volume / (2 * np.pi))
+        assert np.abs(u - want).max() <= 1e-14 * np.abs(want).max()
+        assert np.array_equal(velocity_from_vorticity(src, targets, allow_interior_targets=True), u)
+
     def test_translation_leaves_the_field_unchanged(self):
         src, _, _, _ = small_blob(32)
         ring = [(0.16 * np.cos(a), 0.16 * np.sin(a), 0.0)

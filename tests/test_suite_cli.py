@@ -584,6 +584,12 @@ class TestCLI:
                      "--dts", id="rk4_closure_one_dt"),
         pytest.param(("converge", "circulation.stokes", "rigid_rotation",
                       "--grids", "16x16,16x16"), "--grids", id="converge_same_grid_twice"),
+        # json reads NaN and Infinity in --params as well
+        pytest.param(("converge", "flows.rk4_closure", "rigid_rotation", "--dts", "0.1,0.05",
+                      "--params", '{"omega": NaN}'), "--params.omega: nan is not a finite number",
+                     id="rk4_closure_param_nan"),
+        pytest.param(("flows", "describe", "rigid_rotation", "--params", '{"omega": NaN}'),
+                     "--params.omega: nan is not a finite number", id="describe_param_nan"),
     ])
     def test_malformed_input_exits_two(self, args, named, tmp_path):
         if isinstance(args[1], dict):
