@@ -70,8 +70,12 @@ class VorticitySource:
         if self.grid.ndim != 3:
             raise ValueError("vorticity sources need a 3-axis grid")
         self.values = vals
+        # per-node max |component|, reduced one component at a time
+        mag, tmp = np.abs(vals[..., 0]), np.empty(self.grid.shape)
+        for k in (1, 2):
+            np.maximum(mag, np.abs(vals[..., k], out=tmp), out=mag)
+        del tmp
         if self.compact:
-            mag = np.abs(vals).max(axis=-1)
             rim = np.ones(self.grid.shape, dtype=bool)
             rim[2:-2, 2:-2, 2:-2] = False
             worst = float(mag[rim].max())
@@ -82,8 +86,8 @@ class VorticitySource:
                 )
         div = divergence(vals, StencilSpec(order=2), grid=self.grid)
         h2 = max(self.grid.spacing) ** 2
-        scale = max(1.0, float(np.abs(vals).max()))
-        self.divergence_linf = float(np.abs(div).max())
+        scale = max(1.0, float(mag.max()))
+        self.divergence_linf = float(np.abs(div, out=div).max())
         if self.divergence_linf > self.divergence_gate * h2 * scale:
             raise ValueError(
                 f"discrete divergence {self.divergence_linf:.3e} exceeds the "
@@ -92,8 +96,9 @@ class VorticitySource:
 
     @classmethod
     def from_callable(cls, fn, grid, **kw):
-        pts = grid.nodes3().reshape(grid.shape + (3,))
-        return cls(grid, np.asarray(fn(pts), dtype=float), **kw)
+        # the nodes are dropped before the values are validated
+        vals = np.asarray(fn(grid.nodes3().reshape(grid.shape + (3,))), dtype=float)
+        return cls(grid, vals, **kw)
 
     def positions(self):
         return self.grid.nodes3()
@@ -124,8 +129,15 @@ def velocity_from_vorticity(src, targets, allow_interior_targets=False):
     w = src.values.reshape(-1, 3)
     # nodes below the compactness tolerance contribute nothing; dropping them
     # keeps the kernel finite at far-field nodes that happen to hit a target
-    carrying = np.abs(w).max(axis=1) > COMPACT_TOL
-    pos = src.positions()[carrying] - centre
+    carrying = np.abs(w[:, 0]) > COMPACT_TOL
+    for k in (1, 2):
+        carrying |= np.abs(w[:, k]) > COMPACT_TOL
+    # the coordinates nodes3() holds at the carrying nodes, axis by axis
+    idx = np.unravel_index(np.flatnonzero(carrying), g.shape)
+    pos = np.empty((len(idx[0]), 3))
+    for k in range(3):
+        np.subtract(g.axis_coords(k)[idx[k]], centre[k], out=pos[:, k])
+    del idx  # views of one index block, as large as pos
     w = w[carrying]
     gate = MIN_DISTANCE_CELLS * min(g.spacing)
     out = np.zeros((tgts.shape[0], 3))
@@ -201,11 +213,21 @@ def gaussian_swirl_blob(sigma=0.105, amplitude=0.01, n=64, box=1.0):
                          np.zeros_like(c)], axis=-1)
 
     def half_vorticity(p):
+        # each component is computed in its slot of the result
         c = chi(p)
-        wx = p[..., 0] * p[..., 2] / s2 ** 2 * c
-        wy = p[..., 1] * p[..., 2] / s2 ** 2 * c
-        wz = (2.0 / s2 - (p[..., 0] ** 2 + p[..., 1] ** 2) / s2 ** 2) * c
-        return 0.5 * np.stack([wx, wy, wz], axis=-1)
+        out = np.empty(np.shape(p))
+        wx, wy, wz = out[..., 0], out[..., 1], out[..., 2]
+        for comp, a in ((wx, 0), (wy, 1)):  # p_a z / s^4 * chi
+            np.multiply(p[..., a], p[..., 2], out=comp)
+            comp /= s2 ** 2
+            comp *= c
+        np.square(p[..., 0], out=wz)  # (2/s^2 - (x^2 + y^2) / s^4) * chi
+        wz += p[..., 1] ** 2
+        wz /= s2 ** 2
+        np.subtract(2.0 / s2, wz, out=wz)
+        wz *= c
+        out *= 0.5
+        return out
 
     def midplane_half_vorticity(r):
         r = np.asarray(r, dtype=float)

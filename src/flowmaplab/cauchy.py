@@ -113,7 +113,8 @@ def cauchy_invariants(m, t, spec=StencilSpec(), mode="auto"):
         if mode == "analytic":
             raise ValueError("map lacks the derivative callables for analytic invariants")
     cov = label_covelocity(m, t, spec, mode)
-    w = 0.5 * curl(cov.values, spec, grid=m.grid)
+    w = curl(cov.values, spec, grid=m.grid)
+    w *= 0.5
     return VorticityField(m.grid, float(t), w, frame="label", mode=f"fd-order{spec.order}")
 
 
@@ -129,15 +130,20 @@ def invariant_drift(m, times, spec=StencilSpec(), mode="auto", rind=0):
     if times.size < 2:
         raise ValueError("invariant drift needs at least two times")
     ref = cauchy_invariants(m, times[0], spec, mode)
-    incl = np.ones(m.grid.shape, bool)
-    if rind:
-        incl[...] = False
-        incl[m.grid.interior_slices(rind)] = True
+    interior = m.grid.interior_slices(rind)
     drift = 0.0
-    for t in times[1:]:
-        w = cauchy_invariants(m, t, spec, mode)
-        drift = max(drift, float(np.max(np.abs((w.values - ref.values)[incl]))))
+    for t in times[1:]:  # no name holds a field into the next time's build
+        dev = _max_deviation(cauchy_invariants(m, t, spec, mode).values, ref.values, interior)
+        drift = max(drift, dev)
     return {"drift": drift, "mode": ref.mode, "stencil_order": spec.order}
+
+
+def _max_deviation(w, ref, interior):
+    """max |w - ref| over the ``interior`` nodes, reduced in w's own (fresh)
+    buffer."""
+    w -= ref
+    np.abs(w, out=w)
+    return float(np.max(w[interior]))
 
 
 def solenoidality_residual(w, spec=StencilSpec(), rind=0):

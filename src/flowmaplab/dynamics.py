@@ -130,9 +130,13 @@ def _label_momentum(m, fp, t, spec, mode):
     F = deformation_gradient(m, t, spec, mode).values
     acc = m.accelerations(labels, t)
     pos = m.positions(labels, t)
-    force = fp.V_grad_at(pos, t)
+    net = acc - fp.V_grad_at(pos, t)
+    del acc
     dp = _pressure_label_gradient(m.grid, labels, pos, fp, t, spec, F)
-    return F, pos, np.einsum("...i,...ij->...j", acc - force, F) + dp / fp.density
+    del labels
+    core = np.einsum("...i,...ij->...j", net, F)
+    core += np.divide(dp, fp.density, out=net)  # net is spent: its buffer takes dp / rho
+    return F, pos, core
 
 
 def lagrangian_eom_residual(m, fp, t, spec=StencilSpec(), mode="auto", rind=0):

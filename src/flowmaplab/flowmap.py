@@ -329,18 +329,37 @@ def det3(m):
     )
 
 
+# adjugate entry (i, j) = F[a] * F[b] - F[c] * F[d], as (a, b, c, d) index pairs
+_ADJUGATE_TERMS = {
+    (0, 0): ((1, 1), (2, 2), (1, 2), (2, 1)),
+    (0, 1): ((0, 2), (2, 1), (0, 1), (2, 2)),
+    (0, 2): ((0, 1), (1, 2), (0, 2), (1, 1)),
+    (1, 0): ((1, 2), (2, 0), (1, 0), (2, 2)),
+    (1, 1): ((0, 0), (2, 2), (0, 2), (2, 0)),
+    (1, 2): ((0, 2), (1, 0), (0, 0), (1, 2)),
+    (2, 0): ((1, 0), (2, 1), (1, 1), (2, 0)),
+    (2, 1): ((0, 1), (2, 0), (0, 0), (2, 1)),
+    (2, 2): ((0, 0), (1, 1), (0, 1), (1, 0)),
+}
+
+
+def _adjugate_entry(m, i, j, out, tmp):
+    """Adjugate entry (i, j) of stacked 3x3 matrices into ``out``, with
+    ``tmp`` (out's shape) as scratch: the products of ``adjugate3``, in its
+    order."""
+    a, b, c, d = _ADJUGATE_TERMS[i, j]
+    np.multiply(m[..., a[0], a[1]], m[..., b[0], b[1]], out=out)
+    np.multiply(m[..., c[0], c[1]], m[..., d[0], d[1]], out=tmp)
+    out -= tmp
+    return out
+
+
 def adjugate3(m):
     """Adjugate (transposed cofactor matrix) of stacked 3x3 matrices."""
     adj = np.empty_like(m)
-    adj[..., 0, 0] = m[..., 1, 1] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 1]
-    adj[..., 0, 1] = m[..., 0, 2] * m[..., 2, 1] - m[..., 0, 1] * m[..., 2, 2]
-    adj[..., 0, 2] = m[..., 0, 1] * m[..., 1, 2] - m[..., 0, 2] * m[..., 1, 1]
-    adj[..., 1, 0] = m[..., 1, 2] * m[..., 2, 0] - m[..., 1, 0] * m[..., 2, 2]
-    adj[..., 1, 1] = m[..., 0, 0] * m[..., 2, 2] - m[..., 0, 2] * m[..., 2, 0]
-    adj[..., 1, 2] = m[..., 0, 2] * m[..., 1, 0] - m[..., 0, 0] * m[..., 1, 2]
-    adj[..., 2, 0] = m[..., 1, 0] * m[..., 2, 1] - m[..., 1, 1] * m[..., 2, 0]
-    adj[..., 2, 1] = m[..., 0, 1] * m[..., 2, 0] - m[..., 0, 0] * m[..., 2, 1]
-    adj[..., 2, 2] = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+    tmp = np.empty_like(m[..., 0, 0])
+    for i, j in _ADJUGATE_TERMS:
+        _adjugate_entry(m, i, j, adj[..., i, j], tmp)
     return adj
 
 
@@ -350,7 +369,9 @@ def inv3(m):
         raise SingularMapError(
             f"Jacobian magnitude <= {SINGULAR_J_TOL:g}: singular (self-intersecting) map"
         )
-    return adjugate3(m) / d[..., None, None]
+    adj = adjugate3(m)
+    adj /= d[..., None, None]
+    return adj
 
 
 def _fd_partials_on_grid(m, t, spec):
@@ -360,7 +381,8 @@ def _fd_partials_on_grid(m, t, spec):
     whose displacement (not position) is periodic in the labels.
     """
     labels = m.grid_labels()
-    F = gradient(m.positions(labels, t) - labels, spec, grid=m.grid)
+    disp = np.subtract(m.positions(labels, t), labels, out=labels)  # in the labels' buffer
+    F = gradient(disp, spec, grid=m.grid)
     F += np.eye(3)
     return F
 
@@ -444,7 +466,7 @@ def _inverse_planes(A):
     tmp = np.empty(shape)
     for k in range(3):
         for i in range(k + 1, 3):
-            swap = np.abs(A[i, k]) > np.abs(A[k, k])
+            swap = np.abs(A[i, k], out=tmp) > np.abs(A[k, k])
             if swap.any():
                 for upper, lower in zip([*A[k, k:], *B[k]], [*A[i, k:], *B[i]]):
                     np.copyto(tmp, upper)
@@ -467,24 +489,27 @@ def cofactor_identity_residual(m, t, spec=StencilSpec(), mode="auto", rind=0):
     """Mismatch of the nine relations J * d(lab)/d(pos) = minors of dx/dlab.
 
     The left side inverts the deformation gradient numerically, by pivoted
-    elimination on its nine component planes (``_inverse_planes``); the
-    right side forms the cofactors directly with ``adjugate3``, from a view
-    of the same planes taken before the elimination reduces them. The
-    identity is exact linear algebra, so the residual is machine-level
-    whenever the gradient itself is. |J * inverse - adjugate| is written into
-    the inverse's planes and reduced to its per-node maximum plane by plane.
+    elimination on a copy of its nine component planes
+    (``_inverse_planes``); the right side forms each cofactor plane directly
+    from the read-only gradient, with ``adjugate3``'s products, as the
+    residual loop reaches it. The identity is exact linear algebra, so the
+    residual is machine-level whenever the gradient itself is.
+    |J * inverse - adjugate| is written into the inverse's planes and
+    reduced to its per-node maximum plane by plane.
     """
     F = deformation_gradient(m, t, spec, mode).values
     J = det3(F)
     if np.any(np.abs(J) <= SINGULAR_J_TOL):
         raise SingularMapError("singular deformation gradient in cofactor identity")
     A = np.moveaxis(F, (-2, -1), (0, 1)).copy()  # F[..., i, j] as contiguous A[i, j]
-    adj = adjugate3(np.moveaxis(A, (0, 1), (-2, -1)))  # keeps A's plane layout
+    B = _inverse_planes(A)
+    del A  # spent by the elimination
+    cof, tmp = np.empty(J.shape), np.empty(J.shape)
     worst = np.zeros(J.shape)
-    for i, row in enumerate(_inverse_planes(A)):
+    for i, row in enumerate(B):
         for j, res in enumerate(row):
             res *= J
-            res -= adj[..., i, j]
+            res -= _adjugate_entry(F, i, j, cof, tmp)
             np.abs(res, out=res)
             np.maximum(worst, res, out=worst)
     return summarize_residual(worst, m.grid, rind=rind)
@@ -557,8 +582,7 @@ def invert_map(m, points, t):
         res = pts - m.positions(lab, t)
         if np.max(np.abs(res)) < INVERT_TOL:
             break
-        F = deformation_at(m, lab, t)
-        lab = lab + np.einsum("...ij,...j->...i", inv3(F), res)
+        lab = lab + np.einsum("...ij,...j->...i", inv3(deformation_at(m, lab, t)), res)
     else:
         err = float(np.max(np.abs(pts - m.positions(lab, t))))
         if err > 1e-8:
@@ -635,13 +659,13 @@ def validate_analytic_partials(m, t):
     differences; raises if it exceeds PARTIALS_GATE_FACTOR * h^2 (a loose
     O(h^2) gate meant to catch transcription errors, not to measure order).
     """
-    labels = m.grid_labels()
-    F = m.label_partials(labels, t)
+    F = m.label_partials(m.grid_labels(), t)
     if F is None:
         return 0.0
-    F_fd = _fd_partials_on_grid(m, t, StencilSpec(order=2))
-    interior = m.grid.interior_slices(2)
-    err = float(np.max(np.abs((F - F_fd)[interior])))
+    diff = _fd_partials_on_grid(m, t, StencilSpec(order=2))
+    diff -= F  # F_fd - F = -(F - F_fd) exactly, so |diff| is the mismatch
+    np.abs(diff, out=diff)
+    err = float(np.max(diff[m.grid.interior_slices(2)]))
     hmax = max(m.grid.spacing)
     gate = PARTIALS_GATE_FACTOR * hmax ** 2
     if err > gate:

@@ -154,32 +154,57 @@ class Field:
         self.data = data
 
 
-def _diff_along_axis0(f, h, order, wrap):
-    """d/dx of f along its leading axis; one-sided edges unless wrap."""
+def _central_into(out, f, order, h):
+    """Central differences of formal ``order`` along f's leading axis, for
+    every row with ``order // 2`` neighbours on both sides, written into
+    ``out`` (len(f) - order rows).
+
+    Row i is (f[i+1] - f[i-1]) / (2h) or (f[i-2] - 8 f[i-1] + 8 f[i+1] -
+    f[i+2]) / (12h), its terms summed left to right in ``out`` itself;
+    order 4 takes one temporary of out's size for its third term.
+    """
+    if order == 2:
+        np.subtract(f[2:], f[:-2], out=out)
+        out /= 2 * h
+        return
+    np.multiply(f[1:-3], 8, out=out)
+    np.subtract(f[:-4], out, out=out)
+    out += np.multiply(f[3:-1], 8)
+    out -= f[4:]
+    out /= 12 * h
+
+
+def _diff_into(out, f, h, order, wrap):
+    """Write d/dx of f along its leading axis into ``out`` (f's shape).
+
+    Interior rows are ``_central_into`` over slices of f. A wrapped axis
+    takes its 2 * (order // 2) edge rows from a small ring of f's first and
+    last rows, taken modulo the axis length, so no copy of f is made.
+    """
     if order not in (2, 4):
         raise ValueError(f"stencil order must be 2 or 4, got {order!r}")
     n = f.shape[0]
     if wrap:
-        if order == 2:
-            return (np.roll(f, -1, axis=0) - np.roll(f, 1, axis=0)) / (2 * h)
-        return (
-            np.roll(f, 2, axis=0) - 8 * np.roll(f, 1, axis=0)
-            + 8 * np.roll(f, -1, axis=0) - np.roll(f, -2, axis=0)
-        ) / (12 * h)
+        k = 1 if order == 2 else 2
+        _central_into(out[k:n - k], f, order, h)
+        ring = np.take(f, np.arange(-2 * k, 2 * k), axis=0, mode="wrap")
+        edge = np.empty_like(ring[k:-k])
+        _central_into(edge, ring, order, h)
+        out[np.arange(-k, k) % n] = edge  # rows -k .. k-1
+        return
     # boundary rows are written in difference-from-pivot form (coefficient
     # sums vanish), so constants differentiate to exactly zero in floating
     # point, matching the interior central rows
-    out = np.empty_like(f)
     if order == 2:
         if n < 3:
             raise ValueError("order-2 one-sided stencils need >= 3 nodes")
-        out[1:-1] = (f[2:] - f[:-2]) / (2 * h)
+        _central_into(out[1:-1], f, 2, h)
         out[0] = (4 * (f[1] - f[0]) - (f[2] - f[0])) / (2 * h)
         out[-1] = (-4 * (f[-2] - f[-1]) + (f[-3] - f[-1])) / (2 * h)
-        return out
+        return
     if n < 6:
         raise ValueError("order-4 stencils need >= 6 nodes per axis")
-    out[2:-2] = (f[:-4] - 8 * f[1:-3] + 8 * f[3:-1] - f[4:]) / (12 * h)
+    _central_into(out[2:-2], f, 4, h)
     out[0] = (48 * (f[1] - f[0]) - 36 * (f[2] - f[0])
               + 16 * (f[3] - f[0]) - 3 * (f[4] - f[0])) / (12 * h)
     out[1] = (-10 * (f[1] - f[0]) + 18 * (f[2] - f[0])
@@ -188,7 +213,25 @@ def _diff_along_axis0(f, h, order, wrap):
                + 6 * (f[-4] - f[-1]) - (f[-5] - f[-1])) / (12 * h)
     out[-1] = (-48 * (f[-2] - f[-1]) + 36 * (f[-3] - f[-1])
                - 16 * (f[-4] - f[-1]) + 3 * (f[-5] - f[-1])) / (12 * h)
+
+
+def _diff_along_axis0(f, h, order, wrap):
+    """d/dx of f along its leading axis; one-sided edges unless wrap."""
+    out = np.empty_like(f)
+    _diff_into(out, f, h, order, wrap)
     return out
+
+
+def _finite_field(f):
+    f = np.asarray(f, dtype=float)
+    if not np.all(np.isfinite(f)):
+        raise ValueError("non-finite values in field")
+    return f
+
+
+def _check_order4_axis(spec, grid, axis):
+    if spec.order == 4 and grid.shape[axis] < 6:
+        raise ValueError("order-4 stencils need >= 6 nodes per axis")
 
 
 def differentiate(f, axis, spec=StencilSpec(), *, grid):
@@ -199,12 +242,9 @@ def differentiate(f, axis, spec=StencilSpec(), *, grid):
     """
     if not 0 <= axis < grid.ndim:
         raise ValueError(f"axis {axis} invalid for a {grid.ndim}-axis grid")
-    if not np.all(np.isfinite(f)):
-        raise ValueError("non-finite values in field")
-    n = grid.shape[axis]
-    if spec.order == 4 and n < 6:
-        raise ValueError("order-4 stencils need >= 6 nodes per axis")
-    moved = np.moveaxis(np.asarray(f, dtype=float), axis, 0)
+    f = _finite_field(f)
+    _check_order4_axis(spec, grid, axis)
+    moved = np.moveaxis(f, axis, 0)
     return np.moveaxis(
         _diff_along_axis0(moved, grid.spacing[axis], spec.order, grid.periodic[axis]), 0, axis)
 
@@ -216,11 +256,15 @@ def gradient(f, spec=StencilSpec(), *, grid):
     layout (..., 3, 3) with ``[..., i, k] = d f_i / d lab_k``. Missing axes
     of 1D/2D grids contribute zero derivative (fields are taken
     label-invariant along unrepresented axes), so the derivative axis always
-    has 3 entries.
+    has 3 entries. Each axis's derivative is written straight into its slot
+    of the result.
     """
+    f = _finite_field(f)
     out = np.zeros(f.shape + (3,))
     for k in range(grid.ndim):
-        out[..., k] = differentiate(f, k, spec, grid=grid)
+        _check_order4_axis(spec, grid, k)
+        _diff_into(np.moveaxis(out[..., k], k, 0), np.moveaxis(f, k, 0), grid.spacing[k],
+                   spec.order, grid.periodic[k])
     return out
 
 

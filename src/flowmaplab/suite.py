@@ -154,6 +154,21 @@ def _schema_errors(node, schema, path=()):
                 yield from _schema_errors(node[key], sub, path + (key,))
 
 
+def _declared_ints(node, schema):
+    """A copy of a schema-valid ``node`` in which every value ``schema``
+    types "integer" is a Python int: the schema accepts an integral float
+    such as ``16.0`` there, and the code reading those keys slices and
+    counts with them."""
+    if schema.get("type") == "integer" and isinstance(node, float):
+        return int(node)
+    if isinstance(node, list):
+        return [_declared_ints(item, schema.get("items", {})) for item in node]
+    if isinstance(node, dict):
+        props = schema.get("properties", {})
+        return {key: _declared_ints(value, props.get(key, {})) for key, value in node.items()}
+    return node
+
+
 class ConfigError(ValueError):
     pass
 
@@ -167,6 +182,9 @@ def load_config(path_or_dict):
     ``time_fractions`` must strictly increase, and with ``stencil_order`` 4
     every grid axis needs at least 6 nodes. Any violation raises ConfigError
     naming the key and the accepted names or values.
+
+    The config returned is a copy in which every value the schema types
+    "integer" is an int, so ``rind: 1.0`` runs and hashes like ``rind: 1``.
     """
     import json
 
@@ -186,6 +204,7 @@ def load_config(path_or_dict):
     if error is not None:
         path, _, message = error
         raise ConfigError(f"{_config_path(path)}: {message}")
+    cfg = _declared_ints(cfg, CONFIG_SCHEMA)
     fracs = cfg.get("time_fractions", ())
     if any(b <= a for a, b in zip(fracs, fracs[1:])):
         raise ConfigError(f"config.time_fractions {fracs} must strictly increase")

@@ -168,6 +168,52 @@ class TestGradientMemo:
             assert got.tobytes() == want.tobytes(), (t, order, mode)
 
 
+class TestGridCheckMemory:
+    """How far each gate or grid check rises above the memory at its entry,
+    in units of one 128^2 deformation gradient F, starting with no kept
+    gradient. The bounds sit 0.25 F above what the checks measure, so one
+    more (N, 3) or F-sized array alive at the peak fails them."""
+
+    N = 128
+
+    @pytest.fixture(scope="class")
+    def gerstner(self):
+        e = catalog_flow("gerstner", validate=False, grid=default_grid("gerstner", (self.N,) * 2))
+        t = 0.25 * e.map.timescale
+        sgrid = flowmap._inscribed_grid(e.map, e.map.positions(e.map.grid_labels(), t))
+        return e, t, sgrid.nodes3().reshape(sgrid.shape + (3,))
+
+    BOUNDS = {"validate_analytic_partials": 2.75, "cofactor_identity_residual": 3.6,
+              "lagrangian_eom_residual": 2.9, "invariant_drift": 2.8, "invert_map": 3.15}
+
+    @pytest.mark.parametrize("name", list(BOUNDS))
+    def test_rise_above_entry(self, gerstner, name):
+        from flowmaplab.cauchy import invariant_drift
+        from flowmaplab.dynamics import lagrangian_eom_residual
+
+        e, t, points = gerstner
+        m = e.map
+        call = {
+            "validate_analytic_partials": lambda: flowmap.validate_analytic_partials(m, t),
+            "cofactor_identity_residual": lambda: cofactor_identity_residual(m, t, mode="fd"),
+            "lagrangian_eom_residual": lambda: lagrangian_eom_residual(m, e.force, t, mode="fd"),
+            "invariant_drift": lambda: invariant_drift(m, [0.0, 0.5 * t, t], mode="fd"),
+            "invert_map": lambda: invert_map(m, points, t),
+        }[name]
+        f_bytes = 8 * 9 * self.N ** 2
+        m._gradient = None
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            call()
+            rise = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+            m._gradient = None
+        assert rise <= self.BOUNDS[name] * f_bytes, f"{name} rose {rise / f_bytes:.2f} F above its entry"
+
+
 class TestJacobian:
     def test_identity_is_one(self):
         m = identity_map()
@@ -214,6 +260,22 @@ class TestCofactorIdentity:
             e = catalog_flow(name)
             t = 0.4 * e.map.timescale
             assert cofactor_identity_residual(e.map, t).linf <= 1e-10, name
+
+    def test_adjugate_matches_the_written_out_cofactors(self):
+        # reference: each cofactor written out; the same products, bit for bit
+        m = np.random.default_rng(0).normal(size=(5, 4, 3, 3))
+        want = np.empty_like(m)
+        want[..., 0, 0] = m[..., 1, 1] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 1]
+        want[..., 0, 1] = m[..., 0, 2] * m[..., 2, 1] - m[..., 0, 1] * m[..., 2, 2]
+        want[..., 0, 2] = m[..., 0, 1] * m[..., 1, 2] - m[..., 0, 2] * m[..., 1, 1]
+        want[..., 1, 0] = m[..., 1, 2] * m[..., 2, 0] - m[..., 1, 0] * m[..., 2, 2]
+        want[..., 1, 1] = m[..., 0, 0] * m[..., 2, 2] - m[..., 0, 2] * m[..., 2, 0]
+        want[..., 1, 2] = m[..., 0, 2] * m[..., 1, 0] - m[..., 0, 0] * m[..., 1, 2]
+        want[..., 2, 0] = m[..., 1, 0] * m[..., 2, 1] - m[..., 1, 1] * m[..., 2, 0]
+        want[..., 2, 1] = m[..., 0, 1] * m[..., 2, 0] - m[..., 0, 0] * m[..., 2, 1]
+        want[..., 2, 2] = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+        assert adjugate3(m).tobytes() == want.tobytes()
+        assert flowmap.inv3(m).tobytes() == (want / det3(m)[..., None, None]).tobytes()
 
     @staticmethod
     def _elimination_inverse(F):

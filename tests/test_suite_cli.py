@@ -126,6 +126,36 @@ class TestConfig:
         for cfg in configs + suites:
             load_config(cfg)
 
+    # one case per key CONFIG_SCHEMA types "integer": (check, top-level keys,
+    # check options, the key's value read back from the loaded config)
+    @pytest.mark.parametrize("check, top, options, read", [
+        ("cauchy.invariant_drift", {"seed": 3}, {}, lambda c: c["seed"]),
+        ("cauchy.invariant_drift", {"threads": 2}, {}, lambda c: c["threads"]),
+        ("cauchy.invariant_drift", {"rind": 2}, {}, lambda c: c["rind"]),
+        ("cauchy.invariant_drift", {"grids": [[16, 16]]}, {}, lambda c: c["grids"][0][1]),
+        ("circulation.kelvin_drift", {}, {"points": 32},
+         lambda c: c["checks"][0]["options"]["points"]),
+        ("circulation.stokes", {}, {"radial_points": 8},
+         lambda c: c["checks"][0]["options"]["radial_points"]),
+    ], ids=["seed", "threads", "rind", "grids", "points", "radial_points"])
+    def test_integral_float_reads_as_int(self, check, top, options, read):
+        # an integral float is an integer to the schema; the loaded config
+        # holds an int there, and the run hashes like the int config
+        def config(num):
+            cfg = {"flows": [{"name": "rigid_rotation"}], "grids": [[16, 16]],
+                   "checks": [{"id": check, "tolerance": 1.0}]}
+            cfg.update({k: json.loads(json.dumps(v), parse_int=num) for k, v in top.items()})
+            if options:
+                cfg["checks"][0]["options"] = {k: num(v) for k, v in options.items()}
+            return cfg
+
+        as_float = config(float)
+        loaded = load_config(as_float)
+        assert type(read(loaded)) is int and type(read(as_float)) is float
+        report, _ = run_suite(as_float)
+        assert report.rows[0].grid == "16x16"
+        assert report.determinism_hash() == run_suite(config(int))[0].determinism_hash()
+
     def test_benchmark_layer_spans_name_library_functions(self):
         # perfbench/tracing.py names a span <module>.<function>, <module>.<Class>
         # (its constructor) or <module>.<Class>.<method> after the public
