@@ -221,8 +221,10 @@ def _affine_entry(name, params, grid, M, L, force, props, U=(0.0, 0.0, 0.0), tim
 
 
 def _param(flow, name, value, positive=False):
-    """``value`` as a float: nonzero, since the flow's timescale divides by
-    it, or with ``positive`` above zero; otherwise a ValueError naming it."""
+    """``value``, a number but no bool, as a float: nonzero (the flow's timescale
+    divides by it) or with ``positive`` above zero; else a ValueError naming it."""
+    if isinstance(value, bool):
+        raise ValueError(f"{flow} {name} must be a number, got {value!r}")
     v = float(value)
     if not (v > 0 if positive else v != 0):
         raise ValueError(f"{flow} {name} must be {'positive' if positive else 'nonzero'}, "

@@ -38,11 +38,11 @@ CONFIG_SCHEMA = {
     "additionalProperties": False,
     "properties": {
         "name": {"type": "string"},
-        # "seed" and "threads" are accepted for old configs; nothing reads them
+        # "seed" and "threads" are accepted for old configs; load_config drops them
         "seed": {"type": "integer"},
         "threads": {"type": "integer", "minimum": 1},
         "rind": {"type": "integer", "minimum": 0},
-        "stencil_order": {"enum": [2, 4]},
+        "stencil_order": {"type": "integer", "enum": [2, 4]},
         "time_fractions": {
             "type": "array", "items": {"type": "number"}, "minItems": 2,
         },
@@ -54,7 +54,7 @@ CONFIG_SCHEMA = {
             },
         },
         "checks": {
-            "type": "array",
+            "type": "array", "minItems": 1,
             "items": {
                 "type": "object", "required": ["id", "tolerance"], "additionalProperties": False,
                 "properties": {
@@ -154,18 +154,22 @@ def _schema_errors(node, schema, path=()):
                 yield from _schema_errors(node[key], sub, path + (key,))
 
 
-def _declared_ints(node, schema):
-    """A copy of a schema-valid ``node`` in which every value ``schema``
-    types "integer" is a Python int: the schema accepts an integral float
-    such as ``16.0`` there, and the code reading those keys slices and
-    counts with them."""
-    if schema.get("type") == "integer" and isinstance(node, float):
-        return int(node)
+# the values a config that leaves these keys out runs with
+_DEFAULTS = {"rind": 1, "stencil_order": 2, "time_fractions": [0.0, 0.125, 0.25]}
+
+
+def _typed(node, schema):
+    """A copy of a schema-valid ``node`` in which every value ``schema`` types
+    "integer" is an int (the schema takes ``16.0`` there, and the code slices
+    and counts with it) and every value it types "number" a float."""
+    cast = {"integer": int, "number": float}.get(schema.get("type"))
+    if cast is not None:
+        return cast(node)
     if isinstance(node, list):
-        return [_declared_ints(item, schema.get("items", {})) for item in node]
+        return [_typed(item, schema.get("items", {})) for item in node]
     if isinstance(node, dict):
         props = schema.get("properties", {})
-        return {key: _declared_ints(value, props.get(key, {})) for key, value in node.items()}
+        return {key: _typed(value, props.get(key, {})) for key, value in node.items()}
     return node
 
 
@@ -183,8 +187,10 @@ def load_config(path_or_dict):
     every grid axis needs at least 6 nodes. Any violation raises ConfigError
     naming the key and the accepted names or values.
 
-    The config returned is a copy in which every value the schema types
-    "integer" is an int, so ``rind: 1.0`` runs and hashes like ``rind: 1``.
+    The config returned is the effective config, a new dict that loads to
+    itself: schema integers are ints and numbers floats, ``_DEFAULTS``,
+    ``params`` and ``options`` are filled in, and ``seed`` and ``threads``
+    are dropped, so ``rind: 1.0``, ``rind: 1`` and no ``rind`` hash alike.
     """
     import json
 
@@ -204,11 +210,12 @@ def load_config(path_or_dict):
     if error is not None:
         path, _, message = error
         raise ConfigError(f"{_config_path(path)}: {message}")
-    cfg = _declared_ints(cfg, CONFIG_SCHEMA)
-    fracs = cfg.get("time_fractions", ())
+    cfg = _typed({**_DEFAULTS, **{k: v for k, v in cfg.items() if k not in ("seed", "threads")}},
+                 CONFIG_SCHEMA)
+    fracs = cfg["time_fractions"]
     if any(b <= a for a, b in zip(fracs, fracs[1:])):
         raise ConfigError(f"config.time_fractions {fracs} must strictly increase")
-    if cfg.get("stencil_order") == 4:
+    if cfg["stencil_order"] == 4:
         for shape in cfg["grids"]:
             if min(shape) < 6:
                 raise ConfigError(f"config.grids {shape}: stencil_order 4 needs >= 6 nodes "
@@ -220,10 +227,10 @@ def load_config(path_or_dict):
             raise ConfigError(
                 f"unknown check {chk['id']!r}; known: {', '.join(sorted(CHECKS))}"
             )
-        _reject_unknown(f"check {chk['id']!r}", "option", chk.get("options", {}),
+        _reject_unknown(f"check {chk['id']!r}", "option", chk.setdefault("options", {}),
                         _check_options(chk["id"]))
     for flow in cfg["flows"]:
-        validate_flow(flow["name"], flow.get("params", {}), cfg["grids"])
+        validate_flow(flow["name"], flow.setdefault("params", {}), cfg["grids"])
     return cfg
 
 
@@ -269,11 +276,6 @@ def _reject_unknown(owner, kind, given, accepted):
     if unknown:
         raise ConfigError(f"{owner} takes no {kind} {', '.join(map(repr, unknown))}; "
                           f"accepted: {', '.join(accepted) or 'none'}")
-
-
-def _times_for(entry, cfg):
-    fracs = cfg.get("time_fractions", [0.0, 0.125, 0.25])
-    return [f * entry.map.timescale for f in fracs]
 
 
 # ---------------------------------------------------------------------------
@@ -395,27 +397,24 @@ def run_suite(cfg):
     finer rows of each (flow, check) group when two or more resolutions ran.
     """
     cfg = load_config(cfg)
-    ctx = {
-        "rind": cfg.get("rind", 1),
-        "spec": StencilSpec(order=cfg.get("stencil_order", 2)),
-    }
+    ctx = {"rind": cfg["rind"], "spec": StencilSpec(order=cfg["stencil_order"])}
     checks = cfg["checks"]
     shapes = [tuple(shape) for shape in cfg["grids"]]
     rows, hs = {}, {}
     # keyed by the flow's position, so two configs of one flow stay apart
     for fi, flow_cfg in enumerate(cfg["flows"]):
         for gi, shape in enumerate(shapes):
-            params = flow_cfg.get("params", {})
+            params = flow_cfg["params"]
             try:
                 grid = default_grid(flow_cfg["name"], shape, **params)
                 entry = catalog_flow(flow_cfg["name"], grid=grid, **params)
             except ValueError as exc:  # a param value the flow cannot be built with
                 raise ConfigError(str(exc)) from None
             hs[fi, gi] = max(entry.map.grid.spacing)
-            times = _times_for(entry, cfg)
+            times = [f * entry.map.timescale for f in cfg["time_fractions"]]
             for ci, check_cfg in enumerate(checks):
                 fn, anchor = CHECKS[check_cfg["id"]]
-                out = fn(entry, times, ctx, **check_cfg.get("options", {}))
+                out = fn(entry, times, ctx, **check_cfg["options"])
                 rows[fi, ci, gi] = ReportRow(
                     flow=flow_cfg["name"],
                     check=check_cfg["id"],

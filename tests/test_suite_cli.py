@@ -124,20 +124,24 @@ class TestConfig:
         suites = sorted((ROOT / "suites").glob("*.json"))
         assert configs and suites
         for cfg in configs + suites:
-            load_config(cfg)
+            # the effective config: defaults filled, unread keys dropped, and
+            # loading it again changes nothing
+            loaded = load_config(cfg)
+            assert {"rind", "stencil_order", "time_fractions"} <= loaded.keys()
+            assert not {"seed", "threads"} & loaded.keys()
+            assert load_config(loaded) == loaded
 
-    # one case per key CONFIG_SCHEMA types "integer": (check, top-level keys,
-    # check options, the key's value read back from the loaded config)
+    # one case per key CONFIG_SCHEMA types "integer" that the code reads:
+    # (check, top-level keys, check options, the key's value read back from
+    # the loaded config)
     @pytest.mark.parametrize("check, top, options, read", [
-        ("cauchy.invariant_drift", {"seed": 3}, {}, lambda c: c["seed"]),
-        ("cauchy.invariant_drift", {"threads": 2}, {}, lambda c: c["threads"]),
         ("cauchy.invariant_drift", {"rind": 2}, {}, lambda c: c["rind"]),
         ("cauchy.invariant_drift", {"grids": [[16, 16]]}, {}, lambda c: c["grids"][0][1]),
         ("circulation.kelvin_drift", {}, {"points": 32},
          lambda c: c["checks"][0]["options"]["points"]),
         ("circulation.stokes", {}, {"radial_points": 8},
          lambda c: c["checks"][0]["options"]["radial_points"]),
-    ], ids=["seed", "threads", "rind", "grids", "points", "radial_points"])
+    ], ids=["rind", "grids", "points", "radial_points"])
     def test_integral_float_reads_as_int(self, check, top, options, read):
         # an integral float is an integer to the schema; the loaded config
         # holds an int there, and the run hashes like the int config
@@ -155,6 +159,31 @@ class TestConfig:
         report, _ = run_suite(as_float)
         assert report.rows[0].grid == "16x16"
         assert report.determinism_hash() == run_suite(config(int))[0].determinism_hash()
+
+    # spellings of one computation (gerstner, cauchy.invariant_drift, 16²):
+    # the keys written, and the keys of the spelling it must load and hash
+    # like; "seed" and "threads" are accepted and dropped, as nothing reads them
+    @pytest.mark.parametrize("written, effective", [
+        ({"rind": 1}, {}), ({"stencil_order": 2}, {}), ({"stencil_order": 2.0}, {}),
+        ({"time_fractions": [0, 0.125, 0.25]}, {}), ({"seed": 0}, {}), ({"threads": 1}, {}),
+        ({"grids": [[16.0, 16.0]]}, {}), ({"stencil_order": 4.0}, {"stencil_order": 4}),
+    ], ids=["rind", "stencil_order", "stencil_order_float", "time_fractions", "seed", "threads",
+            "grids_float", "stencil_order_4_float"])
+    def test_spellings_of_one_computation_hash_alike(self, written, effective, tmp_path):
+        base = {"flows": [{"name": "gerstner"}], "grids": [[16, 16]],
+                "checks": [{"id": "cauchy.invariant_drift", "tolerance": 1.0}]}
+        written, effective = dict(base, **written), dict(base, **effective)
+        loaded = load_config(written)
+        assert loaded == load_config(effective) and not {"seed", "threads"} & loaded.keys()
+        paths = []
+        for name, cfg in (("a", written), ("b", effective)):
+            report, code = run_suite(cfg)
+            # the report's config block is the effective config
+            assert code == 0 and report.config == loaded
+            paths.append(tmp_path / f"{name}.json")
+            report.to_json(paths[-1])
+        same, text = report_diff(*paths)
+        assert same and text.startswith("reports identical")
 
     def test_benchmark_layer_spans_name_library_functions(self):
         # perfbench/tracing.py names a span <module>.<function>, <module>.<Class>
@@ -187,12 +216,6 @@ class TestConfig:
 
 
 class TestRunSuite:
-    def test_empty_checks_pass(self):
-        cfg = dict(SUITE)
-        cfg["checks"] = []
-        report, code = run_suite(cfg)
-        assert code == 0 and report.rows == [] and report.overall_pass
-
     def test_default_suite_passes_with_order(self):
         report, code = run_suite(SUITE)
         assert code == 0
@@ -546,6 +569,14 @@ class TestCLI:
                      "gravity g", id="gerstner_g0"),
         pytest.param(("run", {"flows": [{"name": "gerstner", "params": {"g": -1}}]}),
                      "gravity g", id="gerstner_g_negative"),
+        # a bool is no number, though float(True) is 1.0
+        pytest.param(("run", {"flows": [{"name": "rigid_rotation", "params": {"omega": True}}]}),
+                     "omega must be a number", id="rigid_rotation_omega_bool"),
+        pytest.param(("flows", "describe", "rigid_rotation", "--params", '{"omega": true}'),
+                     "omega must be a number", id="describe_rigid_rotation_omega_bool"),
+        # a config with no checks would write a report with no rows and exit 0
+        pytest.param(("run", {"checks": []}), "config.checks: [] should be non-empty",
+                     id="checks_empty"),
         pytest.param(("run", {"flows": [{"name": "point_vortex", "params": {"dt": 0}}]}),
                      "dt > 0", id="point_vortex_dt0"),
         pytest.param(("run", {"flows": [{"name": "point_vortex", "params": {"dt": -0.01}}]}),
@@ -655,11 +686,15 @@ class TestCLI:
     def test_report_diff_cli(self, tmp_path):
         cfg = dict(SUITE)
         cfg["grids"] = [[32, 32]]
-        p = tmp_path / "s.json"
+        p, q = tmp_path / "s.json", tmp_path / "t.json"
         p.write_text(json.dumps(cfg))
+        # the same computation spelled without the keys SUITE writes out
+        q.write_text(json.dumps({k: v for k, v in cfg.items()
+                                 if k not in ("seed", "rind", "stencil_order",
+                                              "time_fractions")}))
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         assert run_cli("run", str(p), "--out", str(a)).returncode == 0
-        assert run_cli("run", str(p), "--out", str(b)).returncode == 0
+        assert run_cli("run", str(q), "--out", str(b)).returncode == 0
         proc = run_cli("report", "diff", str(a), str(b))
         assert proc.returncode == 0 and "identical" in proc.stdout
 
