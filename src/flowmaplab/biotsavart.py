@@ -8,11 +8,12 @@ x1 is the quadrature sum of
 
 which is the r^-3 volume kernel of the unbounded-domain solution (compact
 support makes every surface term vanish, and no harmonic correction grad P
-or boundary solver ships). Summation
-is direct, O(sources x targets), and stays auditable; it is evaluated as
-(sum inv w) x x1 - sum inv (w x x) with inv = 1/r^3, in blocks of targets
-and sources that each cost one small matrix product, in coordinates centred
-on the source grid.
+or boundary solver ships). Summation is direct, O(sources x targets), and
+stays auditable; it is evaluated as (sum inv w) x x1 - sum inv (w x x) with
+inv = 1/r^3, in blocks of targets and sources that each cost one small
+matrix product, in coordinates centred on the source grid. Source blocks,
+built from their carrying nodes' flat indices, are the outer loop, so memory
+does not grow with the source; each target adds them in ascending order.
 
 Per element the contribution du is orthogonal to both the separation vector
 and the rotation axis, with magnitude dV * Delta * sin(eps) / (2 pi r^2)
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import LabelGrid, StencilSpec, divergence
+from .grids import BLOCK, LabelGrid, StencilSpec, divergence
 
 __all__ = [
     "VorticitySource",
@@ -43,7 +44,6 @@ COMPACT_TOL = 1e-14
 # so few sources do not cost one small product per 8 targets. The sizes fix
 # the order of the sums, so outputs repeat bit for bit.
 TILE = 8
-BLOCK = 4096
 # targets nearer than this many grid cells to the support raise
 MIN_DISTANCE_CELLS = 2.0
 
@@ -70,15 +70,13 @@ class VorticitySource:
         if self.grid.ndim != 3:
             raise ValueError("vorticity sources need a 3-axis grid")
         self.values = vals
-        # per-node max |component|, reduced one component at a time
-        mag, tmp = np.abs(vals[..., 0]), np.empty(self.grid.shape)
-        for k in (1, 2):
-            np.maximum(mag, np.abs(vals[..., k], out=tmp), out=mag)
-        del tmp
+
+        def peak(a):  # max |component| of a without an |a| temporary; NaN propagates
+            return float(np.maximum(a.max(), -a.min()))
         if self.compact:
-            rim = np.ones(self.grid.shape, dtype=bool)
-            rim[2:-2, 2:-2, 2:-2] = False
-            worst = float(mag[rim].max())
+            # the nodes within 2 cells of the boundary are the six 2-plane faces
+            worst = float(np.max([peak(np.moveaxis(vals, k, 0)[face]) for k in range(3)
+                                  for face in (slice(None, 2), slice(-2, None))]))
             if worst > COMPACT_TOL:
                 raise ValueError(
                     f"source not compact: |field| reaches {worst:.3e} within "
@@ -86,7 +84,7 @@ class VorticitySource:
                 )
         div = divergence(vals, StencilSpec(order=2), grid=self.grid)
         h2 = max(self.grid.spacing) ** 2
-        scale = max(1.0, float(mag.max()))
+        scale = max(1.0, peak(vals))
         self.divergence_linf = float(np.abs(div, out=div).max())
         if self.divergence_linf > self.divergence_gate * h2 * scale:
             raise ValueError(
@@ -96,12 +94,17 @@ class VorticitySource:
 
     @classmethod
     def from_callable(cls, fn, grid, **kw):
-        # the nodes are dropped before the values are validated
-        vals = np.asarray(fn(grid.nodes3().reshape(grid.shape + (3,))), dtype=float)
+        """The source of ``fn``'s values at the grid nodes. ``fn`` must be
+        pointwise, (..., 3) positions to (..., 3) values: it is evaluated on
+        slabs of whole axis-0 planes, as many as fit in ``BLOCK`` nodes."""
+        vals = np.empty(grid.shape + (3,))
+        step = max(1, BLOCK // (grid.node_count // grid.shape[0]))
+        for i0 in range(0, grid.shape[0], step):
+            part = np.asarray(fn(grid._node_planes(i0, i0 + step)), dtype=float)
+            if part.shape != vals[i0:i0 + step].shape:
+                raise ValueError("vorticity values must be grid.shape + (3,)")
+            vals[i0:i0 + step] = part
         return cls(grid, vals, **kw)
-
-    def positions(self):
-        return self.grid.nodes3()
 
 
 def velocity_from_vorticity(src, targets, allow_interior_targets=False):
@@ -114,8 +117,11 @@ def velocity_from_vorticity(src, targets, allow_interior_targets=False):
     of ``BLOCK`` sources, r^2 comes from explicit coordinate differences and
     one ``inv @ [w | w x p]`` product replaces the per-pair cross products.
     Coordinates are centred on the source grid, since the split's round-off
-    grows with |t|/r. The fixed tile and block order makes repeated calls
-    bit-identical.
+    grows with |t|/r. Each source block is built, swept over every target
+    tile and dropped; each target adds the blocks in ascending order, as when
+    targets were the outer loop, so its sum order is unchanged and repeated
+    calls are bit-identical. ``targets`` are points with 3 finite coordinates
+    (others raise a ValueError); no targets give a (0, 3) result.
 
     Targets closer than ``MIN_DISTANCE_CELLS * h`` to any node carrying
     non-negligible vorticity raise, unless ``allow_interior_targets`` is set
@@ -123,39 +129,41 @@ def velocity_from_vorticity(src, targets, allow_interior_targets=False):
     that keep targets off the nodes, at the cost of a locally first-order
     kernel error that symmetric placement largely cancels).
     """
-    tgts = np.atleast_2d(np.asarray(targets, dtype=float))
+    tgts = np.asarray(targets, dtype=float)
+    tgts = tgts.reshape(0, 3) if tgts.shape == (0,) else np.atleast_2d(tgts)
+    if tgts.ndim != 2 or tgts.shape[1] != 3:
+        raise ValueError(f"targets must be points with 3 coordinates, got shape "
+                         f"{np.shape(targets)}")
+    if not np.isfinite(tgts).all():
+        raise ValueError(f"target {tgts[~np.isfinite(tgts).all(axis=1)][0]} is not finite")
     g = src.grid
     centre = np.asarray(g.origin) + (np.asarray(g.shape) - 1) / 2 * np.asarray(g.spacing)
     w = src.values.reshape(-1, 3)
     # nodes below the compactness tolerance contribute nothing; dropping them
     # keeps the kernel finite at far-field nodes that happen to hit a target
-    carrying = np.abs(w[:, 0]) > COMPACT_TOL
-    for k in (1, 2):
-        carrying |= np.abs(w[:, k]) > COMPACT_TOL
-    # the coordinates nodes3() holds at the carrying nodes, axis by axis
-    idx = np.unravel_index(np.flatnonzero(carrying), g.shape)
-    pos = np.empty((len(idx[0]), 3))
-    for k in range(3):
-        np.subtract(g.axis_coords(k)[idx[k]], centre[k], out=pos[:, k])
-    del idx  # views of one index block, as large as pos
-    w = w[carrying]
+    nodes = np.flatnonzero(((w > COMPACT_TOL) | (w < -COMPACT_TOL)).any(axis=1))
+    axes = [g.axis_coords(k) - centre[k] for k in range(3)]  # centred as the targets
     gate = MIN_DISTANCE_CELLS * min(g.spacing)
     out = np.zeros((tgts.shape[0], 3))
-    if pos.size:
+    if nodes.size:
         t = tgts - centre
-        rhs = np.hstack([w, np.cross(w, pos)])
-        px, py, pz = np.ascontiguousarray(pos.T)
         acc = np.zeros((len(t), 6))
         r2min = np.full(len(t), np.inf)
-        width = min(BLOCK, len(pos))
+        width = min(BLOCK, len(nodes))
         rows = TILE * (BLOCK // width)
         r2, inv = np.empty((rows, width)), np.empty((rows, width))
-        for i0 in range(0, len(t), rows):
-            tile = slice(i0, i0 + rows)
-            tx, ty, tz = t[tile, :1], t[tile, 1:2], t[tile, 2:]
-            for j0 in range(0, len(pos), BLOCK):
-                blk = slice(j0, j0 + BLOCK)
-                bx, by, bz = px[blk], py[blk], pz[blk]
+        for j0 in range(0, len(nodes), BLOCK):
+            blk = nodes[j0:j0 + BLOCK]
+            bx, by, bz = p = [c[i] for c, i in zip(axes, np.unravel_index(blk, g.shape))]
+            rhs = np.empty((len(blk), 6))
+            rhs[:, :3] = w[blk]
+            for col, (i, j) in enumerate(((1, 2), (2, 0), (0, 1)), start=3):
+                # w x p as np.cross computes it: w_i p_j - w_j p_i
+                np.multiply(rhs[:, i], p[j], out=rhs[:, col])
+                rhs[:, col] -= rhs[:, j] * p[i]
+            for i0 in range(0, len(t), rows):
+                tile = slice(i0, i0 + rows)
+                tx, ty, tz = t[tile, :1], t[tile, 1:2], t[tile, 2:]
                 a, b = r2[:len(tx), :len(bx)], inv[:len(tx), :len(bx)]
                 np.subtract(tx, bx, out=a)
                 a *= a
@@ -168,7 +176,7 @@ def velocity_from_vorticity(src, targets, allow_interior_targets=False):
                 b *= a
                 with np.errstate(divide="ignore", invalid="ignore"):  # r = 0 raises below
                     np.divide(1.0, b, out=b)
-                    acc[tile] += b @ rhs[blk]
+                    acc[tile] += b @ rhs
         dmin = np.sqrt(r2min)
         hit = dmin == 0.0 if allow_interior_targets else dmin < gate
         if hit.any():

@@ -109,23 +109,10 @@ def integrate_trajectories(field_fn, grid, times, dt, bbox=None, name="sampled",
     identity-at-zero with unit reference density.
 
     The map's one march at ``dt`` fills its table and its checkpoint lattice
-    (see SampledFlowMap). Its ``error_floor`` is the Richardson estimate of
-    the table's integration error for a 4th-order method (Hairer, Norsett &
-    Wanner, Solving ODEs I, II.4), from a second march to times[-1] in k
-    steps against the table's n: step doubling, max |x_dt - x_2dt| / 15,
-    when n is even (k = n/2), else step halving, max |x_dt - x_dt/2| * 16/15
-    (k = 2n), since 2*dt does not divide an odd count. A table of one time
-    has no estimate (None).
+    (see SampledFlowMap); its ``error_floor`` marches again on first read.
     """
     m = SampledFlowMap(grid, times, field_fn, dt, name=name, bbox=bbox)
-    times = m.times
-    m.timescale = float(timescale if timescale is not None else times[-1] or 1.0)
-    if len(times) > 1:
-        n = round(times[-1] / dt)
-        k = n // 2 if n % 2 == 0 else 2 * n
-        other = rk4_advect(field_fn, m.grid_labels(), 0.0, times[-1], times[-1] / k, bbox)
-        diff = float(np.max(np.abs(m.positions_table[-1] - other)))
-        m.error_floor = diff / abs((n / k) ** 4 - 1)
+    m.timescale = float(timescale if timescale is not None else m.times[-1] or 1.0)
     return m
 
 

@@ -32,6 +32,9 @@ __all__ = [
     "summarize_residual",
 ]
 
+# points per block in bounded-memory loops (Biot-Savart, invert_map's Newton update)
+BLOCK = 4096
+
 
 @dataclass(frozen=True)
 class LabelGrid:
@@ -95,10 +98,15 @@ class LabelGrid:
         call returns a fresh array: a copy cached on the grid would stay
         alive as long as the grid (6 MiB on a 64^3 grid).
         """
-        out = np.zeros(self.shape + (3,))
-        for k in range(self.ndim):
-            out[..., k] = self.axis_coords(k).reshape((-1,) + (1,) * (self.ndim - 1 - k))
-        return out.reshape(-1, 3)
+        return self._node_planes(0, self.shape[0]).reshape(-1, 3)
+
+    def _node_planes(self, lo, hi):
+        """Axis-0 planes lo:hi of nodes3(), shape (planes,) + shape[1:] + (3,)."""
+        axes = [self.axis_coords(0)[lo:hi]] + [self.axis_coords(k) for k in range(1, self.ndim)]
+        out = np.zeros((len(axes[0]),) + self.shape[1:] + (3,))
+        for k, c in enumerate(axes):
+            out[..., k] = c.reshape((-1,) + (1,) * (self.ndim - 1 - k))
+        return out
 
     def interior_slices(self, rind):
         """Slices dropping ``rind`` nodes at each non-periodic boundary."""

@@ -1,6 +1,7 @@
 """Velocity reconstruction from vorticity and the element-law identities."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from flowmaplab import (
     gaussian_swirl_blob,
     velocity_from_vorticity,
 )
-from flowmaplab.biotsavart import BLOCK, TILE
+from flowmaplab.biotsavart import BLOCK, COMPACT_TOL, TILE
 from flowmaplab.grids import differentiate
 
 
@@ -48,6 +49,77 @@ class TestSourceValidation:
         coarse, _, _, _ = small_blob(32)
         fine, _, _, _ = small_blob(64)
         assert fine.divergence_linf < coarse.divergence_linf / 2.5
+
+
+def full_plane_gate_inputs(vals):
+    """The rim maximum and the divergence scale by the full-plane formula:
+    per-node max |component|, then its maximum over the nodes within 2 cells
+    of the boundary (a boolean rim mask) and over all nodes."""
+    mag = np.abs(vals).max(axis=-1)
+    rim = np.ones(mag.shape, dtype=bool)
+    rim[2:-2, 2:-2, 2:-2] = False
+    return float(mag[rim].max()), max(1.0, float(mag.max()))
+
+
+class TestSourceConstruction:
+    def test_from_callable_slabs_match_whole_grid(self):
+        # 67 planes of 64 nodes: slabs of 64 planes, then one of 3
+        g = LabelGrid((67, 8, 8), (-0.3, 0.2, -0.9), (0.05, 0.11, 0.07))
+        seen = []
+
+        def fn(p):
+            seen.append(p.shape)
+            return np.stack([np.sin(3 * p[..., 1]) * p[..., 2], np.exp(-p[..., 0] ** 2),
+                             p[..., 0] * p[..., 1] - np.cos(p[..., 2])], axis=-1)
+
+        src = VorticitySource.from_callable(fn, g, compact=False, divergence_gate=np.inf)
+        assert seen == [(64, 8, 8, 3), (3, 8, 8, 3)]
+        assert np.array_equal(src.values, fn(g.nodes3().reshape(g.shape + (3,))))
+
+    def test_from_callable_rejects_values_of_another_shape(self):
+        g = LabelGrid((8, 8, 8), (-1, -1, -1), (2 / 7,) * 3)
+        with pytest.raises(ValueError, match=re.escape("grid.shape + (3,)")):
+            VorticitySource.from_callable(lambda p: p[..., :2], g)
+
+    # nodes on each face of a (5, 8, 9) grid, and nodes just inside the rim
+    RIM = [(0, 4, 4), (1, 3, 5), (4, 4, 4), (3, 2, 2), (2, 0, 4), (2, 1, 6), (2, 7, 4),
+           (2, 6, 2), (2, 4, 0), (3, 5, 1), (2, 4, 8), (1, 2, 7)]
+    INSIDE = [(2, 2, 2), (2, 5, 6), (2, 3, 4)]
+
+    @pytest.mark.parametrize("node", RIM + INSIDE)
+    def test_rim_gate_decides_as_the_full_plane_formula(self, node):
+        g = LabelGrid((5, 8, 9), (-1, -1, -1), (0.5,) * 3)
+        for value in (np.nextafter(COMPACT_TOL, 0), COMPACT_TOL, np.nextafter(COMPACT_TOL, 1), 1.0):
+            vals = np.zeros(g.shape + (3,))
+            vals[node + (sum(node) % 3,)] = value if sum(node) % 2 else -value
+            worst, _ = full_plane_gate_inputs(vals)
+            assert (worst > COMPACT_TOL) == (node in self.RIM and value > COMPACT_TOL)
+            if worst > COMPACT_TOL:
+                msg = f"|field| reaches {worst:.3e} within 2 cells"
+                with pytest.raises(ValueError, match=re.escape(msg)):
+                    VorticitySource(g, vals)
+            else:
+                VorticitySource(g, vals)
+
+    @pytest.mark.parametrize("peak", [0.5, 3.7, -3.7])
+    def test_divergence_gate_decides_as_the_full_plane_formula(self, peak):
+        # the gate is set one float either side of where the full-plane
+        # scale puts the decision
+        g = LabelGrid((8, 8, 8), (-1, -1, -1), (2 / 7,) * 3)
+        vals = np.random.default_rng(5).uniform(-0.2, 0.2, g.shape + (3,))
+        vals[3, 4, 2, 1] = peak
+        _, scale = full_plane_gate_inputs(vals)
+        linf = VorticitySource(g, vals, compact=False, divergence_gate=np.inf).divergence_linf
+        h2 = max(g.spacing) ** 2
+        gate = linf / (h2 * scale)
+        while linf > gate * h2 * scale:
+            gate = np.nextafter(gate, np.inf)
+        VorticitySource(g, vals, compact=False, divergence_gate=gate)
+        below = np.nextafter(gate, 0)
+        while not linf > below * h2 * scale:
+            below = np.nextafter(below, 0)
+        with pytest.raises(ValueError, match="exceeds the O\\(h\\^2\\) gate"):
+            VorticitySource(g, vals, compact=False, divergence_gate=below)
 
 
 class TestReconstruction:
@@ -128,6 +200,68 @@ class TestReconstruction:
             velocity_from_vorticity(src, [(0.0, 0.0, 0.0)])
 
 
+class TestTargets:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_target_rejected(self, bad):
+        src, _, _, _ = small_blob(32)
+        targets = [(1.3, 0.2, 0.1), (bad, 0.0, 0.0)]
+        with pytest.raises(ValueError, match=re.escape(f"target {np.array([bad, 0.0, 0.0])} "
+                                                       "is not finite")):
+            velocity_from_vorticity(src, targets)
+
+    @pytest.mark.parametrize("targets", [[[2.0, 0.0]], [2.0, 0.0], [[[2.0, 0.0, 0.0]]],
+                                         [[2.0, 0.0, 0.0, 1.0]]])
+    def test_targets_without_three_coordinates_rejected(self, targets):
+        src, _, _, _ = small_blob(32)
+        with pytest.raises(ValueError, match="targets must be points with 3 coordinates"):
+            velocity_from_vorticity(src, targets)
+
+    @pytest.mark.parametrize("targets", [[], np.zeros((0, 3))])
+    def test_no_targets_give_no_velocities(self, targets):
+        src, _, _, _ = small_blob(32)
+        u = velocity_from_vorticity(src, targets)
+        assert u.shape == (0, 3)
+
+    def test_one_point_is_one_target(self):
+        src, _, _, _ = small_blob(32)
+        t = (1.3, 0.2, 0.1)
+        assert np.array_equal(velocity_from_vorticity(src, t), velocity_from_vorticity(src, [t]))
+
+
+class TestMemory:
+    """tracemalloc rise above the memory at entry on the 64^3 blob: the
+    source is built plane by plane and the direct sum streams its source
+    blocks, so neither holds an (N, 3) array of the 93,840 carrying nodes
+    (2.1 MiB each). One 64^3 component plane is 2 MiB."""
+
+    MIB = 2 ** 20
+
+    @staticmethod
+    def rise(call):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            call()
+            return tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+
+    def test_blob_build(self):
+        # the 6 MiB of values plus the divergence check's two planes (10.3 MiB)
+        rise = self.rise(lambda: gaussian_swirl_blob(n=64))
+        assert rise <= 12 * self.MIB, f"rose {rise / self.MIB:.2f} MiB"
+
+    def test_kernel_at_512_exterior_targets(self):
+        # the carrying mask's comparisons and the carrying-node indices (1.8 MiB)
+        src, _, _, _ = gaussian_swirl_blob(n=64)
+        v = np.random.default_rng(1).normal(size=(512, 3))
+        radius = np.random.default_rng(2).uniform(1.15, 1.6, 512)
+        targets = radius[:, None] * v / np.linalg.norm(v, axis=1)[:, None]
+        rise = self.rise(lambda: velocity_from_vorticity(src, targets))
+        assert rise <= 4 * self.MIB, f"rose {rise / self.MIB:.2f} MiB"
+
+
 def one_node_source(index, w, h=0.5):
     """A source whose only carrying node is ``index`` of an 8^3 grid, and
     that node's position. At h = 0.5 a single node passes the divergence
@@ -195,7 +329,7 @@ class TestElementLaw:
 def direct_sum(src, targets):
     """u(x1) = dV/(2 pi) sum (X,Y,Z) x (x1 - x) / |x1 - x|^3 over every node,
     one target at a time, the cross product written out in components."""
-    x, y, z = src.positions().T
+    x, y, z = src.grid.nodes3().T
     w = src.values.reshape(-1, 3)
     out = []
     for t in targets:
@@ -259,7 +393,7 @@ class TestKernelBlocks:
         near = shift + (0.0, 0.01, 0.02)
         targets = [shift + (1.3, 0.1 * k, 0.0) for k in range(TILE)] + [shift + (0, 1.3, 0), near]
         w = src.values.reshape(-1, 3)
-        pos = src.positions()[np.abs(w).max(axis=1) > 1e-14]
+        pos = src.grid.nodes3()[np.abs(w).max(axis=1) > 1e-14]
         dmin = np.sqrt(((pos - near) ** 2).sum(axis=1).min())
         gate = 2.0 * min(g.spacing)
         msg = (f"target {near} within {dmin:.3e} of the vorticity support "

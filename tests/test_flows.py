@@ -347,6 +347,30 @@ class TestCheckpointLattice:
         err = np.abs(m.positions_table[-1] - exact).max()
         assert err / 2 <= m.error_floor <= 2 * err
 
+    def test_error_floor_marches_on_first_read_only(self, monkeypatch):
+        # building the map makes no march at the floor's step; the first read
+        # makes one, later reads none
+        calls = []
+        advect = flows.rk4_advect
+
+        def counting(field_fn, labels, t0, t1, dt, bbox=None):
+            calls.append((t0, t1, dt))
+            return advect(field_fn, labels, t0, t1, dt, bbox)
+
+        monkeypatch.setattr(flows, "rk4_advect", counting)
+        m = catalog_flow("point_vortex").map
+        end, n = m.times[-1], round(m.times[-1] / m.dt)
+        assert n % 2 == 0  # step doubling: the floor marches at 2 dt
+        floor_marches = lambda: calls.count((0.0, end, end / (n // 2)))  # noqa: E731
+        assert floor_marches() == 0
+        first = m.error_floor
+        assert floor_marches() == 1
+        assert m.error_floor == first
+        assert floor_marches() == 1
+        one_time = integrate_trajectories(m.field_fn, m.grid, [0.0], m.dt)
+        del calls[:]
+        assert one_time.error_floor is None and calls == []
+
     @pytest.mark.parametrize("flow", ["point_vortex", "taylor_green"])
     def test_rows_do_not_depend_on_which_checks_ran_before(self, flow):
         checks = ["cauchy.invariant_drift", "flowmap.density_lagrangian",
