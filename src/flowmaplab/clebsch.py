@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import StencilSpec, curl, divergence, gradient, point_jacobian, summarize_residual
+from .grids import (POTENTIAL_STENCIL_H, TIME_STEP, StencilSpec, _time_difference, curl, divergence,
+                    gradient, point_jacobian, summarize_residual)
 
 __all__ = [
     "ClebschTriple",
@@ -30,10 +31,6 @@ __all__ = [
     "potential_flow_checks",
     "incompressibility_residual",
 ]
-
-# step of the central differences of the potentials in space and in time
-STENCIL_H = 1e-6
-TIME_STEP = 1e-5
 
 
 def _call_scalar(fn, pts, t):
@@ -67,7 +64,7 @@ class ClebschTriple:
 def _fd_gradient(fn, pts, t):
     if fn is None:
         return np.zeros(np.asarray(pts).shape)
-    return point_jacobian(lambda p: fn(p, t), pts, STENCIL_H)
+    return point_jacobian(lambda p: fn(p, t), pts, POTENTIAL_STENCIL_H)
 
 
 def _grid_points(grid):
@@ -117,15 +114,12 @@ def clebsch_advection_residual(ct, velocity_fn, grid, t=0.0, spec=StencilSpec(),
     d/dt + u . grad of each potential, with the time term by a centered
     difference of the callable and the space term by grid stencils.
     """
-    dt = TIME_STEP
     pts = _grid_points(grid)
     u = np.asarray(velocity_fn(pts, t), dtype=float)
     out = []
     mask = _cut_exclusion_mask(ct.cut_mask, grid, spec)
     for fn in (ct.phi, ct.psi):
-        vals_p = _call_scalar(fn, pts, t + dt)
-        vals_m = _call_scalar(fn, pts, t - dt)
-        ddt = (vals_p - vals_m) / (2 * dt)
+        ddt = _time_difference(lambda s: _call_scalar(fn, pts, s), t, TIME_STEP)
         grad = gradient(_call_scalar(fn, pts, t), spec, grid=grid)
         res = ddt + np.einsum("...i,...i->...", u, grad)
         out.append(summarize_residual(res, grid, rind=rind, mask=mask))
@@ -148,12 +142,11 @@ def potential_flow_checks(F_fn, omega_fn, grid, t=0.0, spec=StencilSpec(), rind=
     of F, and of dF/dt + |grad F|^2 / 2 - Omega. omega_fn(points, t) is the
     combined potential; a function of t alone shifts nothing (gauge).
     """
-    dt = TIME_STEP
     pts = _grid_points(grid)
     vals = np.asarray(F_fn(pts, t), dtype=float)
     gF = gradient(vals, spec, grid=grid)
     lap = divergence(gF, spec, grid=grid)
-    dFdt = (np.asarray(F_fn(pts, t + dt)) - np.asarray(F_fn(pts, t - dt))) / (2 * dt)
+    dFdt = _time_difference(lambda s: F_fn(pts, s), t, TIME_STEP)
     bern = dFdt + 0.5 * np.einsum("...i,...i->...", gF, gF) - np.asarray(omega_fn(pts, t), dtype=float)
     mask = _cut_exclusion_mask(cut_mask, grid, spec)
     lap_s = summarize_residual(lap, grid, rind=max(rind, 1), mask=mask)

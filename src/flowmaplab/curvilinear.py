@@ -16,9 +16,9 @@ equations of motion take the compact form
 
 and contracting with d(rho_i)/d(rho_j^0), rho^0 = forward(labels), gives the
 label (initial-coordinate) form. Both forms summarize one residual R, whose
-time derivative is a centred difference at CHART_TIME_STEP times the map's
-time scale, so a chart and Omega are all they need. The transformed density
-equation compares the initial-coordinate Jacobian against
+time derivative is a centred difference at grids.ACCELERATION_STEP times the
+map's time scale, so a chart and Omega are all they need. The transformed
+density equation compares the initial-coordinate Jacobian against
 sqrt(det Gram0 / det Gram), which for orthogonal charts is
 sqrt(N1^0 N2^0 N3^0 / (N1 N2 N3)).
 
@@ -38,7 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import StencilSpec, gradient, point_jacobian, summarize_residual
+from .grids import (ACCELERATION_STEP, POTENTIAL_STENCIL_H, StencilSpec, _time_difference, gradient,
+                    point_jacobian, summarize_residual)
 from .flowmap import det3
 
 __all__ = [
@@ -56,11 +57,6 @@ __all__ = [
     "skewed_chart",
 ]
 
-# step of the central differences taken in chart coordinates
-CHART_STENCIL_H = 1e-6
-# step of the momentum forms' centred time difference, in units of the map's
-# time scale (flowmap.ACCELERATION_STEP takes the same)
-CHART_TIME_STEP = 1e-4
 # the cylindrical and polar charts exclude r (and polar sin theta) below this
 SINGULAR_MARGIN = 1e-3
 
@@ -88,7 +84,7 @@ class Chart:
     def partials_at(self, rho):
         if self.position_partials is not None:
             return np.asarray(self.position_partials(np.asarray(rho, float)), dtype=float)
-        return point_jacobian(self.inverse, rho, CHART_STENCIL_H)
+        return point_jacobian(self.inverse, rho, POTENTIAL_STENCIL_H)
 
     def check_domain(self, rho):
         if self.domain is not None and not np.all(self.domain(np.asarray(rho, float))):
@@ -151,7 +147,7 @@ def _trajectory_chart_rates(m, chart, t):
 def _metric_partials(chart, rho):
     if chart.metric_partials is not None:
         return np.asarray(chart.metric_partials(np.asarray(rho, float)), dtype=float)
-    return point_jacobian(lambda r: chart_metrics(chart, r).N, rho, CHART_STENCIL_H)
+    return point_jacobian(lambda r: chart_metrics(chart, r).N, rho, POTENTIAL_STENCIL_H)
 
 
 def _chart_momentum(m, chart, omega_fn, t, omega_grad):
@@ -161,14 +157,16 @@ def _chart_momentum(m, chart, omega_fn, t, omega_grad):
     of omega_fn (~1e-10 of roundoff)."""
     if not chart.orthogonal:
         raise ValueError("the chart momentum residual needs an orthogonal chart")
-    dt = CHART_TIME_STEP * m.timescale
-    _, rates_m, N_m = _trajectory_chart_rates(m, chart, t - dt)
+
+    def momentum(s):  # N_i rho_i' along the trajectories at time s
+        _, rates_s, N_s = _trajectory_chart_rates(m, chart, s)
+        return N_s * rates_s
+
     rho, rates, _ = _trajectory_chart_rates(m, chart, t)
-    _, rates_p, N_p = _trajectory_chart_rates(m, chart, t + dt)
-    dPdt = (N_p * rates_p - N_m * rates_m) / (2 * dt)
+    dPdt = _time_difference(momentum, t, ACCELERATION_STEP * m.timescale)
     dN = _metric_partials(chart, rho)
     dOm = (np.asarray(omega_grad(rho), dtype=float) if omega_grad is not None
-           else point_jacobian(omega_fn, rho, CHART_STENCIL_H))
+           else point_jacobian(omega_fn, rho, POTENTIAL_STENCIL_H))
     # [..., j, i] = rho_j'^2 dN_j/drho_i, summed over j
     return rho, 2 * dOm - 2 * dPdt + np.sum(rates[..., :, None] ** 2 * dN, axis=-2)
 
@@ -179,11 +177,11 @@ def curvilinear_eom_residual(m, chart, omega_fn, t, rind=0, omega_grad=None):
         R_i = 2 dOmega/drho_i - 2 d(N_i rho_i')/dt + sum_j rho_j'^2 dN_j/drho_i.
 
     d/dt is a centred difference of N_i rho_i' along each trajectory at
-    CHART_TIME_STEP times the map's time scale: exact for steady chart-rate
-    motions, O(dt^2) otherwise. omega_fn is the combined potential Omega as
-    a function of chart coordinates, omega_grad an optional analytic chart
-    gradient of it. Raises for non-orthogonal charts: the compact form only
-    holds when the cross metric terms vanish.
+    grids.ACCELERATION_STEP times the map's time scale: exact for steady
+    chart-rate motions, O(dt^2) otherwise. omega_fn is the combined
+    potential Omega as a function of chart coordinates, omega_grad an
+    optional analytic chart gradient of it. Raises for non-orthogonal
+    charts: the compact form only holds when the cross metric terms vanish.
     """
     _, R = _chart_momentum(m, chart, omega_fn, t, omega_grad)
     return tuple(summarize_residual(R[..., i], m.grid, rind=rind) for i in range(3))

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import StencilSpec, differentiate, gradient, point_jacobian, summarize_residual
+from .grids import (POINT_STENCIL_H, POTENTIAL_STENCIL_H, TIME_STEP, StencilSpec, _time_difference,
+                    differentiate, gradient, point_jacobian, summarize_residual)
 from .flowmap import deformation_gradient
 
 __all__ = [
@@ -27,11 +28,6 @@ __all__ = [
     "eulerian_residual_at_points",
     "chain_rule_mismatch",
 ]
-
-# central-difference steps: V and pressure gradients; velocity callables
-POTENTIAL_STENCIL_H = 1e-6
-POINT_STENCIL_H = 1e-5
-POINT_TIME_STEP = 1e-5
 
 
 @dataclass
@@ -144,7 +140,7 @@ def lagrangian_eom_residual(m, fp, t, spec=StencilSpec(), mode="auto", rind=0):
 
     Per label axis j: sum_i (a_i - dV/dx_i) dx_i/dlab_j + (1/rho) dp/dlab_j.
     Accelerations use registered analytic callables when present, else a
-    centered time difference with dt = 1e-4 * the map's time scale.
+    centered time difference at grids.ACCELERATION_STEP * the map's time scale.
     """
     _, _, core = _label_momentum(m, fp, t, spec, mode)
     return tuple(summarize_residual(core[..., j], m.grid, rind=rind) for j in range(3))
@@ -155,20 +151,22 @@ def eulerian_residual_at_points(u_fn, fp, points, t):
 
     Space and time derivatives are central differences of the callable itself;
     used to check the chain-rule tie between the two residual forms away from
-    any grid.
+    any grid. The pressure must be position-frame, as in
+    ``eulerian_eom_residual``.
     """
-    h, dt = POINT_STENCIL_H, POINT_TIME_STEP
+    if fp.pressure_frame != "position":
+        raise ValueError("eulerian residual needs a position-frame pressure")
     pts = np.asarray(points, dtype=float)
     u0 = np.asarray(u_fn(pts, t), dtype=float)
-    dudt = (np.asarray(u_fn(pts, t + dt)) - np.asarray(u_fn(pts, t - dt))) / (2 * dt)
-    grad_u = point_jacobian(lambda p: u_fn(p, t), pts, h)
+    dudt = _time_difference(lambda s: u_fn(pts, s), t, TIME_STEP)
+    grad_u = point_jacobian(lambda p: u_fn(p, t), pts, POINT_STENCIL_H)
     adv = np.einsum("...ik,...k->...i", grad_u, u0)
     force = fp.V_grad_at(pts, t)
     if callable(fp.pressure):
         gp = (
             np.asarray(fp.pressure_grad(pts, t), dtype=float)
             if fp.pressure_grad is not None
-            else point_jacobian(lambda p: fp.pressure_at(p, t), pts, h)
+            else point_jacobian(lambda p: fp.pressure_at(p, t), pts, POINT_STENCIL_H)
         )
     else:
         gp = np.zeros(pts.shape)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import StencilSpec, divergence, gradient
+from .grids import StencilSpec, _time_difference, divergence, gradient
 from .quadrature import grid_integral
 
 __all__ = [
@@ -108,10 +108,7 @@ def energy_flux_residual(m, V_fn, times, boundary_surfaces, dt=None):
         raise ValueError("ledger times must be strictly increasing")
     dt = dt if dt is not None else 1e-3 * m.timescale
     K = np.array([living_force(m, t) for t in times])
-    dKdt = np.array([
-        (living_force(m, t + dt) - living_force(m, t - dt)) / (2 * dt)
-        for t in times
-    ])
+    dKdt = np.array([_time_difference(lambda s: living_force(m, s), t, dt) for t in times])
     flux = np.array([_boundary_flux(m, V_fn, boundary_surfaces, t) for t in times])
     return EnergyLedger(times, K, dKdt, flux)
 

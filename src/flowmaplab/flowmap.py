@@ -20,8 +20,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .grids import (BLOCK, Field, LabelGrid, StencilSpec, differentiate, gradient, point_jacobian,
-                    summarize_residual)
+from .grids import (ACCELERATION_STEP, BLOCK, POINT_STENCIL_H, Field, LabelGrid, StencilSpec,
+                    _time_difference, differentiate, gradient, point_jacobian, summarize_residual)
 from .quadrature import grid_integral
 
 __all__ = [
@@ -45,9 +45,6 @@ __all__ = [
 ]
 
 SINGULAR_J_TOL = 1e-10
-# step of the central time difference FlowMap.accelerations takes, in units
-# of the map's timescale
-ACCELERATION_STEP = 1e-4
 
 
 class SingularMapError(RuntimeError):
@@ -79,11 +76,9 @@ class FlowMap:
 
     def accelerations(self, labels, t):
         """Central time difference of velocities along trajectories, over a
-        step of ACCELERATION_STEP * timescale."""
-        dt = ACCELERATION_STEP * self.timescale
-        vp = self.velocities(labels, t + dt)
-        vm = self.velocities(labels, t - dt)
-        return (vp - vm) / (2 * dt)
+        step of grids.ACCELERATION_STEP * timescale."""
+        return _time_difference(lambda s: self.velocities(labels, s), t,
+                                ACCELERATION_STEP * self.timescale)
 
     # analytic-derivative hooks; None means "not registered"
     def label_partials(self, labels, t):
@@ -230,14 +225,20 @@ class SampledFlowMap(FlowMap):
         doubling, max |x_dt - x_2dt| / 15, for even n (k = n/2), else halving,
         max |x_dt - x_dt/2| * 16/15 (k = 2n); None for a one-time table. The
         march runs on the first read; the value is kept."""
-        from .flows import rk4_advect  # local import to avoid a cycle
-
         if len(self.times) == 1:
             return None
-        end, n = self.times[-1], round(self.times[-1] / self.dt)
+        end, n = self.times[-1], self._table_steps[-1]
         k = n // 2 if n % 2 == 0 else 2 * n
-        other = rk4_advect(self.field_fn, self._grid_lab, 0.0, end, end / k, self.bbox)
+        other = self._march(self._grid_lab, 0.0, end, end / k)
         return float(np.max(np.abs(self.positions_table[-1] - other))) / abs((n / k) ** 4 - 1)
+
+    def _march(self, x, t0, t1, dt=None):
+        """Points x marched from t0 to t1 through the field by RK4, at the
+        map's own step unless dt is given: the one place a sampled map
+        marches."""
+        from .flows import rk4_advect  # looked up per call: flows imports this module
+
+        return rk4_advect(self.field_fn, x, t0, t1, self.dt if dt is None else dt, bbox=self.bbox)
 
     def _march_table(self):
         """Start the checkpoint lattice at the grid labels, march it to
@@ -265,8 +266,6 @@ class SampledFlowMap(FlowMap):
         The point after step n is the next table step or the next multiple
         of CHECKPOINT_STRIDE, whichever comes first.
         """
-        from .flows import rk4_advect  # local import to avoid a cycle
-
         while True:
             n = self._lattice_n[-1]
             nxt = (n // CHECKPOINT_STRIDE + 1) * CHECKPOINT_STRIDE
@@ -276,8 +275,7 @@ class SampledFlowMap(FlowMap):
                 nxt, tn = self._table_steps[j], float(self.times[j])
             if tn > t:
                 return
-            x = rk4_advect(self.field_fn, self._lattice_x[-1], self._lattice_t[-1], tn,
-                           self.dt, bbox=self.bbox)
+            x = self._march(self._lattice_x[-1], self._lattice_t[-1], tn)
             self._lattice_n.append(nxt)
             self._lattice_t.append(tn)
             self._lattice_x.append(x)
@@ -293,8 +291,6 @@ class SampledFlowMap(FlowMap):
         return labels.shape == self._grid_lab.shape and np.array_equal(labels, self._grid_lab)
 
     def positions(self, labels, t):
-        from .flows import rk4_advect  # local import to avoid a cycle
-
         labels, t = _labels3(labels), float(t)
         if not np.isfinite(t):
             raise ValueError(f"sampled map queried at non-finite time {t}")
@@ -310,7 +306,7 @@ class SampledFlowMap(FlowMap):
             self._extend_lattice(t)
             i = max(0, bisect.bisect_right(self._lattice_t, t) - 1)
             start, t0 = self._lattice_x[i], self._lattice_t[i]
-        pos = rk4_advect(self.field_fn, start, t0, t, self.dt, bbox=self.bbox)
+        pos = self._march(start, t0, t)
         self._last = (labels.copy(), t, pos)
         return pos
 
@@ -428,14 +424,11 @@ def deformation_gradient(m, t, spec=StencilSpec(), mode="auto"):
     return g
 
 
-POINT_STENCIL_H = 1e-5
-
-
 def deformation_at(m, labels, t):
     """dx_i/dlab_j at arbitrary labels: analytic partials or local stencils.
 
-    The local fallback advects +/-POINT_STENCIL_H shifted copies of the labels
-    (one batched evaluation), so it works for sampled maps too.
+    The local fallback advects +/-grids.POINT_STENCIL_H shifted copies of the
+    labels (one batched evaluation), so it works for sampled maps too.
     """
     F = m.label_partials(_labels3(labels), t)
     if F is not None:
@@ -578,14 +571,13 @@ def invert_map(m, points, t):
     of the points from t to 0, which lands within the integration error of
     the answer, so one or two iterations polish it; other maps start from
     the points themselves. Each update inverts F for BLOCK points at a time.
+    A non-finite point raises a ValueError naming it; a final residual
+    above 1e-8, or not finite, raises as a stall.
     """
     pts = np.asarray(points, dtype=float)
-    if isinstance(m, SampledFlowMap):
-        from .flows import rk4_advect  # local import to avoid a cycle
-
-        lab = rk4_advect(m.field_fn, pts, t, 0.0, m.dt, bbox=m.bbox)
-    else:
-        lab = pts.copy()
+    if not np.isfinite(pts).all():
+        raise ValueError(f"point {pts[~np.isfinite(pts).all(axis=-1)][0]} is not finite")
+    lab = m._march(pts, t, 0.0) if isinstance(m, SampledFlowMap) else pts.copy()
     for _ in range(INVERT_MAX_ITER):
         res = pts - m.positions(lab, t)
         if np.max(np.abs(res)) < INVERT_TOL:
@@ -598,7 +590,7 @@ def invert_map(m, points, t):
         lab = np.add(lab, step, out=step)  # lab + step; the old iterate is dropped
     else:
         err = float(np.max(np.abs(pts - m.positions(lab, t))))
-        if err > 1e-8:
+        if not err <= 1e-8:
             raise ValueError(f"map inversion stalled at residual {err:.3e}")
     return lab
 

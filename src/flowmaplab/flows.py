@@ -6,7 +6,7 @@ Runge-Kutta over a steady velocity field): point_vortex, taylor_green.
 
 The first four are affine in the labels, x = M(t) a + U t under the steady
 field u = L x + U; ``_affine_entry`` derives each one's positions, velocity,
-acceleration and label partials from its (M(t), L, U).
+acceleration, label partials and pressure from its (M(t), L, U).
 
 Every entry carries the force potential and pressure it solves the momentum
 balance under, plus its known kinematic properties, and self-validates at
@@ -177,7 +177,7 @@ def _product(A, B):
                       for j in range(3)] for i in range(3)], dtype=float)
 
 
-def _affine_entry(name, params, grid, M, L, force, props, U=(0.0, 0.0, 0.0), timescale=1.0,
+def _affine_entry(name, params, grid, M, L, props, U=(0.0, 0.0, 0.0), timescale=1.0,
                   map_name=None, **entry_data):
     """A catalog entry whose map is affine in the labels: x = M(t) a + U t,
     the motion of the steady field u = L x + U (M' = L M, M(0) = I, L U = 0).
@@ -185,7 +185,10 @@ def _affine_entry(name, params, grid, M, L, force, props, U=(0.0, 0.0, 0.0), tim
     ``M`` is a callable t -> 3x3 matrix; ``L`` and ``U`` are constant. The
     velocity is the field at the positions, the acceleration L^2 x, the
     label partials M(t), the velocity partials L M(t); second partials are
-    zero. ``entry_data`` are the entry's Clebsch and Bernoulli fields.
+    zero. With no force potential and unit density the momentum balance
+    gives the pressure gradient -L^2 x and the pressure -x . L^2 x / 2 (L^2
+    is symmetric for every affine entry). ``entry_data`` are the entry's
+    Clebsch and Bernoulli fields.
     """
     def pos(lab, t):
         return _affine(M(t), lab, [u * t for u in U])
@@ -197,6 +200,8 @@ def _affine_entry(name, params, grid, M, L, force, props, U=(0.0, 0.0, 0.0), tim
         return np.broadcast_to(np.asarray(A, dtype=float), lab.shape[:-1] + (3, 3)).copy()
 
     L2 = _product(L, L)
+    force = ForcePotential(pressure=lambda x, t: -0.5 * np.sum(x * _affine(L2, x), axis=-1),
+                           pressure_grad=lambda x, t: _affine(-L2, x))
     m = AnalyticFlowMap(
         grid, pos, lambda lab, t: field(pos(lab, t), t), lambda lab, t: _affine(L2, pos(lab, t)),
         lambda lab, t: tile(M(t), lab), lambda lab, t: tile(_product(L, M(t)), lab),
@@ -235,12 +240,6 @@ def _rigid_rotation(grid, omega=1.0):
         c, s = np.cos(w * t), np.sin(w * t)
         return [[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]
 
-    force = ForcePotential(
-        pressure=lambda x, t: 0.5 * w * w * (x[..., 0] ** 2 + x[..., 1] ** 2),
-        pressure_grad=lambda x, t: np.stack(
-            [w * w * x[..., 0], w * w * x[..., 1], np.zeros_like(x[..., 2])], axis=-1
-        ),
-    )
     props = {
         "jacobian": "1 everywhere (volume preserving)",
         "half_vorticity": (0.0, 0.0, w),
@@ -253,7 +252,7 @@ def _rigid_rotation(grid, omega=1.0):
     scalars = ClebschTriple(phi=lambda x, t: x[..., 0] ** 2 + x[..., 1] ** 2,
                             psi=lambda x, t: x[..., 2])
     return _affine_entry("rigid_rotation", {"omega": w}, grid, M,
-                         [[0.0, -w, 0.0], [w, 0.0, 0.0], [0.0, 0.0, 0.0]], force, props,
+                         [[0.0, -w, 0.0], [w, 0.0, 0.0], [0.0, 0.0, 0.0]], props,
                          timescale=2 * np.pi / abs(w), clebsch=clebsch, material_scalars=scalars)
 
 
@@ -266,7 +265,7 @@ def _uniform_translation(grid, velocity=(1.0, 0.0, 0.0)):
     scalars = ClebschTriple(phi=lambda x, t: x[..., 0] - U[0] * t,
                             psi=lambda x, t: x[..., 1] - U[1] * t)
     return _affine_entry("uniform_translation", {"velocity": tuple(U)}, grid,
-                         lambda t: np.eye(3), np.zeros((3, 3)), ForcePotential(pressure=0.0),
+                         lambda t: np.eye(3), np.zeros((3, 3)),
                          {"jacobian": "1", "half_vorticity": (0.0, 0.0, 0.0)}, U=U,
                          map_name="uniform_translation", clebsch=clebsch,
                          bernoulli=lambda x, t: np.full(x.shape[:-1], 0.5 * (U @ U)),
@@ -280,19 +279,12 @@ def _simple_shear(grid, gamma=1.0):
     return _affine_entry("simple_shear", {"gamma": g}, grid,
                          lambda t: [[1.0, g * t, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
                          [[0.0, g, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
-                         ForcePotential(pressure=0.0),
                          {"jacobian": "1", "half_vorticity": (0.0, 0.0, -g / 2)},
                          timescale=1.0 / abs(g), clebsch=clebsch)
 
 
 def _stagnation(grid, k=1.0):
     kk = _param("stagnation", "k", k)
-    force = ForcePotential(
-        pressure=lambda x, t: -0.5 * kk * kk * (x[..., 0] ** 2 + x[..., 1] ** 2),
-        pressure_grad=lambda x, t: np.stack(
-            [-kk * kk * x[..., 0], -kk * kk * x[..., 1], np.zeros_like(x[..., 2])], axis=-1
-        ),
-    )
     props = {
         "jacobian": "1",
         "half_vorticity": (0.0, 0.0, 0.0),
@@ -303,7 +295,7 @@ def _stagnation(grid, k=1.0):
     return _affine_entry("stagnation", {"k": kk}, grid,
                          lambda t: [[np.exp(kk * t), 0.0, 0.0], [0.0, np.exp(-kk * t), 0.0],
                                     [0.0, 0.0, 1.0]],
-                         [[kk, 0.0, 0.0], [0.0, -kk, 0.0], [0.0, 0.0, 0.0]], force, props,
+                         [[kk, 0.0, 0.0], [0.0, -kk, 0.0], [0.0, 0.0, 0.0]], props,
                          timescale=1.0 / abs(kk), clebsch=clebsch,
                          bernoulli=lambda x, t: 0.5 * kk * kk * (x[..., 0] ** 2 + x[..., 1] ** 2))
 

@@ -9,8 +9,10 @@ triples, with an optional rind exclusion of boundary-contaminated nodes.
 
 This is the library's only stencil layer: every other module differentiates
 through ``differentiate`` / ``gradient`` / ``divergence`` / ``curl`` on
-grids, ``point_jacobian`` for callables at arbitrary points, or the 1-D
-kernel ``_diff_along_axis0`` for parameterized curves and surfaces. Vector
+grids, ``point_jacobian`` for callables at arbitrary points,
+``_time_difference`` for callables of time, or the 1-D kernel
+``_diff_along_axis0`` for parameterized curves and surfaces, and takes its
+steps for callables from the table next to ``point_jacobian``. Vector
 results use the Jacobian layout ``[..., i, k] = d f_i / d x_k``.
 """
 
@@ -192,6 +194,8 @@ def _diff_into(out, f, h, order, wrap):
     if order not in (2, 4):
         raise ValueError(f"stencil order must be 2 or 4, got {order!r}")
     n = f.shape[0]
+    if order == 4 and n < 6:
+        raise ValueError("order-4 stencils need >= 6 nodes per axis")
     if wrap:
         k = 1 if order == 2 else 2
         _central_into(out[k:n - k], f, order, h)
@@ -210,8 +214,6 @@ def _diff_into(out, f, h, order, wrap):
         out[0] = (4 * (f[1] - f[0]) - (f[2] - f[0])) / (2 * h)
         out[-1] = (-4 * (f[-2] - f[-1]) + (f[-3] - f[-1])) / (2 * h)
         return
-    if n < 6:
-        raise ValueError("order-4 stencils need >= 6 nodes per axis")
     _central_into(out[2:-2], f, 4, h)
     out[0] = (48 * (f[1] - f[0]) - 36 * (f[2] - f[0])
               + 16 * (f[3] - f[0]) - 3 * (f[4] - f[0])) / (12 * h)
@@ -237,11 +239,6 @@ def _finite_field(f):
     return f
 
 
-def _check_order4_axis(spec, grid, axis):
-    if spec.order == 4 and grid.shape[axis] < 6:
-        raise ValueError("order-4 stencils need >= 6 nodes per axis")
-
-
 def differentiate(f, axis, spec=StencilSpec(), *, grid):
     """Partial derivative of an array sampled on ``grid`` along one label axis.
 
@@ -251,7 +248,6 @@ def differentiate(f, axis, spec=StencilSpec(), *, grid):
     if not 0 <= axis < grid.ndim:
         raise ValueError(f"axis {axis} invalid for a {grid.ndim}-axis grid")
     f = _finite_field(f)
-    _check_order4_axis(spec, grid, axis)
     moved = np.moveaxis(f, axis, 0)
     return np.moveaxis(
         _diff_along_axis0(moved, grid.spacing[axis], spec.order, grid.periodic[axis]), 0, axis)
@@ -270,7 +266,6 @@ def gradient(f, spec=StencilSpec(), *, grid):
     f = _finite_field(f)
     out = np.zeros(f.shape + (3,))
     for k in range(grid.ndim):
-        _check_order4_axis(spec, grid, k)
         _diff_into(np.moveaxis(out[..., k], k, 0), np.moveaxis(f, k, 0), grid.spacing[k],
                    spec.order, grid.periodic[k])
     return out
@@ -297,6 +292,13 @@ def curl(vec, spec=StencilSpec(), *, grid):
     )
 
 
+# steps of the central differences of callables (point_jacobian, _time_difference)
+POINT_STENCIL_H = 1e-5  # in space: flow-map positions and velocities, velocity fields
+POTENTIAL_STENCIL_H = 1e-6  # in space: potentials, pressures, chart maps and metrics
+ACCELERATION_STEP = 1e-4  # in time: a flow map along its trajectories, times its timescale
+TIME_STEP = 1e-5  # in time: velocity fields and potentials
+
+
 def point_jacobian(fn, pts, h):
     """Central differences of a callable at arbitrary points (..., 3).
 
@@ -312,6 +314,12 @@ def point_jacobian(fn, pts, h):
         np.subtract(pts, step[k], out=batch[3 + k])
     vals = np.asarray(fn(batch), dtype=float)
     return np.moveaxis((vals[:3] - vals[3:]) / (2 * h), 0, -1)
+
+
+def _time_difference(fn, t, dt):
+    """(fn(t + dt) - fn(t - dt)) / (2 dt), the central time difference of a
+    callable of time; fn(t + dt) is evaluated first."""
+    return (np.asarray(fn(t + dt)) - np.asarray(fn(t - dt))) / (2 * dt)
 
 
 @dataclass

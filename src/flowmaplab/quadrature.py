@@ -70,14 +70,14 @@ def path_integral(points, vectors):
     The samples are treated as one period of a smooth curve in the parameter
     s_i = 2*pi*i/N: tangents dx/ds are central differences of order
     LOOP_TANGENT_ORDER, and the uniform periodic weights are spectrally
-    accurate there.
+    accurate there. The stencils need 6 samples or more, as on a grid axis.
     """
     pts = np.asarray(points, dtype=float)
     vec = np.asarray(vectors, dtype=float)
     if pts.shape != vec.shape:
         raise ValueError("points and vectors must have matching shapes")
-    if pts.shape[0] < 2:
-        raise ValueError("empty path")
+    if pts.shape[0] < 6:
+        raise ValueError(f"a closed path needs >= 6 samples, got {pts.shape[0]}")
     ds = 2 * np.pi / pts.shape[0]
     tangents = _diff_along_axis0(pts, ds, LOOP_TANGENT_ORDER, wrap=True)
     integrand = np.sum(vec * tangents, axis=-1)

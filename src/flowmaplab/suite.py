@@ -459,11 +459,14 @@ def convergence_study(check_id, flow_name, resolutions=None, dts=None,
     two-column whitespace data file when out_path is given and returns a dict
     with the table and the fitted slope (None when the errors sit at the
     noise floor). Fewer than two distinct step sizes leave no slope to fit
-    and raise ConfigError.
+    and raise ConfigError, and so does the step list the study does not read.
     """
     flow_params = flow_params or {}
     table = []
-    if check_id == "flows.rk4_closure":
+    closure = check_id == "flows.rk4_closure"
+    if resolutions if closure else dts:
+        raise ConfigError(f"{check_id} does not read {'--grids' if closure else '--dts'}")
+    if closure:
         # the study integrates the rigid_rotation entry's field, which reads only omega
         if flow_name != "rigid_rotation":
             raise ConfigError(f"flows.rk4_closure runs on rigid_rotation only, not {flow_name!r}")
@@ -493,9 +496,8 @@ def convergence_study(check_id, flow_name, resolutions=None, dts=None,
             table.append((max(default_grid(flow_name, shape, **flow_params).spacing), row.linf))
     steps = len({h for h, _ in table})
     if steps < 2:
-        flag = "--dts" if check_id == "flows.rk4_closure" else "--grids"
         raise ConfigError(f"convergence study needs two or more distinct step sizes; "
-                          f"{flag} gives {steps}")
+                          f"{'--dts' if closure else '--grids'} gives {steps}")
     table.sort(key=lambda he: -he[0])
     errs = np.array([e for _, e in table])
     slope = None

@@ -12,6 +12,7 @@ from flowmaplab import (
     eulerian_eom_residual,
     lagrangian_eom_residual,
 )
+from flowmaplab.dynamics import eulerian_residual_at_points
 
 
 def spatial_grid_2d(n=33, lo=-1.0, hi=1.0):
@@ -129,6 +130,21 @@ class TestChainRule:
         s = chain_rule_mismatch(e.map, fp, u_fn, 0.5)
         h = max(e.map.grid.spacing)
         assert s.linf <= 5.0 * h ** 2
+
+    def test_label_frame_pressure_rejected(self):
+        # gerstner's pressure is a function of the labels: read at positions
+        # it would give a number that means nothing, so both forms raise
+        e = catalog_flow("gerstner")
+        assert e.force.pressure_frame == "label"
+
+        def u_fn(p, t):
+            return np.zeros(p.shape)
+
+        pts = e.map.positions(e.map.grid_labels(), 0.5)
+        with pytest.raises(ValueError, match="position-frame pressure"):
+            eulerian_residual_at_points(u_fn, e.force, pts, 0.5)
+        with pytest.raises(ValueError, match="position-frame pressure"):
+            chain_rule_mismatch(e.map, e.force, u_fn, 0.5)
 
 
 def test_omega_combines_v_and_pressure():

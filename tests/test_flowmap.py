@@ -27,7 +27,7 @@ from flowmaplab import (
     mass_integral_transform,
 )
 from flowmaplab.flowmap import _grid_in_hull, adjugate3, det3, invert_map
-from flowmaplab.grids import summarize_residual
+from flowmaplab.grids import ACCELERATION_STEP, summarize_residual
 from flowmaplab.flows import default_grid
 
 
@@ -517,6 +517,25 @@ class TestMapInversion:
         back = invert_map(e.map, pos, 1.0)
         assert np.abs(back - lab).max() < 1e-10
 
+    def test_non_finite_point_named(self):
+        m = catalog_flow("taylor_green", grid=default_grid("taylor_green", (16, 16))).map
+        pts = m.positions(m.grid_labels(), 1.0)[:2, :2].copy()
+        pts[1, 0, 1] = np.nan
+        with pytest.raises(ValueError, match=r"point \[.*nan.*\] is not finite"):
+            invert_map(m, pts, 1.0)
+
+    def test_non_finite_residual_is_a_stall(self):
+        # the field is NaN beyond x = 5, so the target's backward march and
+        # every Newton iterate are NaN; NaN labels must not come back
+        def field(x, t):
+            u = np.stack([-x[..., 1], x[..., 0], np.zeros(x.shape[:-1])], axis=-1)
+            return np.where(x[..., :1] > 5.0, np.nan, u)
+
+        g = LabelGrid((8, 8), (0.0, 0.0), (0.1, 0.1))
+        m = flows.integrate_trajectories(field, g, [0.0, 0.5], 0.05)
+        with pytest.raises(ValueError, match="stalled at residual nan"):
+            invert_map(m, np.array([[6.0, 0.0, 0.0]]), 0.5)
+
     @pytest.mark.parametrize("partials", [True, False])
     def test_blocked_newton_update_is_bit_identical(self, monkeypatch, partials):
         """Newton updates by blocks of BLOCK points, including a partial last
@@ -531,6 +550,20 @@ class TestMapInversion:
         monkeypatch.setattr(flowmap, "BLOCK", 100)
         assert len(pts) > 100 and len(pts) % 100
         assert np.array_equal(invert_map(m, pts, t), whole)
+
+
+@pytest.mark.parametrize("name", ["gerstner", "point_vortex"])
+def test_accelerations_without_a_callable_are_the_grids_time_difference(name):
+    # a map with no acceleration callable differences its velocities in time
+    # at grids.ACCELERATION_STEP times its timescale, the +dt side first
+    m = catalog_flow(name, grid=default_grid(name, (16, 16))).map
+    if name == "gerstner":
+        m = AnalyticFlowMap(m.grid, m._position, m._velocity, convention=m.convention,
+                            timescale=m.timescale)
+    lab, t = m.grid_labels(), 0.37 * m.timescale
+    dt = ACCELERATION_STEP * m.timescale
+    want = (m.velocities(lab, t + dt) - m.velocities(lab, t - dt)) / (2 * dt)
+    assert m.accelerations(lab, t).tobytes() == want.tobytes()
 
 
 def test_det3_matches_numpy():

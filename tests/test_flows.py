@@ -14,7 +14,7 @@ from flowmaplab.flowmap import CHECKPOINT_STRIDE, SampledFlowMap
 from flowmaplab.flows import ParticleEscapeError, default_grid, rk4_advect
 from flowmaplab.suite import run_suite
 from flowmaplab.dynamics import eulerian_eom_residual
-from flowmaplab.grids import Field
+from flowmaplab.grids import POINT_STENCIL_H, Field, point_jacobian
 
 
 def test_catalog_names_complete():
@@ -571,6 +571,36 @@ def test_analytic_velocities_are_the_velocity_field_at_the_positions(name):
         assert np.array_equal(e.map.label_partials(lab, t), F), t
         assert np.array_equal(e.map.velocity_label_partials(lab, t), G), t
         assert np.array_equal(e.map.second_label_partials(lab, t), np.zeros(lab.shape + (3, 3))), t
+
+
+def hand_written_pressure_grad(name, params, x):
+    """The affine entries' pressure gradients as the catalog once wrote them
+    out, factory by factory (a constant pressure's gradient is zero)."""
+    zero = np.zeros_like(x[..., 2])
+    if name == "rigid_rotation":
+        w = params.get("omega", 1.0)
+        return np.stack([w * w * x[..., 0], w * w * x[..., 1], zero], axis=-1)
+    if name == "stagnation":
+        kk = params.get("k", 1.0)
+        return np.stack([-kk * kk * x[..., 0], -kk * kk * x[..., 1], zero], axis=-1)
+    return np.zeros(x.shape)
+
+
+@pytest.mark.parametrize("defaults", [True, False], ids=["default_params", "analytic_params"])
+@pytest.mark.parametrize("name", sorted(ANALYTIC_PARAMS))
+def test_affine_force_is_derived_from_L(name, defaults):
+    # the pressure gradient -L^2 x equals the hand-written forms bit for bit
+    # (a unit omega^2 or k^2 included), and the pressure -x . L^2 x / 2 is
+    # its potential
+    params = {} if defaults else ANALYTIC_PARAMS[name]
+    e = catalog_flow(name, **params)
+    assert e.force.V is None and e.force.density == 1.0
+    pts = np.random.default_rng(3).normal(size=(40, 3))
+    for x in (pts, e.map.positions(e.map.grid_labels(), 0.7)):
+        grad = e.force.pressure_grad(x, 0.7)
+        assert grad.tobytes() == hand_written_pressure_grad(name, params, x).tobytes()
+        fd = point_jacobian(lambda p: e.force.pressure(p, 0.7), x, POINT_STENCIL_H)
+        assert np.abs(fd - grad).max() <= 1e-8
 
 
 def test_gerstner_has_no_velocity_field_or_clebsch_data():

@@ -136,6 +136,13 @@ class TestDifferentiate:
         g = line_grid(5)
         with pytest.raises(ValueError):
             differentiate(np.zeros(5), 0, StencilSpec(order=4), grid=g)
+        # periodic axes too: order 4 needs 6 nodes on every axis, wrapped or not
+        for n in (4, 5):
+            g = LabelGrid((n, 6), (0.0, 0.0), (0.3, 0.2), (True, False))
+            with pytest.raises(ValueError, match="order-4 stencils need >= 6 nodes"):
+                differentiate(np.zeros(g.shape), 0, StencilSpec(order=4), grid=g)
+            with pytest.raises(ValueError, match="order-4 stencils need >= 6 nodes"):
+                gradient(np.zeros(g.shape), StencilSpec(order=4), grid=g)
 
     def test_rejects_nonfinite(self):
         g = line_grid(8)
@@ -207,10 +214,10 @@ class TestStencilLayer:
 
     def test_no_difference_quotient_outside_grids(self):
         # grids.py is the only stencil layer. This guard catches one spelling
-        # of a spatial difference quotient, `/ (c * step ...)` with c in
-        # {2, 4, 12} and a step named as in STEPS, in any spacing; it misses
-        # others such as `0.5 / h`. Time steps (`dt`) are not label stencils.
-        STEPS = {"h", "eps", "dx", "dy", "dz", "step", "delta"}
+        # of a difference quotient in space or time, `/ (c * step ...)` with c
+        # in {2, 4, 12} and a step named as in STEPS, in any spacing; it
+        # misses others such as `0.5 / h`
+        STEPS = {"h", "eps", "dx", "dy", "dz", "step", "delta", "dt"}
 
         def factors(e):
             if isinstance(e, ast.BinOp) and isinstance(e.op, ast.Mult):
@@ -233,6 +240,20 @@ class TestStencilLayer:
         offenders = [f"{f.name}:{n}" for f in files if f.name != "grids.py"
                      for n in quotient_lines(f)]
         assert offenders == []
+
+    def test_no_difference_step_defined_outside_grids(self):
+        # the steps of the central differences of callables are one table in
+        # grids.py; no other module defines a *_STEP or *STENCIL_H constant
+        def step_names(path):
+            return [t.id for node in ast.parse(path.read_text()).body
+                    if isinstance(node, ast.Assign) for t in node.targets
+                    if isinstance(t, ast.Name) and t.id.endswith(("_STEP", "STENCIL_H"))]
+
+        src = Path(__file__).resolve().parents[1] / "src" / "flowmaplab"
+        assert len(step_names(src / "grids.py")) == 4
+        offenders = {f.name: step_names(f) for f in sorted(src.glob("*.py"))
+                     if f.name != "grids.py" and step_names(f)}
+        assert offenders == {}
 
 
 class TestResidualSummary:

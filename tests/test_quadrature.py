@@ -13,6 +13,14 @@ def test_zero_integrand_closed_loop():
     assert path_integral(pts, np.zeros_like(pts)) == 0.0
 
 
+@pytest.mark.parametrize("n", [0, 1, 5])
+def test_short_path_named(n):
+    # the order-4 loop tangents need 6 samples, as an order-4 grid axis does
+    pts = np.zeros((n, 3))
+    with pytest.raises(ValueError, match=f"a closed path needs >= 6 samples, got {n}"):
+        path_integral(pts, pts)
+
+
 def test_circle_area_from_path():
     # closed-form oracle: the 1-form x dy integrates to the enclosed area pi
     n = 256

@@ -645,6 +645,13 @@ class TestCLI:
                      "--dts", id="rk4_closure_one_dt"),
         pytest.param(("converge", "circulation.stokes", "rigid_rotation",
                       "--grids", "16x16,16x16"), "--grids", id="converge_same_grid_twice"),
+        # a step list the study does not read is named, not dropped
+        pytest.param(("converge", "cauchy.invariant_drift", "rigid_rotation",
+                      "--grids", "16x16,32x32", "--dts", "0.1,0.05"),
+                     "cauchy.invariant_drift does not read --dts", id="grid_study_with_dts"),
+        pytest.param(("converge", "flows.rk4_closure", "rigid_rotation",
+                      "--dts", "0.1,0.05", "--grids", "16x16,32x32"),
+                     "flows.rk4_closure does not read --grids", id="rk4_closure_with_grids"),
         # json reads NaN and Infinity in --params as well
         pytest.param(("converge", "flows.rk4_closure", "rigid_rotation", "--dts", "0.1,0.05",
                       "--params", '{"omega": NaN}'), "--params.omega: nan is not a finite number",
