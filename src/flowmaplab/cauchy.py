@@ -5,6 +5,15 @@ space, alpha_j = sum_i u_i dx_i/dlab_j. Half its label-space curl gives the
 invariants (A, B, C), which stay frozen in time for ideal barotropic flow
 under potential forces; ``invariant_drift`` measures exactly that constancy.
 
+Cauchy wrote the invariants with first label derivatives only,
+
+    2A = sum_i (du_i/db dx_i/dc - du_i/dc dx_i/db)   and cyclic,
+
+since the covelocity's second-derivative term u_i d2x_i/(dlab_j dlab_k) is
+symmetric in the label pair and cancels in the curl (Frisch & Villone, Eur.
+Phys. J. H 39:325, 2014). A map with exact label partials of positions and
+velocities therefore gets exact invariants from those two alone.
+
 Sign and factor conventions: this library stores (A, B, C) and the Eulerian
 rotational velocities (X, Y, Z) as HALF the standard right-handed curl, so
 the modern vorticity vector is 2*(A, B, C) at t=0 and 2*(X, Y, Z) at time t.
@@ -23,7 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Field, StencilSpec, curl, divergence, gradient, summarize_residual
+from .grids import (Field, StencilSpec, _half_curl, curl, divergence, gradient,
+                    summarize_residual)
 from .flowmap import deformation_gradient
 
 __all__ = [
@@ -79,36 +89,23 @@ def label_covelocity(m, t, spec=StencilSpec(), mode="auto"):
     return LabelCovelocity(m.grid, float(t), vals, mode=g.mode)
 
 
-def _analytic_covelocity_partials(m, labels, t):
-    """d(covelocity_j)/dlab_k from registered exact derivatives, or None.
-
-    Needs both velocity label-partials G and map second partials H:
-    d(alpha_j)/dlab_k = sum_i [G_ik F_ij + u_i H_ijk].
-    """
-    F = m.label_partials(labels, t)
-    G = m.velocity_label_partials(labels, t)
-    H = m.second_label_partials(labels, t)
-    if F is None or G is None or H is None:
-        return None
-    u = m.velocities(labels, t)
-    return np.einsum("...ik,...ij->...jk", G, F) + np.einsum("...i,...ijk->...jk", u, H)
-
-
 def cauchy_invariants(m, t, spec=StencilSpec(), mode="auto"):
     """(A, B, C): half the label-space curl of the covelocity.
 
-    With full analytic derivatives registered on the map the curl is exact
-    (no grid truncation); otherwise the covelocity is differentiated over the
-    label grid with the given stencil.
+    With the map's label partials F and velocity partials G registered the
+    curl is exact (no grid truncation): half the antisymmetric part of
+    D_jk = sum_i F_ij G_ik, Cauchy's first-derivative form. The covelocity's
+    label derivative also carries u_i d2x_i/(dlab_j dlab_k), which is
+    symmetric in (j, k) and cancels in the curl, so neither second partials
+    nor velocities are evaluated. Otherwise the covelocity is differentiated
+    over the label grid with the given stencil.
     """
     if mode in ("auto", "analytic"):
-        D = _analytic_covelocity_partials(m, m.grid_labels(), t)
-        if D is not None:
-            w = 0.5 * np.stack(
-                [D[..., 2, 1] - D[..., 1, 2],
-                 D[..., 0, 2] - D[..., 2, 0],
-                 D[..., 1, 0] - D[..., 0, 1]], axis=-1,
-            )
+        labels = m.grid_labels()
+        F = m.label_partials(labels, t)
+        G = m.velocity_label_partials(labels, t)
+        if F is not None and G is not None:
+            w = _half_curl(np.einsum("...ik,...ij->...jk", G, F))
             return VorticityField(m.grid, float(t), w, frame="label", mode="analytic")
         if mode == "analytic":
             raise ValueError("map lacks the derivative callables for analytic invariants")

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import _diff_along_axis0
+from .grids import _diff_along_axis0, _half_curl
 from .quadrature import axis_weights, path_integral
 from .flowmap import deformation_at, velocity_gradient_at, inv3
 
@@ -211,12 +211,7 @@ def spatial_half_vorticity_at(m, labels, t):
     """
     F = deformation_at(m, labels, t)
     G = velocity_gradient_at(m, labels, t)
-    L = np.einsum("...ik,...kj->...ij", G, inv3(F))
-    return 0.5 * np.stack(
-        [L[..., 2, 1] - L[..., 1, 2],
-         L[..., 0, 2] - L[..., 2, 0],
-         L[..., 1, 0] - L[..., 0, 1]], axis=-1,
-    )
+    return _half_curl(np.einsum("...ik,...kj->...ij", G, inv3(F)))
 
 
 def vorticity_flux(m, surf, t):

@@ -40,7 +40,7 @@ import numpy as np
 
 from .grids import (ACCELERATION_STEP, POTENTIAL_STENCIL_H, StencilSpec, _time_difference, gradient,
                     point_jacobian, summarize_residual)
-from .flowmap import det3
+from .flowmap import det3, inv3
 
 __all__ = [
     "Chart",
@@ -140,7 +140,7 @@ def _trajectory_chart_rates(m, chart, t):
     rho = np.asarray(chart.forward(pos), dtype=float)
     chart.check_domain(rho)
     P = chart.partials_at(rho)
-    rates = np.einsum("...ij,...j->...i", np.linalg.inv(P), vel)
+    rates = np.einsum("...ij,...j->...i", inv3(P), vel)
     return rho, rates, np.einsum("...ij,...ij->...j", P, P)
 
 
@@ -199,7 +199,7 @@ def _chart_jacobian(rho, rho0, spec, grid):
     for d in (drho_dlab, drho0_dlab):
         d[..., :, grid.ndim:] = 0.0
         d[..., 2, grid.ndim:] = 1.0
-    return np.einsum("...ik,...kj->...ij", drho_dlab, np.linalg.inv(drho0_dlab))
+    return np.einsum("...ik,...kj->...ij", drho_dlab, inv3(drho0_dlab))
 
 
 def curvilinear_lagrangian_eom_residual(m, chart, omega_fn, t, spec=StencilSpec(),

@@ -87,9 +87,6 @@ class FlowMap:
     def velocity_label_partials(self, labels, t):
         return None
 
-    def second_label_partials(self, labels, t):
-        return None
-
     def reference_density_at(self, labels):
         rho0 = getattr(self, "reference_density", 1.0)
         if callable(rho0):
@@ -115,20 +112,20 @@ class AnalyticFlowMap(FlowMap):
     Optional exact derivative callables:
       partials(labels, t)          -> (..., 3, 3)    F[i, j] = dx_i/dlab_j
       velocity_partials(labels, t) -> (..., 3, 3)    G[i, j] = du_i/dlab_j
-      second_partials(labels, t)   -> (..., 3, 3, 3) H[i, j, k] = d2x_i/(dlab_j dlab_k)
+    F and G are all the exact Cauchy invariants need: the covelocity's
+    second-partial term u_i d2x_i/(dlab_j dlab_k) is symmetric in (j, k)
+    and cancels in its curl (``cauchy.cauchy_invariants``).
     """
 
     def __init__(self, grid, position, velocity, acceleration=None,
-                 partials=None, velocity_partials=None, second_partials=None,
-                 convention="identity", reference_density=1.0, name="analytic",
-                 timescale=1.0):
+                 partials=None, velocity_partials=None, convention="identity",
+                 reference_density=1.0, name="analytic", timescale=1.0):
         self.grid = grid
         self._position = position
         self._velocity = velocity
         self._acceleration = acceleration
         self._partials = partials
         self._velocity_partials = velocity_partials
-        self._second_partials = second_partials
         self.convention = convention
         self.reference_density = reference_density
         self.name = name
@@ -159,11 +156,6 @@ class AnalyticFlowMap(FlowMap):
         if self._velocity_partials is None:
             return None
         return np.asarray(self._velocity_partials(_labels3(labels), float(t)), dtype=float)
-
-    def second_label_partials(self, labels, t):
-        if self._second_partials is None:
-            return None
-        return np.asarray(self._second_partials(_labels3(labels), float(t)), dtype=float)
 
 
 # RK4 steps S between checkpoints of a sampled map's grid-label states. An

@@ -132,7 +132,6 @@ class CatalogEntry:
 
     name: str
     params: dict
-    dimensionality: int
     map: object
     force: ForcePotential
     properties: dict = dc_field(default_factory=dict)
@@ -141,6 +140,10 @@ class CatalogEntry:
     clebsch: ClebschTriple = None
     bernoulli: object = None
     material_scalars: ClebschTriple = None
+
+    @property
+    def dimensionality(self):  # the label axes of the map's grid
+        return self.map.grid.ndim
 
     def describe(self):
         lines = [f"{self.name} ({self.dimensionality}D embedded in 3D)"]
@@ -184,11 +187,11 @@ def _affine_entry(name, params, grid, M, L, props, U=(0.0, 0.0, 0.0), timescale=
 
     ``M`` is a callable t -> 3x3 matrix; ``L`` and ``U`` are constant. The
     velocity is the field at the positions, the acceleration L^2 x, the
-    label partials M(t), the velocity partials L M(t); second partials are
-    zero. With no force potential and unit density the momentum balance
-    gives the pressure gradient -L^2 x and the pressure -x . L^2 x / 2 (L^2
-    is symmetric for every affine entry). ``entry_data`` are the entry's
-    Clebsch and Bernoulli fields.
+    label partials M(t) and the velocity partials L M(t). With no force
+    potential and unit density the momentum balance gives the pressure
+    gradient -L^2 x and the pressure -x . L^2 x / 2 (L^2 is symmetric for
+    every affine entry). ``entry_data`` are the entry's Clebsch and
+    Bernoulli fields.
     """
     def pos(lab, t):
         return _affine(M(t), lab, [u * t for u in U])
@@ -205,11 +208,10 @@ def _affine_entry(name, params, grid, M, L, props, U=(0.0, 0.0, 0.0), timescale=
     m = AnalyticFlowMap(
         grid, pos, lambda lab, t: field(pos(lab, t), t), lambda lab, t: _affine(L2, pos(lab, t)),
         lambda lab, t: tile(M(t), lab), lambda lab, t: tile(_product(L, M(t)), lab),
-        lambda lab, t: np.zeros(lab.shape[:-1] + (3, 3, 3)),
         name=map_name or f"{name}({', '.join(f'{k}={v}' for k, v in params.items())})",
         timescale=timescale,
     )
-    return CatalogEntry(name, params, 2, m, force, props, velocity_field=field, **entry_data)
+    return CatalogEntry(name, params, m, force, props, velocity_field=field, **entry_data)
 
 
 def _param(flow, name, value, positive=False):
@@ -352,22 +354,11 @@ def _gerstner(grid, k=1.0, g=1.0):
         G[..., 1, 1] = cw * kk * E * np.sin(th)
         return G
 
-    def second_partials(lab, t):
-        E, th = _EB(lab, t)
-        H = np.zeros(lab.shape[:-1] + (3, 3, 3))
-        H[..., 0, 0, 0] = kk * E * np.sin(th)
-        H[..., 0, 0, 1] = H[..., 0, 1, 0] = -kk * E * np.cos(th)
-        H[..., 0, 1, 1] = -kk * E * np.sin(th)
-        H[..., 1, 0, 0] = -kk * E * np.cos(th)
-        H[..., 1, 0, 1] = H[..., 1, 1, 0] = -kk * E * np.sin(th)
-        H[..., 1, 1, 1] = kk * E * np.cos(th)
-        return H
-
     def rho0(lab):
         return 1.0 - np.exp(2 * kk * lab[..., 1])
 
     m = AnalyticFlowMap(
-        grid, pos, vel, acc, partials, vel_partials, second_partials,
+        grid, pos, vel, acc, partials, vel_partials,
         convention="generalized", reference_density=rho0,
         name=f"gerstner(k={kk})", timescale=2 * np.pi / (kk * cw),
     )
@@ -390,7 +381,7 @@ def _gerstner(grid, k=1.0, g=1.0):
         "dispersion": f"c^2 = g/k -> c = {cw:.6g}",
         "label_half_vorticity": "third component c*k*e^(2kb), constant in time",
     }
-    return CatalogEntry("gerstner", {"k": kk, "g": gg}, 2, m, force, props)
+    return CatalogEntry("gerstner", {"k": kk, "g": gg}, m, force, props)
 
 
 POINT_VORTEX_CORE_RADIUS = 0.1
@@ -452,7 +443,7 @@ def _point_vortex(grid, gamma=2 * np.pi, times=None, dt=None):
         near_core = x[..., 0] ** 2 + x[..., 1] ** 2 < 0.25 ** 2
         return near_cut | near_core
 
-    return CatalogEntry("point_vortex", {"gamma": G}, 2, m, force, props,
+    return CatalogEntry("point_vortex", {"gamma": G}, m, force, props,
                         velocity_field=field,
                         clebsch=ClebschTriple(F=potential, cut_mask=cut),
                         bernoulli=bernoulli)
@@ -485,7 +476,7 @@ def _taylor_green(grid, times=None, dt=None):
         "field": "steady cellular field (cos x sin y, -sin x cos y, 0)",
         "pressure": "-rho (cos 2x + cos 2y)/4",
     }
-    return CatalogEntry("taylor_green", {}, 2, m, force, props, velocity_field=field)
+    return CatalogEntry("taylor_green", {}, m, force, props, velocity_field=field)
 
 
 def _gerstner_hi(k=1.0, **_):

@@ -232,8 +232,18 @@ def _diff_along_axis0(f, h, order, wrap):
     return out
 
 
-def _finite_field(f):
+def _on_grid(f, grid):
+    """f as a float array whose leading axes are ``grid.shape``; else a
+    ValueError naming both shapes."""
     f = np.asarray(f, dtype=float)
+    if f.shape[:grid.ndim] != grid.shape:
+        raise ValueError(f"array of shape {f.shape} is not sampled on a grid of shape "
+                         f"{grid.shape}")
+    return f
+
+
+def _finite_field(f, grid):
+    f = _on_grid(f, grid)
     if not np.all(np.isfinite(f)):
         raise ValueError("non-finite values in field")
     return f
@@ -247,7 +257,7 @@ def differentiate(f, axis, spec=StencilSpec(), *, grid):
     """
     if not 0 <= axis < grid.ndim:
         raise ValueError(f"axis {axis} invalid for a {grid.ndim}-axis grid")
-    f = _finite_field(f)
+    f = _finite_field(f, grid)
     moved = np.moveaxis(f, axis, 0)
     return np.moveaxis(
         _diff_along_axis0(moved, grid.spacing[axis], spec.order, grid.periodic[axis]), 0, axis)
@@ -263,7 +273,7 @@ def gradient(f, spec=StencilSpec(), *, grid):
     has 3 entries. Each axis's derivative is written straight into its slot
     of the result.
     """
-    f = _finite_field(f)
+    f = _finite_field(f, grid)
     out = np.zeros(f.shape + (3,))
     for k in range(grid.ndim):
         _diff_into(np.moveaxis(out[..., k], k, 0), np.moveaxis(f, k, 0), grid.spacing[k],
@@ -289,6 +299,16 @@ def curl(vec, spec=StencilSpec(), *, grid):
 
     return np.stack(
         [d(2, 1) - d(1, 2), d(0, 2) - d(2, 0), d(1, 0) - d(0, 1)], axis=-1
+    )
+
+
+def _half_curl(J):
+    """Half the curl read off a Jacobian ``J[..., i, k] = d f_i / d x_k``:
+    its antisymmetric part as a (..., 3) vector."""
+    return 0.5 * np.stack(
+        [J[..., 2, 1] - J[..., 1, 2],
+         J[..., 0, 2] - J[..., 2, 0],
+         J[..., 1, 0] - J[..., 0, 1]], axis=-1,
     )
 
 
@@ -346,7 +366,7 @@ def summarize_residual(values, grid, rind=0, mask=None):
 
     mask: optional boolean array marking nodes to include (before rind).
     """
-    mag = np.abs(np.asarray(values, dtype=float))
+    mag = np.abs(_on_grid(values, grid))
     if mag.ndim > grid.ndim:  # vector residual: take per-node max magnitude
         mag = mag.reshape(grid.shape + (-1,)).max(axis=-1)
     include = np.ones(grid.shape, dtype=bool) if mask is None else np.array(mask, dtype=bool)

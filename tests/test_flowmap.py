@@ -1,6 +1,7 @@
 """Flow-map calculus: deformation gradients, density equations, cofactor
 relations, the volume-integral transform and map inversion."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -319,6 +320,23 @@ class TestCofactorIdentity:
 
         monkeypatch.setattr(np.linalg, "inv", refuse)
         assert cofactor_identity_residual(e.map, 1.0, mode="fd").linf <= 1e-15
+
+    def test_no_lapack_inverse_in_the_library(self):
+        # inv3 is the library's one 3x3 inverse, with the singular-map guard;
+        # this catches `<module>.linalg.inv` and `from numpy.linalg import inv`
+        def inverse_lines(path):
+            lines = []
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (isinstance(node, ast.Attribute) and node.attr == "inv"
+                        and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"
+                        or isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg"
+                        and any(alias.name == "inv" for alias in node.names)):
+                    lines.append(node.lineno)
+            return lines
+
+        src = Path(__file__).resolve().parents[1] / "src" / "flowmaplab"
+        offenders = [f"{f.name}:{n}" for f in sorted(src.glob("*.py")) for n in inverse_lines(f)]
+        assert offenders == []
 
     def test_singular_map_raises(self):
         def collapse(lab, t):

@@ -14,7 +14,7 @@ from flowmaplab.flowmap import CHECKPOINT_STRIDE, SampledFlowMap
 from flowmaplab.flows import ParticleEscapeError, default_grid, rk4_advect
 from flowmaplab.suite import run_suite
 from flowmaplab.dynamics import eulerian_eom_residual
-from flowmaplab.grids import POINT_STENCIL_H, Field, point_jacobian
+from flowmaplab.grids import POINT_STENCIL_H, Field, StencilSpec, gradient, point_jacobian
 
 
 def test_catalog_names_complete():
@@ -570,7 +570,24 @@ def test_analytic_velocities_are_the_velocity_field_at_the_positions(name):
         assert np.array_equal(e.map.accelerations(lab, t), acc), t
         assert np.array_equal(e.map.label_partials(lab, t), F), t
         assert np.array_equal(e.map.velocity_label_partials(lab, t), G), t
-        assert np.array_equal(e.map.second_label_partials(lab, t), np.zeros(lab.shape + (3, 3))), t
+
+
+@pytest.mark.parametrize("name", sorted(["gerstner", *ANALYTIC_PARAMS]))
+def test_velocity_partials_match_grid_differences(name):
+    # G is, with F, the only input of the exact Cauchy invariants, and no
+    # construction gate reads it. Grid differences of the velocities converge
+    # to it at order 2; the affine entries' velocities are linear in the
+    # labels, so there the differences are exact up to round-off.
+    params = ANALYTIC_PARAMS.get(name, {})
+    errs, hs = [], []
+    for n in (32, 64):
+        e = catalog_flow(name, grid=default_grid(name, (n, n), **params), **params)
+        lab, t = e.map.grid_labels(), 0.3 * e.map.timescale
+        diff = gradient(e.map.velocities(lab, t), StencilSpec(order=2), grid=e.map.grid)
+        errs.append(np.max(np.abs(diff - e.map.velocity_label_partials(lab, t))))
+        hs.append(max(e.map.grid.spacing))
+    if errs[1] > 1e-12:
+        assert np.log(errs[0] / errs[1]) / np.log(hs[0] / hs[1]) >= 1.8, errs
 
 
 def hand_written_pressure_grad(name, params, x):

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowmaplab import Field, LabelGrid, StencilSpec, differentiate, gradient, point_jacobian
+from flowmaplab import (Field, LabelGrid, StencilSpec, curl, differentiate, divergence, gradient,
+                        point_jacobian)
 from flowmaplab.grids import summarize_residual
 
 
@@ -150,6 +151,21 @@ class TestDifferentiate:
         vals[3] = np.nan
         with pytest.raises(ValueError):
             differentiate(vals, 0, grid=g)
+
+    @pytest.mark.parametrize("op, components", [
+        (lambda f, g: differentiate(f, 0, grid=g), ()),
+        (lambda f, g: gradient(f, grid=g), ()),
+        (lambda f, g: divergence(f, grid=g), (3,)),
+        (lambda f, g: curl(f, grid=g), (3,)),
+        (lambda f, g: summarize_residual(f, g), ()),
+    ], ids=["differentiate", "gradient", "divergence", "curl", "summarize_residual"])
+    def test_rejects_array_not_on_grid(self, op, components):
+        # a (5, 10) array is not sampled on a 16x16 grid; differencing it with
+        # the grid's spacing gives numbers that mean nothing
+        g = LabelGrid((16, 16), (0.0, 0.0), (0.1, 0.1))
+        with pytest.raises(ValueError, match=r"shape \(5, 10.*\) is not sampled on a grid of "
+                                             r"shape \(16, 16\)"):
+            op(np.zeros((5, 10) + components), g)
 
     def test_rejects_bad_axis(self):
         g = line_grid(8)

@@ -162,24 +162,30 @@ class TestConfig:
 
     # spellings of one computation (gerstner, cauchy.invariant_drift, 16²):
     # the keys written, and the keys of the spelling it must load and hash
-    # like; "seed" and "threads" are accepted and dropped, as nothing reads them
+    # like; "seed" and "threads" are accepted and dropped, as nothing reads them,
+    # and "out" says where the report goes, which is no part of the computation
     @pytest.mark.parametrize("written, effective", [
         ({"rind": 1}, {}), ({"stencil_order": 2}, {}), ({"stencil_order": 2.0}, {}),
         ({"time_fractions": [0, 0.125, 0.25]}, {}), ({"seed": 0}, {}), ({"threads": 1}, {}),
         ({"grids": [[16.0, 16.0]]}, {}), ({"stencil_order": 4.0}, {"stencil_order": 4}),
+        ({"out": {"report": "a.json"}}, {}),
+        ({"out": {"report": "a.json"}}, {"out": {"report": "b.json", "rows": "b.csv"}}),
     ], ids=["rind", "stencil_order", "stencil_order_float", "time_fractions", "seed", "threads",
-            "grids_float", "stencil_order_4_float"])
+            "grids_float", "stencil_order_4_float", "out", "out_paths"])
     def test_spellings_of_one_computation_hash_alike(self, written, effective, tmp_path):
         base = {"flows": [{"name": "gerstner"}], "grids": [[16, 16]],
                 "checks": [{"id": "cauchy.invariant_drift", "tolerance": 1.0}]}
         written, effective = dict(base, **written), dict(base, **effective)
         loaded = load_config(written)
-        assert loaded == load_config(effective) and not {"seed", "threads"} & loaded.keys()
+        assert loaded.get("out") == written.get("out")  # kept for `run` to write to
+        computation = {k: v for k, v in loaded.items() if k != "out"}
+        assert computation == {k: v for k, v in load_config(effective).items() if k != "out"}
+        assert not {"seed", "threads"} & loaded.keys()
         paths = []
         for name, cfg in (("a", written), ("b", effective)):
             report, code = run_suite(cfg)
-            # the report's config block is the effective config
-            assert code == 0 and report.config == loaded
+            # the report's config block is the effective config without "out"
+            assert code == 0 and report.config == computation
             paths.append(tmp_path / f"{name}.json")
             report.to_json(paths[-1])
         same, text = report_diff(*paths)
@@ -501,6 +507,20 @@ class TestCLI:
         assert proc.returncode == 1
         assert "failing row" in proc.stderr and "gerstner" in proc.stderr
         assert (tmp_path / "rep2.json").exists()  # report written on failure
+
+    def test_run_writes_out_paths_and_out_flag_overrides(self, tmp_path):
+        cfg = dict(SUITE, grids=[[16, 16]], flows=SUITE["flows"][:1])
+        p, q = tmp_path / "p.json", tmp_path / "q.json"
+        p.write_text(json.dumps(dict(cfg, out={"report": str(tmp_path / "a.json"),
+                                               "rows": str(tmp_path / "a.csv")})))
+        q.write_text(json.dumps(dict(cfg, out={"report": str(tmp_path / "b.json")})))
+        assert run_cli("run", str(p)).returncode == 0
+        assert (tmp_path / "a.json").exists() and (tmp_path / "a.csv").exists()
+        assert run_cli("run", str(q), "--out", str(tmp_path / "c.json")).returncode == 0
+        assert (tmp_path / "c.json").exists() and not (tmp_path / "b.json").exists()
+        # one computation written to two places hashes alike
+        proc = run_cli("report", "diff", str(tmp_path / "a.json"), str(tmp_path / "c.json"))
+        assert proc.returncode == 0 and "identical" in proc.stdout
 
     def test_run_invalid_config_exit_two(self, tmp_path):
         p = tmp_path / "bad.json"
