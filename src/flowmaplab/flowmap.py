@@ -488,24 +488,28 @@ def cofactor_identity_residual(m, t, spec=StencilSpec(), mode="auto", rind=0):
     residual loop reaches it. The identity is exact linear algebra, so the
     residual is machine-level whenever the gradient itself is.
     |J * inverse - adjugate| is written into the inverse's planes and
-    reduced to its per-node maximum plane by plane.
+    reduced to its per-node maximum plane by plane. Both sides run on BLOCK
+    nodes at a time, each block reducing into its part of one ``worst``
+    plane, so no whole-grid copy of F is made.
     """
-    F = deformation_gradient(m, t, spec, mode).values
-    J = det3(F)
-    if np.any(np.abs(J) <= SINGULAR_J_TOL):
-        raise SingularMapError("singular deformation gradient in cofactor identity")
-    A = np.moveaxis(F, (-2, -1), (0, 1)).copy()  # F[..., i, j] as contiguous A[i, j]
-    B = _inverse_planes(A)
-    del A  # spent by the elimination
-    cof, tmp = np.empty(J.shape), np.empty(J.shape)
-    worst = np.zeros(J.shape)
-    for i, row in enumerate(B):
-        for j, res in enumerate(row):
-            res *= J
-            res -= _adjugate_entry(F, i, j, cof, tmp)
-            np.abs(res, out=res)
-            np.maximum(worst, res, out=worst)
-    return summarize_residual(worst, m.grid, rind=rind)
+    F = deformation_gradient(m, t, spec, mode).values.reshape(-1, 3, 3)
+    worst = np.zeros(len(F))
+    for b in range(0, len(F), BLOCK):
+        Fb, worst_b = F[b:b + BLOCK], worst[b:b + BLOCK]
+        J = det3(Fb)
+        if np.any(np.abs(J) <= SINGULAR_J_TOL):
+            raise SingularMapError("singular deformation gradient in cofactor identity")
+        A = np.moveaxis(Fb, (-2, -1), (0, 1)).copy()  # Fb[:, i, j] as contiguous A[i, j]
+        B = _inverse_planes(A)
+        del A  # spent by the elimination
+        cof, tmp = np.empty(J.shape), np.empty(J.shape)
+        for i, row in enumerate(B):
+            for j, res in enumerate(row):
+                res *= J
+                res -= _adjugate_entry(Fb, i, j, cof, tmp)
+                np.abs(res, out=res)
+                np.maximum(worst_b, res, out=worst_b)
+    return summarize_residual(worst.reshape(m.grid.shape), m.grid, rind=rind)
 
 
 def density_residual(m, t, mode="lagrangian", spec=StencilSpec(), gradient_mode="auto",

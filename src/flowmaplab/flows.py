@@ -315,47 +315,83 @@ def _gerstner(grid, k=1.0, g=1.0):
             "Gerstner grid reaches e^(2kb) >= 1: degenerate (self-intersecting) map"
         )
 
-    def _EB(lab, t):
+    def _Esc(lab, t):
+        # E = e^(kb), and sin and cos of th = k (a - c t), each taken once
         E = np.exp(kk * lab[..., 1])
-        th = kk * (lab[..., 0] - cw * t)
-        return E, th
+        th = np.asarray(kk * (lab[..., 0] - cw * t))
+        return E, np.sin(th), np.cos(th, out=th)
 
+    # each closed form writes its components into their slots of one result
     def pos(lab, t):
-        E, th = _EB(lab, t)
-        return np.stack(
-            [lab[..., 0] - E / kk * np.sin(th), lab[..., 1] + E / kk * np.cos(th), lab[..., 2]],
-            axis=-1,
-        )
+        E, s, c = _Esc(lab, t)
+        out = np.empty(lab.shape[:-1] + (3,))
+        x, y = out[..., 0], out[..., 1]
+        E /= kk  # (a - E / k sin(th), b + E / k cos(th), c)
+        np.subtract(lab[..., 0], np.multiply(E, s, out=x), out=x)
+        np.multiply(E, c, out=y)
+        y += lab[..., 1]
+        out[..., 2] = lab[..., 2]
+        return out
 
     def vel(lab, t):
-        E, th = _EB(lab, t)
-        return np.stack([cw * E * np.cos(th), cw * E * np.sin(th), np.zeros_like(E)], axis=-1)
+        E, s, c = _Esc(lab, t)
+        out = np.empty(lab.shape[:-1] + (3,))
+        E *= cw  # c E (cos th, sin th, 0)
+        np.multiply(E, c, out=out[..., 0])
+        np.multiply(E, s, out=out[..., 1])
+        out[..., 2] = 0.0
+        return out
 
     def acc(lab, t):
-        E, th = _EB(lab, t)
-        return np.stack([gg * E * np.sin(th), -gg * E * np.cos(th), np.zeros_like(E)], axis=-1)
+        E, s, c = _Esc(lab, t)
+        out = np.empty(lab.shape[:-1] + (3,))
+        ax, ay = out[..., 0], out[..., 1]
+        np.multiply(gg, E, out=ax)  # g E sin(th)
+        ax *= s
+        np.multiply(-gg, E, out=ay)  # -g E cos(th)
+        ay *= c
+        out[..., 2] = 0.0
+        return out
 
     def partials(lab, t):
-        E, th = _EB(lab, t)
+        E, s, c = _Esc(lab, t)
         F = np.zeros(lab.shape[:-1] + (3, 3))
-        F[..., 0, 0] = 1 - E * np.cos(th)
-        F[..., 0, 1] = -E * np.sin(th)
-        F[..., 1, 0] = -E * np.sin(th)
-        F[..., 1, 1] = 1 + E * np.cos(th)
+        np.multiply(E, c, out=F[..., 1, 1])
+        np.subtract(1, F[..., 1, 1], out=F[..., 0, 0])  # 1 - E cos(th)
+        F[..., 1, 1] += 1  # 1 + E cos(th)
+        np.negative(E, out=F[..., 0, 1])  # -E sin(th)
+        F[..., 0, 1] *= s
+        np.positive(F[..., 0, 1], out=F[..., 1, 0])  # a ufunc: item assignment would copy
         F[..., 2, 2] = 1.0
         return F
 
     def vel_partials(lab, t):
-        E, th = _EB(lab, t)
+        E, s, c = _Esc(lab, t)
         G = np.zeros(lab.shape[:-1] + (3, 3))
-        G[..., 0, 0] = -cw * kk * E * np.sin(th)
-        G[..., 0, 1] = cw * kk * E * np.cos(th)
-        G[..., 1, 0] = cw * kk * E * np.cos(th)
-        G[..., 1, 1] = cw * kk * E * np.sin(th)
+        np.multiply(-cw * kk, E, out=G[..., 0, 0])  # -c k E sin(th)
+        G[..., 0, 0] *= s
+        E *= cw * kk  # c k E (cos th, sin th)
+        np.multiply(E, c, out=G[..., 0, 1])
+        np.positive(G[..., 0, 1], out=G[..., 1, 0])
+        np.multiply(E, s, out=G[..., 1, 1])
         return G
 
     def rho0(lab):
         return 1.0 - np.exp(2 * kk * lab[..., 1])
+
+    def V_grad(x, t):  # (0, -g, 0)
+        out = np.zeros(x.shape[:-1] + (3,))
+        out[..., 1] = -gg
+        return out
+
+    def pressure_grad(lab, t):  # (0, -g + g e^(2kb), 0)
+        out = np.zeros(lab.shape[:-1] + (3,))
+        p = out[..., 1]
+        np.multiply(2 * kk, lab[..., 1], out=p)
+        np.exp(p, out=p)
+        p *= gg
+        p -= gg
+        return out
 
     m = AnalyticFlowMap(
         grid, pos, vel, acc, partials, vel_partials,
@@ -364,17 +400,10 @@ def _gerstner(grid, k=1.0, g=1.0):
     )
     force = ForcePotential(
         V=lambda x, t: -gg * x[..., 1],
-        V_grad=lambda x, t: np.stack(
-            [np.zeros_like(x[..., 0]), -gg * np.ones_like(x[..., 1]), np.zeros_like(x[..., 2])],
-            axis=-1,
-        ),
+        V_grad=V_grad,
         pressure=lambda lab, t: -gg * lab[..., 1] + gg / (2 * kk) * np.exp(2 * kk * lab[..., 1]),
         pressure_frame="label",
-        pressure_grad=lambda lab, t: np.stack(
-            [np.zeros_like(lab[..., 0]),
-             -gg + gg * np.exp(2 * kk * lab[..., 1]),
-             np.zeros_like(lab[..., 2])], axis=-1,
-        ),
+        pressure_grad=pressure_grad,
     )
     props = {
         "jacobian": "1 - e^(2kb), independent of t",

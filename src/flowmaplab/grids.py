@@ -11,7 +11,8 @@ This is the library's only stencil layer: every other module differentiates
 through ``differentiate`` / ``gradient`` / ``divergence`` / ``curl`` on
 grids, ``point_jacobian`` for callables at arbitrary points,
 ``_time_difference`` for callables of time, or the 1-D kernel
-``_diff_along_axis0`` for parameterized curves and surfaces, and takes its
+``_diff_along_axis0`` for parameterized curves and surfaces and for slabs
+of a grid (the Biot-Savart divergence gate), and takes its
 steps for callables from the table next to ``point_jacobian``. Vector
 results use the Jacobian layout ``[..., i, k] = d f_i / d x_k``.
 """

@@ -15,8 +15,9 @@ from flowmaplab import (
     gaussian_swirl_blob,
     velocity_from_vorticity,
 )
+from flowmaplab import biotsavart
 from flowmaplab.biotsavart import BLOCK, COMPACT_TOL, TILE
-from flowmaplab.grids import differentiate
+from flowmaplab.grids import differentiate, divergence
 
 
 def small_blob(n=32):
@@ -75,6 +76,44 @@ class TestSourceConstruction:
         src = VorticitySource.from_callable(fn, g, compact=False, divergence_gate=np.inf)
         assert seen == [(64, 8, 8, 3), (3, 8, 8, 3)]
         assert np.array_equal(src.values, fn(g.nodes3().reshape(g.shape + (3,))))
+
+    # 11 planes of 30 nodes: BLOCK -> the number of slabs. One plane each
+    # (the end slabs' windows keep 3 planes), 2 and 3 planes with a partial
+    # last slab, 5 and 10 planes (a first slab whose halo reaches the far
+    # end), and one slab touching both ends
+    SLABS = [(30, 11), (60, 6), (90, 4), (150, 3), (300, 2), (330, 1)]
+
+    @pytest.mark.parametrize("periodic", [False, True])
+    @pytest.mark.parametrize("block, slabs", SLABS)
+    def test_slab_divergence_gate_is_the_whole_grid_maximum(self, monkeypatch, periodic,
+                                                            block, slabs):
+        # the field is raised tenfold around each plane in turn, so the
+        # maximum sits at every plane of every slab once, ends included
+        g = LabelGrid((11, 6, 5), (-0.3, 0.2, -0.9), (0.05, 0.11, 0.07), (periodic, True, False))
+        base = np.random.default_rng(7).normal(size=g.shape + (3,))
+        monkeypatch.setattr(biotsavart, "BLOCK", block)
+        assert len(biotsavart._plane_slabs(g)) == slabs
+        for plane in range(g.shape[0]):
+            vals = base.copy()
+            vals[plane] *= 10
+            whole = float(np.abs(divergence(vals, StencilSpec(order=2), grid=g)).max())
+            src = VorticitySource(g, vals, compact=False, divergence_gate=np.inf)
+            assert src.divergence_linf == whole, plane
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_values_rejected(self, bad):
+        g = LabelGrid((8, 8, 8), (-1, -1, -1), (2 / 7,) * 3)
+        vals = np.zeros(g.shape + (3,))
+        vals[4, 3, 5, 1] = bad
+        with pytest.raises(ValueError, match="non-finite values in field"):
+            VorticitySource(g, vals)
+
+    def test_blob_divergence_gate_is_the_whole_grid_maximum(self):
+        # 32 planes of 1024 nodes: 8 slabs of 4 planes
+        src, _, _, _ = small_blob(32)
+        assert len(biotsavart._plane_slabs(src.grid)) == 8
+        div = divergence(src.values, StencilSpec(order=2), grid=src.grid)
+        assert src.divergence_linf == float(np.abs(div).max())
 
     def test_from_callable_rejects_values_of_another_shape(self):
         g = LabelGrid((8, 8, 8), (-1, -1, -1), (2 / 7,) * 3)
@@ -230,9 +269,10 @@ class TestTargets:
 
 class TestMemory:
     """tracemalloc rise above the memory at entry on the 64^3 blob: the
-    source is built plane by plane and the direct sum streams its source
-    blocks, so neither holds an (N, 3) array of the 93,840 carrying nodes
-    (2.1 MiB each). One 64^3 component plane is 2 MiB."""
+    source is built and its divergence gated plane by plane, and the direct
+    sum streams its source blocks, so neither holds an (N, 3) array of the
+    93,840 carrying nodes (2.1 MiB each) nor a whole 64^3 component plane
+    (2 MiB)."""
 
     MIB = 2 ** 20
 
@@ -248,18 +288,19 @@ class TestMemory:
             tracemalloc.stop()
 
     def test_blob_build(self):
-        # the 6 MiB of values plus the divergence check's two planes (10.3 MiB)
+        # the 6 MiB of values plus one slab's divergence planes (6.4 MiB)
         rise = self.rise(lambda: gaussian_swirl_blob(n=64))
-        assert rise <= 12 * self.MIB, f"rose {rise / self.MIB:.2f} MiB"
+        assert rise <= 7 * self.MIB, f"rose {rise / self.MIB:.2f} MiB"
 
     def test_kernel_at_512_exterior_targets(self):
-        # the carrying mask's comparisons and the carrying-node indices (1.8 MiB)
+        # the carrying-node indices (0.7 MiB) and one source block's work
+        # buffers (1.77 MiB together); the blocked carrying mask stays below
         src, _, _, _ = gaussian_swirl_blob(n=64)
         v = np.random.default_rng(1).normal(size=(512, 3))
         radius = np.random.default_rng(2).uniform(1.15, 1.6, 512)
         targets = radius[:, None] * v / np.linalg.norm(v, axis=1)[:, None]
         rise = self.rise(lambda: velocity_from_vorticity(src, targets))
-        assert rise <= 4 * self.MIB, f"rose {rise / self.MIB:.2f} MiB"
+        assert rise <= 2 * self.MIB, f"rose {rise / self.MIB:.2f} MiB"
 
 
 def one_node_source(index, w, h=0.5):
@@ -360,6 +401,29 @@ class TestKernelBlocks:
         u = velocity_from_vorticity(src, targets)
         want = direct_sum(src, targets)
         assert np.abs(u - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_blocked_carrying_mask_is_the_whole_array_mask(self, monkeypatch):
+        # blocks of 100 rows, the last one partial; rows of zeros, and rows
+        # at the tolerance and one float above it, of both signs
+        rng = np.random.default_rng(11)
+        g = LabelGrid((12, 10, 9), (-0.55, -0.45, -0.4), (0.1,) * 3)
+        vals = rng.uniform(-1e-3, 1e-3, g.shape + (3,))
+        vals[rng.random(g.shape) < 0.3] = 0.0
+        w = vals.reshape(-1, 3)
+        above = np.nextafter(COMPACT_TOL, 1)
+        w[[7, 257, 507, 757]] = 0.0
+        w[7, 0], w[257, 2], w[507, 1], w[757, 1] = -COMPACT_TOL, COMPACT_TOL, above, -above
+        src = VorticitySource(g, vals, compact=False, divergence_gate=np.inf)
+        whole = np.flatnonzero(((w > COMPACT_TOL) | (w < -COMPACT_TOL)).any(axis=1))
+        assert not np.isin([7, 257], whole).any() and np.isin([507, 757], whole).all()
+        monkeypatch.setattr(biotsavart, "BLOCK", 100)
+        assert len(w) > 100 and len(w) % 100
+        assert np.array_equal(biotsavart._carrying_nodes(src.values.reshape(-1, 3)), whole)
+        v = rng.normal(size=(20, 3))
+        targets = 2.0 * v / np.linalg.norm(v, axis=1)[:, None]
+        u = velocity_from_vorticity(src, targets)
+        monkeypatch.setattr(biotsavart, "_carrying_nodes", lambda _: whole)
+        assert np.array_equal(velocity_from_vorticity(src, targets), u)
 
     def test_one_node_source_fills_tall_tiles(self):
         # one carrying node: tiles of TILE * BLOCK targets, so 1e5 targets cost
