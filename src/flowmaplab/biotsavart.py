@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import BLOCK, LabelGrid, _diff_along_axis0
+from .grids import BLOCK, LabelGrid, _diff_along_axis0, _plane_slabs, _slab_axis0_diff
 
 __all__ = [
     "VorticitySource",
@@ -106,44 +106,27 @@ class VorticitySource:
         slabs of whole axis-0 planes, as many as fit in ``BLOCK`` nodes."""
         vals = np.empty(grid.shape + (3,))
         for i0, i1 in _plane_slabs(grid):
-            part = np.asarray(fn(grid._node_planes(i0, i1)), dtype=float)
+            part = np.asarray(fn(grid._node_planes(slice(i0, i1))), dtype=float)
             if part.shape != vals[i0:i1].shape:
                 raise ValueError("vorticity values must be grid.shape + (3,)")
             vals[i0:i1] = part
         return cls(grid, vals, **kw)
 
 
-def _plane_slabs(grid):
-    """Ranges (i0, i1) of whole axis-0 planes covering the grid, as many
-    planes as fit in ``BLOCK`` nodes and at least one."""
-    n = grid.shape[0]
-    step = max(1, BLOCK // (grid.node_count // n))
-    return [(i0, min(i0 + step, n)) for i0 in range(0, n, step)]
-
-
 def _divergence_linf(vals, grid):
     """max |div vals| over the grid (order-2 stencil), without a whole-grid plane.
 
-    Per slab of ``_plane_slabs``, the axis-0 derivative of the first
-    component is taken over the slab's planes plus a 1-plane halo, the
-    planes its central rows read;
-    the halo wraps on a periodic axis 0 (a small copy) and is clipped at the
-    ends of another, where the window keeps the 3 planes the one-sided end
-    rows read. The other two derivatives need no halo. Each goes through
+    Per slab of ``grids._plane_slabs``, the axis-0 derivative of the first
+    component is taken by ``grids._slab_axis0_diff`` over the slab plus a
+    1-plane halo; the other two derivatives need no halo. Each goes through
     ``_diff_along_axis0`` as in ``differentiate``, and they are summed in
     ``divergence``'s order, so each node's value is the whole-grid one bit
     for bit. Differencing all three components over a 2-plane halo instead
     cost 5x the whole-grid work on the 64^3 blob's one-plane slabs.
     """
-    n, worst = grid.shape[0], 0.0
+    worst = 0.0
     for i0, i1 in _plane_slabs(grid):
-        if grid.periodic[0]:
-            lo = i0 - 1
-            window = np.take(vals[..., 0], np.arange(lo, i1 + 1), axis=0, mode="wrap")
-        else:
-            lo = max(0, min(i0 - 1, n - 3))
-            window = vals[lo:min(n, max(i1 + 1, 3)), ..., 0]
-        div = _diff_along_axis0(window, grid.spacing[0], 2, False)[i0 - lo:i1 - lo]
+        _, div = _slab_axis0_diff(lambda rows: vals[rows, ..., 0], grid, i0, i1)
         for k in (1, 2):
             moved = np.moveaxis(vals[i0:i1, ..., k], k, 0)
             div += np.moveaxis(_diff_along_axis0(moved, grid.spacing[k], 2, grid.periodic[k]), 0, k)

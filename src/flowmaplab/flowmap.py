@@ -21,7 +21,8 @@ from functools import cached_property
 import numpy as np
 
 from .grids import (ACCELERATION_STEP, BLOCK, POINT_STENCIL_H, Field, LabelGrid, StencilSpec,
-                    _time_difference, differentiate, gradient, point_jacobian, summarize_residual)
+                    _plane_slabs, _slab_gradient, _time_difference, differentiate, gradient,
+                    point_jacobian, summarize_residual)
 from .quadrature import grid_integral
 
 __all__ = [
@@ -97,18 +98,35 @@ class FlowMap:
         return self.grid.nodes3().reshape(self.grid.shape + (3,))
 
     def check_identity_at_zero(self):
-        labels = self.grid_labels()
-        err = np.max(np.abs(self.positions(labels, 0.0) - labels))
+        """max |x(a, 0) - a| over the grid, taken on the slabs of
+        ``_pointwise_slabs``; a value above 1e-12 raises."""
+        err = 0.0
+        for i0, i1 in _pointwise_slabs(self):
+            labels = self.grid._node_planes(slice(i0, i1))
+            err = np.maximum(err, np.max(np.abs(self.positions(labels, 0.0) - labels)))
         if err > 1e-12:
             raise ValueError(
                 f"map declared identity-at-zero but |x(a,0)-a| reaches {err:.3e}"
             )
+        return float(err)
+
+
+def _pointwise_slabs(m):
+    """Slabs (i0, i1) of whole axis-0 planes on which the grid checks call a
+    map's pointwise callables: ``grids._plane_slabs`` for a closed-form map,
+    the whole grid for a sampled one, whose table and checkpoint lattice
+    answer only the whole grid-label array (a slab would march from t=0)."""
+    if isinstance(m, SampledFlowMap):
+        return [(0, m.grid.shape[0])]
+    return _plane_slabs(m.grid)
 
 
 class AnalyticFlowMap(FlowMap):
     """Closed-form flow map.
 
     position/velocity/acceleration are callables (labels, t) -> (..., 3).
+    Every callable must be pointwise: the grid checks evaluate them on
+    slabs of the grid's axis-0 planes (``_pointwise_slabs``).
     Optional exact derivative callables:
       partials(labels, t)          -> (..., 3, 3)    F[i, j] = dx_i/dlab_j
       velocity_partials(labels, t) -> (..., 3, 3)    G[i, j] = du_i/dlab_j
@@ -370,17 +388,24 @@ def inv3(m):
     return adj
 
 
+def _displacement(m, labels, t):
+    """x(labels, t) - labels, written into the labels' buffer."""
+    return np.subtract(m.positions(labels, t), labels, out=labels)
+
+
 def _fd_partials_on_grid(m, t, spec):
     """F = I + d(displacement)/dlab on the map's grid.
 
     Differentiating x - a instead of x keeps periodic wrapping valid for maps
     whose displacement (not position) is periodic in the labels.
     """
-    labels = m.grid_labels()
-    disp = np.subtract(m.positions(labels, t), labels, out=labels)  # in the labels' buffer
-    F = gradient(disp, spec, grid=m.grid)
+    F = gradient(_displacement(m, m.grid_labels(), t), spec, grid=m.grid)
     F += np.eye(3)
     return F
+
+
+def _gradient_key(t, spec, mode):
+    return float(t), spec.order, mode
 
 
 def deformation_gradient(m, t, spec=StencilSpec(), mode="auto"):
@@ -394,7 +419,7 @@ def deformation_gradient(m, t, spec=StencilSpec(), mode="auto"):
     one build; its ``values`` are read-only. A call with another key drops
     the kept gradient before building its own, so at most one is held.
     """
-    key = (float(t), spec.order, mode)
+    key = _gradient_key(t, spec, mode)
     if m._gradient is not None and m._gradient[0] == key:
         return m._gradient[1]
     m._gradient = None
@@ -536,7 +561,9 @@ def density_residual(m, t, mode="lagrangian", spec=StencilSpec(), gradient_mode=
         raise ValueError("mode must be 'lagrangian' or 'eulerian'")
     pos = m.positions(m.grid_labels(), t)
     sgrid = _inscribed_grid(m, pos)
-    if not _grid_in_hull(pos.reshape(-1, 3)[:, :2], sgrid):
+    inside = _grid_in_hull(pos.reshape(-1, 3)[:, :2], sgrid)
+    del pos  # the advected grid is not needed past the domain tests
+    if not inside:
         raise ValueError("spatial grid exits the mapped domain")
     lab = invert_map(m, sgrid.nodes3().reshape(sgrid.shape + (3,)), t)
     vel = m.velocities(lab, t)
@@ -566,28 +593,34 @@ def invert_map(m, points, t):
     along the way). A sampled map starts Newton from one backward RK4 march
     of the points from t to 0, which lands within the integration error of
     the answer, so one or two iterations polish it; other maps start from
-    the points themselves. Each update inverts F for BLOCK points at a time.
+    the points themselves. The residual is formed in one buffer kept across
+    iterations, BLOCK points at a time for a closed-form map, and each
+    update inverts F for BLOCK points at a time and adds into the iterate.
     A non-finite point raises a ValueError naming it; a final residual
     above 1e-8, or not finite, raises as a stall.
     """
     pts = np.asarray(points, dtype=float)
     if not np.isfinite(pts).all():
         raise ValueError(f"point {pts[~np.isfinite(pts).all(axis=-1)][0]} is not finite")
-    lab = m._march(pts, t, 0.0) if isinstance(m, SampledFlowMap) else pts.copy()
-    for _ in range(INVERT_MAX_ITER):
-        res = pts - m.positions(lab, t)
-        if np.max(np.abs(res)) < INVERT_TOL:
+    sampled = isinstance(m, SampledFlowMap)
+    lab = m._march(pts, t, 0.0) if sampled else pts.copy()
+    res = np.empty(lab.shape)
+    flat_pts, flat_lab, flat_res = (a.reshape(-1, 3) for a in (pts, lab, res))
+    blocks = [slice(b, b + BLOCK) for b in range(0, len(flat_lab), BLOCK)]
+    for it in range(INVERT_MAX_ITER + 1):
+        if sampled:  # one march of the whole iterate
+            np.subtract(pts, m.positions(lab, t), out=res)
+        else:
+            for blk in blocks:
+                np.subtract(flat_pts[blk], m.positions(flat_lab[blk], t), out=flat_res[blk])
+        err = float(np.maximum(res.max(), -res.min()))  # max |res|; NaN propagates
+        if err < INVERT_TOL or it == INVERT_MAX_ITER:
             break
-        step = np.empty(lab.shape)
-        for b in range(0, lab.size // 3, BLOCK):
-            blk = slice(b, b + BLOCK)
-            step.reshape(-1, 3)[blk] = np.einsum("...ij,...j->...i", inv3(deformation_at(
-                m, lab.reshape(-1, 3)[blk], t)), res.reshape(-1, 3)[blk])
-        lab = np.add(lab, step, out=step)  # lab + step; the old iterate is dropped
-    else:
-        err = float(np.max(np.abs(pts - m.positions(lab, t))))
-        if not err <= 1e-8:
-            raise ValueError(f"map inversion stalled at residual {err:.3e}")
+        for blk in blocks:
+            flat_lab[blk] += np.einsum("...ij,...j->...i",
+                                       inv3(deformation_at(m, flat_lab[blk], t)), flat_res[blk])
+    if not err <= 1e-8:
+        raise ValueError(f"map inversion stalled at residual {err:.3e}")
     return lab
 
 
@@ -657,17 +690,33 @@ def validate_analytic_partials(m, t):
     """Cross-check registered analytic partials against grid differences.
 
     Returns the max mismatch over the grid interior against order-2
-    differences; raises if it exceeds PARTIALS_GATE_FACTOR * h^2 (a loose
-    O(h^2) gate meant to catch transcription errors, not to measure order).
+    differences of the displacement x - a, as ``deformation_gradient``'s fd
+    mode takes them; raises if it exceeds PARTIALS_GATE_FACTOR * h^2 (a
+    loose O(h^2) gate meant to catch transcription errors, not to measure
+    order). Both sides are taken on the slabs of ``_pointwise_slabs``, the
+    differences over a 1-plane axis-0 halo (``grids._slab_gradient``), so
+    the mismatch is the whole-grid one, bit for bit.
     """
-    F = m.label_partials(m.grid_labels(), t)
-    if F is None:
-        return 0.0
-    diff = _fd_partials_on_grid(m, t, StencilSpec(order=2))
-    diff -= F  # F_fd - F = -(F - F_fd) exactly, so |diff| is the mismatch
-    np.abs(diff, out=diff)
-    err = float(np.max(diff[m.grid.interior_slices(2)]))
-    hmax = max(m.grid.spacing)
+    grid = m.grid
+    interior = None
+    err = 0.0
+    for i0, i1 in _pointwise_slabs(m):
+        F = m.label_partials(grid._node_planes(slice(i0, i1)), t)
+        if F is None:
+            return 0.0
+        if interior is None:
+            interior = grid.interior_slices(2)
+            r0, r1, _ = interior[0].indices(grid.shape[0])
+        diff = _slab_gradient(lambda rows: _displacement(m, grid._node_planes(rows), t),
+                              grid, i0, i1)
+        diff += np.eye(3)
+        diff -= F  # F_fd - F = -(F - F_fd) exactly, so |diff| is the mismatch
+        np.abs(diff, out=diff)
+        lo, hi = max(r0, i0), min(r1, i1)  # the slab's interior planes
+        if lo < hi:
+            err = np.maximum(err, np.max(diff[(slice(lo - i0, hi - i0),) + interior[1:]]))
+    err = float(err)
+    hmax = max(grid.spacing)
     gate = PARTIALS_GATE_FACTOR * hmax ** 2
     if err > gate:
         raise ValueError(

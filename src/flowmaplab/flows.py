@@ -595,8 +595,8 @@ def catalog_flow(name, validate=True, grid=None, **params):
         res = lagrangian_eom_residual(entry.map, entry.force, t_check, StencilSpec(order=2))
         worst = max(r.linf for r in res)
         entry.validation_residual = worst
-        # the gate's gradient would otherwise stay held through the first
-        # check's own builds
+        # a gradient the gate built (fd, on a map without analytic partials)
+        # would otherwise stay held through the first check's own builds
         entry.map._gradient = None
         if worst > row.gate:
             raise ValueError(

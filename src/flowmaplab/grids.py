@@ -11,9 +11,10 @@ This is the library's only stencil layer: every other module differentiates
 through ``differentiate`` / ``gradient`` / ``divergence`` / ``curl`` on
 grids, ``point_jacobian`` for callables at arbitrary points,
 ``_time_difference`` for callables of time, or the 1-D kernel
-``_diff_along_axis0`` for parameterized curves and surfaces and for slabs
-of a grid (the Biot-Savart divergence gate), and takes its
-steps for callables from the table next to ``point_jacobian``. Vector
+``_diff_along_axis0`` for parameterized curves and surfaces, or
+``_slab_axis0_diff`` / ``_slab_gradient`` for slabs of whole axis-0 planes
+(``_plane_slabs``: the construction gates and the Biot-Savart source), and
+takes its steps for callables from the table next to ``point_jacobian``. Vector
 results use the Jacobian layout ``[..., i, k] = d f_i / d x_k``.
 """
 
@@ -35,7 +36,8 @@ __all__ = [
     "summarize_residual",
 ]
 
-# points per block in bounded-memory loops (Biot-Savart, invert_map's Newton update)
+# points per block in bounded-memory loops (Biot-Savart, invert_map, the
+# construction gates' slabs of axis-0 planes)
 BLOCK = 4096
 
 
@@ -101,11 +103,12 @@ class LabelGrid:
         call returns a fresh array: a copy cached on the grid would stay
         alive as long as the grid (6 MiB on a 64^3 grid).
         """
-        return self._node_planes(0, self.shape[0]).reshape(-1, 3)
+        return self._node_planes(slice(None)).reshape(-1, 3)
 
-    def _node_planes(self, lo, hi):
-        """Axis-0 planes lo:hi of nodes3(), shape (planes,) + shape[1:] + (3,)."""
-        axes = [self.axis_coords(0)[lo:hi]] + [self.axis_coords(k) for k in range(1, self.ndim)]
+    def _node_planes(self, rows):
+        """The axis-0 planes ``rows`` (a slice or an index array) of nodes3(),
+        shape (planes,) + shape[1:] + (3,)."""
+        axes = [self.axis_coords(0)[rows]] + [self.axis_coords(k) for k in range(1, self.ndim)]
         out = np.zeros((len(axes[0]),) + self.shape[1:] + (3,))
         for k, c in enumerate(axes):
             out[..., k] = c.reshape((-1,) + (1,) * (self.ndim - 1 - k))
@@ -230,6 +233,57 @@ def _diff_along_axis0(f, h, order, wrap):
     """d/dx of f along its leading axis; one-sided edges unless wrap."""
     out = np.empty_like(f)
     _diff_into(out, f, h, order, wrap)
+    return out
+
+
+def _plane_slabs(grid):
+    """Ranges (i0, i1) of whole axis-0 planes covering the grid, as many
+    planes as fit in ``BLOCK`` nodes and at least one."""
+    n = grid.shape[0]
+    step = max(1, BLOCK // (grid.node_count // n))
+    return [(i0, min(i0 + step, n)) for i0 in range(0, n, step)]
+
+
+def _slab_axis0_diff(f, grid, i0, i1, order=2):
+    """(values, d/dlab_0) on axis-0 planes i0:i1 of the field whose values on
+    the planes ``rows`` (a slice or an index array) are ``f(rows)``.
+
+    The differences read the slab plus a halo of order // 2 planes each
+    side: wrapped on a periodic axis 0, clipped at the ends of another,
+    where the window keeps the planes the one-sided end rows read (3 at
+    order 2, 6 at order 4). Each kept row is the row ``differentiate`` gives
+    on the whole grid, bit for bit; a periodic slab whose window would reach
+    round the axis takes the whole axis.
+    """
+    n, k = grid.shape[0], order // 2
+    least = 3 if order == 2 else 6
+    wrap = grid.periodic[0] and i1 - i0 + 2 * k >= n
+    if wrap:
+        lo, rows = 0, slice(0, n)
+    elif grid.periodic[0]:
+        lo = i0 - k
+        rows = np.arange(lo, max(i1 + k, lo + least)) % n
+    else:
+        lo = max(0, min(i0 - k, n - least))
+        rows = slice(lo, min(n, max(i1 + k, lo + least)))
+    window = np.asarray(f(rows), dtype=float)
+    d = _diff_along_axis0(window, grid.spacing[0], order, wrap)
+    return window[i0 - lo:i1 - lo], d[i0 - lo:i1 - lo]
+
+
+def _slab_gradient(f, grid, i0, i1, order=2):
+    """Label gradient on axis-0 planes i0:i1 of the field ``f(rows)`` (see
+    ``_slab_axis0_diff``), in ``gradient``'s layout and bit for bit its rows;
+    the other axes need no halo. Non-finite values on the slab's planes
+    raise as in ``gradient``, so a loop over all slabs checks every node."""
+    vals, d0 = _slab_axis0_diff(f, grid, i0, i1, order)
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("non-finite values in field")
+    out = np.zeros(vals.shape + (3,))
+    out[..., 0] = d0
+    for k in range(1, grid.ndim):
+        _diff_into(np.moveaxis(out[..., k], k, 0), np.moveaxis(vals, k, 0), grid.spacing[k],
+                   order, grid.periodic[k])
     return out
 
 

@@ -15,7 +15,7 @@ from flowmaplab import (
     gaussian_swirl_blob,
     velocity_from_vorticity,
 )
-from flowmaplab import biotsavart
+from flowmaplab import biotsavart, grids
 from flowmaplab.biotsavart import BLOCK, COMPACT_TOL, TILE
 from flowmaplab.grids import differentiate, divergence
 
@@ -91,8 +91,8 @@ class TestSourceConstruction:
         # maximum sits at every plane of every slab once, ends included
         g = LabelGrid((11, 6, 5), (-0.3, 0.2, -0.9), (0.05, 0.11, 0.07), (periodic, True, False))
         base = np.random.default_rng(7).normal(size=g.shape + (3,))
-        monkeypatch.setattr(biotsavart, "BLOCK", block)
-        assert len(biotsavart._plane_slabs(g)) == slabs
+        monkeypatch.setattr(grids, "BLOCK", block)
+        assert len(grids._plane_slabs(g)) == slabs
         for plane in range(g.shape[0]):
             vals = base.copy()
             vals[plane] *= 10
@@ -111,7 +111,7 @@ class TestSourceConstruction:
     def test_blob_divergence_gate_is_the_whole_grid_maximum(self):
         # 32 planes of 1024 nodes: 8 slabs of 4 planes
         src, _, _, _ = small_blob(32)
-        assert len(biotsavart._plane_slabs(src.grid)) == 8
+        assert len(grids._plane_slabs(src.grid)) == 8
         div = divergence(src.values, StencilSpec(order=2), grid=src.grid)
         assert src.divergence_linf == float(np.abs(div).max())
 

@@ -175,7 +175,9 @@ class TestGridCheckMemory:
     gradient. The bounds sit about 0.25 F above what the checks measure, so
     one more (N, 3) or F-sized array alive at the peak fails them. The
     cofactor check measures 2.01 F: the kept F, its BLOCK-node pieces and
-    the residual reduction's planes."""
+    the residual reduction's planes. The construction gates and the
+    identity check hold slab-sized pieces of BLOCK nodes (0.25 F each at
+    128^2) and, for the momentum residual, its three whole-grid planes."""
 
     N = 128
 
@@ -186,11 +188,18 @@ class TestGridCheckMemory:
         sgrid = flowmap._inscribed_grid(e.map, e.map.positions(e.map.grid_labels(), t))
         return e, t, sgrid.nodes3().reshape(sgrid.shape + (3,))
 
-    BOUNDS = {"validate_analytic_partials": 2.75, "cofactor_identity_residual": 2.3,
-              "lagrangian_eom_residual": 2.9, "invariant_drift": 2.6, "invert_map": 1.85}
+    @pytest.fixture(scope="class")
+    def rotation(self):
+        return catalog_flow("rigid_rotation", validate=False,
+                            grid=default_grid("rigid_rotation", (self.N,) * 2)).map
+
+    BOUNDS = {"validate_analytic_partials": 1.35, "cofactor_identity_residual": 2.3,
+              "lagrangian_eom_residual": 2.35, "gate_lagrangian_eom_residual": 1.6,
+              "invariant_drift": 2.6, "invert_map": 1.5, "density_residual": 1.85,
+              "check_identity_at_zero": 0.5}
 
     @pytest.mark.parametrize("name", list(BOUNDS))
-    def test_rise_above_entry(self, gerstner, name):
+    def test_rise_above_entry(self, gerstner, rotation, name):
         from flowmaplab.cauchy import invariant_drift
         from flowmaplab.dynamics import lagrangian_eom_residual
 
@@ -200,8 +209,12 @@ class TestGridCheckMemory:
             "validate_analytic_partials": lambda: flowmap.validate_analytic_partials(m, t),
             "cofactor_identity_residual": lambda: cofactor_identity_residual(m, t, mode="fd"),
             "lagrangian_eom_residual": lambda: lagrangian_eom_residual(m, e.force, t, mode="fd"),
+            # the construction gate's form: analytic partials, order-2 stencils
+            "gate_lagrangian_eom_residual": lambda: lagrangian_eom_residual(m, e.force, t),
             "invariant_drift": lambda: invariant_drift(m, [0.0, 0.5 * t, t], mode="fd"),
             "invert_map": lambda: invert_map(m, points, t),
+            "density_residual": lambda: density_residual(m, t, "eulerian"),
+            "check_identity_at_zero": rotation.check_identity_at_zero,
         }[name]
         f_bytes = 8 * 9 * self.N ** 2
         m._gradient = None
@@ -215,6 +228,135 @@ class TestGridCheckMemory:
             tracemalloc.stop()
             m._gradient = None
         assert rise <= self.BOUNDS[name] * f_bytes, f"{name} rose {rise / f_bytes:.2f} F above its entry"
+
+
+def _periodic_gerstner():
+    # gerstner is periodic in a over one wavelength: the slabs' halo wraps
+    grid = LabelGrid((64, 64), (0.0, -3.0), (2 * np.pi / 64, 2.5 / 63), (True, False))
+    return catalog_flow("gerstner", grid=grid)
+
+
+class TestSlabGates:
+    """The construction gates, the identity check and the Eulerian density
+    check evaluate closed-form maps on slabs of grids.BLOCK nodes; each
+    result equals, as float.hex, its whole-grid form written out here. The
+    64^2 grids have 64 planes of 64 nodes: one-plane slabs, and slabs of 3
+    and 5 planes that end in a partial slab."""
+
+    FLOWS = ["gerstner", "rigid_rotation", "stagnation", "periodic_gerstner"]
+
+    @pytest.fixture(params=[30, 200, 330])
+    def block(self, request, monkeypatch):
+        import flowmaplab.grids as grids
+
+        monkeypatch.setattr(grids, "BLOCK", request.param)
+        monkeypatch.setattr(flowmap, "BLOCK", request.param)
+        return request.param
+
+    @staticmethod
+    def entry(name):
+        if name == "periodic_gerstner":
+            return _periodic_gerstner()
+        return catalog_flow(name, grid=default_grid(name, (64, 64)))
+
+    @staticmethod
+    def hexed(s):
+        return s.linf.hex(), s.l2.hex(), s.location
+
+    @pytest.mark.parametrize("name", FLOWS)
+    def test_validation_mismatch(self, block, name):
+        from flowmaplab.grids import gradient
+
+        m = self.entry(name).map
+        t = 0.3 * m.timescale
+        lab = m.grid_labels()
+        F = m.label_partials(lab, t)
+        fd = gradient(m.positions(lab, t) - lab, StencilSpec(2), grid=m.grid) + np.eye(3)
+        want = float(np.max(np.abs(fd - F)[m.grid.interior_slices(2)]))
+        assert flowmap.validate_analytic_partials(m, t).hex() == want.hex()
+        assert len(flowmap._plane_slabs(m.grid)) == {30: 64, 200: 22, 330: 13}[block]
+
+    def check_momentum(self, m, fp, spec, mode):
+        from flowmaplab.dynamics import lagrangian_eom_residual
+        from flowmaplab.grids import gradient
+
+        t = 0.3 * m.timescale
+        lab = m.grid_labels()
+        F = deformation_gradient(m, t, spec, mode).values
+        m._gradient = None
+        pos = m.positions(lab, t)
+        net = m.accelerations(lab, t) - fp.V_grad_at(pos, t)
+        if fp.pressure_frame == "position":
+            dp = np.einsum("...i,...ij->...j", fp.pressure_grad(pos, t), F)
+        elif fp.pressure_grad is not None:
+            dp = fp.pressure_grad(lab, t)
+        else:
+            dp = gradient(fp.pressure_at(lab, t), spec, grid=m.grid)
+        core = np.einsum("...i,...ij->...j", net, F) + dp / fp.density
+        want = [summarize_residual(core[..., j], m.grid, rind=1) for j in range(3)]
+        got = lagrangian_eom_residual(m, fp, t, spec, mode=mode, rind=1)
+        assert [self.hexed(s) for s in got] == [self.hexed(s) for s in want]
+
+    @pytest.mark.parametrize("mode", ["auto", "fd"])
+    @pytest.mark.parametrize("name", FLOWS)
+    def test_momentum_summaries(self, block, name, mode):
+        e = self.entry(name)
+        self.check_momentum(e.map, e.force, StencilSpec(2), mode)
+
+    @pytest.mark.parametrize("order", [2, 4])
+    @pytest.mark.parametrize("name", ["gerstner", "periodic_gerstner"])
+    def test_label_pressure_differences(self, block, name, order):
+        # without its analytic gradient, gerstner's label-frame pressure is
+        # differenced on each slab over an order // 2-plane halo
+        import dataclasses
+
+        e = self.entry(name)
+        fp = dataclasses.replace(e.force, pressure_grad=None)
+        self.check_momentum(e.map, fp, StencilSpec(order), "auto")
+
+    def test_non_finite_label_pressure_raises(self, block):
+        import dataclasses
+
+        from flowmaplab.dynamics import lagrangian_eom_residual
+
+        e = self.entry("gerstner")  # a > 6 holds on the last plane only
+        bad = lambda lab, t: np.where(lab[..., 0] > 6.0, np.nan, e.force.pressure(lab, t))  # noqa: E731
+        fp = dataclasses.replace(e.force, pressure=bad, pressure_grad=None)
+        with pytest.raises(ValueError, match="non-finite values in field"):
+            lagrangian_eom_residual(e.map, fp, 1.0)
+
+    @pytest.mark.parametrize("name", ["rigid_rotation", "stagnation", "perturbed"])
+    def test_identity_error(self, block, name):
+        if name == "perturbed":  # x(a, 0) - a grows to ~1e-13 at the last plane
+            m = AnalyticFlowMap(LabelGrid((64, 64), (0.0, 0.0), (1 / 63, 1 / 63)),
+                                lambda lab, t: lab + 1e-13 * lab[..., :1] ** 2,
+                                lambda lab, t: np.zeros_like(lab))
+        else:
+            m = self.entry(name).map
+        lab = m.grid_labels()
+        want = float(np.max(np.abs(m.positions(lab, 0.0) - lab)))
+        assert m.check_identity_at_zero().hex() == want.hex()
+
+    @pytest.mark.parametrize("name", ["gerstner", "stagnation", "periodic_gerstner"])
+    def test_eulerian_density_summary(self, block, name):
+        from flowmaplab.flowmap import deformation_at, inv3
+        from flowmaplab.grids import differentiate
+
+        m = self.entry(name).map
+        t = 0.25 * m.timescale
+        sgrid = flowmap._inscribed_grid(m, m.positions(m.grid_labels(), t))
+        pts = sgrid.nodes3().reshape(sgrid.shape + (3,))
+        lab = pts.copy()
+        for _ in range(flowmap.INVERT_MAX_ITER):
+            res = pts - m.positions(lab, t)
+            if np.max(np.abs(res)) < flowmap.INVERT_TOL:
+                break
+            lab = lab + np.einsum("...ij,...j->...i", inv3(deformation_at(m, lab, t)), res)
+        vel = m.velocities(lab, t)
+        div = (differentiate(vel[..., 0], 0, grid=sgrid)
+               + differentiate(vel[..., 1], 1, grid=sgrid))
+        want = summarize_residual(np.abs(div), sgrid, rind=1)
+        assert self.hexed(density_residual(m, t, "eulerian")) == self.hexed(want)
 
 
 class TestJacobian:

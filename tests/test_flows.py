@@ -467,6 +467,32 @@ class TestCheckpointLattice:
         assert np.array_equal(m.positions(lab, m.times[1]), m.positions_table[1])
 
 
+    # (rk4_advect calls, point-steps): construction at 16^2, then one momentum
+    # residual at a quarter of the timescale (on the table for point_vortex,
+    # past it for taylor_green). The grid checks evaluate a sampled map on
+    # the whole grid at once, so slabs never re-march from t=0, even with
+    # grids.BLOCK cut to 30 nodes (one 16-node plane per slab).
+    MARCHES = {"point_vortex": (36, 139776), "taylor_green": (31, 109568)}
+
+    @pytest.mark.parametrize("name", list(MARCHES))
+    def test_gates_march_the_whole_grid(self, monkeypatch, name):
+        import flowmaplab.grids as grids
+        from flowmaplab.dynamics import lagrangian_eom_residual
+
+        monkeypatch.setattr(grids, "BLOCK", 30)
+        marches = []
+
+        def counting(field_fn, labels, t0, t1, dt, bbox=None):
+            span = float(t1) - float(t0)
+            steps = 0 if span == 0.0 else max(1, int(np.ceil(abs(span) / dt - 1e-12)))
+            marches.append(steps * (np.size(labels) // 3))
+            return rk4_advect(field_fn, labels, t0, t1, dt, bbox)
+
+        monkeypatch.setattr(flows, "rk4_advect", counting)
+        e = catalog_flow(name, grid=default_grid(name, (16, 16)))
+        lagrangian_eom_residual(e.map, e.force, 0.25 * e.map.timescale)
+        assert (len(marches), sum(marches)) == self.MARCHES[name]
+
 # each flow's label domain: lower corner, upper corner, periodicity
 DOMAINS = {
     "rigid_rotation": ((-0.5, -0.5), (0.5, 0.5), (False, False)),

@@ -32,7 +32,6 @@ UNREACHED = {
     "biotsavart.VorticitySource": _ITEM_11,
     "biotsavart._carrying_nodes": _ITEM_11,
     "biotsavart._divergence_linf": _ITEM_11,
-    "biotsavart._plane_slabs": _ITEM_11,
     "biotsavart.gaussian_swirl_blob": _ITEM_11,
     "biotsavart.velocity_from_vorticity": _ITEM_11,
     "cauchy.eulerian_vorticity": _ITEM_7,

@@ -431,10 +431,10 @@ class TestSharedEntry:
         self._shared_and_alone({"name": "gerstner"}, checks, [[32, 32]])
 
     def test_gradient_builds_per_entry(self, monkeypatch):
-        # one build for the construction gate, then three times for the
-        # drift (the solenoidality check reuses the last), J(0) and two later
-        # times for the density check, and none for the cofactor and
-        # momentum checks at the last time
+        # none for the construction gate (it differences the positions slab
+        # by slab), three times for the drift (the solenoidality check reuses
+        # the last), J(0) and two later times for the density check, and none
+        # for the cofactor and momentum checks at the last time
         import flowmaplab.flowmap as flowmap
 
         builds = []
@@ -445,7 +445,7 @@ class TestSharedEntry:
                "checks": [{"id": c, "tolerance": 1.0, "options": {"mode": "fd"}}
                           for c in GRID_CHECKS]}
         run_suite(cfg)
-        assert len(builds) == 7
+        assert len(builds) == 6
 
 
 class TestConvergenceStudy:
