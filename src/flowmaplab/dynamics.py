@@ -19,7 +19,7 @@ import numpy as np
 
 from .grids import (POINT_STENCIL_H, POTENTIAL_STENCIL_H, TIME_STEP, StencilSpec, _slab_gradient,
                     _time_difference, differentiate, point_jacobian, summarize_residual)
-from .flowmap import _gradient_key, _pointwise_slabs, deformation_gradient
+from .flowmap import _pointwise_slabs, deformation_gradient
 
 __all__ = [
     "ForcePotential",
@@ -129,11 +129,9 @@ def _label_momentum(m, fp, t, spec, mode):
 
     F is the analytic partials on the slab (mode "auto" or "analytic" on a
     map that has them), else the rows of the whole-grid finite-difference
-    gradient ``deformation_gradient`` keeps; a gradient it already keeps
-    under this (t, stencil order, mode) is read as it is.
+    gradient ``deformation_gradient`` keeps.
     """
-    kept = m._gradient is not None and m._gradient[0] == _gradient_key(t, spec, mode)
-    fd = kept or mode not in ("auto", "analytic")
+    fd = mode not in ("auto", "analytic")
     F_grid = deformation_gradient(m, t, spec, mode).values if fd else None
     for i0, i1 in _pointwise_slabs(m):
         labels = m.grid._node_planes(slice(i0, i1))

@@ -21,8 +21,8 @@ from functools import cached_property
 import numpy as np
 
 from .grids import (ACCELERATION_STEP, BLOCK, POINT_STENCIL_H, Field, LabelGrid, StencilSpec,
-                    _plane_slabs, _slab_gradient, _time_difference, differentiate, gradient,
-                    point_jacobian, summarize_residual)
+                    _plane_slabs, _slab_gradient, _time_difference, differentiate, point_jacobian,
+                    summarize_residual)
 from .quadrature import grid_integral
 
 __all__ = [
@@ -98,8 +98,8 @@ class FlowMap:
         return self.grid.nodes3().reshape(self.grid.shape + (3,))
 
     def check_identity_at_zero(self):
-        """max |x(a, 0) - a| over the grid, taken on the slabs of
-        ``_pointwise_slabs``; a value above 1e-12 raises."""
+        """Raise if max |x(a, 0) - a| over the grid, taken on the slabs of
+        ``_pointwise_slabs``, is above 1e-12."""
         err = 0.0
         for i0, i1 in _pointwise_slabs(self):
             labels = self.grid._node_planes(slice(i0, i1))
@@ -108,7 +108,6 @@ class FlowMap:
             raise ValueError(
                 f"map declared identity-at-zero but |x(a,0)-a| reaches {err:.3e}"
             )
-        return float(err)
 
 
 def _pointwise_slabs(m):
@@ -393,19 +392,29 @@ def _displacement(m, labels, t):
     return np.subtract(m.positions(labels, t), labels, out=labels)
 
 
-def _fd_partials_on_grid(m, t, spec):
-    """F = I + d(displacement)/dlab on the map's grid.
+def _fd_partials_slab(m, i0, i1, t, order):
+    """F = I + d(displacement)/dlab on axis-0 planes i0:i1 of the map's grid,
+    the axis-0 differences over a halo (``grids._slab_gradient``).
 
     Differentiating x - a instead of x keeps periodic wrapping valid for maps
     whose displacement (not position) is periodic in the labels.
     """
-    F = gradient(_displacement(m, m.grid_labels(), t), spec, grid=m.grid)
+    F = _slab_gradient(lambda rows: _displacement(m, m.grid._node_planes(rows), t), m.grid,
+                       i0, i1, order)
     F += np.eye(3)
     return F
 
 
-def _gradient_key(t, spec, mode):
-    return float(t), spec.order, mode
+def _fd_partials_on_grid(m, t, spec):
+    """F = I + d(displacement)/dlab on the map's grid, filled slab by slab
+    (``_pointwise_slabs``); each row is the whole-grid difference bit for bit."""
+    slabs = _pointwise_slabs(m)
+    if len(slabs) == 1:  # the whole grid: no second copy
+        return _fd_partials_slab(m, 0, m.grid.shape[0], t, spec.order)
+    F = np.empty(m.grid.shape + (3, 3))
+    for i0, i1 in slabs:
+        F[i0:i1] = _fd_partials_slab(m, i0, i1, t, spec.order)
+    return F
 
 
 def deformation_gradient(m, t, spec=StencilSpec(), mode="auto"):
@@ -419,7 +428,7 @@ def deformation_gradient(m, t, spec=StencilSpec(), mode="auto"):
     one build; its ``values`` are read-only. A call with another key drops
     the kept gradient before building its own, so at most one is held.
     """
-    key = _gradient_key(t, spec, mode)
+    key = (float(t), spec.order, mode)
     if m._gradient is not None and m._gradient[0] == key:
         return m._gradient[1]
     m._gradient = None
@@ -694,8 +703,8 @@ def validate_analytic_partials(m, t):
     mode takes them; raises if it exceeds PARTIALS_GATE_FACTOR * h^2 (a
     loose O(h^2) gate meant to catch transcription errors, not to measure
     order). Both sides are taken on the slabs of ``_pointwise_slabs``, the
-    differences over a 1-plane axis-0 halo (``grids._slab_gradient``), so
-    the mismatch is the whole-grid one, bit for bit.
+    differences by ``_fd_partials_slab``, so the mismatch is the whole-grid
+    one, bit for bit.
     """
     grid = m.grid
     interior = None
@@ -707,9 +716,7 @@ def validate_analytic_partials(m, t):
         if interior is None:
             interior = grid.interior_slices(2)
             r0, r1, _ = interior[0].indices(grid.shape[0])
-        diff = _slab_gradient(lambda rows: _displacement(m, grid._node_planes(rows), t),
-                              grid, i0, i1)
-        diff += np.eye(3)
+        diff = _fd_partials_slab(m, i0, i1, t, 2)
         diff -= F  # F_fd - F = -(F - F_fd) exactly, so |diff| is the mismatch
         np.abs(diff, out=diff)
         lo, hi = max(r0, i0), min(r1, i1)  # the slab's interior planes

@@ -253,20 +253,25 @@ def _slab_axis0_diff(f, grid, i0, i1, order=2):
     where the window keeps the planes the one-sided end rows read (3 at
     order 2, 6 at order 4). Each kept row is the row ``differentiate`` gives
     on the whole grid, bit for bit; a periodic slab whose window would reach
-    round the axis takes the whole axis.
+    round the axis takes the whole axis. A window whose leading axes are
+    not its planes of the grid raises a ValueError naming both shapes.
     """
     n, k = grid.shape[0], order // 2
     least = 3 if order == 2 else 6
     wrap = grid.periodic[0] and i1 - i0 + 2 * k >= n
     if wrap:
-        lo, rows = 0, slice(0, n)
+        lo, hi = 0, n
     elif grid.periodic[0]:
         lo = i0 - k
-        rows = np.arange(lo, max(i1 + k, lo + least)) % n
+        hi = max(i1 + k, lo + least)
     else:
         lo = max(0, min(i0 - k, n - least))
-        rows = slice(lo, min(n, max(i1 + k, lo + least)))
+        hi = min(n, max(i1 + k, lo + least))
+    rows = np.arange(lo, hi) % n if grid.periodic[0] and not wrap else slice(lo, hi)
     window = np.asarray(f(rows), dtype=float)
+    if window.shape[:grid.ndim] != (hi - lo,) + grid.shape[1:]:
+        raise ValueError(f"array of shape {window.shape} is not sampled on axis-0 planes "
+                         f"{lo}:{hi} of a grid of shape {grid.shape}")
     d = _diff_along_axis0(window, grid.spacing[0], order, wrap)
     return window[i0 - lo:i1 - lo], d[i0 - lo:i1 - lo]
 

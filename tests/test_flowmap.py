@@ -276,14 +276,31 @@ class TestSlabGates:
         assert flowmap.validate_analytic_partials(m, t).hex() == want.hex()
         assert len(flowmap._plane_slabs(m.grid)) == {30: 64, 200: 22, 330: 13}[block]
 
+    @staticmethod
+    def whole_grid_partials(m, t, spec, mode):
+        from flowmaplab.grids import gradient
+
+        lab = m.grid_labels()
+        if mode == "auto":
+            return m.label_partials(lab, t)
+        return gradient(m.positions(lab, t) - lab, spec, grid=m.grid) + np.eye(3)
+
+    @pytest.mark.parametrize("order", [2, 4])
+    @pytest.mark.parametrize("name", FLOWS)
+    def test_fd_deformation_gradient(self, block, name, order):
+        m = self.entry(name).map
+        t = 0.3 * m.timescale
+        got = deformation_gradient(m, t, StencilSpec(order), "fd").values
+        want = self.whole_grid_partials(m, t, StencilSpec(order), "fd")
+        assert got.tobytes() == want.tobytes()
+
     def check_momentum(self, m, fp, spec, mode):
         from flowmaplab.dynamics import lagrangian_eom_residual
         from flowmaplab.grids import gradient
 
         t = 0.3 * m.timescale
         lab = m.grid_labels()
-        F = deformation_gradient(m, t, spec, mode).values
-        m._gradient = None
+        F = self.whole_grid_partials(m, t, spec, mode)
         pos = m.positions(lab, t)
         net = m.accelerations(lab, t) - fp.V_grad_at(pos, t)
         if fp.pressure_frame == "position":
@@ -325,17 +342,35 @@ class TestSlabGates:
         with pytest.raises(ValueError, match="non-finite values in field"):
             lagrangian_eom_residual(e.map, fp, 1.0)
 
-    @pytest.mark.parametrize("name", ["rigid_rotation", "stagnation", "perturbed"])
-    def test_identity_error(self, block, name):
-        if name == "perturbed":  # x(a, 0) - a grows to ~1e-13 at the last plane
-            m = AnalyticFlowMap(LabelGrid((64, 64), (0.0, 0.0), (1 / 63, 1 / 63)),
-                                lambda lab, t: lab + 1e-13 * lab[..., :1] ** 2,
-                                lambda lab, t: np.zeros_like(lab))
+    def test_mis_shaped_label_pressure_raises(self, block):
+        import dataclasses
+
+        from flowmaplab.dynamics import lagrangian_eom_residual
+
+        e = self.entry("gerstner")
+        for bad in (lambda lab, t: 0.0, lambda lab, t: e.force.pressure(lab, t)[..., :1]):
+            fp = dataclasses.replace(e.force, pressure=bad, pressure_grad=None)
+            with pytest.raises(ValueError, match="is not sampled on axis-0 planes"):
+                lagrangian_eom_residual(e.map, fp, 1.0)
+
+    @pytest.mark.parametrize("name", ["rigid_rotation", "stagnation"])
+    def test_identity_holds(self, block, name):
+        self.entry(name).map.check_identity_at_zero()
+
+    @pytest.mark.parametrize("size", [0.5e-12, 2e-12])
+    @pytest.mark.parametrize("plane", [0, 31, 63])
+    def test_identity_error_on_one_plane(self, block, plane, size):
+        # x(a, 0) - a is `size` on one axis-0 plane and 0 elsewhere: the
+        # check raises exactly when the error crosses 1e-12, wherever it sits
+        # (the check runs as the map is built)
+        grid = LabelGrid((64, 64), (0.0, 0.0), (1.0, 1.0))
+        build = lambda: AnalyticFlowMap(grid, lambda lab, t: lab + size * (lab[..., :1] == plane),  # noqa: E731
+                                        lambda lab, t: np.zeros_like(lab))
+        if size > 1e-12:
+            with pytest.raises(ValueError, match="identity-at-zero"):
+                build()
         else:
-            m = self.entry(name).map
-        lab = m.grid_labels()
-        want = float(np.max(np.abs(m.positions(lab, 0.0) - lab)))
-        assert m.check_identity_at_zero().hex() == want.hex()
+            build()
 
     @pytest.mark.parametrize("name", ["gerstner", "stagnation", "periodic_gerstner"])
     def test_eulerian_density_summary(self, block, name):

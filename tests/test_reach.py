@@ -75,6 +75,8 @@ UNREACHED = {
     "flowmap.mass_integral_transform": _ITEM_10,
     "grids.Field": _ITEM_10,
     "grids.TIME_STEP": _ITEM_10,
+    "grids.gradient": ("stays: the public label gradient; the checks reach its slab form, "
+                       "grids._slab_gradient, and the modules of items 7 and 10 call it"),
 }
 
 
