@@ -16,7 +16,6 @@ from .grids import (
     LabelGrid,
     ResidualSummary,
     StencilSpec,
-    curl,
     differentiate,
     divergence,
     gradient,
@@ -49,12 +48,10 @@ from .dynamics import (
     lagrangian_eom_residual,
 )
 from .cauchy import (
-    LabelCovelocity,
     VorticityField,
     cauchy_invariants,
     eulerian_vorticity,
     invariant_drift,
-    label_covelocity,
     solenoidality_residual,
     vortex_line_function_residual,
 )

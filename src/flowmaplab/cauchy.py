@@ -32,30 +32,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import (Field, StencilSpec, _half_curl, curl, divergence, gradient,
+from .grids import (Field, StencilSpec, _half_curl, _slab_gradient, divergence, gradient,
                     summarize_residual)
-from .flowmap import deformation_gradient
+from .flowmap import _pointwise_slabs, deformation_gradient
 
 __all__ = [
-    "LabelCovelocity",
     "VorticityField",
-    "label_covelocity",
     "cauchy_invariants",
     "invariant_drift",
     "solenoidality_residual",
     "eulerian_vorticity",
     "vortex_line_function_residual",
 ]
-
-
-@dataclass
-class LabelCovelocity:
-    """(alpha, beta, gamma) on the label grid at one time."""
-
-    grid: object
-    t: float
-    values: np.ndarray  # grid.shape + (3,)
-    mode: str = "fd"
 
 
 @dataclass
@@ -76,17 +64,11 @@ class VorticityField:
             raise TypeError(f"unknown vorticity frame {self.frame!r}")
 
 
-def label_covelocity(m, t, spec=StencilSpec(), mode="auto"):
-    """Velocity contracted with the deformation gradient per node.
-
-    At t=0 with identity labels this is the initial velocity field itself.
-    F is fetched before the velocities are evaluated, so the gradient the map
-    kept from an earlier time is released before that evaluation allocates.
-    """
-    g = deformation_gradient(m, t, spec, mode)
-    u = m.velocities(m.grid_labels(), t)
-    vals = np.einsum("...i,...ij->...j", u, g.values)
-    return LabelCovelocity(m.grid, float(t), vals, mode=g.mode)
+def _covelocity(m, labels, t, F):
+    """(alpha, beta, gamma) = u . F: the velocity at ``labels`` contracted with
+    the deformation gradient F there; at t=0 with identity labels, the
+    velocity itself."""
+    return np.einsum("...i,...ij->...j", m.velocities(labels, t), F)
 
 
 def cauchy_invariants(m, t, spec=StencilSpec(), mode="auto"):
@@ -97,21 +79,38 @@ def cauchy_invariants(m, t, spec=StencilSpec(), mode="auto"):
     D_jk = sum_i F_ij G_ik, Cauchy's first-derivative form. The covelocity's
     label derivative also carries u_i d2x_i/(dlab_j dlab_k), which is
     symmetric in (j, k) and cancels in the curl, so neither second partials
-    nor velocities are evaluated. Otherwise the covelocity is differentiated
-    over the label grid with the given stencil.
+    nor velocities are evaluated; non-finite F or G raise a ValueError.
+    Otherwise the covelocity is differentiated over the label grid with the
+    given stencil, F being the whole-grid gradient ``deformation_gradient``
+    keeps.
+
+    Both forms run on the slabs of whole axis-0 planes of
+    ``flowmap._pointwise_slabs``, each written into the one result array:
+    the partials and their product are slab-sized, and the covelocity is
+    formed on a slab's planes plus the stencil's axis-0 halo
+    (``grids._slab_gradient``), so each row is the whole-grid one bit for
+    bit. Whether the map has both partials is read off the first slab.
     """
+    w = np.empty(m.grid.shape + (3,))
     if mode in ("auto", "analytic"):
-        labels = m.grid_labels()
-        F = m.label_partials(labels, t)
-        G = m.velocity_label_partials(labels, t)
-        if F is not None and G is not None:
-            w = _half_curl(np.einsum("...ik,...ij->...jk", G, F))
+        for i0, i1 in _pointwise_slabs(m):
+            labels = m.grid._node_planes(slice(i0, i1))
+            F = m.label_partials(labels, t)
+            G = m.velocity_label_partials(labels, t)
+            if F is None or G is None:
+                if mode == "analytic":
+                    raise ValueError("map lacks the derivative callables for analytic invariants")
+                break
+            if not (np.all(np.isfinite(F)) and np.all(np.isfinite(G))):
+                raise ValueError("non-finite analytic partials")
+            w[i0:i1] = _half_curl(np.einsum("...ik,...ij->...jk", G, F))
+        else:
             return VorticityField(m.grid, float(t), w, frame="label", mode="analytic")
-        if mode == "analytic":
-            raise ValueError("map lacks the derivative callables for analytic invariants")
-    cov = label_covelocity(m, t, spec, mode)
-    w = curl(cov.values, spec, grid=m.grid)
-    w *= 0.5
+    F = deformation_gradient(m, t, spec, mode).values
+    for i0, i1 in _pointwise_slabs(m):
+        w[i0:i1] = _half_curl(_slab_gradient(
+            lambda rows: _covelocity(m, m.grid._node_planes(rows), t, F[rows]), m.grid, i0, i1,
+            spec.order))
     return VorticityField(m.grid, float(t), w, frame="label", mode=f"fd-order{spec.order}")
 
 
@@ -121,18 +120,17 @@ def invariant_drift(m, times, spec=StencilSpec(), mode="auto", rind=0):
     Returns a dict with the drift, the largest deviation of a later field
     from the t0 field (not from any analytic value, so conservation is
     isolated from discretization bias), and the mode and stencil order that
-    produced it.
+    produced it. A NaN deviation makes the drift NaN.
     """
     times = np.asarray(times, dtype=float)
     if times.size < 2:
         raise ValueError("invariant drift needs at least two times")
     ref = cauchy_invariants(m, times[0], spec, mode)
     interior = m.grid.interior_slices(rind)
-    drift = 0.0
-    for t in times[1:]:  # no name holds a field into the next time's build
-        dev = _max_deviation(cauchy_invariants(m, t, spec, mode).values, ref.values, interior)
-        drift = max(drift, dev)
-    return {"drift": drift, "mode": ref.mode, "stencil_order": spec.order}
+    # no name holds a field into the next time's build
+    drift = np.max([_max_deviation(cauchy_invariants(m, t, spec, mode).values, ref.values,
+                                   interior) for t in times[1:]])
+    return {"drift": float(drift), "mode": ref.mode, "stencil_order": spec.order}
 
 
 def _max_deviation(w, ref, interior):
@@ -161,7 +159,7 @@ def eulerian_vorticity(u, v, w, spec=StencilSpec(), t=0.0):
     if grid is None:
         raise TypeError("eulerian_vorticity expects Fields on a spatial grid")
     vec = np.stack([u.data, v.data, w.data], axis=-1)
-    vals = 0.5 * curl(vec, spec, grid=grid)
+    vals = _half_curl(gradient(vec, spec, grid=grid))
     return VorticityField(grid, float(t), vals, frame="spatial")
 
 

@@ -244,15 +244,13 @@ def stokes_residual(m, loop, surf, t):
 
 
 def kelvin_drift(m, loop, times):
-    """Max over times of |circulation(t) - circulation(t0)| on a material loop."""
+    """Max over times of |circulation(t) - circulation(t0)| on a material
+    loop; a NaN circulation makes it NaN."""
     times = np.asarray(times, dtype=float)
     if times.size < 2:
         raise ValueError("kelvin drift needs at least two times")
     c0 = circulation(m, loop, times[0])
-    drift = 0.0
-    for t in times[1:]:
-        drift = max(drift, abs(circulation(m, loop, t) - c0))
-    return drift
+    return float(np.max([abs(circulation(m, loop, t) - c0) for t in times[1:]]))
 
 
 def tube_section_flux(m, section_a, section_b, t):

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import (POTENTIAL_STENCIL_H, TIME_STEP, StencilSpec, _time_difference, curl, divergence,
-                    gradient, point_jacobian, summarize_residual)
+from .grids import (POTENTIAL_STENCIL_H, TIME_STEP, StencilSpec, _half_curl, _time_difference,
+                    divergence, gradient, point_jacobian, summarize_residual)
 
 __all__ = [
     "ClebschTriple",
@@ -99,7 +99,7 @@ def clebsch_vorticity_residual(ct, grid, t=0.0, spec=StencilSpec(), rind=1):
     """
     pts = _grid_points(grid)
     u = ct.velocity(pts, t)
-    cu = curl(u, spec, grid=grid)
+    cu = 2.0 * _half_curl(gradient(u, spec, grid=grid))
     gphi = gradient(_call_scalar(ct.phi, pts, t), spec, grid=grid)
     gpsi = gradient(_call_scalar(ct.psi, pts, t), spec, grid=grid)
     cross = np.cross(gphi, gpsi)

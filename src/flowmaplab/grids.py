@@ -8,14 +8,15 @@ periodic. Residual norms are reported as (Linf, L2, location of max)
 triples, with an optional rind exclusion of boundary-contaminated nodes.
 
 This is the library's only stencil layer: every other module differentiates
-through ``differentiate`` / ``gradient`` / ``divergence`` / ``curl`` on
-grids, ``point_jacobian`` for callables at arbitrary points,
-``_time_difference`` for callables of time, or the 1-D kernel
-``_diff_along_axis0`` for parameterized curves and surfaces, or
+through ``differentiate`` / ``gradient`` / ``divergence`` on grids (a curl
+is ``_half_curl`` of a gradient), ``point_jacobian`` for callables at
+arbitrary points, ``_time_difference`` for callables of time, or the 1-D
+kernel ``_diff_along_axis0`` for parameterized curves and surfaces, or
 ``_slab_axis0_diff`` / ``_slab_gradient`` for slabs of whole axis-0 planes
-(``_plane_slabs``: the construction gates and the Biot-Savart source), and
-takes its steps for callables from the table next to ``point_jacobian``. Vector
-results use the Jacobian layout ``[..., i, k] = d f_i / d x_k``.
+(``_plane_slabs``: the construction gates, the Cauchy invariants and the
+Biot-Savart source), and takes its steps for callables from the table next
+to ``point_jacobian``. Vector results use the Jacobian layout
+``[..., i, k] = d f_i / d x_k``.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ __all__ = [
     "differentiate",
     "gradient",
     "divergence",
-    "curl",
     "point_jacobian",
     "summarize_residual",
 ]
@@ -347,19 +347,6 @@ def divergence(vec, spec=StencilSpec(), *, grid):
     for k in range(grid.ndim):
         out += differentiate(vec[..., k], k, spec, grid=grid)
     return out
-
-
-def curl(vec, spec=StencilSpec(), *, grid):
-    """Label-space curl of a 3-component array (missing axes -> 0)."""
-
-    def d(comp, axis):
-        if axis >= grid.ndim:
-            return np.zeros(vec.shape[:-1])
-        return differentiate(vec[..., comp], axis, spec, grid=grid)
-
-    return np.stack(
-        [d(2, 1) - d(1, 2), d(0, 2) - d(2, 0), d(1, 0) - d(0, 1)], axis=-1
-    )
 
 
 def _half_curl(J):

@@ -304,8 +304,8 @@ def _chk_solenoidality(entry, times, ctx, *, mode="auto"):
 def _chk_density_lagrangian(entry, times, ctx, *, mode="auto"):
     residuals = _lagrangian_density_residuals(entry.map, times[1:], ctx["spec"], mode,
                                               ctx["rind"])
-    t, s = max(zip(times[1:], residuals), key=lambda ts: ts[1].linf)
-    return _from_summary(s, t)
+    i = int(np.argmax([s.linf for s in residuals]))  # the first NaN, else the first max
+    return _from_summary(residuals[i], times[1 + i])
 
 
 def _chk_density_eulerian(entry, times, ctx):
@@ -322,8 +322,8 @@ def _chk_cofactor(entry, times, ctx, *, mode="auto"):
 def _chk_lagrangian_eom(entry, times, ctx, *, mode="auto"):
     res = lagrangian_eom_residual(entry.map, entry.force, times[-1], ctx["spec"],
                                   mode=mode, rind=ctx["rind"])
-    worst = max(res, key=lambda r: r.linf)
-    return _from_summary(worst, times[-1])
+    i = int(np.argmax([r.linf for r in res]))  # the first NaN, else the first max
+    return _from_summary(res[i], times[-1])
 
 
 def _loop_points(entry, points):
@@ -353,7 +353,7 @@ def _chk_stokes(entry, times, ctx, *, center=(0.0, 0.0, 0.0), radius=0.25,
 
 def _chk_energy_drift(entry, times, ctx):
     K0 = living_force(entry.map, times[0])
-    worst = max(abs(living_force(entry.map, t) - K0) for t in times[1:])
+    worst = np.max([abs(living_force(entry.map, t) - K0) for t in times[1:]])  # NaN propagates
     return {"linf": worst, "time": times[-1]}
 
 

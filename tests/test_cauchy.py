@@ -15,13 +15,13 @@ from flowmaplab import (
     StencilSpec,
     catalog_flow,
     cauchy_invariants,
+    deformation_gradient,
     eulerian_vorticity,
     invariant_drift,
-    label_covelocity,
     solenoidality_residual,
     vortex_line_function_residual,
 )
-from flowmaplab.cauchy import VorticityField
+from flowmaplab.cauchy import VorticityField, _covelocity
 
 
 def rest_map():
@@ -40,6 +40,11 @@ def spatial_fields(fn, n=33, lo=-1.0, hi=1.0):
     return tuple(Field(g, vel[..., i]) for i in range(3))
 
 
+def label_covelocity(m, t):
+    """The covelocity on the map's grid, as the invariants' fd form takes it."""
+    return _covelocity(m, m.grid_labels(), t, deformation_gradient(m, t).values)
+
+
 class TestCovelocity:
     def test_equals_initial_velocity_at_t0(self):
         e = catalog_flow("gerstner")
@@ -49,8 +54,8 @@ class TestCovelocity:
         e2 = catalog_flow("rigid_rotation")
         cov2 = label_covelocity(e2.map, 0.0)
         vel2 = e2.map.velocities(e2.map.grid_labels(), 0.0)
-        assert np.abs(cov2.values - vel2).max() < 1e-14
-        assert cov.values.shape == e.map.grid.shape + (3,)
+        assert np.abs(cov2 - vel2).max() < 1e-14
+        assert cov.shape == e.map.grid.shape + (3,)
 
     def test_rotation_covelocity_time_independent(self):
         # oracle (matrix algebra by hand): covelocity of the rotation is
@@ -61,11 +66,11 @@ class TestCovelocity:
         expect = np.stack([-w * lab[..., 1], w * lab[..., 0], 0 * lab[..., 0]], -1)
         for t in (0.0, 0.9, 4.4):
             cov = label_covelocity(e.map, t)
-            assert np.abs(cov.values - expect).max() < 1e-12
+            assert np.abs(cov - expect).max() < 1e-12
 
     def test_rest_zero(self):
         cov = label_covelocity(rest_map(), 1.0)
-        assert np.abs(cov.values).max() == 0.0
+        assert np.abs(cov).max() == 0.0
 
 
 class TestInvariants:
@@ -147,6 +152,65 @@ class TestInvariantDrift:
     def test_needs_two_times(self):
         with pytest.raises(ValueError):
             invariant_drift(rest_map(), [0.0])
+
+    def test_a_nan_deviation_makes_the_drift_nan(self):
+        # finite partials of 1e200 from t = 0.5 on: every D_jk overflows to
+        # +inf, so the invariants there are inf - inf = NaN; the drift must
+        # read NaN and fail its row, not keep the 0.0 of the first time
+        from flowmaplab import AnalyticFlowMap
+
+        g = LabelGrid((8, 8), (0.0, 0.0), (0.1, 0.1))
+
+        def big(lab, t, at_zero):
+            shape = lab.shape[:-1] + (3, 3)
+            return np.full(shape, 1e200) if t > 0.4 else np.broadcast_to(at_zero, shape).copy()
+
+        m = AnalyticFlowMap(g, lambda lab, t: lab.copy(), lambda lab, t: np.zeros_like(lab),
+                            partials=lambda lab, t: big(lab, t, np.eye(3)),
+                            velocity_partials=lambda lab, t: big(lab, t, np.zeros((3, 3))))
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = invariant_drift(m, [0.0, 0.25, 0.5])
+        assert out["mode"] == "analytic" and np.isnan(out["drift"])
+
+    @pytest.mark.parametrize("which", ["partials", "velocity_partials"])
+    def test_non_finite_partials_raise(self, which):
+        from flowmaplab import AnalyticFlowMap
+
+        e = catalog_flow("gerstner").map
+        callables = {"partials": e._partials, "velocity_partials": e._velocity_partials}
+        exact = callables[which]
+        callables[which] = lambda lab, t: exact(lab, t) * (np.nan if t > 0 else 1.0)
+        m = AnalyticFlowMap(e.grid, e._position, e._velocity, convention=e.convention,
+                            **callables)
+        T = m.timescale
+        with pytest.raises(ValueError, match="non-finite analytic partials"):
+            invariant_drift(m, [0.0, T / 8, T / 4])
+
+
+@pytest.mark.parametrize("name, calls, point_steps", [
+    ("point_vortex", 52, 192512), ("taylor_green", 53, 193536)])
+def test_sampled_invariants_march_as_the_whole_grid_form(monkeypatch, name, calls, point_steps):
+    # a sampled map's one slab is its whole grid, so the invariants query its
+    # table and checkpoint lattice exactly as the whole-grid computation did:
+    # these counts of rk4_advect calls and points x steps are that form's
+    import flowmaplab.flows as flows
+    from flowmaplab.flows import default_grid
+
+    m = catalog_flow(name, grid=default_grid(name, (16, 16))).map
+    T = m.timescale
+    real, log = flows.rk4_advect, []
+
+    def counted(field_fn, labels, t0, t1, dt, bbox=None):
+        span = float(t1) - float(t0)
+        steps = 0 if span == 0.0 else max(1, int(np.ceil(abs(span) / dt - 1e-12)))
+        log.append(steps * (np.size(labels) // 3))
+        return real(field_fn, labels, t0, t1, dt, bbox)
+
+    monkeypatch.setattr(flows, "rk4_advect", counted)
+    for order in (2, 4):
+        invariant_drift(m, [0.0, 0.25 * T, 0.5 * T, 0.61 * T], StencilSpec(order))
+        cauchy_invariants(m, 0.37 * T, StencilSpec(order), mode="fd")
+    assert (len(log), sum(log)) == (calls, point_steps)
 
 
 class TestSolenoidality:

@@ -175,6 +175,17 @@ class TestKelvin:
         loop = MaterialLoop.circle(radius=0.5, n=64)
         assert kelvin_drift(rest_map(), loop, [0.0, 0.5, 1.0]) == 0.0
 
+    def test_a_later_nan_circulation_is_not_swallowed(self):
+        # NaN velocities from t = 1 on: the drift is NaN, not the finite
+        # drift at t = 0.5 that a running Python max would keep
+        from flowmaplab import AnalyticFlowMap
+
+        rot = catalog_flow("rigid_rotation").map
+        m = AnalyticFlowMap(rot.grid, rot._position,
+                            lambda lab, t: rot._velocity(lab, t) * (np.nan if t > 0.6 else 1.0))
+        loop = MaterialLoop.circle(radius=0.4, n=64)
+        assert np.isnan(kelvin_drift(m, loop, [0.0, 0.5, 1.0]))
+
     def test_rotation_over_period(self):
         e = catalog_flow("rigid_rotation", omega=1.0)
         loop = MaterialLoop.circle(radius=0.4, n=128)

@@ -177,7 +177,11 @@ class TestGridCheckMemory:
     cofactor check measures 2.01 F: the kept F, its BLOCK-node pieces and
     the residual reduction's planes. The construction gates and the
     identity check hold slab-sized pieces of BLOCK nodes (0.25 F each at
-    128^2) and, for the momentum residual, its three whole-grid planes."""
+    128^2) and, for the momentum residual, its three whole-grid planes. The
+    fd invariant drift measures 2.26 F on either flow: the kept F, the t0
+    and current invariant fields (1/3 F each), and one slab's covelocity, its
+    gradient and numpy's fixed ufunc buffers (0.6 F at 128^2, 0.15 F at
+    256^2); the analytic drift 1.67 F, and the solenoidality check 1.93 F."""
 
     N = 128
 
@@ -195,16 +199,18 @@ class TestGridCheckMemory:
 
     BOUNDS = {"validate_analytic_partials": 1.35, "cofactor_identity_residual": 2.3,
               "lagrangian_eom_residual": 2.35, "gate_lagrangian_eom_residual": 1.6,
-              "invariant_drift": 2.6, "invert_map": 1.5, "density_residual": 1.85,
-              "check_identity_at_zero": 0.5}
+              "invariant_drift": 2.5, "rotation_invariant_drift": 2.5,
+              "analytic_invariant_drift": 1.9, "solenoidality_residual": 2.15,
+              "invert_map": 1.5, "density_residual": 1.85, "check_identity_at_zero": 0.5}
 
     @pytest.mark.parametrize("name", list(BOUNDS))
     def test_rise_above_entry(self, gerstner, rotation, name):
-        from flowmaplab.cauchy import invariant_drift
+        from flowmaplab.cauchy import cauchy_invariants, invariant_drift, solenoidality_residual
         from flowmaplab.dynamics import lagrangian_eom_residual
 
         e, t, points = gerstner
         m = e.map
+        tr = 0.25 * rotation.timescale
         call = {
             "validate_analytic_partials": lambda: flowmap.validate_analytic_partials(m, t),
             "cofactor_identity_residual": lambda: cofactor_identity_residual(m, t, mode="fd"),
@@ -212,12 +218,17 @@ class TestGridCheckMemory:
             # the construction gate's form: analytic partials, order-2 stencils
             "gate_lagrangian_eom_residual": lambda: lagrangian_eom_residual(m, e.force, t),
             "invariant_drift": lambda: invariant_drift(m, [0.0, 0.5 * t, t], mode="fd"),
+            "rotation_invariant_drift":
+                lambda: invariant_drift(rotation, [0.0, 0.5 * tr, tr], mode="fd"),
+            "analytic_invariant_drift": lambda: invariant_drift(m, [0.0, 0.5 * t, t]),
+            "solenoidality_residual":
+                lambda: solenoidality_residual(cauchy_invariants(rotation, tr, mode="fd"), rind=1),
             "invert_map": lambda: invert_map(m, points, t),
             "density_residual": lambda: density_residual(m, t, "eulerian"),
             "check_identity_at_zero": rotation.check_identity_at_zero,
         }[name]
         f_bytes = 8 * 9 * self.N ** 2
-        m._gradient = None
+        m._gradient = rotation._gradient = None
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
@@ -226,7 +237,7 @@ class TestGridCheckMemory:
             rise = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
-            m._gradient = None
+            m._gradient = rotation._gradient = None
         assert rise <= self.BOUNDS[name] * f_bytes, f"{name} rose {rise / f_bytes:.2f} F above its entry"
 
 
@@ -237,11 +248,11 @@ def _periodic_gerstner():
 
 
 class TestSlabGates:
-    """The construction gates, the identity check and the Eulerian density
-    check evaluate closed-form maps on slabs of grids.BLOCK nodes; each
-    result equals, as float.hex, its whole-grid form written out here. The
-    64^2 grids have 64 planes of 64 nodes: one-plane slabs, and slabs of 3
-    and 5 planes that end in a partial slab."""
+    """The construction gates, the identity check, the Eulerian density
+    check and the Cauchy invariants evaluate closed-form maps on slabs of
+    grids.BLOCK nodes; each result equals, as float.hex, its whole-grid form
+    written out here. The 64^2 grids have 64 planes of 64 nodes: one-plane
+    slabs, and slabs of 3 and 5 planes that end in a partial slab."""
 
     FLOWS = ["gerstner", "rigid_rotation", "stagnation", "periodic_gerstner"]
 
@@ -392,6 +403,59 @@ class TestSlabGates:
                + differentiate(vel[..., 1], 1, grid=sgrid))
         want = summarize_residual(np.abs(div), sgrid, rind=1)
         assert self.hexed(density_residual(m, t, "eulerian")) == self.hexed(want)
+
+    @staticmethod
+    def half_curl(J):
+        return 0.5 * np.stack([J[..., 2, 1] - J[..., 1, 2], J[..., 0, 2] - J[..., 2, 0],
+                               J[..., 1, 0] - J[..., 0, 1]], axis=-1)
+
+    def whole_grid_covelocity_curl(self, m, t, spec, F):
+        from flowmaplab.grids import gradient
+
+        lab = m.grid_labels()
+        cov = np.einsum("...i,...ij->...j", m.velocities(lab, t), F)
+        return self.half_curl(gradient(cov, spec, grid=m.grid))
+
+    @pytest.mark.parametrize("mode", ["auto", "fd"])
+    @pytest.mark.parametrize("order", [2, 4])
+    @pytest.mark.parametrize("name", FLOWS)
+    def test_cauchy_invariants(self, block, name, order, mode):
+        # auto: Cauchy's first-derivative form from the exact partials, half
+        # the antisymmetric part of sum_i F_ij G_ik; fd: half the grid curl
+        # of the covelocity u . F, F the fd gradient
+        from flowmaplab.cauchy import cauchy_invariants
+
+        m = self.entry(name).map
+        t = 0.3 * m.timescale
+        spec = StencilSpec(order)
+        if mode == "auto":
+            lab = m.grid_labels()
+            D = np.einsum("...ik,...ij->...jk", m.velocity_label_partials(lab, t),
+                          m.label_partials(lab, t))
+            want = self.half_curl(D)
+        else:
+            want = self.whole_grid_covelocity_curl(
+                m, t, spec, self.whole_grid_partials(m, t, spec, "fd"))
+        got = cauchy_invariants(m, t, spec, mode)
+        assert got.mode == ("analytic" if mode == "auto" else f"fd-order{order}")
+        assert got.values.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("order", [2, 4])
+    @pytest.mark.parametrize("name", ["gerstner", "periodic_gerstner"])
+    def test_cauchy_invariants_without_velocity_partials(self, block, name, order):
+        # exact F but no velocity partials: the covelocity's grid curl with
+        # the analytic F
+        from flowmaplab.cauchy import cauchy_invariants
+
+        e = self.entry(name).map
+        m = AnalyticFlowMap(e.grid, e._position, e._velocity, partials=e._partials,
+                            convention=e.convention, timescale=e.timescale)
+        t = 0.3 * m.timescale
+        spec = StencilSpec(order)
+        want = self.whole_grid_covelocity_curl(m, t, spec, m.label_partials(m.grid_labels(), t))
+        got = cauchy_invariants(m, t, spec)
+        assert got.mode == f"fd-order{order}"
+        assert got.values.tobytes() == want.tobytes()
 
 
 class TestJacobian:

@@ -248,6 +248,62 @@ class TestRunSuite:
         report, code = run_suite(cfg)
         assert code == 0 and len(report.rows) == 2
 
+    def test_energy_drift_propagates_a_later_nan(self):
+        # the velocity is NaN at the last time only: the row's number is NaN,
+        # so it fails, where a running max would keep the finite first drift
+        from types import SimpleNamespace
+
+        from flowmaplab import AnalyticFlowMap, catalog_flow
+
+        rot = catalog_flow("rigid_rotation").map
+        m = AnalyticFlowMap(rot.grid, rot._position,
+                            lambda lab, t: rot._velocity(lab, t) * (np.nan if t > 0.6 else 1.0))
+        fn, _ = CHECKS["energy.living_force_drift"]
+        out = fn(SimpleNamespace(map=m), [0.0, 0.5, 1.0], {})
+        assert math.isnan(out["linf"])
+
+    def test_momentum_row_reads_a_nan_component(self):
+        # a NaN label pressure gradient along b makes the b residual NaN; the
+        # row takes it over the finite a residual, so it fails
+        import dataclasses
+        from types import SimpleNamespace
+
+        from flowmaplab import catalog_flow
+        from flowmaplab.grids import StencilSpec
+
+        e = catalog_flow("gerstner")
+        exact = e.force.pressure_grad
+
+        def pressure_grad(lab, t):
+            g = exact(lab, t)
+            g[..., 1] = np.nan
+            return g
+
+        fn, _ = CHECKS["dynamics.lagrangian_eom"]
+        entry = SimpleNamespace(map=e.map, force=dataclasses.replace(e.force,
+                                                                    pressure_grad=pressure_grad))
+        out = fn(entry, [0.0, 0.5, 1.0], {"rind": 0, "spec": StencilSpec(2)})
+        assert math.isnan(out["linf"])
+
+    def test_density_row_reads_a_later_nan(self):
+        # finite partials of 1e200 at the last time: det3's minors are
+        # inf - inf there, so det F is NaN, and the row reads that summary
+        from types import SimpleNamespace
+
+        from flowmaplab import AnalyticFlowMap, LabelGrid
+        from flowmaplab.grids import StencilSpec
+
+        def partials(lab, t):
+            F = np.broadcast_to(np.eye(3), lab.shape[:-1] + (3, 3)).copy()
+            return np.full_like(F, 1e200) if t > 0.6 else F
+
+        m = AnalyticFlowMap(LabelGrid((8, 8), (0.0, 0.0), (0.1, 0.1)), lambda lab, t: lab.copy(),
+                            lambda lab, t: np.zeros_like(lab), partials=partials)
+        fn, _ = CHECKS["flowmap.density_lagrangian"]
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = fn(SimpleNamespace(map=m), [0.0, 0.5, 1.0], {"rind": 0, "spec": StencilSpec(2)})
+        assert math.isnan(out["linf"]) and out["time"] == 1.0
+
     def test_two_runs_hash_identically(self):
         r1, _ = run_suite(SUITE)
         r2, _ = run_suite(SUITE)
