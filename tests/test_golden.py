@@ -31,7 +31,7 @@ def test_every_golden_row_recomputes_bit_for_bit():
 def test_a_one_ulp_move_names_its_row():
     golden = _golden_tool()
     old = json.loads(golden.GOLDEN.read_text())
-    assert len(old["configs"]) == 9 and old["biot_savart"]["seed"] == 1
+    assert len(old["configs"]) == 10 and old["biot_savart"]["seed"] == 1
     new = copy.deepcopy(old)
     key = "grid_calculus/perfbench-gerstner"
     row = next(r for r in new["configs"][key]["rows"]

@@ -1,8 +1,8 @@
 """Golden rows: every number the shipped suites and the benchmark produce.
 
-For each shipped suite config (suites/*.json) and each suite config of the
-benchmark (perfbench/workloads.py, read from its file), the golden file
-holds the report's determinism hash and every row's flow, check, grid,
+For each shipped suite config (suites/*.json), each suite config of the
+benchmark (perfbench/workloads.py, read from its file) and the golden-only
+``ANALYTIC`` config below, the golden file holds the report's determinism hash and every row's flow, check, grid,
 ``linf`` and ``order`` (as ``float.hex``) and ``passed``. It also holds the
 hash of the velocities of the benchmark's seed-1 ``biot_savart`` job, taken
 as the benchmark's worker takes it. Run from the repository root:
@@ -38,6 +38,17 @@ def workloads():
     return mod
 
 
+def analytic_config(grid_checks):
+    """The grid checks on their analytic paths (the maps' registered label
+    and velocity partials), the living force and Kelvin's loop, on two
+    closed-form flows: numbers no shipped suite or benchmark config pins."""
+    checks = [{"id": c, "tolerance": 1.0, "options": {"mode": "auto"}} for c in grid_checks]
+    checks += [{"id": c, "tolerance": 1.0}
+               for c in ("energy.living_force_drift", "circulation.kelvin_drift")]
+    return {"name": "golden-analytic", "flows": [{"name": "gerstner"}, {"name": "rigid_rotation"}],
+            "checks": checks, "grids": [[32, 32], [64, 64]]}
+
+
 def configs():
     """(key, config) for every config the golden file covers, in file order."""
     out = [(f"suites/{path.stem}", json.loads(path.read_text()))
@@ -46,7 +57,7 @@ def configs():
     for workload, spec in wl.WORKLOADS.items():
         if spec["kind"] == "suite":
             out += [(f"{workload}/{cfg['name']}", cfg) for cfg in spec["configs"]()]
-    return out
+    return out + [("golden/analytic", analytic_config(wl.GRID_CHECKS))]
 
 
 def _hex(x):
