@@ -105,11 +105,11 @@ class VorticitySource:
         pointwise, (..., 3) positions to (..., 3) values: it is evaluated on
         slabs of whole axis-0 planes, as many as fit in ``BLOCK`` nodes."""
         vals = np.empty(grid.shape + (3,))
-        for i0, i1 in _plane_slabs(grid):
-            part = np.asarray(fn(grid._node_planes(slice(i0, i1))), dtype=float)
-            if part.shape != vals[i0:i1].shape:
+        for sl in _plane_slabs(grid):
+            part = np.asarray(fn(grid._node_planes(sl)), dtype=float)
+            if part.shape != vals[sl].shape:
                 raise ValueError("vorticity values must be grid.shape + (3,)")
-            vals[i0:i1] = part
+            vals[sl] = part
         return cls(grid, vals, **kw)
 
 
@@ -125,10 +125,10 @@ def _divergence_linf(vals, grid):
     cost 5x the whole-grid work on the 64^3 blob's one-plane slabs.
     """
     worst = 0.0
-    for i0, i1 in _plane_slabs(grid):
-        _, div = _slab_axis0_diff(lambda rows: vals[rows, ..., 0], grid, i0, i1)
+    for sl in _plane_slabs(grid):
+        _, div = _slab_axis0_diff(lambda rows: vals[rows, ..., 0], grid, sl)
         for k in (1, 2):
-            moved = np.moveaxis(vals[i0:i1, ..., k], k, 0)
+            moved = np.moveaxis(vals[sl, ..., k], k, 0)
             div += np.moveaxis(_diff_along_axis0(moved, grid.spacing[k], 2, grid.periodic[k]), 0, k)
         worst = max(worst, float(np.abs(div, out=div).max()))
     return worst
@@ -259,21 +259,10 @@ def gaussian_swirl_blob(sigma=0.105, amplitude=0.01, n=64, box=1.0):
                          np.zeros_like(c)], axis=-1)
 
     def half_vorticity(p):
-        # each component is computed in its slot of the result
         c = chi(p)
-        out = np.empty(np.shape(p))
-        wx, wy, wz = out[..., 0], out[..., 1], out[..., 2]
-        for comp, a in ((wx, 0), (wy, 1)):  # p_a z / s^4 * chi
-            np.multiply(p[..., a], p[..., 2], out=comp)
-            comp /= s2 ** 2
-            comp *= c
-        np.square(p[..., 0], out=wz)  # (2/s^2 - (x^2 + y^2) / s^4) * chi
-        wz += p[..., 1] ** 2
-        wz /= s2 ** 2
-        np.subtract(2.0 / s2, wz, out=wz)
-        wz *= c
-        out *= 0.5
-        return out
+        x, y, z = p[..., 0], p[..., 1], p[..., 2]
+        return 0.5 * np.stack([x * z / s2 ** 2 * c, y * z / s2 ** 2 * c,
+                               (2.0 / s2 - (x ** 2 + y ** 2) / s2 ** 2) * c], axis=-1)
 
     def midplane_half_vorticity(r):
         r = np.asarray(r, dtype=float)

@@ -34,7 +34,7 @@ import numpy as np
 
 from .grids import (Field, StencilSpec, _half_curl, _slab_gradient, divergence, gradient,
                     summarize_residual)
-from .flowmap import _pointwise_slabs, deformation_gradient
+from .flowmap import _analytic_partials, _pointwise_slabs, deformation_gradient
 
 __all__ = [
     "VorticityField",
@@ -93,23 +93,23 @@ def cauchy_invariants(m, t, spec=StencilSpec(), mode="auto"):
     """
     w = np.empty(m.grid.shape + (3,))
     if mode in ("auto", "analytic"):
-        for i0, i1 in _pointwise_slabs(m):
-            labels = m.grid._node_planes(slice(i0, i1))
-            F = m.label_partials(labels, t)
+        for sl in _pointwise_slabs(m):
+            labels = m.grid._node_planes(sl)
+            F = _analytic_partials(m, labels, t)
             G = m.velocity_label_partials(labels, t)
             if F is None or G is None:
                 if mode == "analytic":
                     raise ValueError("map lacks the derivative callables for analytic invariants")
                 break
-            if not (np.all(np.isfinite(F)) and np.all(np.isfinite(G))):
+            if not np.all(np.isfinite(G)):
                 raise ValueError("non-finite analytic partials")
-            w[i0:i1] = _half_curl(np.einsum("...ik,...ij->...jk", G, F))
+            w[sl] = _half_curl(np.einsum("...ik,...ij->...jk", G, F))
         else:
             return VorticityField(m.grid, float(t), w, frame="label", mode="analytic")
     F = deformation_gradient(m, t, spec, mode).values
-    for i0, i1 in _pointwise_slabs(m):
-        w[i0:i1] = _half_curl(_slab_gradient(
-            lambda rows: _covelocity(m, m.grid._node_planes(rows), t, F[rows]), m.grid, i0, i1,
+    for sl in _pointwise_slabs(m):
+        w[sl] = _half_curl(_slab_gradient(
+            lambda rows: _covelocity(m, m.grid._node_planes(rows), t, F[rows]), m.grid, sl,
             spec.order))
     return VorticityField(m.grid, float(t), w, frame="label", mode=f"fd-order{spec.order}")
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .grids import (POINT_STENCIL_H, POTENTIAL_STENCIL_H, TIME_STEP, StencilSpec, _slab_gradient,
                     _time_difference, differentiate, point_jacobian, summarize_residual)
-from .flowmap import _pointwise_slabs, deformation_gradient
+from .flowmap import _analytic_partials, _pointwise_slabs, deformation_gradient
 
 __all__ = [
     "ForcePotential",
@@ -107,14 +107,14 @@ def eulerian_eom_residual(u, v, w, fp, t=0.0, spec=StencilSpec(), rind=1):
     return tuple(out)
 
 
-def _pressure_label_gradient(grid, i0, i1, labels, pos, fp, t, spec, F):
-    """d p / d lab on axis-0 planes i0:i1 of the grid, whose labels, positions
-    and deformation gradient are ``labels``, ``pos`` and ``F``."""
+def _pressure_label_gradient(grid, sl, labels, pos, fp, t, spec, F):
+    """d p / d lab on the axis-0 planes ``sl`` of the grid, whose labels,
+    positions and deformation gradient are ``labels``, ``pos`` and ``F``."""
     if fp.pressure_frame == "label":
         if fp.pressure_grad is not None:
             return np.asarray(fp.pressure_grad(labels, t), dtype=float)
         return _slab_gradient(lambda rows: fp.pressure_at(grid._node_planes(rows), t), grid,
-                              i0, i1, spec.order)
+                              sl, spec.order)
     # position-frame pressure: chain rule through the advected positions
     if fp.pressure_grad is not None:
         gp = np.asarray(fp.pressure_grad(pos, t), dtype=float)
@@ -124,34 +124,32 @@ def _pressure_label_gradient(grid, i0, i1, labels, pos, fp, t, spec, F):
 
 
 def _label_momentum(m, fp, t, spec, mode):
-    """Per slab of ``flowmap._pointwise_slabs``: ((i0, i1), F, positions,
-    label-space momentum residual) on axis-0 planes i0:i1 at time t.
+    """Per slab ``sl`` of ``flowmap._pointwise_slabs``: (sl, F, positions,
+    label-space momentum residual) on those axis-0 planes at time t.
 
     F is the analytic partials on the slab (mode "auto" or "analytic" on a
     map that has them), else the rows of the whole-grid finite-difference
     gradient ``deformation_gradient`` keeps.
     """
-    fd = mode not in ("auto", "analytic")
-    F_grid = deformation_gradient(m, t, spec, mode).values if fd else None
-    for i0, i1 in _pointwise_slabs(m):
-        labels = m.grid._node_planes(slice(i0, i1))
-        F = None if F_grid is None else F_grid[i0:i1]
-        if F is None:
-            F = m.label_partials(labels, t)
-            if F is None:  # no partials: the fd gradient, or "analytic" raises
+    F_grid = None
+    for sl in _pointwise_slabs(m):
+        labels = m.grid._node_planes(sl)
+        F = None
+        if F_grid is None and mode in ("auto", "analytic"):
+            F = _analytic_partials(m, labels, t)
+        if F is None:  # fd mode or no partials: the fd gradient, or "analytic" raises
+            if F_grid is None:
                 F_grid = deformation_gradient(m, t, spec, mode).values
-                F = F_grid[i0:i1]
-            elif not np.all(np.isfinite(F)):
-                raise ValueError("non-finite analytic partials")
+            F = F_grid[sl]
         acc = m.accelerations(labels, t)
         pos = m.positions(labels, t)
         net = acc - fp.V_grad_at(pos, t)
         del acc
-        dp = _pressure_label_gradient(m.grid, i0, i1, labels, pos, fp, t, spec, F)
+        dp = _pressure_label_gradient(m.grid, sl, labels, pos, fp, t, spec, F)
         del labels
         core = np.einsum("...i,...ij->...j", net, F)
         core += np.divide(dp, fp.density, out=net)  # net is spent: its buffer takes dp / rho
-        yield (i0, i1), F, pos, core
+        yield sl, F, pos, core
 
 
 def lagrangian_eom_residual(m, fp, t, spec=StencilSpec(), mode="auto", rind=0):
@@ -164,8 +162,8 @@ def lagrangian_eom_residual(m, fp, t, spec=StencilSpec(), mode="auto", rind=0):
     only the three residual planes are whole-grid.
     """
     core = np.empty(m.grid.shape + (3,))
-    for (i0, i1), _, _, part in _label_momentum(m, fp, t, spec, mode):
-        core[i0:i1] = part
+    for sl, _, _, part in _label_momentum(m, fp, t, spec, mode):
+        core[sl] = part
     return tuple(summarize_residual(core[..., j], m.grid, rind=rind) for j in range(3))
 
 
@@ -204,8 +202,8 @@ def chain_rule_mismatch(m, fp, u_fn, t, spec=StencilSpec(), rind=1):
     realize that identity (O(h^2) for second-order stencils).
     """
     res = np.empty(m.grid.shape + (3,))
-    for (i0, i1), F, pos, lag in _label_momentum(m, fp, t, spec, "auto"):
+    for sl, F, pos, lag in _label_momentum(m, fp, t, spec, "auto"):
         eul = eulerian_residual_at_points(u_fn, fp, pos, t)
         contracted = np.einsum("...i,...ij->...j", eul, F)
-        res[i0:i1] = np.abs(lag - contracted)
+        res[sl] = np.abs(lag - contracted)
     return summarize_residual(res, m.grid, rind=rind)

@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .grids import (ACCELERATION_STEP, BLOCK, POINT_STENCIL_H, Field, LabelGrid, StencilSpec,
-                    _plane_slabs, _slab_gradient, _time_difference, differentiate, point_jacobian,
+                    _plane_slabs, _slab_gradient, _time_difference, divergence, point_jacobian,
                     summarize_residual)
 from .quadrature import grid_integral
 
@@ -101,8 +101,8 @@ class FlowMap:
         """Raise if max |x(a, 0) - a| over the grid, taken on the slabs of
         ``_pointwise_slabs``, is above 1e-12."""
         err = 0.0
-        for i0, i1 in _pointwise_slabs(self):
-            labels = self.grid._node_planes(slice(i0, i1))
+        for sl in _pointwise_slabs(self):
+            labels = self.grid._node_planes(sl)
             err = np.maximum(err, np.max(np.abs(self.positions(labels, 0.0) - labels)))
         if err > 1e-12:
             raise ValueError(
@@ -111,12 +111,12 @@ class FlowMap:
 
 
 def _pointwise_slabs(m):
-    """Slabs (i0, i1) of whole axis-0 planes on which the grid checks call a
-    map's pointwise callables: ``grids._plane_slabs`` for a closed-form map,
-    the whole grid for a sampled one, whose table and checkpoint lattice
+    """Slabs of whole axis-0 planes, as slices, on which the grid checks call
+    a map's pointwise callables: ``grids._plane_slabs`` for a closed-form
+    map, the whole grid for a sampled one, whose table and checkpoint lattice
     answer only the whole grid-label array (a slab would march from t=0)."""
     if isinstance(m, SampledFlowMap):
-        return [(0, m.grid.shape[0])]
+        return [slice(0, m.grid.shape[0])]
     return _plane_slabs(m.grid)
 
 
@@ -392,28 +392,25 @@ def _displacement(m, labels, t):
     return np.subtract(m.positions(labels, t), labels, out=labels)
 
 
-def _fd_partials_slab(m, i0, i1, t, order):
-    """F = I + d(displacement)/dlab on axis-0 planes i0:i1 of the map's grid,
-    the axis-0 differences over a halo (``grids._slab_gradient``).
+def _fd_partials_slab(m, sl, t, order):
+    """F = I + d(displacement)/dlab on the axis-0 planes ``sl`` of the map's
+    grid, the axis-0 differences over a halo (``grids._slab_gradient``).
 
     Differentiating x - a instead of x keeps periodic wrapping valid for maps
     whose displacement (not position) is periodic in the labels.
     """
     F = _slab_gradient(lambda rows: _displacement(m, m.grid._node_planes(rows), t), m.grid,
-                       i0, i1, order)
+                       sl, order)
     F += np.eye(3)
     return F
 
 
-def _fd_partials_on_grid(m, t, spec):
-    """F = I + d(displacement)/dlab on the map's grid, filled slab by slab
-    (``_pointwise_slabs``); each row is the whole-grid difference bit for bit."""
-    slabs = _pointwise_slabs(m)
-    if len(slabs) == 1:  # the whole grid: no second copy
-        return _fd_partials_slab(m, 0, m.grid.shape[0], t, spec.order)
-    F = np.empty(m.grid.shape + (3, 3))
-    for i0, i1 in slabs:
-        F[i0:i1] = _fd_partials_slab(m, i0, i1, t, spec.order)
+def _analytic_partials(m, labels, t):
+    """The map's registered label partials at ``labels``, or None when it
+    has none; non-finite values raise a ValueError."""
+    F = m.label_partials(labels, t)
+    if F is not None and not np.all(np.isfinite(F)):
+        raise ValueError("non-finite analytic partials")
     return F
 
 
@@ -421,7 +418,11 @@ def deformation_gradient(m, t, spec=StencilSpec(), mode="auto"):
     """Deformation gradient on the map's label grid.
 
     mode "auto" prefers registered analytic partials and falls back to finite
-    differences of positions over the grid; the choice is recorded.
+    differences of positions over the grid; the choice, read off the first
+    slab, is recorded. Either kind is filled slab by slab
+    (``_pointwise_slabs``) into one array: each slab's analytic partials, or
+    its differences over a halo (``_fd_partials_slab``), each row the
+    whole-grid difference bit for bit.
 
     The map keeps the last gradient it was asked for, keyed by (t, stencil
     order, mode), so checks that contract the same F at the same time share
@@ -432,20 +433,18 @@ def deformation_gradient(m, t, spec=StencilSpec(), mode="auto"):
     if m._gradient is not None and m._gradient[0] == key:
         return m._gradient[1]
     m._gradient = None
-    F, kind = None, "fd-grid"
-    if mode in ("auto", "analytic"):
-        F = m.label_partials(m.grid_labels(), t)
-        if F is not None:
-            if not np.all(np.isfinite(F)):
-                raise ValueError("non-finite analytic partials")
-            kind = "analytic"
-        elif mode == "analytic":
-            raise ValueError("map has no analytic partials registered")
-    if F is None:
-        F = _fd_partials_on_grid(m, t, spec)
-    F = F.view()  # read-only without touching an array the partials callable kept
+    analytic = mode in ("auto", "analytic")
+    F = np.empty(m.grid.shape + (3, 3))
+    for sl in _pointwise_slabs(m):
+        part = _analytic_partials(m, m.grid._node_planes(sl), t) if analytic else None
+        if part is None:
+            if mode == "analytic":
+                raise ValueError("map has no analytic partials registered")
+            analytic = False
+            part = _fd_partials_slab(m, sl, t, spec.order)
+        F[sl] = part
     F.setflags(write=False)
-    g = DeformationGradient(m.grid, float(t), F, mode=kind)
+    g = DeformationGradient(m.grid, float(t), F, mode="analytic" if analytic else "fd-grid")
     m._gradient = (key, g)
     return g
 
@@ -575,11 +574,8 @@ def density_residual(m, t, mode="lagrangian", spec=StencilSpec(), gradient_mode=
     if not inside:
         raise ValueError("spatial grid exits the mapped domain")
     lab = invert_map(m, sgrid.nodes3().reshape(sgrid.shape + (3,)), t)
-    vel = m.velocities(lab, t)
-    dudx = differentiate(vel[..., 0], 0, spec, grid=sgrid)
-    dvdy = differentiate(vel[..., 1], 1, spec, grid=sgrid)
-    res = np.abs(dudx + dvdy)
-    return summarize_residual(res, sgrid, rind=max(rind, 1))
+    div = divergence(m.velocities(lab, t), spec, grid=sgrid)
+    return summarize_residual(div, sgrid, rind=max(rind, 1))
 
 
 def _lagrangian_density_residuals(m, times, spec, mode, rind):
@@ -704,28 +700,29 @@ def validate_analytic_partials(m, t):
     loose O(h^2) gate meant to catch transcription errors, not to measure
     order). Both sides are taken on the slabs of ``_pointwise_slabs``, the
     differences by ``_fd_partials_slab``, so the mismatch is the whole-grid
-    one, bit for bit.
+    one, bit for bit. A NaN mismatch propagates to the result and raises.
     """
     grid = m.grid
     interior = None
     err = 0.0
-    for i0, i1 in _pointwise_slabs(m):
-        F = m.label_partials(grid._node_planes(slice(i0, i1)), t)
+    for sl in _pointwise_slabs(m):
+        F = m.label_partials(grid._node_planes(sl), t)
         if F is None:
             return 0.0
         if interior is None:
             interior = grid.interior_slices(2)
             r0, r1, _ = interior[0].indices(grid.shape[0])
-        diff = _fd_partials_slab(m, i0, i1, t, 2)
+        diff = _fd_partials_slab(m, sl, t, 2)
         diff -= F  # F_fd - F = -(F - F_fd) exactly, so |diff| is the mismatch
         np.abs(diff, out=diff)
-        lo, hi = max(r0, i0), min(r1, i1)  # the slab's interior planes
+        lo, hi = max(r0, sl.start), min(r1, sl.stop)  # the slab's interior planes
         if lo < hi:
-            err = np.maximum(err, np.max(diff[(slice(lo - i0, hi - i0),) + interior[1:]]))
+            rows = slice(lo - sl.start, hi - sl.start)
+            err = np.maximum(err, np.max(diff[(rows,) + interior[1:]]))
     err = float(err)
     hmax = max(grid.spacing)
     gate = PARTIALS_GATE_FACTOR * hmax ** 2
-    if err > gate:
+    if not err <= gate:
         raise ValueError(
             f"analytic partials disagree with finite differences: {err:.3e} > {gate:.3e}"
         )

@@ -593,12 +593,12 @@ def catalog_flow(name, validate=True, grid=None, **params):
             t_check = 0.3 * entry.map.timescale
         validate_analytic_partials(entry.map, t_check)
         res = lagrangian_eom_residual(entry.map, entry.force, t_check, StencilSpec(order=2))
-        worst = max(r.linf for r in res)
+        worst = float(np.max([r.linf for r in res]))  # NaN propagates
         entry.validation_residual = worst
         # a gradient the gate built (fd, on a map without analytic partials)
         # would otherwise stay held through the first check's own builds
         entry.map._gradient = None
-        if worst > row.gate:
+        if not worst <= row.gate:
             raise ValueError(
                 f"catalog entry {name} failed its construction gate: "
                 f"EOM residual {worst:.3e} > {row.gate:g}"

@@ -13,10 +13,10 @@ is ``_half_curl`` of a gradient), ``point_jacobian`` for callables at
 arbitrary points, ``_time_difference`` for callables of time, or the 1-D
 kernel ``_diff_along_axis0`` for parameterized curves and surfaces, or
 ``_slab_axis0_diff`` / ``_slab_gradient`` for slabs of whole axis-0 planes
-(``_plane_slabs``: the construction gates, the Cauchy invariants and the
-Biot-Savart source), and takes its steps for callables from the table next
-to ``point_jacobian``. Vector results use the Jacobian layout
-``[..., i, k] = d f_i / d x_k``.
+(slices from ``_plane_slabs``: the construction gates, the deformation
+gradient, the Cauchy invariants and the Biot-Savart source), and takes its
+steps for callables from the table next to ``point_jacobian``. Vector
+results use the Jacobian layout ``[..., i, k] = d f_i / d x_k``.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ __all__ = [
 ]
 
 # points per block in bounded-memory loops (Biot-Savart, invert_map, the
-# construction gates' slabs of axis-0 planes)
+# grid checks' slabs of axis-0 planes)
 BLOCK = 4096
 
 
@@ -237,16 +237,17 @@ def _diff_along_axis0(f, h, order, wrap):
 
 
 def _plane_slabs(grid):
-    """Ranges (i0, i1) of whole axis-0 planes covering the grid, as many
-    planes as fit in ``BLOCK`` nodes and at least one."""
+    """Slices of whole axis-0 planes covering the grid, as many planes as
+    fit in ``BLOCK`` nodes and at least one."""
     n = grid.shape[0]
     step = max(1, BLOCK // (grid.node_count // n))
-    return [(i0, min(i0 + step, n)) for i0 in range(0, n, step)]
+    return [slice(i0, min(i0 + step, n)) for i0 in range(0, n, step)]
 
 
-def _slab_axis0_diff(f, grid, i0, i1, order=2):
-    """(values, d/dlab_0) on axis-0 planes i0:i1 of the field whose values on
-    the planes ``rows`` (a slice or an index array) are ``f(rows)``.
+def _slab_axis0_diff(f, grid, sl, order=2):
+    """(values, d/dlab_0) on the axis-0 planes ``sl`` (a slice) of the field
+    whose values on the planes ``rows`` (a slice or an index array) are
+    ``f(rows)``.
 
     The differences read the slab plus a halo of order // 2 planes each
     side: wrapped on a periodic axis 0, clipped at the ends of another,
@@ -257,6 +258,7 @@ def _slab_axis0_diff(f, grid, i0, i1, order=2):
     not its planes of the grid raises a ValueError naming both shapes.
     """
     n, k = grid.shape[0], order // 2
+    i0, i1 = sl.start, sl.stop
     least = 3 if order == 2 else 6
     wrap = grid.periodic[0] and i1 - i0 + 2 * k >= n
     if wrap:
@@ -276,12 +278,12 @@ def _slab_axis0_diff(f, grid, i0, i1, order=2):
     return window[i0 - lo:i1 - lo], d[i0 - lo:i1 - lo]
 
 
-def _slab_gradient(f, grid, i0, i1, order=2):
-    """Label gradient on axis-0 planes i0:i1 of the field ``f(rows)`` (see
+def _slab_gradient(f, grid, sl, order=2):
+    """Label gradient on the axis-0 planes ``sl`` of the field ``f(rows)`` (see
     ``_slab_axis0_diff``), in ``gradient``'s layout and bit for bit its rows;
     the other axes need no halo. Non-finite values on the slab's planes
     raise as in ``gradient``, so a loop over all slabs checks every node."""
-    vals, d0 = _slab_axis0_diff(f, grid, i0, i1, order)
+    vals, d0 = _slab_axis0_diff(f, grid, sl, order)
     if not np.all(np.isfinite(vals)):
         raise ValueError("non-finite values in field")
     out = np.zeros(vals.shape + (3,))

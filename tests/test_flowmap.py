@@ -305,6 +305,16 @@ class TestSlabGates:
         want = self.whole_grid_partials(m, t, StencilSpec(order), "fd")
         assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("name", FLOWS)
+    def test_analytic_deformation_gradient(self, block, name):
+        # mode "auto" fills the registered partials slab by slab
+        m = self.entry(name).map
+        t = 0.3 * m.timescale
+        g = deformation_gradient(m, t, mode="auto")
+        want = self.whole_grid_partials(m, t, StencilSpec(2), "auto")
+        assert g.mode == "analytic"
+        assert g.values.tobytes() == want.tobytes()
+
     def check_momentum(self, m, fp, spec, mode):
         from flowmaplab.dynamics import lagrangian_eom_residual
         from flowmaplab.grids import gradient
@@ -456,6 +466,56 @@ class TestSlabGates:
         got = cauchy_invariants(m, t, spec)
         assert got.mode == f"fd-order{order}"
         assert got.values.tobytes() == want.tobytes()
+
+
+class TestSlabReach:
+    """No grid check or construction gate hands a closed-form map's
+    callables, or its force's, more than one slab of grids.BLOCK nodes plus
+    its 1-plane axis-0 halo on each side (order-2 stencils), here on a 128^2
+    gerstner entry whose slabs are 32 of its 128 planes."""
+
+    N = 128
+    CALLS = ["deformation_gradient", "fd_deformation_gradient", "validate_analytic_partials",
+             "gate_lagrangian_eom_residual", "cauchy_invariants", "fd_cauchy_invariants",
+             "lagrangian_eom_residual", "fd_lagrangian_eom_residual"]
+
+    @pytest.mark.parametrize("name", CALLS)
+    def test_callables_see_one_slab_and_its_halo(self, name):
+        import dataclasses
+
+        import flowmaplab.grids as grids
+        from flowmaplab.cauchy import cauchy_invariants
+        from flowmaplab.dynamics import lagrangian_eom_residual
+
+        e = catalog_flow("gerstner", validate=False, grid=default_grid("gerstner", (self.N,) * 2))
+        m, t = e.map, 0.3 * e.map.timescale
+        seen = []
+
+        def wrap(fn):
+            def counted(points, t):
+                seen.append(np.shape(points)[:-1])
+                return fn(points, t)
+            return counted
+
+        for attr in ("_position", "_velocity", "_acceleration", "_partials",
+                     "_velocity_partials"):
+            setattr(m, attr, wrap(getattr(m, attr)))
+        force = dataclasses.replace(e.force, V_grad=wrap(e.force.V_grad),
+                                    pressure_grad=wrap(e.force.pressure_grad))
+        call = {
+            "deformation_gradient": lambda: deformation_gradient(m, t),
+            "fd_deformation_gradient": lambda: deformation_gradient(m, t, mode="fd"),
+            "validate_analytic_partials": lambda: flowmap.validate_analytic_partials(m, t),
+            "gate_lagrangian_eom_residual": lambda: lagrangian_eom_residual(m, force, t),
+            "cauchy_invariants": lambda: cauchy_invariants(m, t),
+            "fd_cauchy_invariants": lambda: cauchy_invariants(m, t, mode="fd"),
+            "lagrangian_eom_residual": lambda: lagrangian_eom_residual(m, force, t, mode="auto"),
+            "fd_lagrangian_eom_residual": lambda: lagrangian_eom_residual(m, force, t, mode="fd"),
+        }[name]
+        call()
+        planes = grids.BLOCK // self.N
+        assert seen and all(s[1:] == (self.N,) for s in seen)
+        assert max(s[0] for s in seen) <= planes + 2, f"{name} passed labels of shape {max(seen)}"
 
 
 class TestJacobian:
@@ -885,3 +945,15 @@ def test_analytic_partials_gate():
     assert 0.0 < err <= PARTIALS_GATE_FACTOR * (1 / 16) ** 2
     with pytest.raises(ValueError, match="analytic partials disagree with finite differences"):
         validate_analytic_partials(shear_map(-1.0), 0.5)
+
+
+def test_analytic_partials_gate_fails_a_nan():
+    # gerstner's partials made NaN for a > 3, half the 32^2 grid: the
+    # mismatch is NaN, and a NaN is not within the gate
+    e = catalog_flow("gerstner", validate=False, grid=default_grid("gerstner", (32, 32))).map
+    m = AnalyticFlowMap(e.grid, e._position, e._velocity,
+                        partials=lambda lab, t: np.where((lab[..., 0] > 3)[..., None, None],
+                                                         np.nan, e._partials(lab, t)),
+                        convention=e.convention, timescale=e.timescale)
+    with pytest.raises(ValueError, match="finite differences: nan > "):
+        flowmap.validate_analytic_partials(m, 0.3 * m.timescale)

@@ -537,6 +537,31 @@ def test_entries_self_validate():
         assert e.validation_residual < 2e-4, (name, e.validation_residual)
 
 
+def test_construction_gate_fails_a_nan(monkeypatch):
+    # gerstner's label pressure gradient made NaN along c for a > 3: the
+    # momentum summaries read [0, ~1e-16, nan], and a NaN is not within the
+    # gate
+    import dataclasses
+
+    row = flows._CATALOG["gerstner"]
+
+    def factory(grid, **params):
+        e = row.factory(grid, **params)
+        exact = e.force.pressure_grad
+
+        def pressure_grad(lab, t):
+            out = exact(lab, t)
+            out[..., 2] = np.where(lab[..., 0] > 3, np.nan, out[..., 2])
+            return out
+
+        e.force = dataclasses.replace(e.force, pressure_grad=pressure_grad)
+        return e
+
+    monkeypatch.setitem(flows._CATALOG, "gerstner", dataclasses.replace(row, factory=factory))
+    with pytest.raises(ValueError, match="failed its construction gate: EOM residual nan"):
+        catalog_flow("gerstner", grid=default_grid("gerstner", (32, 32)))
+
+
 def test_describe_mentions_parameters():
     text = catalog_flow("point_vortex").describe()
     assert "gamma" in text and "core_exclusion_radius" in text

@@ -487,16 +487,25 @@ class TestSharedEntry:
         self._shared_and_alone({"name": "gerstner"}, checks, [[32, 32]])
 
     def test_gradient_builds_per_entry(self, monkeypatch):
-        # none for the construction gate (it differences the positions slab
-        # by slab), three times for the drift (the solenoidality check reuses
-        # the last), J(0) and two later times for the density check, and none
-        # for the cofactor and momentum checks at the last time
+        # an fd build fills F slab by slab, so a build is a first-slab
+        # difference taken by deformation_gradient (the construction gate's
+        # partials check differences each slab but builds no F): three times
+        # for the drift (the solenoidality check reuses the last), J(0) and
+        # two later times for the density check, and none for the cofactor
+        # and momentum checks at the last time
+        import sys
+
         import flowmaplab.flowmap as flowmap
 
         builds = []
-        build = flowmap._fd_partials_on_grid
-        monkeypatch.setattr(flowmap, "_fd_partials_on_grid",
-                            lambda m, t, spec: builds.append(t) or build(m, t, spec))
+        build = flowmap._fd_partials_slab
+
+        def counted(m, sl, t, order):
+            if sl.start == 0 and sys._getframe(1).f_code is flowmap.deformation_gradient.__code__:
+                builds.append(t)
+            return build(m, sl, t, order)
+
+        monkeypatch.setattr(flowmap, "_fd_partials_slab", counted)
         cfg = {"flows": [{"name": "rigid_rotation"}], "grids": [[32, 32]],
                "checks": [{"id": c, "tolerance": 1.0, "options": {"mode": "fd"}}
                           for c in GRID_CHECKS]}
