@@ -4,8 +4,8 @@ phi and psi ride with the fluid (material scalars) and their level-set
 intersections trace vortex lines; curl u factors as grad phi x grad psi.
 The irrotational specialization (phi absent) gives a harmonic velocity
 potential with the unsteady Bernoulli integral fixing the pressure. The
-triples, Bernoulli functions and advected scalars are those the catalog
-entries carry.
+triples and advected scalars are those the catalog entries carry, and the
+Bernoulli Omega is each entry's force potential, ``force.omega_at``.
 """
 
 import numpy as np
@@ -35,13 +35,13 @@ for name in ("rigid_rotation", "uniform_translation"):
 print("\n--- irrotational flows: Laplace + Bernoulli ---------------------")
 for name in ("uniform_translation", "stagnation"):
     e = fl.catalog_flow(name)
-    lap, bern = fl.potential_flow_checks(e.clebsch.F, e.bernoulli, grid)
+    lap, bern = fl.potential_flow_checks(e.clebsch.F, e.force.omega_at, grid)
     print(f"  {name:19s} Laplace {lap.linf:.2e}  Bernoulli {bern.linf:.2e}")
 
 print("\n--- multivalued potential with a declared cut -------------------")
 e = fl.catalog_flow("point_vortex")
 g2 = LabelGrid((65, 65), (-2.0, -2.0), (4 / 64, 4 / 64))
-lap, bern = fl.potential_flow_checks(e.clebsch.F, e.bernoulli, g2,
+lap, bern = fl.potential_flow_checks(e.clebsch.F, e.force.omega_at, g2,
                                      cut_mask=e.clebsch.cut_mask)
 print(f"  {lap.excluded} nodes near the cut/core excluded from norms")
 print(f"  away from the cut: Laplace {lap.linf:.2e}, Bernoulli {bern.linf:.2e}")

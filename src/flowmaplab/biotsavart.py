@@ -93,7 +93,7 @@ class VorticitySource:
         h2 = max(self.grid.spacing) ** 2
         scale = max(1.0, top)
         self.divergence_linf = _divergence_linf(vals, self.grid)
-        if self.divergence_linf > self.divergence_gate * h2 * scale:
+        if not self.divergence_linf <= self.divergence_gate * h2 * scale:
             raise ValueError(
                 f"discrete divergence {self.divergence_linf:.3e} exceeds the "
                 f"O(h^2) gate for a valid vorticity field"
@@ -130,7 +130,7 @@ def _divergence_linf(vals, grid):
         for k in (1, 2):
             moved = np.moveaxis(vals[sl, ..., k], k, 0)
             div += np.moveaxis(_diff_along_axis0(moved, grid.spacing[k], 2, grid.periodic[k]), 0, k)
-        worst = max(worst, float(np.abs(div, out=div).max()))
+        worst = float(np.maximum(worst, np.abs(div, out=div).max()))  # NaN propagates
     return worst
 
 

@@ -54,7 +54,6 @@ class VorticityField:
     """
 
     grid: object
-    t: float
     values: np.ndarray
     frame: str = "label"
     mode: str = "fd"
@@ -105,13 +104,13 @@ def cauchy_invariants(m, t, spec=StencilSpec(), mode="auto"):
                 raise ValueError("non-finite analytic partials")
             w[sl] = _half_curl(np.einsum("...ik,...ij->...jk", G, F))
         else:
-            return VorticityField(m.grid, float(t), w, frame="label", mode="analytic")
+            return VorticityField(m.grid, w, frame="label", mode="analytic")
     F = deformation_gradient(m, t, spec, mode).values
     for sl in _pointwise_slabs(m):
         w[sl] = _half_curl(_slab_gradient(
             lambda rows: _covelocity(m, m.grid._node_planes(rows), t, F[rows]), m.grid, sl,
             spec.order))
-    return VorticityField(m.grid, float(t), w, frame="label", mode=f"fd-order{spec.order}")
+    return VorticityField(m.grid, w, frame="label", mode=f"fd-order{spec.order}")
 
 
 def invariant_drift(m, times, spec=StencilSpec(), mode="auto", rind=0):
@@ -149,7 +148,7 @@ def solenoidality_residual(w, spec=StencilSpec(), rind=0):
     return summarize_residual(div, w.grid, rind=rind)
 
 
-def eulerian_vorticity(u, v, w, spec=StencilSpec(), t=0.0):
+def eulerian_vorticity(u, v, w, spec=StencilSpec()):
     """(X, Y, Z) = half-curl of a velocity field sampled on a spatial grid.
 
     The grid axes are x, y(, z); missing axes contribute zero derivatives
@@ -160,7 +159,7 @@ def eulerian_vorticity(u, v, w, spec=StencilSpec(), t=0.0):
         raise TypeError("eulerian_vorticity expects Fields on a spatial grid")
     vec = np.stack([u.data, v.data, w.data], axis=-1)
     vals = _half_curl(gradient(vec, spec, grid=grid))
-    return VorticityField(grid, float(t), vals, frame="spatial")
+    return VorticityField(grid, vals, frame="spatial")
 
 
 def vortex_line_function_residual(phi, psi, w, spec=StencilSpec(), rind=0):

@@ -11,8 +11,9 @@ Multivalued potentials (the point-vortex azimuth) declare a branch cut; every
 stencil touching the cut is dropped from norms (a summary's ``excluded``
 counts these nodes with the rind's).
 
-The triples, Bernoulli functions and advected scalars of the exact flows are
-carried by their catalog entries (``flows.CatalogEntry``).
+The triples and advected scalars of the exact flows are carried by their
+catalog entries (``flows.CatalogEntry``); an entry's Bernoulli Omega is its
+force potential's ``omega_at``.
 """
 
 from __future__ import annotations
@@ -140,7 +141,8 @@ def potential_flow_checks(F_fn, omega_fn, grid, t=0.0, spec=StencilSpec(), rind=
 
     Returns (laplace_summary, bernoulli_summary): Linf of the grid Laplacian
     of F, and of dF/dt + |grad F|^2 / 2 - Omega. omega_fn(points, t) is the
-    combined potential; a function of t alone shifts nothing (gauge).
+    combined potential V - p/rho (a catalog entry's ``force.omega_at``), in
+    F's gauge: Omega + c(t) moves the residual by c(t) unless F absorbs it.
     """
     pts = _grid_points(grid)
     vals = np.asarray(F_fn(pts, t), dtype=float)

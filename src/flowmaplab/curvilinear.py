@@ -257,8 +257,8 @@ def svanberg_invariant(m, times, rind=0):
         return pos[..., 0] * vel[..., 1] - pos[..., 1] * vel[..., 0]
 
     H0 = H(times[0])
-    drift = max(summarize_residual(np.abs(H(t) - H0), m.grid, rind=rind).linf
-                for t in times[1:])
+    drift = float(np.max([summarize_residual(np.abs(H(t) - H0), m.grid, rind=rind).linf
+                          for t in times[1:]]))  # NaN propagates
     return {"drift": drift, "H_reference": H0}
 
 

@@ -183,14 +183,10 @@ def eulerian_residual_at_points(u_fn, fp, points, t):
     grad_u = point_jacobian(lambda p: u_fn(p, t), pts, POINT_STENCIL_H)
     adv = np.einsum("...ik,...k->...i", grad_u, u0)
     force = fp.V_grad_at(pts, t)
-    if callable(fp.pressure):
-        gp = (
-            np.asarray(fp.pressure_grad(pts, t), dtype=float)
-            if fp.pressure_grad is not None
-            else point_jacobian(lambda p: fp.pressure_at(p, t), pts, POINT_STENCIL_H)
-        )
-    else:
-        gp = np.zeros(pts.shape)
+    if fp.pressure_grad is not None:
+        gp = np.asarray(fp.pressure_grad(pts, t), dtype=float)
+    else:  # a constant pressure differences to exact zeros
+        gp = point_jacobian(lambda p: fp.pressure_at(p, t), pts, POINT_STENCIL_H)
     return dudt + adv - force + gp / fp.density
 
 

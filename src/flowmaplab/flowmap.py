@@ -209,7 +209,7 @@ class SampledFlowMap(FlowMap):
     convention = "identity"
     reference_density = 1.0
 
-    def __init__(self, grid, times, field_fn, dt, name="sampled", timescale=1.0, bbox=None):
+    def __init__(self, grid, times, field_fn, dt, name="sampled", bbox=None):
         self.grid = grid
         self.times = np.asarray(times, dtype=float)
         if self.times.ndim != 1 or not self.times.size or np.any(np.diff(self.times) <= 0):
@@ -224,7 +224,6 @@ class SampledFlowMap(FlowMap):
         self._grid_lab.flags.writeable = False
         self.positions_table = self._march_table()
         self.name = name
-        self.timescale = float(timescale)
 
     @cached_property
     def error_floor(self):
@@ -328,7 +327,6 @@ class DeformationGradient:
     """Per-node dx_i/dlab_j on a label grid at one time."""
 
     grid: LabelGrid
-    t: float
     values: np.ndarray  # grid.shape + (3, 3)
     mode: str = "fd-grid"
 
@@ -444,7 +442,7 @@ def deformation_gradient(m, t, spec=StencilSpec(), mode="auto"):
             part = _fd_partials_slab(m, sl, t, spec.order)
         F[sl] = part
     F.setflags(write=False)
-    g = DeformationGradient(m.grid, float(t), F, mode="analytic" if analytic else "fd-grid")
+    g = DeformationGradient(m.grid, F, mode="analytic" if analytic else "fd-grid")
     m._gradient = (key, g)
     return g
 

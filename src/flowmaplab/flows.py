@@ -17,8 +17,8 @@ grid at a nonzero time.
 Entries also carry their Eulerian velocity u(x, t) where the flow has one in
 closed form or is integrated from one (every flow but gerstner), and the
 Clebsch data the ``clebsch`` checks read: a triple (F, phi, psi) realizing
-u, the Bernoulli Omega of a pure potential F, and a pair of materially
-advected scalars.
+u and a pair of materially advected scalars. A pure potential F's Bernoulli
+Omega = V - p/rho is the force potential's ``omega_at``.
 """
 
 from __future__ import annotations
@@ -124,9 +124,9 @@ class CatalogEntry:
     analytic flow (its map's velocities are u at its positions) or the field
     a sampled flow is integrated from. ``clebsch`` is a ClebschTriple
     realizing u = grad F + phi grad psi, with the cut mask of a multivalued
-    potential; ``bernoulli`` is Omega(points, t) of the unsteady Bernoulli
-    integral when the triple is a potential F alone; ``material_scalars`` is
-    a ClebschTriple whose phi and psi are advected by u (it does not realize
+    potential; when it is a potential F alone, ``force.omega_at`` is the
+    Omega of its unsteady Bernoulli integral. ``material_scalars`` is a
+    ClebschTriple whose phi and psi are advected by u (it does not realize
     u). Each is None where the flow has no such data.
     """
 
@@ -138,15 +138,10 @@ class CatalogEntry:
     validation_residual: float = None
     velocity_field: object = None
     clebsch: ClebschTriple = None
-    bernoulli: object = None
     material_scalars: ClebschTriple = None
 
-    @property
-    def dimensionality(self):  # the label axes of the map's grid
-        return self.map.grid.ndim
-
     def describe(self):
-        lines = [f"{self.name} ({self.dimensionality}D embedded in 3D)"]
+        lines = [f"{self.name} ({self.map.grid.ndim}D embedded in 3D)"]
         lines.append(f"  parameters: {self.params}")
         for k, v in self.properties.items():
             lines.append(f"  {k}: {v}")
@@ -189,9 +184,9 @@ def _affine_entry(name, params, grid, M, L, props, U=(0.0, 0.0, 0.0), timescale=
     velocity is the field at the positions, the acceleration L^2 x, the
     label partials M(t) and the velocity partials L M(t). With no force
     potential and unit density the momentum balance gives the pressure
-    gradient -L^2 x and the pressure -x . L^2 x / 2 (L^2 is symmetric for
-    every affine entry). ``entry_data`` are the entry's Clebsch and
-    Bernoulli fields.
+    gradient -L^2 x and the pressure -x . L^2 x / 2 - |U|^2 / 2 (L^2 is
+    symmetric for every affine entry; the constant sets a potential entry's
+    Bernoulli constant to 0). ``entry_data`` are the entry's Clebsch fields.
     """
     def pos(lab, t):
         return _affine(M(t), lab, [u * t for u in U])
@@ -203,7 +198,8 @@ def _affine_entry(name, params, grid, M, L, props, U=(0.0, 0.0, 0.0), timescale=
         return np.broadcast_to(np.asarray(A, dtype=float), lab.shape[:-1] + (3, 3)).copy()
 
     L2 = _product(L, L)
-    force = ForcePotential(pressure=lambda x, t: -0.5 * np.sum(x * _affine(L2, x), axis=-1),
+    p0 = 0.5 * np.dot(U, U)  # |U|^2 / 2
+    force = ForcePotential(pressure=lambda x, t: -0.5 * np.sum(x * _affine(L2, x), axis=-1) - p0,
                            pressure_grad=lambda x, t: _affine(-L2, x))
     m = AnalyticFlowMap(
         grid, pos, lambda lab, t: field(pos(lab, t), t), lambda lab, t: _affine(L2, pos(lab, t)),
@@ -270,7 +266,6 @@ def _uniform_translation(grid, velocity=(1.0, 0.0, 0.0)):
                          lambda t: np.eye(3), np.zeros((3, 3)),
                          {"jacobian": "1", "half_vorticity": (0.0, 0.0, 0.0)}, U=U,
                          map_name="uniform_translation", clebsch=clebsch,
-                         bernoulli=lambda x, t: np.full(x.shape[:-1], 0.5 * (U @ U)),
                          material_scalars=scalars)
 
 
@@ -298,8 +293,7 @@ def _stagnation(grid, k=1.0):
                          lambda t: [[np.exp(kk * t), 0.0, 0.0], [0.0, np.exp(-kk * t), 0.0],
                                     [0.0, 0.0, 1.0]],
                          [[kk, 0.0, 0.0], [0.0, -kk, 0.0], [0.0, 0.0, 0.0]], props,
-                         timescale=1.0 / abs(kk), clebsch=clebsch,
-                         bernoulli=lambda x, t: 0.5 * kk * kk * (x[..., 0] ** 2 + x[..., 1] ** 2))
+                         timescale=1.0 / abs(kk), clebsch=clebsch)
 
 
 def _gerstner_k(k):
@@ -441,8 +435,13 @@ def _point_vortex(grid, gamma=2 * np.pi, times=None, dt=None):
         raise ValueError("point-vortex label grid intrudes into the core disk")
     m = integrate_trajectories(field, grid, times, dt,
                                name=f"point_vortex(gamma={G})", timescale=period)
+
+    def pressure(x, t):  # finite at the origin, which the cut mask covers
+        r2 = x[..., 0] ** 2 + x[..., 1] ** 2
+        return -G ** 2 / (8 * np.pi ** 2 * np.where(r2 < 1e-12, 1.0, r2))
+
     force = ForcePotential(
-        pressure=lambda x, t: -G ** 2 / (8 * np.pi ** 2 * (x[..., 0] ** 2 + x[..., 1] ** 2)),
+        pressure=pressure,
         pressure_grad=lambda x, t: np.stack(
             [G ** 2 / (4 * np.pi ** 2) * x[..., 0] / (x[..., 0] ** 2 + x[..., 1] ** 2) ** 2,
              G ** 2 / (4 * np.pi ** 2) * x[..., 1] / (x[..., 0] ** 2 + x[..., 1] ** 2) ** 2,
@@ -459,12 +458,6 @@ def _point_vortex(grid, gamma=2 * np.pi, times=None, dt=None):
     def potential(x, t):
         return G / (2 * np.pi) * np.arctan2(x[..., 1], x[..., 0])
 
-    def bernoulli(x, t):
-        r2 = x[..., 0] ** 2 + x[..., 1] ** 2
-        # the origin is inside the cut mask; keep it finite so masked nodes
-        # do not poison array arithmetic
-        return G ** 2 / (8 * np.pi ** 2 * np.where(r2 < 1e-12, 1.0, r2))
-
     def cut(x):
         # points adjacent to the branch cut {y = 0, x < 0} of the azimuth,
         # plus the core disk where the potential itself is singular
@@ -474,8 +467,7 @@ def _point_vortex(grid, gamma=2 * np.pi, times=None, dt=None):
 
     return CatalogEntry("point_vortex", {"gamma": G}, m, force, props,
                         velocity_field=field,
-                        clebsch=ClebschTriple(F=potential, cut_mask=cut),
-                        bernoulli=bernoulli)
+                        clebsch=ClebschTriple(F=potential, cut_mask=cut))
 
 
 def _taylor_green(grid, times=None, dt=None):

@@ -384,6 +384,9 @@ _RETIRED = {
                             "applies to; curvilinear.svanberg_invariant still computes it",
 }
 
+# an error at or below this is noise: a group holding one fits no order
+ORDER_FLOOR = 1e-12
+
 
 def run_suite(cfg):
     """Execute every (flow, check, grid) combination of a validated config.
@@ -434,8 +437,8 @@ def run_suite(cfg):
     for fi in range(len(cfg["flows"])):
         gis = sorted(range(len(shapes)), key=lambda gi: -hs[fi, gi])
         for ci in range(len(checks)):
-            if any(rows[fi, ci, gi].linf < 1e-12 for gi in gis):
-                continue  # at the noise floor: order is meaningless
+            if not all(rows[fi, ci, gi].linf > ORDER_FLOOR for gi in gis):
+                continue
             for coarse, fine in zip(gis, gis[1:]):
                 ratio = hs[fi, coarse] / hs[fi, fine]
                 if ratio <= 1:
@@ -504,7 +507,7 @@ def convergence_study(check_id, flow_name, resolutions=None, dts=None,
     table.sort(key=lambda he: -he[0])
     errs = np.array([e for _, e in table])
     slope = None
-    if np.all(errs > 1e-12):
+    if all(e > ORDER_FLOOR for e in errs):
         logh = np.log([h for h, _ in table])
         loge = np.log(errs)
         slope = float(np.polyfit(logh, loge, 1)[0])

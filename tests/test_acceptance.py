@@ -228,7 +228,7 @@ def test_criterion_6_clebsch():
 
     for name in ("uniform_translation", "stagnation"):
         e = catalog_flow(name)
-        lap, bern = fl.potential_flow_checks(e.clebsch.F, e.bernoulli, g)
+        lap, bern = fl.potential_flow_checks(e.clebsch.F, e.force.omega_at, g)
         worst = max(lap.linf, bern.linf)
         checks.append((f"{name} Laplace+Bernoulli residuals <= 1e-12",
                        worst <= 1e-12, worst))

@@ -108,6 +108,18 @@ class TestSourceConstruction:
         with pytest.raises(ValueError, match="non-finite values in field"):
             VorticitySource(g, vals)
 
+    def test_divergence_gate_fails_a_nan(self):
+        # d/dx of component 0 is +inf and d/dy of component 1 is -inf at node
+        # (3, 3, 3), so its divergence is NaN; the gate itself is inf
+        g = LabelGrid((8, 8, 8), (-1, -1, -1), (0.25,) * 3)
+        vals = np.zeros(g.shape + (3,))
+        vals[4, 3, 3, 0], vals[2, 3, 3, 0] = 1e308, -1e308
+        vals[3, 4, 3, 1], vals[3, 2, 3, 1] = -1e308, 1e308
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isnan(biotsavart._divergence_linf(vals, g))
+            with pytest.raises(ValueError, match="exceeds the O\\(h\\^2\\) gate"):
+                VorticitySource(g, vals)
+
     def test_blob_divergence_gate_is_the_whole_grid_maximum(self):
         # 32 planes of 1024 nodes: 8 slabs of 4 planes
         src, _, _, _ = small_blob(32)

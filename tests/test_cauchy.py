@@ -216,7 +216,7 @@ def test_sampled_invariants_march_as_the_whole_grid_form(monkeypatch, name, call
 class TestSolenoidality:
     def test_constant_field(self):
         g = LabelGrid((9, 9, 9), (0, 0, 0), (0.1,) * 3)
-        w = VorticityField(g, 0.0, np.broadcast_to([0.0, 0.0, 1.0], (9, 9, 9, 3)).copy())
+        w = VorticityField(g, np.broadcast_to([0.0, 0.0, 1.0], (9, 9, 9, 3)).copy())
         assert solenoidality_residual(w).linf == 0.0
 
     def test_fd_curl_commutes_to_roundoff(self):
@@ -245,7 +245,7 @@ class TestSolenoidality:
             gp = np.stack([2 * np.cos(2 * a) * np.cos(b), -np.sin(2 * a) * np.sin(b),
                            np.zeros_like(a)], -1)
             gq = np.stack([0.3 * np.cos(a), np.zeros_like(a), np.ones_like(a)], -1)
-            return VorticityField(grid, 0.0, -0.5 * np.cross(gp, gq))
+            return VorticityField(grid, -0.5 * np.cross(gp, gq))
 
         errs = []
         for n in (17, 33):
@@ -263,13 +263,13 @@ class TestSolenoidality:
 
         gp = gradient(phi, grid=g)
         gq = gradient(psi, grid=g)
-        w = VorticityField(g, 0.0, -0.5 * np.cross(gp, gq))
+        w = VorticityField(g, -0.5 * np.cross(gp, gq))
         s = solenoidality_residual(w, rind=1)
         assert s.linf < 1e-12
 
     def test_frame_mismatch_rejected(self):
         g = LabelGrid((9, 9), (0, 0), (0.1, 0.1))
-        w = VorticityField(g, 0.0, np.zeros((9, 9, 3)), frame="spatial")
+        w = VorticityField(g, np.zeros((9, 9, 3)), frame="spatial")
         with pytest.raises(TypeError):
             solenoidality_residual(w)
 
@@ -340,14 +340,14 @@ class TestVortexLineFunctions:
         # relations force w = (0, 0, -1/2) exactly
         g = self.grid()
         lab = g.nodes3().reshape(g.shape + (3,))
-        w = VorticityField(g, 0.0, np.broadcast_to([0.0, 0.0, -0.5], g.shape + (3,)).copy())
+        w = VorticityField(g, np.broadcast_to([0.0, 0.0, -0.5], g.shape + (3,)).copy())
         s = vortex_line_function_residual(lab[..., 0], lab[..., 1], w)
         assert s.linf < 1e-14
 
     def test_constant_functions_need_zero_vorticity(self):
         g = self.grid()
         wvals = np.broadcast_to([0.0, 0.0, 0.7], g.shape + (3,)).copy()
-        w = VorticityField(g, 0.0, wvals)
+        w = VorticityField(g, wvals)
         s = vortex_line_function_residual(np.ones(g.shape), np.ones(g.shape), w)
         assert s.linf == pytest.approx(2 * 0.7)
 

@@ -114,13 +114,13 @@ class TestPotentialFlow:
     def test_uniform_flow(self):
         e = catalog_flow("uniform_translation", velocity=(1.5, 0.0, 0.0))
         g = grid_2d()
-        lap, bern = potential_flow_checks(e.clebsch.F, e.bernoulli, g)
+        lap, bern = potential_flow_checks(e.clebsch.F, e.force.omega_at, g)
         assert lap.linf <= 1e-12 and bern.linf <= 1e-12
 
     def test_stagnation_quadratics_are_stencil_exact(self):
         e = catalog_flow("stagnation", k=1.0)
         g = grid_2d()
-        lap, bern = potential_flow_checks(e.clebsch.F, e.bernoulli, g)
+        lap, bern = potential_flow_checks(e.clebsch.F, e.force.omega_at, g)
         assert lap.linf <= 1e-12
         assert bern.linf <= 1e-12
 
@@ -128,7 +128,7 @@ class TestPotentialFlow:
         # residuals away from the cut and core are pure stencil truncation:
         # bounded by C h^2 (C set by the closest included radius) and
         # shrinking at order 2 under refinement
-        ct, omega = catalog["point_vortex"].clebsch, catalog["point_vortex"].bernoulli
+        ct, omega = catalog["point_vortex"].clebsch, catalog["point_vortex"].force.omega_at
         g = grid_2d(n=65, lo=-2.0, hi=2.0)
         lap, bern = potential_flow_checks(ct.F, omega, g, cut_mask=ct.cut_mask)
         assert lap.excluded > 0  # stencils near cut/core were dropped

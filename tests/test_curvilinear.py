@@ -316,6 +316,15 @@ class TestSvanberg:
         expect = 1.0 * (lab[..., 0] ** 2 + lab[..., 1] ** 2)
         assert np.abs(out["H_reference"] - expect).max() <= 1e-12
 
+    def test_a_nan_drift_is_not_swallowed_by_time_order(self):
+        # NaN velocities after t = 0.5: the drift is NaN whether or not a
+        # finite time follows the NaN one
+        rot = catalog_flow("rigid_rotation").map
+        m = AnalyticFlowMap(rot.grid, rot._position,
+                            lambda lab, t: rot._velocity(lab, t) * (np.nan if t > 0.5 else 1.0))
+        for times in ([0.0, 0.2, 0.6], [0.0, 0.6, 0.2]):
+            assert np.isnan(svanberg_invariant(m, times)["drift"]), times
+
     def test_point_vortex_gamma_over_2pi(self):
         G = 2 * np.pi
         e = catalog_flow("point_vortex", gamma=G)

@@ -225,6 +225,17 @@ class TestBoundaryEnergyIdentity:
         assert out["max_gradient"] <= h2
         assert out["stationary_energy"] <= h2
 
+    def test_a_nan_normal_derivative_does_not_vanish(self):
+        # F = 0 with a gradient that is NaN only on the x = 1 face, the
+        # second face a running Python max would visit
+        def grad_fn(p):
+            return np.where(p[..., :1] == 1.0, np.nan, np.zeros_like(p))
+
+        out = boundary_energy_identity(lambda p: np.zeros(p.shape[:-1]), self.grid(9),
+                                       grad_fn=grad_fn)
+        assert not out["normal_derivative_vanishes"]
+        assert out["stationary_energy"] is None
+
     def test_nonvanishing_normal_derivative_blocks_implication(self):
         out = boundary_energy_identity(lambda p: p[..., 0], self.grid(9))
         assert not out["normal_derivative_vanishes"]

@@ -1,5 +1,6 @@
 """Exact-solution catalog and the trajectory integrator."""
 
+import inspect
 import os
 import subprocess
 import sys
@@ -674,7 +675,36 @@ def test_affine_force_is_derived_from_L(name, defaults):
 def test_gerstner_has_no_velocity_field_or_clebsch_data():
     e = catalog_flow("gerstner")
     assert e.velocity_field is None
-    assert (e.clebsch, e.bernoulli, e.material_scalars) == (None, None, None)
+    assert (e.clebsch, e.material_scalars) == (None, None)
+
+
+def test_bernoulli_omega_is_the_force_potential():
+    # force.omega_at = -p equals Omega = |grad F|^2 / 2 written out by hand
+    # for each potential entry, bit for bit, at the point-vortex origin too
+    pts = LabelGrid((65, 65), (-2.0, -2.0), (1 / 16, 1 / 16)).nodes3()
+    assert not np.abs(pts).sum(axis=-1).all()  # the origin is a node
+    r2 = pts[:, 0] ** 2 + pts[:, 1] ** 2
+    k, U, G = 1.0, np.array([0.3, -0.7, 0.2]), 2 * np.pi  # the catalog's k and Gamma
+    cases = [
+        (catalog_flow("stagnation"), 0.5 * k * k * (pts[:, 0] ** 2 + pts[:, 1] ** 2)),
+        (catalog_flow("uniform_translation", velocity=U), np.full(len(pts), 0.5 * (U @ U))),
+        (catalog_flow("point_vortex"), G ** 2 / (8 * np.pi ** 2 * np.where(r2 < 1e-12, 1.0, r2))),
+    ]
+    for e, omega in cases:
+        for t in (0.0, 0.7):
+            assert e.force.omega_at(pts, t).tobytes() == omega.tobytes(), e.name
+
+
+def test_removed_entry_and_record_fields_stay_gone():
+    from dataclasses import fields
+
+    from flowmaplab.cauchy import VorticityField
+    from flowmaplab.flowmap import DeformationGradient
+    names = {cls: {f.name for f in fields(cls)} | set(vars(cls))
+             for cls in (flows.CatalogEntry, VorticityField, DeformationGradient)}
+    assert not {"bernoulli", "dimensionality"} & names[flows.CatalogEntry]
+    assert "t" not in names[VorticityField] | names[DeformationGradient]
+    assert "timescale" not in inspect.signature(SampledFlowMap).parameters
 
 
 def test_catalog_and_cli_run_without_scipy():

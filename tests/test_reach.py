@@ -12,7 +12,15 @@ definition alive, and a name used only through ``getattr`` is missed.
 ROADMAP item that will grade or delete it, or the reason it stays. A change
 that adds an unreached name must add it here; a change that grades or
 deletes one must drop it. Run this file as a script to print the unreached
-names with their line counts.
+names with their line counts, then the unread members.
+
+Members are held the same way. A method or class-body field of any class
+the package defines, reached or not (dunder names left out), is read when
+some module of the package names it as an ``Attribute``, as a call's
+keyword or as an exact string constant; ``UNREAD_MEMBERS`` lists the rest.
+The rule is name-based too: a same-named attribute, keyword or string
+anywhere in the package keeps a member alive, and a read in tests or demos
+does not count.
 """
 
 import ast
@@ -80,24 +88,62 @@ UNREACHED = {
 }
 
 
+UNREAD_MEMBERS = {
+    "circulation.MaterialLoop.reversed": "stays: tests build reversed loops with it",
+    "circulation.MaterialSurface.boundary_loop": "stays: tests build spanning surfaces' loops",
+    "circulation.MaterialSurface.rectangle": "stays: tests and the energy demo build boxes of it",
+    "dynamics.ForcePotential.omega_at": ("item 22: the barotropic closure f(p) it reads is "
+                                         "graded or goes; tests read the catalog's Omega"),
+    "energy.EnergyLedger.K": _ITEM_10,
+    "flowmap.SampledFlowMap.error_floor": "item 1: a row records its sampled map's error floor",
+}
+
+
+def _modules():
+    return [(path.stem, ast.parse(path.read_text())) for path in sorted(SRC.glob("*.py"))]
+
+
+def _defined(body):
+    """(name, node) of each name a module or class body defines; dunder
+    names (``__all__``, ``__post_init__``) are left out."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            names = []
+        for name in names:
+            if not (name.startswith("__") and name.endswith("__")):
+                yield name, node
+
+
 def top_level_definitions():
-    """{name: [(module, node), ...]} over every module of the package;
-    dunder names (``__all__``) are left out."""
+    """{name: [(module, node), ...]} over every module of the package."""
     defs = {}
-    for path in sorted(SRC.glob("*.py")):
-        for node in ast.parse(path.read_text()).body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                names = [node.name]
-            elif isinstance(node, ast.Assign):
-                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
-            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-                names = [node.target.id]
-            else:
-                names = []
-            for name in names:
-                if not (name.startswith("__") and name.endswith("__")):
-                    defs.setdefault(name, []).append((path.stem, node))
+    for stem, tree in _modules():
+        for name, node in _defined(tree.body):
+            defs.setdefault(name, []).append((stem, node))
     return defs
+
+
+def unread_members():
+    """{"module.Class.member"} of the class members no module of the package reads."""
+    trees = _modules()
+    read = set()
+    for _, tree in trees:
+        for sub in ast.walk(tree):
+            if isinstance(sub, ast.Attribute):
+                read.add(sub.attr)
+            elif isinstance(sub, ast.keyword):
+                read.add(sub.arg)
+            elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                read.add(sub.value)
+    return {f"{stem}.{cls.name}.{name}" for stem, tree in trees
+            for cls in tree.body if isinstance(cls, ast.ClassDef)
+            for name, _ in _defined(cls.body) if name not in read}
 
 
 def unreached():
@@ -128,12 +174,21 @@ def test_unreached_names_are_the_table():
     assert set(UNREACHED) - found == set(), "in UNREACHED but reached or deleted"
 
 
+def test_unread_members_are_the_table():
+    found = unread_members()
+    assert found - set(UNREAD_MEMBERS) == set(), "read nowhere in src and not in UNREAD_MEMBERS"
+    assert set(UNREAD_MEMBERS) - found == set(), "in UNREAD_MEMBERS but read or deleted"
+
+
 def test_every_entry_names_an_item_or_a_reason():
-    assert all(why.startswith(("item ", "stays: ")) for why in UNREACHED.values())
+    reasons = list(UNREACHED.values()) + list(UNREAD_MEMBERS.values())
+    assert all(why.startswith(("item ", "stays: ")) for why in reasons)
 
 
 if __name__ == "__main__":
     lines = unreached()
     for name in sorted(lines):
         print(f"{lines[name]:5d}  {name}")
+    for name in sorted(unread_members()):
+        print(f"member {name}")
     print(f"{sum(lines.values())} lines in {len(lines)} unreached definitions")

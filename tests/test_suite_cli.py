@@ -537,6 +537,23 @@ class TestConvergenceStudy:
         )
         assert out["order"] is None and out["note"] == "n/a (floor)"
 
+    @pytest.mark.parametrize("above", [False, True], ids=["at_floor", "one_ulp_above"])
+    def test_the_suite_and_the_study_share_the_order_floor(self, monkeypatch, above):
+        # the finer row's error sits at the floor exactly or one float above it
+        floor = flowmaplab.suite.ORDER_FLOOR
+        fine = np.nextafter(floor, 1.0) if above else floor
+
+        def check(entry, times, ctx):
+            return {"time": times[-1], "linf": 4 * floor if entry.map.grid.shape[0] == 9 else fine}
+
+        monkeypatch.setitem(CHECKS, "test.floor", (check, "an error at the order floor"))
+        report, _ = run_suite({"flows": [{"name": "uniform_translation"}],
+                               "grids": [[9, 9], [17, 17]],
+                               "checks": [{"id": "test.floor", "tolerance": 1.0}]})
+        study = convergence_study("test.floor", "uniform_translation",
+                                  resolutions=[(9, 9), (17, 17)])
+        assert (report.rows[1].order is not None) == (study["order"] is not None) == above
+
     def test_data_file_emitted(self, tmp_path):
         path = tmp_path / "conv.dat"
         convergence_study("flows.rk4_closure", "rigid_rotation",
