@@ -34,7 +34,8 @@ import numpy as np
 
 from .grids import (Field, StencilSpec, _half_curl, _slab_gradient, divergence, gradient,
                     summarize_residual)
-from .flowmap import _analytic_partials, _pointwise_slabs, deformation_gradient
+from .flowmap import (_analytic_partials, _pointwise_slabs, _uses_partials,
+                      deformation_gradient)
 
 __all__ = [
     "VorticityField",
@@ -73,38 +74,31 @@ def _covelocity(m, labels, t, F):
 def cauchy_invariants(m, t, spec=StencilSpec(), mode="auto"):
     """(A, B, C): half the label-space curl of the covelocity.
 
-    With the map's label partials F and velocity partials G registered the
-    curl is exact (no grid truncation): half the antisymmetric part of
-    D_jk = sum_i F_ij G_ik, Cauchy's first-derivative form. The covelocity's
-    label derivative also carries u_i d2x_i/(dlab_j dlab_k), which is
-    symmetric in (j, k) and cancels in the curl, so neither second partials
-    nor velocities are evaluated; non-finite F or G raise a ValueError.
-    Otherwise the covelocity is differentiated over the label grid with the
-    given stencil, F being the whole-grid gradient ``deformation_gradient``
-    keeps.
+    When ``flowmap._uses_partials`` takes the map's label partials F and
+    velocity partials G, the curl is exact (no grid truncation): half the
+    antisymmetric part of D_jk = sum_i F_ij G_ik, Cauchy's first-derivative
+    form. The covelocity's label derivative also carries
+    u_i d2x_i/(dlab_j dlab_k), which is symmetric in (j, k) and cancels in
+    the curl, so neither second partials nor velocities are evaluated;
+    non-finite F or G raise in ``flowmap._analytic_partials``. Otherwise
+    the covelocity is differentiated over the label grid with the given
+    stencil, F being the whole-grid gradient ``deformation_gradient`` keeps.
 
     Both forms run on the slabs of whole axis-0 planes of
     ``flowmap._pointwise_slabs``, each written into the one result array:
     the partials and their product are slab-sized, and the covelocity is
     formed on a slab's planes plus the stencil's axis-0 halo
     (``grids._slab_gradient``), so each row is the whole-grid one bit for
-    bit. Whether the map has both partials is read off the first slab.
+    bit.
     """
     w = np.empty(m.grid.shape + (3,))
-    if mode in ("auto", "analytic"):
+    if _uses_partials(m, mode, velocity=True):
         for sl in _pointwise_slabs(m):
             labels = m.grid._node_planes(sl)
-            F = _analytic_partials(m, labels, t)
-            G = m.velocity_label_partials(labels, t)
-            if F is None or G is None:
-                if mode == "analytic":
-                    raise ValueError("map lacks the derivative callables for analytic invariants")
-                break
-            if not np.all(np.isfinite(G)):
-                raise ValueError("non-finite analytic partials")
+            F = _analytic_partials(m.label_partials, labels, t)
+            G = _analytic_partials(m.velocity_label_partials, labels, t)
             w[sl] = _half_curl(np.einsum("...ik,...ij->...jk", G, F))
-        else:
-            return VorticityField(m.grid, w, frame="label", mode="analytic")
+        return VorticityField(m.grid, w, frame="label", mode="analytic")
     F = deformation_gradient(m, t, spec, mode).values
     for sl in _pointwise_slabs(m):
         w[sl] = _half_curl(_slab_gradient(

@@ -45,7 +45,10 @@ SURFACE_TANGENT_ORDER = 2
 
 def _frame_from_normal(normal):
     n = np.asarray(normal, dtype=float)
-    n = n / np.linalg.norm(n)
+    length = np.linalg.norm(n)
+    if not 0 < length < np.inf:
+        raise ValueError(f"normal {n.tolist()} is not a finite vector of non-zero length")
+    n = n / length
     trial = np.array([1.0, 0.0, 0.0]) if abs(n[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
     e1 = np.cross(n, trial)
     e1 /= np.linalg.norm(e1)

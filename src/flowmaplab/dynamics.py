@@ -19,7 +19,8 @@ import numpy as np
 
 from .grids import (POINT_STENCIL_H, POTENTIAL_STENCIL_H, TIME_STEP, StencilSpec, _slab_gradient,
                     _time_difference, differentiate, point_jacobian, summarize_residual)
-from .flowmap import _analytic_partials, _pointwise_slabs, deformation_gradient
+from .flowmap import (_analytic_partials, _pointwise_slabs, _uses_partials,
+                      deformation_gradient)
 
 __all__ = [
     "ForcePotential",
@@ -127,20 +128,14 @@ def _label_momentum(m, fp, t, spec, mode):
     """Per slab ``sl`` of ``flowmap._pointwise_slabs``: (sl, F, positions,
     label-space momentum residual) on those axis-0 planes at time t.
 
-    F is the analytic partials on the slab (mode "auto" or "analytic" on a
-    map that has them), else the rows of the whole-grid finite-difference
-    gradient ``deformation_gradient`` keeps.
+    F is the analytic partials on the slab when ``flowmap._uses_partials``
+    takes them, else the rows of the whole-grid finite-difference gradient
+    ``deformation_gradient`` keeps, built before the first slab.
     """
-    F_grid = None
+    F_grid = None if _uses_partials(m, mode) else deformation_gradient(m, t, spec, mode).values
     for sl in _pointwise_slabs(m):
         labels = m.grid._node_planes(sl)
-        F = None
-        if F_grid is None and mode in ("auto", "analytic"):
-            F = _analytic_partials(m, labels, t)
-        if F is None:  # fd mode or no partials: the fd gradient, or "analytic" raises
-            if F_grid is None:
-                F_grid = deformation_gradient(m, t, spec, mode).values
-            F = F_grid[sl]
+        F = _analytic_partials(m.label_partials, labels, t) if F_grid is None else F_grid[sl]
         acc = m.accelerations(labels, t)
         pos = m.positions(labels, t)
         net = acc - fp.V_grad_at(pos, t)

@@ -61,13 +61,16 @@ def _labels3(labels):
 
 
 class FlowMap:
-    """Base interface; use AnalyticFlowMap or SampledFlowMap."""
+    """Base interface; use AnalyticFlowMap or SampledFlowMap. The closed-form
+    hooks ``_acceleration``, ``_partials`` and ``_velocity_partials`` are
+    called when registered (not None); ``_uses_partials`` reads them."""
 
     grid: LabelGrid
     convention: str  # "identity" (x=a at t=0) or "generalized"
     name: str = "flowmap"
     timescale: float = 1.0
     _gradient = None  # (key, DeformationGradient) kept by deformation_gradient
+    _acceleration = _partials = _velocity_partials = None
 
     def positions(self, labels, t):
         raise NotImplementedError
@@ -76,17 +79,22 @@ class FlowMap:
         raise NotImplementedError
 
     def accelerations(self, labels, t):
-        """Central time difference of velocities along trajectories, over a
-        step of grids.ACCELERATION_STEP * timescale."""
+        """The registered acceleration, else the central time difference of
+        velocities over a step of grids.ACCELERATION_STEP * timescale."""
+        if self._acceleration is not None:
+            return np.asarray(self._acceleration(_labels3(labels), float(t)), dtype=float)
         return _time_difference(lambda s: self.velocities(labels, s), t,
                                 ACCELERATION_STEP * self.timescale)
 
-    # analytic-derivative hooks; None means "not registered"
     def label_partials(self, labels, t):
-        return None
+        if self._partials is None:
+            return None
+        return np.asarray(self._partials(_labels3(labels), float(t)), dtype=float)
 
     def velocity_label_partials(self, labels, t):
-        return None
+        if self._velocity_partials is None:
+            return None
+        return np.asarray(self._velocity_partials(_labels3(labels), float(t)), dtype=float)
 
     def reference_density_at(self, labels):
         rho0 = getattr(self, "reference_density", 1.0)
@@ -131,7 +139,8 @@ class AnalyticFlowMap(FlowMap):
       velocity_partials(labels, t) -> (..., 3, 3)    G[i, j] = du_i/dlab_j
     F and G are all the exact Cauchy invariants need: the covelocity's
     second-partial term u_i d2x_i/(dlab_j dlab_k) is symmetric in (j, k)
-    and cancels in its curl (``cauchy.cauchy_invariants``).
+    and cancels in its curl (``cauchy.cauchy_invariants``). ``FlowMap``'s
+    hooks call acceleration and the partials.
     """
 
     def __init__(self, grid, position, velocity, acceleration=None,
@@ -158,21 +167,6 @@ class AnalyticFlowMap(FlowMap):
 
     def velocities(self, labels, t):
         return np.asarray(self._velocity(_labels3(labels), float(t)), dtype=float)
-
-    def accelerations(self, labels, t):
-        if self._acceleration is not None:
-            return np.asarray(self._acceleration(_labels3(labels), float(t)), dtype=float)
-        return super().accelerations(labels, t)
-
-    def label_partials(self, labels, t):
-        if self._partials is None:
-            return None
-        return np.asarray(self._partials(_labels3(labels), float(t)), dtype=float)
-
-    def velocity_label_partials(self, labels, t):
-        if self._velocity_partials is None:
-            return None
-        return np.asarray(self._velocity_partials(_labels3(labels), float(t)), dtype=float)
 
 
 # RK4 steps S between checkpoints of a sampled map's grid-label states. An
@@ -403,11 +397,24 @@ def _fd_partials_slab(m, sl, t, order):
     return F
 
 
-def _analytic_partials(m, labels, t):
-    """The map's registered label partials at ``labels``, or None when it
-    has none; non-finite values raise a ValueError."""
-    F = m.label_partials(labels, t)
-    if F is not None and not np.all(np.isfinite(F)):
+def _uses_partials(m, mode, velocity=False):
+    """Whether the grid checks take the map's registered label partials
+    (with ``velocity``, its velocity partials too): the one place a
+    derivative mode is read, from the registration alone. "analytic" on a
+    map without them, or a mode other than auto, analytic and fd, raises."""
+    if mode not in ("auto", "analytic", "fd"):
+        raise ValueError(f"derivative mode must be 'auto', 'analytic' or 'fd', got {mode!r}")
+    registered = m._partials is not None and (not velocity or m._velocity_partials is not None)
+    if mode == "analytic" and not registered:
+        raise ValueError(f"map {m.name!r} lacks the partials mode 'analytic' needs")
+    return registered and mode != "fd"
+
+
+def _analytic_partials(hook, labels, t):
+    """``hook(labels, t)``, a map's registered ``label_partials`` or
+    ``velocity_label_partials``: the one place non-finite partials raise."""
+    F = hook(labels, t)
+    if not np.all(np.isfinite(F)):
         raise ValueError("non-finite analytic partials")
     return F
 
@@ -415,9 +422,9 @@ def _analytic_partials(m, labels, t):
 def deformation_gradient(m, t, spec=StencilSpec(), mode="auto"):
     """Deformation gradient on the map's label grid.
 
-    mode "auto" prefers registered analytic partials and falls back to finite
-    differences of positions over the grid; the choice, read off the first
-    slab, is recorded. Either kind is filled slab by slab
+    ``_uses_partials`` decides, once, between the registered analytic
+    partials and finite differences of positions over the grid, and the
+    choice is recorded. Either kind is filled slab by slab
     (``_pointwise_slabs``) into one array: each slab's analytic partials, or
     its differences over a halo (``_fd_partials_slab``), each row the
     whole-grid difference bit for bit.
@@ -427,20 +434,15 @@ def deformation_gradient(m, t, spec=StencilSpec(), mode="auto"):
     one build; its ``values`` are read-only. A call with another key drops
     the kept gradient before building its own, so at most one is held.
     """
+    analytic = _uses_partials(m, mode)
     key = (float(t), spec.order, mode)
     if m._gradient is not None and m._gradient[0] == key:
         return m._gradient[1]
     m._gradient = None
-    analytic = mode in ("auto", "analytic")
     F = np.empty(m.grid.shape + (3, 3))
     for sl in _pointwise_slabs(m):
-        part = _analytic_partials(m, m.grid._node_planes(sl), t) if analytic else None
-        if part is None:
-            if mode == "analytic":
-                raise ValueError("map has no analytic partials registered")
-            analytic = False
-            part = _fd_partials_slab(m, sl, t, spec.order)
-        F[sl] = part
+        F[sl] = (_analytic_partials(m.label_partials, m.grid._node_planes(sl), t) if analytic
+                 else _fd_partials_slab(m, sl, t, spec.order))
     F.setflags(write=False)
     g = DeformationGradient(m.grid, F, mode="analytic" if analytic else "fd-grid")
     m._gradient = (key, g)
@@ -699,17 +701,16 @@ def validate_analytic_partials(m, t):
     order). Both sides are taken on the slabs of ``_pointwise_slabs``, the
     differences by ``_fd_partials_slab``, so the mismatch is the whole-grid
     one, bit for bit. A NaN mismatch propagates to the result and raises.
+    A map without registered partials returns 0.0 and evaluates nothing.
     """
+    if not _uses_partials(m, "auto"):
+        return 0.0
     grid = m.grid
-    interior = None
+    interior = grid.interior_slices(2)
+    r0, r1, _ = interior[0].indices(grid.shape[0])
     err = 0.0
     for sl in _pointwise_slabs(m):
         F = m.label_partials(grid._node_planes(sl), t)
-        if F is None:
-            return 0.0
-        if interior is None:
-            interior = grid.interior_slices(2)
-            r0, r1, _ = interior[0].indices(grid.shape[0])
         diff = _fd_partials_slab(m, sl, t, 2)
         diff -= F  # F_fd - F = -(F - F_fd) exactly, so |diff| is the mismatch
         np.abs(diff, out=diff)

@@ -47,7 +47,7 @@ class LabelGrid:
 
     shape   : nodes per axis (1 to 3 axes), every axis >= 4
     origin  : label coordinates of node (0, 0, 0)
-    spacing : per-axis step h > 0
+    spacing : per-axis finite step h > 0
     periodic: per-axis wrap flag; a periodic axis of n nodes covers one full
               period of length n*h (the wrap node is not duplicated)
 
@@ -74,8 +74,10 @@ class LabelGrid:
             raise ValueError("shape/origin/spacing/periodic lengths disagree")
         if any(n < 4 for n in shape):
             raise ValueError(f"every axis needs >= 4 nodes, got {shape}")
-        if any(h <= 0 for h in spacing):
-            raise ValueError(f"spacings must be positive, got {spacing}")
+        if not np.all(np.isfinite(origin)):
+            raise ValueError(f"origin must be finite, got {origin}")
+        if not all(0 < h < np.inf for h in spacing):
+            raise ValueError(f"spacings must be finite and positive, got {spacing}")
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "origin", origin)
         object.__setattr__(self, "spacing", spacing)
@@ -332,15 +334,10 @@ def gradient(f, spec=StencilSpec(), *, grid):
     layout (..., 3, 3) with ``[..., i, k] = d f_i / d lab_k``. Missing axes
     of 1D/2D grids contribute zero derivative (fields are taken
     label-invariant along unrepresented axes), so the derivative axis always
-    has 3 entries. Each axis's derivative is written straight into its slot
-    of the result.
+    has 3 entries. The whole grid is one slab of ``_slab_gradient``.
     """
-    f = _finite_field(f, grid)
-    out = np.zeros(f.shape + (3,))
-    for k in range(grid.ndim):
-        _diff_into(np.moveaxis(out[..., k], k, 0), np.moveaxis(f, k, 0), grid.spacing[k],
-                   spec.order, grid.periodic[k])
-    return out
+    f = _on_grid(f, grid)
+    return _slab_gradient(lambda rows: f[rows], grid, slice(0, grid.shape[0]), spec.order)
 
 
 def divergence(vec, spec=StencilSpec(), *, grid):

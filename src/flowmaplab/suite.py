@@ -21,7 +21,8 @@ from .flowmap import _lagrangian_density_residuals, cofactor_identity_residual, 
 from .flows import catalog_flow, catalog_names, catalog_params, default_grid, rk4_advect
 from .dynamics import lagrangian_eom_residual
 from .cauchy import cauchy_invariants, invariant_drift, solenoidality_residual
-from .circulation import MaterialLoop, MaterialSurface, kelvin_drift, stokes_residual
+from .circulation import (MaterialLoop, MaterialSurface, _frame_from_normal, kelvin_drift,
+                          stokes_residual)
 from .energy import living_force
 from .reporting import ReportRow, VerificationReport
 
@@ -183,9 +184,10 @@ def load_config(path_or_dict):
     Beyond the schema, every number must be finite (JSON readers accept NaN
     and Infinity), every check id, check option, flow name and flow param
     must be one the code reads, every flow's domain must mesh at every grid,
-    ``time_fractions`` must strictly increase, and with ``stencil_order`` 4
-    every grid axis needs at least 6 nodes. Any violation raises ConfigError
-    naming the key and the accepted names or values.
+    ``time_fractions`` must strictly increase, a loop ``normal`` must have
+    non-zero length, and with ``stencil_order`` 4 every grid axis needs at
+    least 6 nodes. Any violation raises ConfigError naming the key and the
+    accepted names or values.
 
     The config returned is the effective config, a new dict that loads to
     itself: schema integers are ints and numbers floats, ``_DEFAULTS``,
@@ -220,7 +222,7 @@ def load_config(path_or_dict):
             if min(shape) < 6:
                 raise ConfigError(f"config.grids {shape}: stencil_order 4 needs >= 6 nodes "
                                   f"on every axis")
-    for chk in cfg["checks"]:
+    for i, chk in enumerate(cfg["checks"]):
         if chk["id"] in _RETIRED:
             raise ConfigError(f"check {chk['id']!r} was removed: {_RETIRED[chk['id']]}")
         if chk["id"] not in CHECKS:
@@ -229,6 +231,11 @@ def load_config(path_or_dict):
             )
         _reject_unknown(f"check {chk['id']!r}", "option", chk.setdefault("options", {}),
                         _check_options(chk["id"]))
+        if "normal" in chk["options"]:
+            try:
+                _frame_from_normal(chk["options"]["normal"])
+            except ValueError as exc:
+                raise ConfigError(f"config.checks[{i}].options.normal: {exc}") from None
     for flow in cfg["flows"]:
         validate_flow(flow["name"], flow.setdefault("params", {}), cfg["grids"])
     return cfg

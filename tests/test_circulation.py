@@ -53,8 +53,21 @@ class TestLoopType:
         with pytest.raises(ValueError):
             circulation(rest_map(), MaterialLoop(pts), 0.0)
 
+    @pytest.mark.parametrize("normal", [(0, 0, 0), (0.0, np.nan, 1.0), (np.inf, 0.0, 0.0)])
+    def test_circle_rejects_a_normal_without_direction(self, normal):
+        # 0/0 would give an all-NaN loop, and NaN labels fail only later,
+        # as a map's non-finite positions or a NaN circulation
+        with pytest.raises(ValueError, match=r"normal \[.*\] is not a finite vector of "
+                                             "non-zero length"):
+            MaterialLoop.circle(radius=0.25, normal=normal, n=32)
+
 
 class TestSurfaceType:
+    @pytest.mark.parametrize("normal", [(0, 0, 0), (np.nan, 0.0, 1.0)])
+    def test_disk_rejects_a_normal_without_direction(self, normal):
+        with pytest.raises(ValueError, match="is not a finite vector of non-zero length"):
+            MaterialSurface.disk(radius=0.25, normal=normal, nr=8, ntheta=32)
+
     def test_disk_boundary_matches_circle(self):
         surf = MaterialSurface.disk(radius=0.5, nr=16, ntheta=64)
         loop = MaterialLoop.circle(radius=0.5, n=64)

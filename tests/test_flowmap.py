@@ -104,6 +104,97 @@ class TestDeformationGradient:
         assert np.abs(g.values - A).max() < 1e-12
 
 
+class TestDerivativeMode:
+    """flowmap._uses_partials is the one rule for a derivative mode: auto,
+    analytic or fd, read off the map's registered partials."""
+
+    @pytest.fixture(scope="class")
+    def gerstner(self):
+        return catalog_flow("gerstner", grid=default_grid("gerstner", (16, 16)))
+
+    @pytest.mark.parametrize("name", ["deformation_gradient", "cofactor_identity_residual",
+                                      "density_residual", "lagrangian_eom_residual",
+                                      "cauchy_invariants", "invariant_drift"])
+    def test_misspelled_mode_raises(self, gerstner, name):
+        from flowmaplab.cauchy import cauchy_invariants, invariant_drift
+        from flowmaplab.dynamics import lagrangian_eom_residual
+
+        m, t, bad = gerstner.map, 0.25 * gerstner.map.timescale, "analytc"
+        call = {
+            "deformation_gradient": lambda: deformation_gradient(m, t, mode=bad),
+            "cofactor_identity_residual": lambda: cofactor_identity_residual(m, t, mode=bad),
+            "density_residual": lambda: density_residual(m, t, gradient_mode=bad),
+            "lagrangian_eom_residual": lambda: lagrangian_eom_residual(m, gerstner.force, t,
+                                                                       mode=bad),
+            "cauchy_invariants": lambda: cauchy_invariants(m, t, mode=bad),
+            "invariant_drift": lambda: invariant_drift(m, [0.0, t], mode=bad),
+        }[name]
+        with pytest.raises(ValueError, match="mode must be 'auto', 'analytic' or 'fd', "
+                                             "got 'analytc'"):
+            call()
+
+    def test_the_rule_reads_the_registration_only(self):
+        def unreachable(lab, t):
+            raise AssertionError("the mode rule evaluated a callable")
+
+        m = AnalyticFlowMap(box_grid(), lambda lab, t: lab.copy(), unreachable,
+                            partials=unreachable)
+        assert flowmap._uses_partials(m, "auto") and flowmap._uses_partials(m, "analytic")
+        assert not flowmap._uses_partials(m, "fd")
+        assert not flowmap._uses_partials(m, "auto", velocity=True)
+        assert not flowmap._uses_partials(m, "fd", velocity=True)
+        with pytest.raises(ValueError, match="lacks the partials mode 'analytic' needs"):
+            flowmap._uses_partials(m, "analytic", velocity=True)
+        with pytest.raises(ValueError, match="lacks the partials mode 'analytic' needs"):
+            flowmap._uses_partials(identity_map(), "analytic")
+
+    def test_closed_form_hooks_live_on_flowmap(self):
+        for hook in ("accelerations", "label_partials", "velocity_label_partials"):
+            assert hook in vars(flowmap.FlowMap) and hook not in vars(AnalyticFlowMap)
+
+    def test_mode_rule_has_one_home(self):
+        # no module compares a derivative mode with "auto", "analytic" or "fd"
+        # outside flowmap._uses_partials: a literal mode (or a literal
+        # container of one) on either side of a comparison, or any name
+        # ending in "mode" compared with a string. density_residual's
+        # lagrangian/eulerian mode is another option, exempt by name
+        MODES = {"auto", "analytic", "fd"}
+        HOME, EXEMPT = "_uses_partials", "density_residual"
+
+        def literal_modes(e):
+            items = e.elts if isinstance(e, (ast.Tuple, ast.List, ast.Set)) else [e]
+            return any(isinstance(i, ast.Constant) and i.value in MODES for i in items)
+
+        def mode_named(e):
+            name = e.id if isinstance(e, ast.Name) else getattr(e, "attr", "")
+            return name.endswith("mode")
+
+        def compares(path):
+            found = []
+
+            def visit(node, fn):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    fn = node.name
+                if isinstance(node, ast.Compare):
+                    ops = [node.left, *node.comparators]
+                    strings = any(isinstance(o, ast.Constant) and isinstance(o.value, str)
+                                  for o in ops)
+                    if any(literal_modes(o) for o in ops) or (
+                            fn != EXEMPT and strings and any(mode_named(o) for o in ops)):
+                        found.append((fn, node.lineno))
+                for child in ast.iter_child_nodes(node):
+                    visit(child, fn)
+
+            visit(ast.parse(path.read_text()), None)
+            return found
+
+        src = Path(__file__).resolve().parents[1] / "src" / "flowmaplab"
+        assert {fn for fn, _ in compares(src / "flowmap.py")} == {HOME}
+        offenders = [f"{f.name}:{n}" for f in sorted(src.glob("*.py"))
+                     for fn, n in compares(f) if fn != HOME]
+        assert offenders == []
+
+
 class TestGradientMemo:
     """deformation_gradient keeps one gradient per map, read-only."""
 

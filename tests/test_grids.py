@@ -30,6 +30,29 @@ class TestLabelGrid:
         with pytest.raises(ValueError):
             LabelGrid((8,), (0.0,), (0.0,))
 
+    @pytest.mark.parametrize("origin, spacing, named", [
+        ((0.0, np.nan), (0.1, 0.1), "origin"),
+        ((np.inf, 0.0), (0.1, 0.1), "origin"),
+        ((0.0, 0.0), (np.nan, 0.1), "spacings"),
+        ((0.0, 0.0), (0.1, np.inf), "spacings"),
+        ((0.0, np.nan), (np.nan, np.inf), "origin"),
+    ])
+    def test_rejects_non_finite_origin_and_spacing(self, origin, spacing, named):
+        # NaN passes a `h <= 0` test, and an inf spacing makes every node but
+        # the first infinite
+        with pytest.raises(ValueError, match=f"^{named} must be finite"):
+            LabelGrid((4, 4), origin, spacing)
+
+    def test_catalog_spacing_that_overflows_is_named(self):
+        # gerstner's wavelength 2 pi / k overflows for k = 1e-320; the grid,
+        # not the e^(2kb) gate downstream, names the fault
+        from flowmaplab.flows import catalog_flow, default_grid
+
+        with pytest.raises(ValueError, match=r"spacings must be finite and positive, got \(inf"):
+            default_grid("gerstner", (16, 16), k=1e-320)
+        with pytest.raises(ValueError, match="spacings must be finite"):
+            catalog_flow("gerstner", k=1e-320)
+
     def test_rejects_bad_dimensionality(self):
         with pytest.raises(ValueError):
             LabelGrid((4, 4, 4, 4), (0,) * 4, (1,) * 4)
@@ -212,6 +235,25 @@ class TestStencilLayer:
             spec = StencilSpec(order=order)
             stacked = np.stack([gradient(vec[..., i], spec, grid=g) for i in range(3)], axis=-2)
             assert np.array_equal(gradient(vec, spec, grid=g), stacked)
+
+    @pytest.mark.parametrize("order", [2, 4])
+    @pytest.mark.parametrize("shape, periodic", [
+        ((9,), (False,)), ((8,), (True,)), ((7, 8), (True, False)), ((8, 6), (False, True)),
+        ((6, 7, 8), (False, True, False)), ((7, 6, 9), (True, False, True)),
+    ])
+    @pytest.mark.parametrize("components", [(), (3,)], ids=["scalar", "vector"])
+    def test_gradient_is_differentiate_on_every_axis(self, order, shape, periodic, components):
+        # gradient is the whole grid as one slab of _slab_gradient: axis 0
+        # through the slab's window, the other axes in place; each slot is
+        # the differentiate result bit for bit, and missing axes are zero
+        g = LabelGrid(shape, (0.1,) * len(shape), (0.3, 0.2, 0.45)[:len(shape)], periodic)
+        f = np.random.default_rng(len(shape)).normal(size=shape + components)
+        spec = StencilSpec(order)
+        grad = gradient(f, spec, grid=g)
+        assert grad.shape == shape + components + (3,)
+        for k in range(g.ndim):
+            assert grad[..., k].tobytes() == differentiate(f, k, spec, grid=g).tobytes(), k
+        assert not grad[..., g.ndim:].any()
 
     @pytest.mark.parametrize("order", [2, 4])
     @pytest.mark.parametrize("n", [6, 7, 32])

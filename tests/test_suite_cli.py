@@ -730,6 +730,16 @@ class TestCLI:
         pytest.param(("run", {"checks": [{"id": "circulation.stokes", "tolerance": 1.0,
                                           "options": {"normal": [0.0, 0.0, "z"]}}]}),
                      "normal", id="stokes_normal_not_numbers"),
+        # a zero normal would give a loop of NaN labels
+        pytest.param(("run", {"checks": [{"id": "circulation.kelvin_drift", "tolerance": 1.0,
+                                          "options": {"normal": [0, 0, 0]}}]}),
+                     "config.checks[0].options.normal", id="kelvin_zero_normal"),
+        pytest.param(("run", {"checks": [{"id": "circulation.stokes", "tolerance": 1.0,
+                                          "options": {"normal": [0.0, 0.0, 0.0]}}]}),
+                     "config.checks[0].options.normal", id="stokes_zero_normal"),
+        # the wavelength 2 pi / k overflows: the grid names its spacing
+        pytest.param(("run", {"flows": [{"name": "gerstner", "params": {"k": 1e-320}}]}),
+                     "spacings must be finite", id="gerstner_k_spacing_overflows"),
         pytest.param(("converge", "flows.rk4_closure", "gerstner", "--dts", "0.1,0.05"),
                      "gerstner", id="rk4_closure_other_flow"),
         pytest.param(("converge", "flows.rk4_closure", "rigid_rotation", "--dts", "0.1,0.05",
