@@ -44,10 +44,18 @@ SURFACE_TANGENT_ORDER = 2
 
 
 def _frame_from_normal(normal):
+    """Orthonormal (e1, e2, n) with n along ``normal``. A normal whose squared
+    length overflows or underflows is divided by its largest |component|
+    first; any other is normalised by its length directly."""
     n = np.asarray(normal, dtype=float)
-    length = np.linalg.norm(n)
+    with np.errstate(over="ignore"):
+        length = np.linalg.norm(n)
     if not 0 < length < np.inf:
-        raise ValueError(f"normal {n.tolist()} is not a finite vector of non-zero length")
+        scale = np.max(np.abs(n))  # NaN propagates
+        if not 0 < scale < np.inf:
+            raise ValueError(f"normal {n.tolist()} is not a finite vector of non-zero length")
+        n = n / scale
+        length = np.linalg.norm(n)
     n = n / length
     trial = np.array([1.0, 0.0, 0.0]) if abs(n[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
     e1 = np.cross(n, trial)

@@ -429,13 +429,15 @@ def deformation_gradient(m, t, spec=StencilSpec(), mode="auto"):
     its differences over a halo (``_fd_partials_slab``), each row the
     whole-grid difference bit for bit.
 
-    The map keeps the last gradient it was asked for, keyed by (t, stencil
-    order, mode), so checks that contract the same F at the same time share
-    one build; its ``values`` are read-only. A call with another key drops
-    the kept gradient before building its own, so at most one is held.
+    The map keeps the last gradient it was asked for, keyed by t and the
+    kind ``_uses_partials`` resolves the mode to (fd F also by its stencil
+    order), so checks that contract the same F at the same time share one
+    build however they spell the mode; its ``values`` are read-only. A call
+    with another key drops the kept gradient before building its own, so at
+    most one is held.
     """
     analytic = _uses_partials(m, mode)
-    key = (float(t), spec.order, mode)
+    key = (float(t), None if analytic else spec.order)
     if m._gradient is not None and m._gradient[0] == key:
         return m._gradient[1]
     m._gradient = None

@@ -1,7 +1,9 @@
 """Velocity reconstruction from vorticity and the element-law identities."""
 
 import re
+import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -394,12 +396,33 @@ def direct_sum(src, targets):
     return np.array(out) * src.grid.cell_volume / (2 * np.pi)
 
 
+def forced_one_thread(monkeypatch, call):
+    """Run ``call()`` as the module decides, recording each ``_sweep``'s
+    (first, step) share, then again with the helper thread ruled out. Returns
+    both results and the first run's shares, sorted."""
+    shares = []
+    sweep = biotsavart._sweep
+
+    def recorded(*args):
+        shares.append(args[-2:])
+        return sweep(*args)
+
+    monkeypatch.setattr(biotsavart, "_sweep", recorded)
+    shared = call()
+    split = sorted(shares)
+    monkeypatch.setattr(biotsavart, "_uses_helper", lambda tiles: False)
+    shares.clear()
+    alone = call()
+    assert shares == [(0, 1)]
+    return shared, alone, split
+
+
 class TestKernelBlocks:
     """The kernel walks tiles of TILE targets and blocks of BLOCK sources in
     coordinates centred on the source grid."""
 
-    @pytest.mark.parametrize("count", [1, TILE - 1, TILE, TILE + 1, 2 * TILE + 1])
-    def test_partial_tiles_and_blocks_match_direct_sum(self, count):
+    @pytest.mark.parametrize("count", [1, TILE - 1, TILE, TILE + 1, 2 * TILE + 1, 5 * TILE + 3])
+    def test_partial_tiles_and_blocks_match_direct_sum(self, monkeypatch, count):
         rng = np.random.default_rng(count)
         g = LabelGrid((20, 20, 20), (-0.65, -1.15, -0.85), (0.1,) * 3)  # centre (0.3, -0.2, 0.1)
         # small values keep the random field under the divergence gate
@@ -410,7 +433,9 @@ class TestKernelBlocks:
         assert carrying > BLOCK and carrying % BLOCK
         v = rng.normal(size=(count, 3))
         targets = 2.5 * v / np.linalg.norm(v, axis=1)[:, None] + (0.3, -0.2, 0.1)
-        u = velocity_from_vorticity(src, targets)
+        u, alone, split = forced_one_thread(monkeypatch, lambda: velocity_from_vorticity(src, targets))
+        assert split == ([(0, 2), (1, 2)] if count > TILE else [(0, 1)])
+        assert np.array_equal(u, alone)
         want = direct_sum(src, targets)
         assert np.abs(u - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -426,23 +451,24 @@ class TestKernelBlocks:
         w[[7, 257, 507, 757]] = 0.0
         w[7, 0], w[257, 2], w[507, 1], w[757, 1] = -COMPACT_TOL, COMPACT_TOL, above, -above
         src = VorticitySource(g, vals, compact=False, divergence_gate=np.inf)
-        whole = np.flatnonzero(((w > COMPACT_TOL) | (w < -COMPACT_TOL)).any(axis=1))
-        assert not np.isin([7, 257], whole).any() and np.isin([507, 757], whole).all()
+        whole = ((w > COMPACT_TOL) | (w < -COMPACT_TOL)).any(axis=1)
+        assert not whole[[7, 257]].any() and whole[[507, 757]].all()
         monkeypatch.setattr(biotsavart, "BLOCK", 100)
         assert len(w) > 100 and len(w) % 100
-        assert np.array_equal(biotsavart._carrying_nodes(src.values.reshape(-1, 3)), whole)
-        v = rng.normal(size=(20, 3))
-        targets = 2.0 * v / np.linalg.norm(v, axis=1)[:, None]
-        u = velocity_from_vorticity(src, targets)
-        monkeypatch.setattr(biotsavart, "_carrying_nodes", lambda _: whole)
-        assert np.array_equal(velocity_from_vorticity(src, targets), u)
+        assert np.array_equal(biotsavart._carrying_mask(src.values.reshape(-1, 3)), whole)
+        # the source blocks: 100 carrying rows each, ascending, the last partial
+        blocks = [b.copy() for b in biotsavart._source_blocks(w, np.empty(100, dtype=np.intp))]
+        assert [len(b) for b in blocks[:-1]] == [100] * (len(blocks) - 1) and 0 < len(blocks[-1]) < 100
+        assert np.array_equal(np.concatenate(blocks), np.flatnonzero(whole))
 
-    def test_one_node_source_fills_tall_tiles(self):
+    def test_one_node_source_fills_tall_tiles(self, monkeypatch):
         # one carrying node: tiles of TILE * BLOCK targets, so 1e5 targets cost
-        # four kernel products, not 12,500
+        # four kernel products, not 12,500, two on each thread
         src, node = one_node_source((1, 6, 2), (0.3, -1.0, 0.7))
         targets = node + np.random.default_rng(3).normal(size=(100_000, 3)) * 2
-        u = velocity_from_vorticity(src, targets, allow_interior_targets=True)
+        u, alone, split = forced_one_thread(
+            monkeypatch, lambda: velocity_from_vorticity(src, targets, allow_interior_targets=True))
+        assert split == [(0, 2), (1, 2)] and np.array_equal(u, alone)
         d = targets - node
         want = (np.cross((0.3, -1.0, 0.7), d) / np.linalg.norm(d, axis=1)[:, None] ** 3
                 * src.grid.cell_volume / (2 * np.pi))
@@ -476,3 +502,106 @@ class TestKernelBlocks:
                f"(< {gate:.3e}); pass allow_interior_targets=True to override")
         with pytest.raises(ValueError, match=re.escape(msg)):
             velocity_from_vorticity(src, targets)
+
+
+class TestThreadSplit:
+    """With two tiles or more the sum is shared between the caller and one
+    helper thread, tile k to thread k % 2; the velocities are those of one
+    thread bit for bit (also graded in ``TestKernelBlocks``)."""
+
+    def test_ring_on_the_64_cubed_blob(self, monkeypatch):
+        src, _, _, _ = gaussian_swirl_blob(n=64)
+        ring = [(0.16 * np.cos(a), 0.16 * np.sin(a), 0.0)
+                for a in np.linspace(0, 2 * np.pi, 64, endpoint=False)]
+        shared, alone, split = forced_one_thread(
+            monkeypatch, lambda: velocity_from_vorticity(src, ring, allow_interior_targets=True))
+        assert split == [(0, 2), (1, 2)]
+        assert np.array_equal(shared, alone)
+
+    def test_helper_exception_reaches_the_caller(self, monkeypatch):
+        src, _, _, _ = small_blob(32)
+        sweep = biotsavart._sweep
+
+        def failing(*args):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("helper failed")
+            return sweep(*args)
+
+        monkeypatch.setattr(biotsavart, "_sweep", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="helper failed"):
+            velocity_from_vorticity(src, [(1.3, 0.1 * k, 0.1) for k in range(3 * TILE)])
+        assert threading.active_count() == before
+
+
+def brute_r2min(src, t):
+    """The least r^2 from each centred target to every carrying node, formed
+    as the sum forms it: ((dx^2 + dy^2) + dz^2)."""
+    g = src.grid
+    centre = np.asarray(g.origin) + (np.asarray(g.shape) - 1) / 2 * np.asarray(g.spacing)
+    w = src.values.reshape(-1, 3)
+    p = (g.nodes3() - centre)[np.abs(w).max(axis=1) > COMPACT_TOL]
+    out = []
+    with np.errstate(over="ignore"):  # far targets
+        for x in t:
+            d = x - p
+            d *= d
+            out.append(((d[:, 0] + d[:, 1]) + d[:, 2]).min())
+    return np.array(out)
+
+
+class TestLatticeGate:
+    """The proximity gate looks only at the carrying nodes within
+    ceil(gate / h_k) + 1 cells of each target (at all of them when fewer
+    carry than such a window holds); below the gate its distance is the
+    minimum over all carrying nodes bit for bit."""
+
+    @staticmethod
+    def gate_inputs(src):
+        g = src.grid
+        centre = np.asarray(g.origin) + (np.asarray(g.shape) - 1) / 2 * np.asarray(g.spacing)
+        mask = biotsavart._carrying_mask(src.values.reshape(-1, 3))
+        axes = [g.axis_coords(k) - centre[k] for k in range(3)]
+        return mask, g, axes, 2.0 * min(g.spacing)
+
+    # a sparse support has fewer carrying nodes than a window holds, so its
+    # candidates are the nodes themselves; a dense one is queried by windows
+    @pytest.mark.parametrize("dense", [False, True])
+    @pytest.mark.parametrize("spacing", [(0.25, 0.25, 0.25), (0.25, 0.5, 0.125), (0.1, 0.37, 0.05)])
+    def test_matches_the_brute_force_minimum(self, spacing, dense):
+        rng = np.random.default_rng(7)
+        shape, support = ((16, 14, 18), (slice(2, 14), slice(2, 12), slice(2, 16))) if dense else \
+            ((9, 7, 11), (slice(2, 7), slice(2, 5), slice(3, 8)))
+        g = LabelGrid(shape, tuple(-4 * h for h in spacing), spacing)
+        vals = np.zeros(g.shape + (3,))
+        vals[support] = rng.uniform(-1e-3, 1e-3, vals[support].shape)
+        vals[rng.random(g.shape) < (0.3 if dense else 0.5)] = 0.0
+        src = VorticitySource(g, vals, compact=False, divergence_gate=np.inf)
+        mask, g, axes, gate = self.gate_inputs(src)
+        window = np.prod([2 * np.ceil(gate / h) + 3 for h in spacing])
+        assert (mask.sum() >= window) == dense
+        lo, hi = axes[0][0], axes[0][-1]
+        node = np.array([a[i] for a, i in zip(axes, np.unravel_index(mask.argmax(), g.shape))])
+        t = np.concatenate([
+            rng.uniform(lo - 1, hi + 1, (400, 3)),  # near, inside and off the grid
+            node + rng.uniform(-gate, gate, (200, 3)),
+            [node, node + (gate, 0, 0), node - (0, 0, gate), node + (0, 1.5 * gate, 0)],
+            [(1e300, 0, 0), (-1e300, 1e300, 3), (2.0, -1e300, -1e300)],
+        ])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = biotsavart._support_r2min(mask, int(mask.sum()), g, axes, t, gate)
+        want = brute_r2min(src, t)
+        near = np.sqrt(want) < gate
+        assert near.sum() > 100
+        assert np.array_equal(got[near], want[near])
+        assert np.all(np.sqrt(got[~near]) >= gate) and np.all(got[~near] >= want[~near])
+        assert np.all(got[-3:] == np.inf)
+
+    def test_target_exactly_at_the_gate_passes(self):
+        src, node = one_node_source((3, 4, 2), (0.0, 0.0, 1.0))
+        gate = 2.0 * src.grid.spacing[0]
+        u = velocity_from_vorticity(src, [node + (gate, 0.0, 0.0)])
+        assert np.isfinite(u).all()
+        with pytest.raises(ValueError, match=re.escape("within 1.000e+00 of the vorticity support")):
+            velocity_from_vorticity(src, [node + (np.nextafter(gate, 0), 0.0, 0.0)])

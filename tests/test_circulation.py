@@ -1,6 +1,7 @@
 """Material loops and surfaces: circulation, flux, Stokes, Kelvin, tubes."""
 
 import importlib
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from flowmaplab import (
     tube_section_flux,
     vorticity_flux,
 )
+from flowmaplab.circulation import _frame_from_normal
 
 
 def rest_map():
@@ -60,6 +62,17 @@ class TestLoopType:
         with pytest.raises(ValueError, match=r"normal \[.*\] is not a finite vector of "
                                              "non-zero length"):
             MaterialLoop.circle(radius=0.25, normal=normal, n=32)
+
+
+    @pytest.mark.parametrize("normal, unit", [((1e200, 0.0, 0.0), (1.0, 0.0, 0.0)),
+                                              ((0.0, -1e300, 0.0), (0.0, -1.0, 0.0)),
+                                              ((1e-200, 1e-200, 0.0), (1.0, 1.0, 0.0))])
+    def test_frame_of_a_normal_whose_squared_length_overflows_or_underflows(self, normal, unit):
+        # the normal has a direction; only |n|^2 is out of range
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            frame = _frame_from_normal(normal)
+        assert all(np.array_equal(a, b) for a, b in zip(frame, _frame_from_normal(unit)))
 
 
 class TestSurfaceType:

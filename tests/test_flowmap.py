@@ -227,6 +227,22 @@ class TestGradientMemo:
             tracemalloc.stop()
         assert rises[1] <= rises[0] + f_bytes / 4
 
+    def test_modes_that_resolve_alike_share_one_build(self, monkeypatch):
+        # auto and analytic both resolve to gerstner's registered partials,
+        # and analytic F does not depend on the stencil order
+        m = catalog_flow("gerstner", validate=False, grid=default_grid("gerstner", (64, 64))).map
+        calls = []
+        partials = m._partials
+        monkeypatch.setattr(m, "_partials", lambda *a: calls.append(1) or partials(*a))
+        slabs = len(flowmap._pointwise_slabs(m))
+        g = deformation_gradient(m, 0.3, mode="auto")
+        for mode, spec in (("analytic", StencilSpec(2)), ("auto", StencilSpec(4))):
+            assert deformation_gradient(m, 0.3, spec, mode=mode) is g
+        assert len(calls) == slabs
+        fd = deformation_gradient(m, 0.3, mode="fd")
+        assert fd is not g and len(calls) == slabs
+        assert deformation_gradient(m, 0.3, StencilSpec(4), mode="fd") is not fd
+
     @pytest.mark.parametrize("name", ["gerstner", "point_vortex"])
     def test_catalog_entry_holds_no_gradient(self, name):
         # the construction gate builds one; the entry must not keep it

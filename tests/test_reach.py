@@ -38,8 +38,13 @@ UNREACHED = {
     "biotsavart.MIN_DISTANCE_CELLS": _ITEM_11,
     "biotsavart.TILE": _ITEM_11,
     "biotsavart.VorticitySource": _ITEM_11,
-    "biotsavart._carrying_nodes": _ITEM_11,
+    "biotsavart._carrying": _ITEM_11,
+    "biotsavart._carrying_mask": _ITEM_11,
     "biotsavart._divergence_linf": _ITEM_11,
+    "biotsavart._source_blocks": _ITEM_11,
+    "biotsavart._support_r2min": _ITEM_11,
+    "biotsavart._sweep": _ITEM_11,
+    "biotsavart._uses_helper": _ITEM_11,
     "biotsavart.gaussian_swirl_blob": _ITEM_11,
     "biotsavart.velocity_from_vorticity": _ITEM_11,
     "cauchy.eulerian_vorticity": _ITEM_7,

@@ -604,6 +604,19 @@ class TestCLI:
         proc = run_cli("report", "diff", str(tmp_path / "a.json"), str(tmp_path / "c.json"))
         assert proc.returncode == 0 and "identical" in proc.stdout
 
+    def test_kelvin_normal_whose_squared_length_overflows_runs(self, tmp_path):
+        # (1e200, 0, 0) has a direction: its loop is (1, 0, 0)'s, bit for bit
+        rows = []
+        for normal in ([1e200, 0.0, 0.0], [1.0, 0.0, 0.0]):
+            p = tmp_path / "k.json"
+            p.write_text(json.dumps(dict(SUITE, grids=[[16, 16]], flows=SUITE["flows"][:1], checks=[
+                {"id": "circulation.kelvin_drift", "tolerance": 1e-6,
+                 "options": {"normal": normal}}])))
+            proc = run_cli("run", str(p), "--out", str(tmp_path / "rep.json"))
+            assert proc.returncode == 0 and "Warning" not in proc.stderr, proc.stderr
+            rows.append(json.loads((tmp_path / "rep.json").read_text())["rows"])
+        assert rows[0] == rows[1]
+
     def test_run_invalid_config_exit_two(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps({"flows": []}))
@@ -734,6 +747,12 @@ class TestCLI:
         pytest.param(("run", {"checks": [{"id": "circulation.kelvin_drift", "tolerance": 1.0,
                                           "options": {"normal": [0, 0, 0]}}]}),
                      "config.checks[0].options.normal", id="kelvin_zero_normal"),
+        pytest.param(("run", {"checks": [{"id": "circulation.kelvin_drift", "tolerance": 1.0,
+                                          "options": {"normal": [0.0, math.nan, 1.0]}}]}),
+                     "config.checks[0].options.normal", id="kelvin_nan_normal"),
+        pytest.param(("run", {"checks": [{"id": "circulation.kelvin_drift", "tolerance": 1.0,
+                                          "options": {"normal": [math.inf, 0.0, 0.0]}}]}),
+                     "config.checks[0].options.normal", id="kelvin_inf_normal"),
         pytest.param(("run", {"checks": [{"id": "circulation.stokes", "tolerance": 1.0,
                                           "options": {"normal": [0.0, 0.0, 0.0]}}]}),
                      "config.checks[0].options.normal", id="stokes_zero_normal"),
