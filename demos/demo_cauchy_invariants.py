@@ -24,7 +24,7 @@ print("\n--- covelocity of the rotation is frozen ----------------------")
 lab = rot.map.grid_labels()
 # alpha_j = sum_i u_i dx_i/dlab_j
 cov = np.einsum("...i,...ij->...j", rot.map.velocities(lab, 4.0),
-                fl.deformation_gradient(rot.map, 4.0).values)
+                fl.deformation_gradient(rot.map, 4.0))
 expect = np.stack([-1.3 * lab[..., 1], 1.3 * lab[..., 0], 0 * lab[..., 0]], -1)
 print("  max |covelocity - (-w b, w a, 0)| =", np.abs(cov - expect).max())
 

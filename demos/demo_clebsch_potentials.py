@@ -47,11 +47,11 @@ print(f"  {lap.excluded} nodes near the cut/core excluded from norms")
 print(f"  away from the cut: Laplace {lap.linf:.2e}, Bernoulli {bern.linf:.2e}")
 
 print("\n--- consistency with the vorticity module -----------------------")
-from flowmaplab import Field, eulerian_vorticity
+from flowmaplab import eulerian_vorticity
 
 e = fl.catalog_flow("rigid_rotation", omega=1.0)
 pts = grid.nodes3().reshape(grid.shape + (3,))
 u = e.clebsch.velocity(pts)
-W = eulerian_vorticity(*(Field(grid, u[..., i]) for i in range(3)))
+W = eulerian_vorticity(u, grid=grid)
 print(f"  half-curl of the assembled field: (0, 0, {W.values[..., 2].mean():.6f}) "
       "(half of grad phi x grad psi)")

@@ -16,16 +16,16 @@ for name in fl.catalog_names():
 print("\n--- rigid rotation -------------------------------------------")
 rot = fl.catalog_flow("rigid_rotation", omega=1.0)
 t = 0.9
-g = fl.deformation_gradient(rot.map, t)
-print(f"deformation gradient at one node (t={t}):\n", np.round(g.values[0, 0], 6))
-J = fl.jacobian_det(g)
-print("max |J - 1| =", np.abs(J.data - 1).max(), "(volume preserving)")
+F = fl.deformation_gradient(rot.map, t)
+print(f"deformation gradient at one node (t={t}):\n", np.round(F[0, 0], 6))
+J = fl.det3(F)
+print("max |J - 1| =", np.abs(J - 1).max(), "(volume preserving)")
 print("cofactor identity residual:", fl.cofactor_identity_residual(rot.map, t).linf)
 
 print("\n--- trochoidal wave ------------------------------------------")
 wave = fl.catalog_flow("gerstner", k=1.0, g=1.0)
 lab = wave.map.grid_labels()
-J = fl.jacobian_det(fl.deformation_gradient(wave.map, 2.0)).data
+J = fl.det3(fl.deformation_gradient(wave.map, 2.0))
 print("J = 1 - e^(2kb): max deviation",
       np.abs(J - (1 - np.exp(2 * lab[..., 1]))).max())
 for tt in (0.0, wave.map.timescale / 4, wave.map.timescale / 2):

@@ -12,7 +12,6 @@ convergence reporting.
 """
 
 from .grids import (
-    Field,
     LabelGrid,
     ResidualSummary,
     StencilSpec,
@@ -25,14 +24,13 @@ from .grids import (
 from .quadrature import path_integral
 from .flowmap import (
     AnalyticFlowMap,
-    DeformationGradient,
     FlowMap,
     SampledFlowMap,
     SingularMapError,
     cofactor_identity_residual,
     deformation_gradient,
     density_residual,
-    jacobian_det,
+    det3,
     mass_integral_transform,
 )
 from .flows import (

@@ -18,6 +18,8 @@ Sign and factor conventions: this library stores (A, B, C) and the Eulerian
 rotational velocities (X, Y, Z) as HALF the standard right-handed curl, so
 the modern vorticity vector is 2*(A, B, C) at t=0 and 2*(X, Y, Z) at time t.
 Every cross-check in the test suite states which side carries the factor 2.
+Grid data are plain arrays: the invariants contract the F array of
+``deformation_gradient``, and ``eulerian_vorticity`` takes one (..., 3) array.
 
 Vortex-line functions: two label scalars (phi, psi) whose joint level sets
 are the initial vortex lines satisfy -2A = d(phi,psi)/d(b,c) and cyclic;
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import (Field, StencilSpec, _half_curl, _slab_gradient, divergence, gradient,
+from .grids import (StencilSpec, _half_curl, _slab_gradient, divergence, gradient,
                     summarize_residual)
 from .flowmap import (_analytic_partials, _pointwise_slabs, _uses_partials,
                       deformation_gradient)
@@ -99,9 +101,10 @@ def cauchy_invariants(m, t, spec=StencilSpec(), mode="auto"):
             G = _analytic_partials(m.velocity_label_partials, labels, t)
             w[sl] = _half_curl(np.einsum("...ik,...ij->...jk", G, F))
         return VorticityField(m.grid, w, frame="label", mode="analytic")
-    F = deformation_gradient(m, t, spec, mode).values
+    F = deformation_gradient(m, t, spec, mode)
     for sl in _pointwise_slabs(m):
         w[sl] = _half_curl(_slab_gradient(
+            np.empty(w[sl].shape + (3,)),
             lambda rows: _covelocity(m, m.grid._node_planes(rows), t, F[rows]), m.grid, sl,
             spec.order))
     return VorticityField(m.grid, w, frame="label", mode=f"fd-order{spec.order}")
@@ -142,17 +145,15 @@ def solenoidality_residual(w, spec=StencilSpec(), rind=0):
     return summarize_residual(div, w.grid, rind=rind)
 
 
-def eulerian_vorticity(u, v, w, spec=StencilSpec()):
+def eulerian_vorticity(vel, spec=StencilSpec(), *, grid):
     """(X, Y, Z) = half-curl of a velocity field sampled on a spatial grid.
 
-    The grid axes are x, y(, z); missing axes contribute zero derivatives
-    (z-invariant embedded flows).
+    ``vel`` has shape grid.shape + (3,). The grid axes are x, y(, z);
+    missing axes contribute zero derivatives (z-invariant embedded flows).
     """
-    grid = u.grid if isinstance(u, Field) else None
-    if grid is None:
-        raise TypeError("eulerian_vorticity expects Fields on a spatial grid")
-    vec = np.stack([u.data, v.data, w.data], axis=-1)
-    vals = _half_curl(gradient(vec, spec, grid=grid))
+    if np.shape(vel) != grid.shape + (3,):
+        raise ValueError(f"velocity shape {np.shape(vel)} is not the grid's {grid.shape + (3,)}")
+    vals = _half_curl(gradient(vel, spec, grid=grid))
     return VorticityField(grid, vals, frame="spatial")
 
 

@@ -82,26 +82,27 @@ class ForcePotential:
         return self.V_at(points, t) - self.f_at(points, t)
 
 
-def eulerian_eom_residual(u, v, w, fp, t=0.0, spec=StencilSpec(), rind=1):
+def eulerian_eom_residual(vel, fp, t=0.0, spec=StencilSpec(), rind=1, *, grid):
     """Linf of the three steady momentum residuals on a common spatial grid.
 
-    u, v, w: scalar Fields of the velocity components over a spatial grid
-    whose axes are x, y(, z). The pressure and V come from ``fp`` evaluated
-    at the grid nodes (pressure_frame must be "position").
+    vel: the velocity, shape grid.shape + (3,), over a spatial grid whose
+    axes are x, y(, z). The pressure and V come from ``fp`` evaluated at the
+    grid nodes (pressure_frame must be "position").
     """
-    grid = u.grid
+    vel = np.asarray(vel, dtype=float)
+    if vel.shape != grid.shape + (3,):
+        raise ValueError(f"velocity shape {vel.shape} is not the grid's {grid.shape + (3,)}")
     if fp.pressure_frame != "position":
         raise ValueError("eulerian residual needs a position-frame pressure")
-    comps = [u.data, v.data, w.data]
     pts = grid.nodes3().reshape(grid.shape + (3,))
     p = fp.pressure_at(pts, t)
     Vg = fp.V_grad_at(pts, t)
     rho = fp.density
     out = []
-    for i, c in enumerate(comps):
+    for i in range(3):
         adv = np.zeros(grid.shape)
         for k in range(grid.ndim):
-            adv += comps[k] * differentiate(c, k, spec, grid=grid)
+            adv += vel[..., k] * differentiate(vel[..., i], k, spec, grid=grid)
         dpdxi = differentiate(p, i, spec, grid=grid) if i < grid.ndim else np.zeros(grid.shape)
         res = adv - Vg[..., i] + dpdxi / rho
         out.append(summarize_residual(res, grid, rind=rind))
@@ -114,7 +115,8 @@ def _pressure_label_gradient(grid, sl, labels, pos, fp, t, spec, F):
     if fp.pressure_frame == "label":
         if fp.pressure_grad is not None:
             return np.asarray(fp.pressure_grad(labels, t), dtype=float)
-        return _slab_gradient(lambda rows: fp.pressure_at(grid._node_planes(rows), t), grid,
+        return _slab_gradient(np.empty(labels.shape),
+                              lambda rows: fp.pressure_at(grid._node_planes(rows), t), grid,
                               sl, spec.order)
     # position-frame pressure: chain rule through the advected positions
     if fp.pressure_grad is not None:
@@ -132,7 +134,7 @@ def _label_momentum(m, fp, t, spec, mode):
     takes them, else the rows of the whole-grid finite-difference gradient
     ``deformation_gradient`` keeps, built before the first slab.
     """
-    F_grid = None if _uses_partials(m, mode) else deformation_gradient(m, t, spec, mode).values
+    F_grid = None if _uses_partials(m, mode) else deformation_gradient(m, t, spec, mode)
     for sl in _pointwise_slabs(m):
         labels = m.grid._node_planes(sl)
         F = _analytic_partials(m.label_partials, labels, t) if F_grid is None else F_grid[sl]

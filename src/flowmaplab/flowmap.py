@@ -5,22 +5,21 @@ velocity / acceleration callables, optionally with exact label partials) or
 sampled (a trajectory table over a label grid, marched by RK4 through its
 generating velocity field, which also advects arbitrary labels on demand).
 
-The operations here cover the deformation gradient dx_i/da_j, its Jacobian
-determinant and the density equations in both dependences, the nine cofactor
-relations tying the inverse map gradient to minors of the forward one, and
-the volume-integral transform that moves integrals between position and
-label space.
+The operations here cover the deformation gradient dx_i/da_j, a read-only
+array whose ``det3`` is the Jacobian, the density equations in both
+dependences, the nine cofactor relations tying the inverse map gradient to
+minors of the forward one, and the volume-integral transform that moves
+integrals between position and label space.
 """
 
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .grids import (ACCELERATION_STEP, BLOCK, POINT_STENCIL_H, Field, LabelGrid, StencilSpec,
+from .grids import (ACCELERATION_STEP, BLOCK, POINT_STENCIL_H, LabelGrid, StencilSpec,
                     _plane_slabs, _slab_gradient, _time_difference, divergence, point_jacobian,
                     summarize_residual)
 from .quadrature import grid_integral
@@ -29,12 +28,10 @@ __all__ = [
     "FlowMap",
     "AnalyticFlowMap",
     "SampledFlowMap",
-    "DeformationGradient",
     "SingularMapError",
     "deformation_gradient",
     "deformation_at",
     "velocity_gradient_at",
-    "jacobian_det",
     "det3",
     "adjugate3",
     "inv3",
@@ -69,7 +66,7 @@ class FlowMap:
     convention: str  # "identity" (x=a at t=0) or "generalized"
     name: str = "flowmap"
     timescale: float = 1.0
-    _gradient = None  # (key, DeformationGradient) kept by deformation_gradient
+    _gradient = None  # (key, F) kept by deformation_gradient
     _acceleration = _partials = _velocity_partials = None
 
     def positions(self, labels, t):
@@ -316,15 +313,6 @@ class SampledFlowMap(FlowMap):
         return np.asarray(self.field_fn(self.positions(labels, t), float(t)), dtype=float)
 
 
-@dataclass
-class DeformationGradient:
-    """Per-node dx_i/dlab_j on a label grid at one time."""
-
-    grid: LabelGrid
-    values: np.ndarray  # grid.shape + (3, 3)
-    mode: str = "fd-grid"
-
-
 def det3(m):
     """Determinant of stacked 3x3 matrices by cofactor expansion."""
     return (
@@ -384,17 +372,17 @@ def _displacement(m, labels, t):
     return np.subtract(m.positions(labels, t), labels, out=labels)
 
 
-def _fd_partials_slab(m, sl, t, order):
+def _fd_partials_slab(out, m, sl, t, order):
     """F = I + d(displacement)/dlab on the axis-0 planes ``sl`` of the map's
-    grid, the axis-0 differences over a halo (``grids._slab_gradient``).
+    grid, into ``out`` (``grids._slab_gradient``, then I added in place).
 
     Differentiating x - a instead of x keeps periodic wrapping valid for maps
     whose displacement (not position) is periodic in the labels.
     """
-    F = _slab_gradient(lambda rows: _displacement(m, m.grid._node_planes(rows), t), m.grid,
-                       sl, order)
-    F += np.eye(3)
-    return F
+    _slab_gradient(out, lambda rows: _displacement(m, m.grid._node_planes(rows), t), m.grid,
+                   sl, order)
+    out += np.eye(3)
+    return out
 
 
 def _uses_partials(m, mode, velocity=False):
@@ -423,18 +411,18 @@ def deformation_gradient(m, t, spec=StencilSpec(), mode="auto"):
     """Deformation gradient on the map's label grid.
 
     ``_uses_partials`` decides, once, between the registered analytic
-    partials and finite differences of positions over the grid, and the
-    choice is recorded. Either kind is filled slab by slab
-    (``_pointwise_slabs``) into one array: each slab's analytic partials, or
-    its differences over a halo (``_fd_partials_slab``), each row the
-    whole-grid difference bit for bit.
+    partials and finite differences of positions over the grid. Either kind
+    is filled slab by slab (``_pointwise_slabs``) into one array of shape
+    grid.shape + (3, 3): each slab's analytic partials, or its differences
+    over a halo, which ``_fd_partials_slab`` writes into the slab's planes
+    of the array itself, each row the whole-grid difference bit for bit.
 
     The map keeps the last gradient it was asked for, keyed by t and the
     kind ``_uses_partials`` resolves the mode to (fd F also by its stencil
     order), so checks that contract the same F at the same time share one
-    build however they spell the mode; its ``values`` are read-only. A call
-    with another key drops the kept gradient before building its own, so at
-    most one is held.
+    build however they spell the mode; the array is read-only. A call with
+    another key drops the kept gradient before building its own, so at most
+    one is held.
     """
     analytic = _uses_partials(m, mode)
     key = (float(t), None if analytic else spec.order)
@@ -443,12 +431,13 @@ def deformation_gradient(m, t, spec=StencilSpec(), mode="auto"):
     m._gradient = None
     F = np.empty(m.grid.shape + (3, 3))
     for sl in _pointwise_slabs(m):
-        F[sl] = (_analytic_partials(m.label_partials, m.grid._node_planes(sl), t) if analytic
-                 else _fd_partials_slab(m, sl, t, spec.order))
+        if analytic:
+            F[sl] = _analytic_partials(m.label_partials, m.grid._node_planes(sl), t)
+        else:
+            _fd_partials_slab(F[sl], m, sl, t, spec.order)
     F.setflags(write=False)
-    g = DeformationGradient(m.grid, F, mode="analytic" if analytic else "fd-grid")
-    m._gradient = (key, g)
-    return g
+    m._gradient = (key, F)
+    return F
 
 
 def deformation_at(m, labels, t):
@@ -469,13 +458,6 @@ def velocity_gradient_at(m, labels, t):
     if G is not None:
         return G
     return point_jacobian(lambda p: m.velocities(p, t), labels, POINT_STENCIL_H)
-
-
-def jacobian_det(g):
-    """Scalar Field of per-node determinants of a DeformationGradient."""
-    if not np.all(np.isfinite(g.values)):
-        raise ValueError("non-finite deformation gradient")
-    return Field(g.grid, det3(g.values))
 
 
 def _inverse_planes(A):
@@ -527,7 +509,7 @@ def cofactor_identity_residual(m, t, spec=StencilSpec(), mode="auto", rind=0):
     nodes at a time, each block reducing into its part of one ``worst``
     plane, so no whole-grid copy of F is made.
     """
-    F = deformation_gradient(m, t, spec, mode).values.reshape(-1, 3, 3)
+    F = deformation_gradient(m, t, spec, mode).reshape(-1, 3, 3)
     worst = np.zeros(len(F))
     for b in range(0, len(F), BLOCK):
         Fb, worst_b = F[b:b + BLOCK], worst[b:b + BLOCK]
@@ -582,8 +564,8 @@ def density_residual(m, t, mode="lagrangian", spec=StencilSpec(), gradient_mode=
 
 def _lagrangian_density_residuals(m, times, spec, mode, rind):
     """Summaries of |J(t) - J(0)| at each of ``times``; J(0) is built once."""
-    J0 = det3(deformation_gradient(m, 0.0, spec, mode).values)
-    return [summarize_residual(np.abs(det3(deformation_gradient(m, t, spec, mode).values) - J0),
+    J0 = det3(deformation_gradient(m, 0.0, spec, mode))
+    return [summarize_residual(np.abs(det3(deformation_gradient(m, t, spec, mode)) - J0),
                                m.grid, rind=rind) for t in times]
 
 
@@ -713,7 +695,7 @@ def validate_analytic_partials(m, t):
     err = 0.0
     for sl in _pointwise_slabs(m):
         F = m.label_partials(grid._node_planes(sl), t)
-        diff = _fd_partials_slab(m, sl, t, 2)
+        diff = _fd_partials_slab(np.empty_like(F), m, sl, t, 2)
         diff -= F  # F_fd - F = -(F - F_fd) exactly, so |diff| is the mismatch
         np.abs(diff, out=diff)
         lo, hi = max(r0, sl.start), min(r1, sl.stop)  # the slab's interior planes

@@ -24,6 +24,7 @@ Omega = V - p/rho is the force potential's ``omega_at``.
 from __future__ import annotations
 
 import inspect
+import numbers
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -211,12 +212,13 @@ def _affine_entry(name, params, grid, M, L, props, U=(0.0, 0.0, 0.0), timescale=
 
 
 def _param(flow, name, value, positive=False):
-    """``value``, a number but no bool, as a float: nonzero (the flow's timescale
-    divides by it) or with ``positive`` above zero; else a ValueError naming it."""
-    if isinstance(value, bool):
+    """``value``, a real number but no bool, as a float: nonzero (the flow's
+    timescale divides by it), above zero if ``positive``, any if ``positive``
+    is None; else a ValueError naming the flow and the param."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{flow} {name} must be a number, got {value!r}")
     v = float(value)
-    if not (v > 0 if positive else v != 0):
+    if positive is not None and not (v > 0 if positive else v != 0):
         raise ValueError(f"{flow} {name} must be {'positive' if positive else 'nonzero'}, "
                          f"got {value!r}")
     return v
@@ -255,9 +257,10 @@ def _rigid_rotation(grid, omega=1.0):
 
 
 def _uniform_translation(grid, velocity=(1.0, 0.0, 0.0)):
-    U = np.asarray(velocity, dtype=float)
-    if U.shape != (3,):
+    if not (isinstance(velocity, (list, tuple, np.ndarray)) and len(velocity) == 3):
         raise ValueError(f"uniform_translation velocity must have 3 components, got {velocity!r}")
+    U = np.array([_param("uniform_translation", f"velocity[{i}]", u, positive=None)
+                  for i, u in enumerate(velocity)])
     # the potential U . x; |grad F|^2 / 2 = |U|^2 / 2 is its Bernoulli Omega
     clebsch = ClebschTriple(F=lambda x, t: x @ U)
     scalars = ClebschTriple(phi=lambda x, t: x[..., 0] - U[0] * t,
@@ -414,8 +417,7 @@ def _point_vortex(grid, gamma=2 * np.pi, times=None, dt=None):
     G = _param("point_vortex", "gamma", gamma)
     period = 4 * np.pi ** 2 / G  # orbit period at radius 1
     times = _table_times("point_vortex", (0.0, period / 8, period / 4) if times is None else times)
-    if dt is None:
-        dt = period / 2048
+    dt = period / 2048 if dt is None else _param("point_vortex", "dt", dt, positive=True)
 
     def field(x, t):
         # (-f x1, f x0, 0) with f = G / (2 pi r^2), written into one array
@@ -472,8 +474,7 @@ def _point_vortex(grid, gamma=2 * np.pi, times=None, dt=None):
 
 def _taylor_green(grid, times=None, dt=None):
     times = _table_times("taylor_green", (0.0, 0.5, 1.0) if times is None else times)
-    if dt is None:
-        dt = 1.0 / 256
+    dt = 1.0 / 256 if dt is None else _param("taylor_green", "dt", dt, positive=True)
 
     def field(x, t):
         # (cos x0 sin x1, -sin x0 cos x1, 0), written into one array

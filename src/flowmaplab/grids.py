@@ -1,8 +1,9 @@
-"""Structured label-space grids, sampled fields, and finite-difference calculus.
+"""Structured label-space grids and finite-difference calculus.
 
-Everything downstream (flow maps, invariants, circulation, energy) runs on the
-types in this module: a uniform 1-3 axis grid of particle labels, fields
-sampled on its nodes, and centered finite differences of formal order 2 or 4.
+Everything downstream (flow maps, invariants, circulation, energy) runs on
+this module: a uniform 1-3 axis grid of particle labels, plain arrays of
+shape grid.shape + components sampled on its nodes (the grid passed as a
+keyword), and centered finite differences of formal order 2 or 4.
 Boundary nodes use one-sided stencils of matching order unless the axis is
 periodic. Residual norms are reported as (Linf, L2, location of max)
 triples, with an optional rind exclusion of boundary-contaminated nodes.
@@ -26,7 +27,6 @@ import numpy as np
 
 __all__ = [
     "LabelGrid",
-    "Field",
     "StencilSpec",
     "ResidualSummary",
     "differentiate",
@@ -144,32 +144,6 @@ class StencilSpec:
             raise ValueError("stencil order must be 2 or 4")
 
 
-@dataclass
-class Field:
-    """Values sampled on a LabelGrid: scalar, vector(3), or tensor(3,3).
-
-    Data layout is row-major over nodes with components innermost, i.e.
-    array shape = grid.shape + component shape. The constructor copies the
-    data and makes the copy read-only, so a field keeps the values it was
-    built with: writing into ``.data`` raises instead of changing a field
-    that other results were derived from.
-    """
-
-    grid: LabelGrid
-    data: np.ndarray
-
-    def __post_init__(self):
-        data = np.array(self.data, dtype=float)
-        comp = data.shape[self.grid.ndim:]
-        if data.shape[: self.grid.ndim] != self.grid.shape or comp not in ((), (3,), (3, 3)):
-            raise ValueError(
-                f"data shape {data.shape} incompatible with grid {self.grid.shape}; "
-                "components must be scalar, (3,), or (3,3)"
-            )
-        data.setflags(write=False)
-        self.data = data
-
-
 def _central_into(out, f, order, h):
     """Central differences of formal ``order`` along f's leading axis, for
     every row with ``order // 2`` neighbours on both sides, written into
@@ -280,19 +254,21 @@ def _slab_axis0_diff(f, grid, sl, order=2):
     return window[i0 - lo:i1 - lo], d[i0 - lo:i1 - lo]
 
 
-def _slab_gradient(f, grid, sl, order=2):
+def _slab_gradient(out, f, grid, sl, order):
     """Label gradient on the axis-0 planes ``sl`` of the field ``f(rows)`` (see
-    ``_slab_axis0_diff``), in ``gradient``'s layout and bit for bit its rows;
-    the other axes need no halo. Non-finite values on the slab's planes
-    raise as in ``gradient``, so a loop over all slabs checks every node."""
+    ``_slab_axis0_diff``), written into and returned as ``out``, in
+    ``gradient``'s layout and bit for bit its rows (axes a 1-D or 2-D grid
+    lacks are zeroed); the other axes need no halo. Non-finite values on the
+    slab's planes raise as in ``gradient``, so a loop over all slabs checks
+    every node."""
     vals, d0 = _slab_axis0_diff(f, grid, sl, order)
     if not np.all(np.isfinite(vals)):
         raise ValueError("non-finite values in field")
-    out = np.zeros(vals.shape + (3,))
     out[..., 0] = d0
     for k in range(1, grid.ndim):
         _diff_into(np.moveaxis(out[..., k], k, 0), np.moveaxis(vals, k, 0), grid.spacing[k],
                    order, grid.periodic[k])
+    out[..., grid.ndim:] = 0.0
     return out
 
 
@@ -306,13 +282,6 @@ def _on_grid(f, grid):
     return f
 
 
-def _finite_field(f, grid):
-    f = _on_grid(f, grid)
-    if not np.all(np.isfinite(f)):
-        raise ValueError("non-finite values in field")
-    return f
-
-
 def differentiate(f, axis, spec=StencilSpec(), *, grid):
     """Partial derivative of an array sampled on ``grid`` along one label axis.
 
@@ -321,7 +290,9 @@ def differentiate(f, axis, spec=StencilSpec(), *, grid):
     """
     if not 0 <= axis < grid.ndim:
         raise ValueError(f"axis {axis} invalid for a {grid.ndim}-axis grid")
-    f = _finite_field(f, grid)
+    f = _on_grid(f, grid)
+    if not np.all(np.isfinite(f)):
+        raise ValueError("non-finite values in field")
     moved = np.moveaxis(f, axis, 0)
     return np.moveaxis(
         _diff_along_axis0(moved, grid.spacing[axis], spec.order, grid.periodic[axis]), 0, axis)
@@ -337,7 +308,8 @@ def gradient(f, spec=StencilSpec(), *, grid):
     has 3 entries. The whole grid is one slab of ``_slab_gradient``.
     """
     f = _on_grid(f, grid)
-    return _slab_gradient(lambda rows: f[rows], grid, slice(0, grid.shape[0]), spec.order)
+    return _slab_gradient(np.empty(f.shape + (3,)), lambda rows: f[rows], grid,
+                          slice(0, grid.shape[0]), spec.order)
 
 
 def divergence(vec, spec=StencilSpec(), *, grid):

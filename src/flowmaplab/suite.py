@@ -489,7 +489,10 @@ def convergence_study(check_id, flow_name, resolutions=None, dts=None,
         for dt in dts:
             if not (math.isfinite(dt) and dt > 0):
                 raise ConfigError(f"rk4 closure step {dt!r} is not positive and finite")
-        entry = catalog_flow("rigid_rotation", validate=False, **flow_params)
+        try:
+            entry = catalog_flow("rigid_rotation", validate=False, **flow_params)
+        except ValueError as exc:  # an omega the flow cannot be built with
+            raise ConfigError(str(exc)) from None
         period = 2 * math.pi / entry.params["omega"]
         start = np.array([[1.0, 0.0, 0.0], [0.5, 0.25, 0.0]])
         for dt in dts:

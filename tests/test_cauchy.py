@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from flowmaplab import (
-    Field,
     LabelGrid,
     StencilSpec,
     catalog_flow,
@@ -33,16 +32,16 @@ def rest_map():
 
 
 def spatial_fields(fn, n=33, lo=-1.0, hi=1.0):
+    """(velocity fn(x) on an n x n spatial grid, the grid)."""
     h = (hi - lo) / (n - 1)
     g = LabelGrid((n, n), (lo, lo), (h, h))
     pts = g.nodes3().reshape(g.shape + (3,))
-    vel = fn(pts)
-    return tuple(Field(g, vel[..., i]) for i in range(3))
+    return fn(pts), g
 
 
 def label_covelocity(m, t):
     """The covelocity on the map's grid, as the invariants' fd form takes it."""
-    return _covelocity(m, m.grid_labels(), t, deformation_gradient(m, t).values)
+    return _covelocity(m, m.grid_labels(), t, deformation_gradient(m, t))
 
 
 class TestCovelocity:
@@ -277,26 +276,35 @@ class TestSolenoidality:
 class TestEulerianVorticity:
     def test_rotation_field(self):
         w_ = 1.0
-        u, v, wz = spatial_fields(
+        vel, g = spatial_fields(
             lambda p: np.stack([-w_ * p[..., 1], w_ * p[..., 0], 0 * p[..., 0]], -1))
-        W = eulerian_vorticity(u, v, wz)
+        W = eulerian_vorticity(vel, grid=g)
         assert W.frame == "spatial"
         assert np.abs(W.values[..., 2] - w_).max() < 1e-12
 
     def test_potential_flow_curl_free(self):
         k = 1.0
-        u, v, wz = spatial_fields(
+        vel, g = spatial_fields(
             lambda p: np.stack([k * p[..., 0], -k * p[..., 1], 0 * p[..., 0]], -1))
-        W = eulerian_vorticity(u, v, wz)
+        W = eulerian_vorticity(vel, grid=g)
         assert np.abs(W.values).max() < 1e-12  # linear field: stencil-exact
 
     def test_shear_field(self):
         # oracle: half-curl of (g y, 0, 0) is (0, 0, -g/2)
         g_ = 2.0
-        u, v, wz = spatial_fields(
+        vel, g = spatial_fields(
             lambda p: np.stack([g_ * p[..., 1], 0 * p[..., 0], 0 * p[..., 0]], -1))
-        W = eulerian_vorticity(u, v, wz)
+        W = eulerian_vorticity(vel, grid=g)
         assert np.abs(W.values[..., 2] + g_ / 2).max() < 1e-12
+
+    @pytest.mark.parametrize("shape", [(33, 32, 3), (33, 33), (33, 33, 2)])
+    def test_rejects_array_not_vectors_on_the_grid(self, shape):
+        # off the grid, a scalar array, or the wrong component count: the
+        # message names the array's shape and the grid's vector shape
+        _, g = spatial_fields(lambda p: p)
+        with pytest.raises(ValueError) as exc:
+            eulerian_vorticity(np.zeros(shape), grid=g)
+        assert str(shape) in str(exc.value) and "(33, 33, 3)" in str(exc.value)
 
 
 class TestCauchyConsistency:
@@ -308,8 +316,7 @@ class TestCauchyConsistency:
         g = e.map.grid
         pts = g.nodes3().reshape(g.shape + (3,))
         vel = e.map.velocities(pts, 0.0)
-        u, v, wz = (Field(g, vel[..., i]) for i in range(3))
-        w_spatial = eulerian_vorticity(u, v, wz, StencilSpec(2))
+        w_spatial = eulerian_vorticity(vel, StencilSpec(2), grid=g)
         h2 = max(g.spacing) ** 2
         assert np.abs(w_label.values - w_spatial.values).max() <= h2
 

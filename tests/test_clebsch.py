@@ -76,14 +76,14 @@ class TestVorticityIdentity:
     def test_consistency_with_half_curl_module(self):
         # eulerian_vorticity of the assembled field equals half the cross of
         # the potential gradients
-        from flowmaplab import Field, eulerian_vorticity
+        from flowmaplab import eulerian_vorticity
 
         w = 1.0
         e = catalog_flow("rigid_rotation", omega=w)
         g = grid_2d()
         pts = pts_of(g)
         u = e.clebsch.velocity(pts)
-        W = eulerian_vorticity(*(Field(g, u[..., i]) for i in range(3)))
+        W = eulerian_vorticity(u, grid=g)
         assert np.abs(W.values[..., 2] - w).max() <= max(g.spacing) ** 2
 
 

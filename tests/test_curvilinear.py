@@ -266,7 +266,7 @@ class TestLagrangianForm:
         labels = m.grid_labels()
         # the chart route differentiates positions over the label grid, so the
         # comparison uses the finite-difference gradient too
-        F = deformation_gradient(m, t, mode="fd").values
+        F = deformation_gradient(m, t, mode="fd")
         acc = (m.velocities(labels, t + dt) - m.velocities(labels, t - dt)) / (2 * dt)
         lag = np.einsum("...i,...ij->...j", acc, F)
         for j, r in enumerate(res_c):

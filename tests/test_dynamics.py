@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from flowmaplab import (
-    Field,
     ForcePotential,
     LabelGrid,
     catalog_flow,
@@ -21,16 +20,14 @@ def spatial_grid_2d(n=33, lo=-1.0, hi=1.0):
 
 
 def fields_from(fn, grid):
-    pts = grid.nodes3().reshape(grid.shape + (3,))
-    vel = fn(pts)
-    return (Field(grid, vel[..., 0]), Field(grid, vel[..., 1]), Field(grid, vel[..., 2]))
+    return fn(grid.nodes3().reshape(grid.shape + (3,)))
 
 
 class TestEulerianResidual:
     def test_fluid_at_rest(self):
         g = spatial_grid_2d()
-        u, v, w = fields_from(lambda p: np.zeros_like(p), g)
-        res = eulerian_eom_residual(u, v, w, ForcePotential(pressure=1.0))
+        vel = fields_from(lambda p: np.zeros_like(p), g)
+        res = eulerian_eom_residual(vel, ForcePotential(pressure=1.0), grid=g)
         assert max(r.linf for r in res) == 0.0
 
     def test_stagnation_bernoulli_pressure(self):
@@ -39,27 +36,35 @@ class TestEulerianResidual:
         k = 1.4
         e = catalog_flow("stagnation", k=k)
         g = spatial_grid_2d()
-        u, v, w = fields_from(
+        vel = fields_from(
             lambda p: np.stack([k * p[..., 0], -k * p[..., 1], 0 * p[..., 0]], -1), g)
-        res = eulerian_eom_residual(u, v, w, e.force)
+        res = eulerian_eom_residual(vel, e.force, grid=g)
         assert max(r.linf for r in res) <= 1e-12
 
     def test_rigid_rotation_centripetal_pressure(self):
         w_ = 0.9
         e = catalog_flow("rigid_rotation", omega=w_)
         g = spatial_grid_2d()
-        u, v, w = fields_from(
+        vel = fields_from(
             lambda p: np.stack([-w_ * p[..., 1], w_ * p[..., 0], 0 * p[..., 0]], -1), g)
-        res = eulerian_eom_residual(u, v, w, e.force)
+        res = eulerian_eom_residual(vel, e.force, grid=g)
         assert max(r.linf for r in res) <= 1e-12
 
     def test_missing_pressure_unbalanced(self):
         w_ = 0.9
         g = spatial_grid_2d()
-        u, v, w = fields_from(
+        vel = fields_from(
             lambda p: np.stack([-w_ * p[..., 1], w_ * p[..., 0], 0 * p[..., 0]], -1), g)
-        res = eulerian_eom_residual(u, v, w, ForcePotential(pressure=0.0))
+        res = eulerian_eom_residual(vel, ForcePotential(pressure=0.0), grid=g)
         assert max(r.linf for r in res) > 0.1
+
+    @pytest.mark.parametrize("shape", [(33, 32, 3), (33, 33), (33, 33, 2)])
+    def test_rejects_array_not_vectors_on_the_grid(self, shape):
+        # off the grid, a scalar array, or the wrong component count: the
+        # message names the array's shape and the grid's vector shape
+        with pytest.raises(ValueError) as exc:
+            eulerian_eom_residual(np.zeros(shape), ForcePotential(), grid=spatial_grid_2d())
+        assert str(shape) in str(exc.value) and "(33, 33, 3)" in str(exc.value)
 
 
 class TestLagrangianResidual:

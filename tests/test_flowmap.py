@@ -24,7 +24,6 @@ from flowmaplab import (
     cofactor_identity_residual,
     deformation_gradient,
     density_residual,
-    jacobian_det,
     mass_integral_transform,
 )
 from flowmaplab.flowmap import _grid_in_hull, adjugate3, det3, invert_map
@@ -68,7 +67,7 @@ class TestDeformationGradient:
         m = identity_map()
         for t in (0.0, 0.5, 2.0):
             g = deformation_gradient(m, t, StencilSpec(2))
-            err = np.abs(g.values - np.eye(3)).max()
+            err = np.abs(g - np.eye(3)).max()
             assert err < 1e-12
 
     def test_identity_at_zero_gate(self):
@@ -85,23 +84,76 @@ class TestDeformationGradient:
         t = 0.7
         c, s = np.cos(w * t), np.sin(w * t)
         R = np.array([[c, -s, 0], [s, c, 0], [0, 0, 1]])
+        partials = e.map.label_partials(e.map.grid_labels(), t)
         for mode in ("analytic", "fd"):
             g = deformation_gradient(e.map, t, StencilSpec(2), mode=mode)
-            assert np.abs(g.values - R).max() < 1e-12
-            assert g.mode.startswith(mode[:2])
+            assert np.abs(g - R).max() < 1e-12
+            # the mode decides the build: the registered partials bit for bit, or not
+            assert (g.tobytes() == partials.tobytes()) == (mode == "analytic")
 
     def test_simple_shear_slot(self):
         e = catalog_flow("simple_shear", gamma=0.8)
         g = deformation_gradient(e.map, 2.0, mode="fd")
         expect = np.eye(3)
         expect[0, 1] = 0.8 * 2.0
-        assert np.abs(g.values - expect).max() < 1e-12
+        assert np.abs(g - expect).max() < 1e-12
 
     def test_fd_exact_on_linear_maps(self):
         A = np.array([[1.1, 0.2, 0.0], [-0.1, 0.95, 0.05], [0.0, 0.1, 1.0]])
         m = linear_map(A)
         g = deformation_gradient(m, 1.0, StencilSpec(2), mode="fd")
-        assert np.abs(g.values - A).max() < 1e-12
+        assert np.abs(g - A).max() < 1e-12
+
+
+class TestGradientArray:
+    """deformation_gradient returns the plain grid.shape + (3, 3) array it
+    fills in place, read-only."""
+
+    @staticmethod
+    def build(name, n):
+        m = catalog_flow(name, validate=False, grid=default_grid(name, (n, n))).map
+        return m, float(m.times[1]) if hasattr(m, "times") else 0.3 * m.timescale
+
+    @pytest.mark.parametrize("order", [2, 4])
+    @pytest.mark.parametrize("name, n", [("gerstner", 160), ("taylor_green", 32),
+                                         ("point_vortex", 32)])
+    def test_fd_is_the_whole_grid_gradient_of_the_displacement(self, name, n, order):
+        # gerstner at 160^2 fills 7 slabs with a halo; taylor_green is
+        # periodic, and both sampled maps are one slab
+        from flowmaplab.grids import gradient
+
+        m, t = self.build(name, n)
+        assert len(flowmap._pointwise_slabs(m)) == (7 if name == "gerstner" else 1)
+        F = deformation_gradient(m, t, StencilSpec(order), mode="fd")
+        assert type(F) is np.ndarray and F.shape == m.grid.shape + (3, 3)
+        assert not F.flags.writeable
+        lab = m.grid_labels()
+        want = gradient(m.positions(lab, t) - lab, StencilSpec(order), grid=m.grid) + np.eye(3)
+        assert F.tobytes() == want.tobytes()
+
+    def test_analytic_is_the_registered_partials(self):
+        m, t = self.build("gerstner", 160)
+        F = deformation_gradient(m, t, mode="analytic")
+        assert type(F) is np.ndarray and not F.flags.writeable
+        assert F.tobytes() == m.label_partials(m.grid_labels(), t).tobytes()
+
+    def test_fd_build_copies_no_slab_result(self):
+        # point_vortex at 32^2 is one slab at a table time: F, the slab's
+        # labels (made its displacement in place) and their axis-0
+        # difference (1/3 F each), and numpy's fixed ufunc buffers measure
+        # 2.64 F; a slab result built apart and copied into F adds one F
+        n = 32
+        f_bytes = 8 * 9 * n * n
+        m, t = self.build("point_vortex", n)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            deformation_gradient(m, t, mode="fd")
+            rise = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert rise <= 2.9 * f_bytes, f"the fd build rose {rise / f_bytes:.2f} F"
 
 
 class TestDerivativeMode:
@@ -250,10 +302,10 @@ class TestGradientMemo:
         assert e.map._gradient is None
 
     @pytest.mark.parametrize("mode", ["analytic", "fd"])
-    def test_values_are_read_only(self, mode):
+    def test_array_is_read_only(self, mode):
         g = deformation_gradient(catalog_flow("gerstner").map, 1.0, mode=mode)
         with pytest.raises(ValueError):
-            g.values[0, 0, 0, 0] = 1.0
+            g[0, 0, 0, 0] = 1.0
 
     def test_partials_callable_array_stays_writable(self):
         grid = box_grid()
@@ -271,8 +323,8 @@ class TestGradientMemo:
         for t, order, mode in [(1.0, 2, "fd"), (1.0, 4, "fd"), (1.0, 4, "auto"),
                                (1.0, 2, "fd"), (2.0, 2, "fd"), (1.0, 2, "fd")]:
             fresh = catalog_flow("gerstner", validate=False, grid=grid).map
-            got = deformation_gradient(m, t, StencilSpec(order), mode).values
-            want = deformation_gradient(fresh, t, StencilSpec(order), mode).values
+            got = deformation_gradient(m, t, StencilSpec(order), mode)
+            want = deformation_gradient(fresh, t, StencilSpec(order), mode)
             assert got.tobytes() == want.tobytes(), (t, order, mode)
 
 
@@ -408,7 +460,7 @@ class TestSlabGates:
     def test_fd_deformation_gradient(self, block, name, order):
         m = self.entry(name).map
         t = 0.3 * m.timescale
-        got = deformation_gradient(m, t, StencilSpec(order), "fd").values
+        got = deformation_gradient(m, t, StencilSpec(order), "fd")
         want = self.whole_grid_partials(m, t, StencilSpec(order), "fd")
         assert got.tobytes() == want.tobytes()
 
@@ -419,8 +471,7 @@ class TestSlabGates:
         t = 0.3 * m.timescale
         g = deformation_gradient(m, t, mode="auto")
         want = self.whole_grid_partials(m, t, StencilSpec(2), "auto")
-        assert g.mode == "analytic"
-        assert g.values.tobytes() == want.tobytes()
+        assert g.tobytes() == want.tobytes()
 
     def check_momentum(self, m, fp, spec, mode):
         from flowmaplab.dynamics import lagrangian_eom_residual
@@ -628,15 +679,15 @@ class TestSlabReach:
 class TestJacobian:
     def test_identity_is_one(self):
         m = identity_map()
-        J = jacobian_det(deformation_gradient(m, 1.0))
-        assert np.abs(J.data - 1.0).max() < 1e-13
+        J = det3(deformation_gradient(m, 1.0))
+        assert np.abs(J - 1.0).max() < 1e-13
 
     def test_rotation_volume_preserving(self):
         # oracle: determinant of a rotation matrix is 1
         e = catalog_flow("rigid_rotation")
         for t in (0.3, 1.7, 5.0):
-            J = jacobian_det(deformation_gradient(e.map, t))
-            assert np.abs(J.data - 1.0).max() < 1e-12
+            J = det3(deformation_gradient(e.map, t))
+            assert np.abs(J - 1.0).max() < 1e-12
 
     def test_gerstner_jacobian_closed_form(self):
         # oracle: hand-expanded 2x2 determinant gives 1 - e^(2kb) at every t
@@ -645,8 +696,8 @@ class TestJacobian:
         lab = e.map.grid_labels()
         expect = 1.0 - np.exp(2 * k * lab[..., 1])
         for t in (0.0, 1.1, 4.0):
-            J = jacobian_det(deformation_gradient(e.map, t))
-            assert np.abs(J.data - expect).max() < 1e-12
+            J = det3(deformation_gradient(e.map, t))
+            assert np.abs(J - expect).max() < 1e-12
 
 
 class TestCofactorIdentity:
@@ -697,7 +748,7 @@ class TestCofactorIdentity:
         # the in-place arithmetic performs the same operations as the plain
         # expression on the elimination inverse, so the summary agrees bit for bit
         e = catalog_flow("gerstner", grid=default_grid("gerstner", (32, 32)))
-        F = deformation_gradient(e.map, 1.0, mode="fd").values
+        F = deformation_gradient(e.map, 1.0, mode="fd")
         ref = np.max(np.abs(det3(F)[..., None, None] * self._elimination_inverse(F)
                             - adjugate3(F)), axis=(-2, -1))
         want = summarize_residual(ref, e.map.grid, rind=1)
@@ -733,7 +784,7 @@ class TestCofactorIdentity:
     def test_elimination_inverse_matches_lapack(self):
         # oracle: LAPACK's inverse, node by node, relative to each node's largest entry
         e = catalog_flow("gerstner", grid=default_grid("gerstner", (32, 32)))
-        F = deformation_gradient(e.map, 1.0, mode="fd").values
+        F = deformation_gradient(e.map, 1.0, mode="fd")
         oracle = np.linalg.inv(F)
         err = np.max(np.abs(self._elimination_inverse(F) - oracle), axis=(-2, -1))
         assert np.max(err / np.max(np.abs(oracle), axis=(-2, -1))) <= 1e-14
@@ -744,7 +795,7 @@ class TestCofactorIdentity:
     def test_zero_leading_entry_needs_a_pivot(self, A):
         # F[..., 0, 0] is exactly 0, so elimination without row swaps divides by it
         m = linear_map(A)
-        assert np.all(deformation_gradient(m, 1.0).values[..., 0, 0] == 0.0)
+        assert np.all(deformation_gradient(m, 1.0)[..., 0, 0] == 0.0)
         assert cofactor_identity_residual(m, 1.0).linf <= 1e-15
 
     def test_runs_without_lapack_inverse(self, monkeypatch):

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowmaplab import (Field, LabelGrid, StencilSpec, differentiate, divergence, gradient,
+from flowmaplab import (LabelGrid, StencilSpec, differentiate, divergence, gradient,
                         point_jacobian)
-from flowmaplab.grids import _half_curl, summarize_residual
+from flowmaplab.grids import _half_curl, _slab_gradient, summarize_residual
 
 
 def periodic_grid(n, length=2 * np.pi):
@@ -89,23 +89,6 @@ class TestLabelGrid:
         # a fresh array per call: a copy cached on the grid would live as
         # long as the grid, 6 MiB for a 64^3 Biot-Savart source grid
         assert not np.shares_memory(pts, grid.nodes3())
-
-
-class TestField:
-    def test_shape_checks(self):
-        g = LabelGrid((4, 4), (0, 0), (1, 1))
-        with pytest.raises(ValueError):
-            Field(g, np.zeros((4, 5)))
-        with pytest.raises(ValueError):
-            Field(g, np.zeros((4, 4, 2)))  # components must be 3 or 3x3
-        for comp in ((), (3,), (3, 3)):
-            assert Field(g, np.zeros((4, 4) + comp)).data.shape == (4, 4) + comp
-
-    def test_data_frozen(self):
-        g = LabelGrid((4, 4), (0, 0), (1, 1))
-        f = Field(g, np.zeros((4, 4)))
-        with pytest.raises(ValueError):
-            f.data[0, 0] = 1.0
 
 
 class TestDifferentiate:
@@ -254,6 +237,17 @@ class TestStencilLayer:
         for k in range(g.ndim):
             assert grad[..., k].tobytes() == differentiate(f, k, spec, grid=g).tobytes(), k
         assert not grad[..., g.ndim:].any()
+
+    @pytest.mark.parametrize("shape", [(9,), (7, 8), (6, 7, 8)])
+    def test_slab_gradient_overwrites_every_slot_of_its_output(self, shape):
+        # the caller's array may hold anything: each slot, the missing axes'
+        # zeros included, is written, and the result is gradient's bit for bit
+        g = LabelGrid(shape, (0.1,) * len(shape), (0.3, 0.2, 0.45)[:len(shape)])
+        f = np.random.default_rng(len(shape)).normal(size=shape + (3,))
+        out = np.full(shape + (3, 3), np.nan)
+        got = _slab_gradient(out, lambda rows: f[rows], g, slice(0, shape[0]), 2)
+        assert got is out
+        assert out.tobytes() == gradient(f, StencilSpec(2), grid=g).tobytes()
 
     @pytest.mark.parametrize("order", [2, 4])
     @pytest.mark.parametrize("n", [6, 7, 32])

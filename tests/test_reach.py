@@ -24,6 +24,7 @@ does not count.
 """
 
 import ast
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "flowmaplab"
@@ -32,12 +33,16 @@ _ITEM_7 = "item 7: one of Hankel's vortex theorems, a check on the 3-D abc flow 
 _ITEM_10 = "item 10: becomes a graded check, or leaves src with its tests"
 _ITEM_11 = ("item 11: the whole-grid Biot-Savart round trip decides whether it becomes a "
             "check or stays as the biot_savart benchmark's kernel")
+_CRITERION_4 = "stays: acceptance criterion 4 calls it; item 10 may make it a graded check"
+_CRITERION_6 = "stays: acceptance criterion 6 calls it; item 10 makes it a graded check"
+_CRITERION_7 = ("stays: acceptance criterion 7 calls it; item 11 decides whether it also "
+                "becomes a check")
 
 UNREACHED = {
     "biotsavart.COMPACT_TOL": _ITEM_11,
     "biotsavart.MIN_DISTANCE_CELLS": _ITEM_11,
     "biotsavart.TILE": _ITEM_11,
-    "biotsavart.VorticitySource": _ITEM_11,
+    "biotsavart.VorticitySource": _CRITERION_7,
     "biotsavart._carrying": _ITEM_11,
     "biotsavart._carrying_mask": _ITEM_11,
     "biotsavart._divergence_linf": _ITEM_11,
@@ -45,18 +50,18 @@ UNREACHED = {
     "biotsavart._support_r2min": _ITEM_11,
     "biotsavart._sweep": _ITEM_11,
     "biotsavart._uses_helper": _ITEM_11,
-    "biotsavart.gaussian_swirl_blob": _ITEM_11,
-    "biotsavart.velocity_from_vorticity": _ITEM_11,
+    "biotsavart.gaussian_swirl_blob": _CRITERION_7,
+    "biotsavart.velocity_from_vorticity": _CRITERION_7,
     "cauchy.eulerian_vorticity": _ITEM_7,
     "cauchy.vortex_line_function_residual": _ITEM_7,
     "circulation.label_circulation": _ITEM_10,
     "circulation.tube_section_flux": _ITEM_7,
     "clebsch._cut_exclusion_mask": _ITEM_10,
     "clebsch._grid_points": _ITEM_10,
-    "clebsch.clebsch_advection_residual": _ITEM_10,
-    "clebsch.clebsch_vorticity_residual": _ITEM_10,
+    "clebsch.clebsch_advection_residual": _CRITERION_6,
+    "clebsch.clebsch_vorticity_residual": _CRITERION_6,
     "clebsch.incompressibility_residual": _ITEM_10,
-    "clebsch.potential_flow_checks": _ITEM_10,
+    "clebsch.potential_flow_checks": _CRITERION_6,
     "curvilinear.Chart": _ITEM_10,
     "curvilinear.MetricCoefficients": _ITEM_10,
     "curvilinear.SINGULAR_MARGIN": _ITEM_10,
@@ -65,15 +70,15 @@ UNREACHED = {
     "curvilinear._metric_partials": _ITEM_10,
     "curvilinear._trajectory_chart_rates": _ITEM_10,
     "curvilinear.cartesian_chart": _ITEM_10,
-    "curvilinear.chart_metrics": _ITEM_10,
+    "curvilinear.chart_metrics": _CRITERION_4,
     "curvilinear.curvilinear_density_residual": _ITEM_10,
-    "curvilinear.curvilinear_eom_residual": _ITEM_10,
+    "curvilinear.curvilinear_eom_residual": _CRITERION_4,
     "curvilinear.curvilinear_lagrangian_eom_residual": _ITEM_10,
-    "curvilinear.cylindrical_chart": _ITEM_10,
-    "curvilinear.elliptical_chart": _ITEM_10,
-    "curvilinear.polar_chart": _ITEM_10,
+    "curvilinear.cylindrical_chart": _CRITERION_4,
+    "curvilinear.elliptical_chart": _CRITERION_4,
+    "curvilinear.polar_chart": _CRITERION_4,
     "curvilinear.skewed_chart": _ITEM_10,
-    "curvilinear.svanberg_invariant": _ITEM_10,
+    "curvilinear.svanberg_invariant": _CRITERION_4,
     "dynamics.chain_rule_mismatch": "stays: acceptance criterion 3 grades it",
     "dynamics.eulerian_eom_residual": _ITEM_10,
     "dynamics.eulerian_residual_at_points": _ITEM_10,
@@ -81,12 +86,11 @@ UNREACHED = {
     "energy.HELMHOLTZ_TOL": _ITEM_10,
     "energy._boundary_flux": _ITEM_10,
     "energy._box_faces": _ITEM_10,
-    "energy.boundary_energy_identity": _ITEM_10,
+    "energy.boundary_energy_identity": ("stays: acceptance criterion 8 calls it; item 10 "
+                                        "may make it a graded check"),
     "energy.energy_flux_residual": _ITEM_10,
     "energy.momentum_integral": _ITEM_10,
-    "flowmap.jacobian_det": _ITEM_10,
     "flowmap.mass_integral_transform": _ITEM_10,
-    "grids.Field": _ITEM_10,
     "grids.TIME_STEP": _ITEM_10,
     "grids.gradient": ("stays: the public label gradient; the checks reach its slab form, "
                        "grids._slab_gradient, and the modules of items 7 and 10 call it"),
@@ -188,6 +192,34 @@ def test_unread_members_are_the_table():
 def test_every_entry_names_an_item_or_a_reason():
     reasons = list(UNREACHED.values()) + list(UNREAD_MEMBERS.values())
     assert all(why.startswith(("item ", "stays: ")) for why in reasons)
+
+
+def criterion_calls():
+    """{N: the names called in test_criterion_N of tests/test_acceptance.py},
+    as a Name or as an Attribute."""
+    tree = ast.parse((Path(__file__).resolve().parent / "test_acceptance.py").read_text())
+    calls = {}
+    for fn in tree.body:
+        num = re.fullmatch(r"test_criterion_(\d+)_\w+", getattr(fn, "name", ""))
+        if num:
+            calls[int(num[1])] = {sub.func.id if isinstance(sub.func, ast.Name) else sub.func.attr
+                                  for sub in ast.walk(fn) if isinstance(sub, ast.Call)
+                                  and isinstance(sub.func, (ast.Name, ast.Attribute))}
+    return calls
+
+
+def test_acceptance_entries_name_their_criterion():
+    # an entry a criterion calls directly stays for that criterion, and its
+    # reason names it: "stays: acceptance criterion N"
+    calls = criterion_calls()
+    named = {entry: int(num[1]) for entry, why in UNREACHED.items()
+             if (num := re.match(r"stays: acceptance criterion (\d+)\b", why))}
+    wrong = {entry: num for entry, num in named.items()
+             if entry.rsplit(".", 1)[1] not in calls.get(num, ())}
+    assert wrong == {}, "not called in the criterion its reason names"
+    called = {entry for entry in UNREACHED
+              if any(entry.rsplit(".", 1)[1] in names for names in calls.values())}
+    assert sorted(called - set(named)) == [], "called by a criterion that its reason does not name"
 
 
 if __name__ == "__main__":

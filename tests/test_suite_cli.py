@@ -500,10 +500,10 @@ class TestSharedEntry:
         builds = []
         build = flowmap._fd_partials_slab
 
-        def counted(m, sl, t, order):
+        def counted(out, m, sl, t, order):
             if sl.start == 0 and sys._getframe(1).f_code is flowmap.deformation_gradient.__code__:
                 builds.append(t)
-            return build(m, sl, t, order)
+            return build(out, m, sl, t, order)
 
         monkeypatch.setattr(flowmap, "_fd_partials_slab", counted)
         cfg = {"flows": [{"name": "rigid_rotation"}], "grids": [[32, 32]],
@@ -693,9 +693,9 @@ class TestCLI:
         pytest.param(("run", {"checks": []}), "config.checks: [] should be non-empty",
                      id="checks_empty"),
         pytest.param(("run", {"flows": [{"name": "point_vortex", "params": {"dt": 0}}]}),
-                     "dt > 0", id="point_vortex_dt0"),
+                     "point_vortex dt must be positive", id="point_vortex_dt0"),
         pytest.param(("run", {"flows": [{"name": "point_vortex", "params": {"dt": -0.01}}]}),
-                     "dt > 0", id="point_vortex_dt_negative"),
+                     "point_vortex dt must be positive", id="point_vortex_dt_negative"),
         pytest.param(("run", {"flows": [{"name": "taylor_green", "params": {"dt": 0.3}}]}),
                      "dt must divide", id="taylor_green_dt_not_dividing"),
         pytest.param(("run", {"flows": [{"name": "point_vortex", "params": {"times": [0.0]}}]}),
@@ -789,6 +789,43 @@ class TestCLI:
                      id="rk4_closure_param_nan"),
         pytest.param(("flows", "describe", "rigid_rotation", "--params", '{"omega": NaN}'),
                      "--params.omega: nan is not a finite number", id="describe_param_nan"),
+        # a flow param must be a JSON number: anything else is named, never a
+        # traceback and never coerced (a numeric string would run as its float)
+        pytest.param(("run", {"flows": [{"name": "rigid_rotation", "params": {"omega": [1]}}]}),
+                     "rigid_rotation omega must be a number, got [1]", id="run_omega_list"),
+        pytest.param(("run", {"flows": [{"name": "rigid_rotation", "params": {"omega": None}}]}),
+                     "rigid_rotation omega must be a number, got None", id="run_omega_null"),
+        pytest.param(("run", {"flows": [{"name": "rigid_rotation", "params": {"omega": "2"}}]}),
+                     "rigid_rotation omega must be a number, got '2'", id="run_omega_string"),
+        pytest.param(("run", {"flows": [{"name": "simple_shear", "params": {"gamma": "6"}}]}),
+                     "simple_shear gamma must be a number, got '6'", id="run_gamma_string"),
+        pytest.param(("run", {"flows": [{"name": "uniform_translation",
+                                         "params": {"velocity": [True, "0", 0]}}]}),
+                     "uniform_translation velocity[0] must be a number, got True",
+                     id="run_velocity_bool"),
+        pytest.param(("run", {"flows": [{"name": "uniform_translation",
+                                         "params": {"velocity": [1, "0", 0]}}]}),
+                     "uniform_translation velocity[1] must be a number, got '0'",
+                     id="run_velocity_string"),
+        pytest.param(("flows", "describe", "uniform_translation",
+                      "--params", '{"velocity": [[1], 2, 3]}'),
+                     "uniform_translation velocity[0] must be a number, got [1]",
+                     id="describe_velocity_ragged"),
+        pytest.param(("run", {"flows": [{"name": "point_vortex", "params": {"dt": "x"}}]}),
+                     "point_vortex dt must be a number, got 'x'", id="run_dt_string"),
+        pytest.param(("converge", "cauchy.invariant_drift", "rigid_rotation",
+                      "--grids", "16x16,32x32", "--params", '{"omega": null}'),
+                     "rigid_rotation omega must be a number, got None", id="converge_omega_null"),
+        pytest.param(("converge", "flows.rk4_closure", "rigid_rotation", "--dts", "0.1,0.05",
+                      "--params", '{"omega": null}'),
+                     "rigid_rotation omega must be a number, got None",
+                     id="rk4_closure_omega_null"),
+        pytest.param(("flows", "describe", "gerstner", "--params", '{"k": {}}'),
+                     "gerstner wavenumber k must be a number, got {}", id="describe_k_dict"),
+        pytest.param(("flows", "describe", "point_vortex", "--params", '{"dt": "x"}'),
+                     "point_vortex dt must be a number, got 'x'", id="describe_dt_string"),
+        pytest.param(("flows", "describe", "taylor_green", "--params", '{"dt": [0.1]}'),
+                     "taylor_green dt must be a number, got [0.1]", id="describe_tg_dt_list"),
     ])
     def test_malformed_input_exits_two(self, args, named, tmp_path):
         if isinstance(args[1], dict):
