@@ -141,7 +141,7 @@ def potential_flow_checks(F_fn, omega_fn, grid, t=0.0, spec=StencilSpec(), rind=
 
     Returns (laplace_summary, bernoulli_summary): Linf of the grid Laplacian
     of F, and of dF/dt + |grad F|^2 / 2 - Omega. omega_fn(points, t) is the
-    combined potential V - p/rho (a catalog entry's ``force.omega_at``), in
+    combined potential V - p (a catalog entry's ``force.omega_at``), in
     F's gauge: Omega + c(t) moves the residual by c(t) unless F absorbs it.
     """
     pts = _grid_points(grid)

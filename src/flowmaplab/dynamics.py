@@ -1,9 +1,10 @@
 """Equation-of-motion residuals in both dependences, and potential bookkeeping.
 
-ForcePotential bundles the accelerating-force potential V(x, t), the pressure
-(as a closed form over positions or over labels), and the barotropic pressure
-function f(p) = integral dp/phi(p); for constant density f(p) = p/rho and the
-combined potential is Omega = V - p/rho.
+The library's scope is incompressible flow at unit density: p is the
+pressure per unit density, so the pressure gradient enters the momentum
+balance undivided. ForcePotential bundles the accelerating-force potential
+V(x, t) and the pressure (as a closed form over positions or over labels);
+their combined potential is Omega = V - p.
 
 The Eulerian residual is the momentum balance evaluated on spatial fields;
 the Lagrangian residual contracts (acceleration - force) with the deformation
@@ -33,7 +34,7 @@ __all__ = [
 
 @dataclass
 class ForcePotential:
-    """Force potential V, pressure, and barotropic closure.
+    """Force potential V and pressure p per unit density.
 
     V:            callable (points, t) -> scalar array, or None for zero.
     V_grad:       optional analytic gradient (points, t) -> (..., 3).
@@ -41,9 +42,6 @@ class ForcePotential:
     pressure_frame: "position" (p as a function of x) or "label" (p given
                   directly over labels, as closed forms sometimes are).
     pressure_grad: optional analytic gradient in the pressure frame.
-    density:      constant rho (> 0).
-    f_of_p:       optional barotropic pressure function f(p); when absent and
-                  density is constant, f(p) = p/rho.
     """
 
     V: object = None
@@ -51,8 +49,6 @@ class ForcePotential:
     pressure: object = 0.0
     pressure_frame: str = "position"
     pressure_grad: object = None
-    density: float = 1.0
-    f_of_p: object = None
 
     def V_at(self, points, t=0.0):
         if self.V is None:
@@ -71,15 +67,9 @@ class ForcePotential:
             return np.asarray(self.pressure(points, t), dtype=float)
         return np.full(np.asarray(points).shape[:-1], float(self.pressure))
 
-    def f_at(self, points, t=0.0):
-        p = self.pressure_at(points, t)
-        if self.f_of_p is not None:
-            return np.asarray(self.f_of_p(p), dtype=float)
-        return p / self.density
-
     def omega_at(self, points, t=0.0):
-        """Omega = V - f(p); for constant density this is V - p/rho."""
-        return self.V_at(points, t) - self.f_at(points, t)
+        """Omega = V - p."""
+        return self.V_at(points, t) - self.pressure_at(points, t)
 
 
 def eulerian_eom_residual(vel, fp, t=0.0, spec=StencilSpec(), rind=1, *, grid):
@@ -97,14 +87,13 @@ def eulerian_eom_residual(vel, fp, t=0.0, spec=StencilSpec(), rind=1, *, grid):
     pts = grid.nodes3().reshape(grid.shape + (3,))
     p = fp.pressure_at(pts, t)
     Vg = fp.V_grad_at(pts, t)
-    rho = fp.density
     out = []
     for i in range(3):
         adv = np.zeros(grid.shape)
         for k in range(grid.ndim):
             adv += vel[..., k] * differentiate(vel[..., i], k, spec, grid=grid)
         dpdxi = differentiate(p, i, spec, grid=grid) if i < grid.ndim else np.zeros(grid.shape)
-        res = adv - Vg[..., i] + dpdxi / rho
+        res = adv - Vg[..., i] + dpdxi
         out.append(summarize_residual(res, grid, rind=rind))
     return tuple(out)
 
@@ -145,14 +134,14 @@ def _label_momentum(m, fp, t, spec, mode):
         dp = _pressure_label_gradient(m.grid, sl, labels, pos, fp, t, spec, F)
         del labels
         core = np.einsum("...i,...ij->...j", net, F)
-        core += np.divide(dp, fp.density, out=net)  # net is spent: its buffer takes dp / rho
+        core += dp
         yield sl, F, pos, core
 
 
 def lagrangian_eom_residual(m, fp, t, spec=StencilSpec(), mode="auto", rind=0):
     """Linf of the label-space momentum residuals at time t.
 
-    Per label axis j: sum_i (a_i - dV/dx_i) dx_i/dlab_j + (1/rho) dp/dlab_j.
+    Per label axis j: sum_i (a_i - dV/dx_i) dx_i/dlab_j + dp/dlab_j.
     Accelerations use registered analytic callables when present, else a
     centered time difference at grids.ACCELERATION_STEP * the map's time scale.
     The map's callables are evaluated slab by slab (``_label_momentum``);
@@ -184,7 +173,7 @@ def eulerian_residual_at_points(u_fn, fp, points, t):
         gp = np.asarray(fp.pressure_grad(pts, t), dtype=float)
     else:  # a constant pressure differences to exact zeros
         gp = point_jacobian(lambda p: fp.pressure_at(p, t), pts, POINT_STENCIL_H)
-    return dudt + adv - force + gp / fp.density
+    return dudt + adv - force + gp
 
 
 def chain_rule_mismatch(m, fp, u_fn, t, spec=StencilSpec(), rind=1):

@@ -200,21 +200,20 @@ class SampledFlowMap(FlowMap):
     convention = "identity"
     reference_density = 1.0
 
-    def __init__(self, grid, times, field_fn, dt, name="sampled", bbox=None):
+    def __init__(self, grid, times, field_fn, dt, name="sampled"):
         self.grid = grid
+        self.name = name
         self.times = np.asarray(times, dtype=float)
         if self.times.ndim != 1 or not self.times.size or np.any(np.diff(self.times) <= 0):
             raise ValueError("sampled map times must be a non-empty, strictly increasing "
                              f"1-D sequence, got {self.times.tolist()!r}")
         self.field_fn = field_fn
         self.dt = dt
-        self.bbox = bbox
         self._last = None  # (labels, t, positions) of the last advected query
         # the grid labels, read-only: queries compare against them
         self._grid_lab = self.grid_labels()
         self._grid_lab.flags.writeable = False
         self.positions_table = self._march_table()
-        self.name = name
 
     @cached_property
     def error_floor(self):
@@ -237,11 +236,12 @@ class SampledFlowMap(FlowMap):
         marches."""
         from .flows import rk4_advect  # looked up per call: flows imports this module
 
-        return rk4_advect(self.field_fn, x, t0, t1, self.dt if dt is None else dt, bbox=self.bbox)
+        return rk4_advect(self.field_fn, x, t0, t1, self.dt if dt is None else dt)
 
     def _march_table(self):
         """Start the checkpoint lattice at the grid labels, march it to
-        times[-1] and read the table off it."""
+        times[-1] and read the table off it; a non-finite position in the
+        table raises a ValueError naming the map."""
         if self.times[0] != 0.0:
             raise ValueError("trajectory tables must start at t=0 (identity labels)")
         dt = self.dt
@@ -257,7 +257,10 @@ class SampledFlowMap(FlowMap):
         self._lattice_n, self._lattice_t = [0], [0.0]
         self._lattice_x = [self._grid_lab]
         self._extend_lattice(self.times[-1])
-        return np.stack([self._lattice_x[self._lattice_n.index(n)] for n in steps])
+        table = np.stack([self._lattice_x[self._lattice_n.index(n)] for n in steps])
+        if not np.isfinite(table).all():
+            raise ValueError(f"non-finite positions in the trajectory table of {self.name}")
+        return table
 
     def _extend_lattice(self, t):
         """March the lattice until its next point lies beyond time t.

@@ -18,7 +18,7 @@ Entries also carry their Eulerian velocity u(x, t) where the flow has one in
 closed form or is integrated from one (every flow but gerstner), and the
 Clebsch data the ``clebsch`` checks read: a triple (F, phi, psi) realizing
 u and a pair of materially advected scalars. A pure potential F's Bernoulli
-Omega = V - p/rho is the force potential's ``omega_at``.
+Omega = V - p is the force potential's ``omega_at``.
 """
 
 from __future__ import annotations
@@ -103,8 +103,7 @@ def rk4_advect(field_fn, labels, t0, t1, dt, bbox=None):
     return pts
 
 
-def integrate_trajectories(field_fn, grid, times, dt, bbox=None, name="sampled",
-                           timescale=None):
+def integrate_trajectories(field_fn, grid, times, dt, name="sampled", timescale=None):
     """Build a SampledFlowMap by marching the grid labels through ``times``
     with fixed-step RK4 over a (possibly unsteady) field. The map is
     identity-at-zero with unit reference density.
@@ -112,7 +111,7 @@ def integrate_trajectories(field_fn, grid, times, dt, bbox=None, name="sampled",
     The map's one march at ``dt`` fills its table and its checkpoint lattice
     (see SampledFlowMap); its ``error_floor`` marches again on first read.
     """
-    m = SampledFlowMap(grid, times, field_fn, dt, name=name, bbox=bbox)
+    m = SampledFlowMap(grid, times, field_fn, dt, name=name)
     m.timescale = float(timescale if timescale is not None else m.times[-1] or 1.0)
     return m
 
@@ -212,12 +211,14 @@ def _affine_entry(name, params, grid, M, L, props, U=(0.0, 0.0, 0.0), timescale=
 
 
 def _param(flow, name, value, positive=False):
-    """``value``, a real number but no bool, as a float: nonzero (the flow's
-    timescale divides by it), above zero if ``positive``, any if ``positive``
-    is None; else a ValueError naming the flow and the param."""
+    """``value``, a finite real number but no bool, as a float: nonzero (the
+    flow's timescale divides by it), above zero if ``positive``, any if
+    ``positive`` is None; else a ValueError naming the flow and the param."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{flow} {name} must be a number, got {value!r}")
     v = float(value)
+    if not np.isfinite(v):
+        raise ValueError(f"{flow} {name} must be finite, got {value!r}")
     if positive is not None and not (v > 0 if positive else v != 0):
         raise ValueError(f"{flow} {name} must be {'positive' if positive else 'nonzero'}, "
                          f"got {value!r}")
@@ -226,11 +227,11 @@ def _param(flow, name, value, positive=False):
 
 def _table_times(flow, times):
     """A sampled flow's table times: two or more, since its construction
-    gate grades the second."""
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or len(times) < 2:
-        raise ValueError(f"{flow} times must hold two or more values, got {times.tolist()!r}")
-    return times
+    gate grades the second, each a ``_param``."""
+    if not (isinstance(times, (list, tuple)) or isinstance(times, np.ndarray) and times.ndim == 1
+            ) or len(times) < 2:
+        raise ValueError(f"{flow} times must hold two or more values, got {times!r}")
+    return np.array([_param(flow, f"times[{i}]", t, positive=None) for i, t in enumerate(times)])
 
 
 def _rigid_rotation(grid, omega=1.0):

@@ -316,7 +316,7 @@ def _chk_density_lagrangian(entry, times, ctx, *, mode="auto"):
 
 
 def _chk_density_eulerian(entry, times, ctx):
-    s = density_residual(entry.map, times[-1], "eulerian", ctx["spec"])
+    s = density_residual(entry.map, times[-1], "eulerian", ctx["spec"], rind=ctx["rind"])
     return _from_summary(s, times[-1])
 
 

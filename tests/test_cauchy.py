@@ -199,11 +199,11 @@ def test_sampled_invariants_march_as_the_whole_grid_form(monkeypatch, name, call
     T = m.timescale
     real, log = flows.rk4_advect, []
 
-    def counted(field_fn, labels, t0, t1, dt, bbox=None):
+    def counted(field_fn, labels, t0, t1, dt):
         span = float(t1) - float(t0)
         steps = 0 if span == 0.0 else max(1, int(np.ceil(abs(span) / dt - 1e-12)))
         log.append(steps * (np.size(labels) // 3))
-        return real(field_fn, labels, t0, t1, dt, bbox)
+        return real(field_fn, labels, t0, t1, dt)
 
     monkeypatch.setattr(flows, "rk4_advect", counted)
     for order in (2, 4):

@@ -154,18 +154,12 @@ class TestChainRule:
 
 def test_omega_combines_v_and_pressure():
     fp = ForcePotential(
-        V=lambda p, t: p[..., 0],
-        pressure=lambda p, t: 2.0 * p[..., 0],
-        density=2.0,
+        V=lambda p, t: 3.0 * p[..., 0] + t,
+        pressure=lambda p, t: p[..., 0] * p[..., 1],
     )
-    pts = np.array([[1.0, 0.0, 0.0], [3.0, 1.0, -1.0]])
-    # Omega = V - p/rho = x - x = 0
-    assert np.abs(fp.omega_at(pts)).max() <= 1e-15
-
-
-def test_barotropic_closure_used_when_given():
-    # rho = phi(p) = p (isothermal-like): f(p) = integral dp/p = log p
-    fp = ForcePotential(pressure=lambda p, t: np.exp(p[..., 0]),
-                        f_of_p=np.log)
-    pts = np.array([[2.0, 0.0, 0.0]])
-    assert fp.f_at(pts) == pytest.approx(2.0)
+    pts = np.array([[1.0, 0.0, 0.0], [3.0, 1.0, -1.0], [-0.5, 2.0, 4.0]])
+    # Omega = V - p, bit for bit
+    want = (3.0 * pts[:, 0] + 0.5) - pts[:, 0] * pts[:, 1]
+    assert fp.omega_at(pts, 0.5).tobytes() == want.tobytes()
+    # no V and a constant pressure: -p at every point
+    assert np.array_equal(ForcePotential(pressure=2.0).omega_at(pts), np.full(3, -2.0))

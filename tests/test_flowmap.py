@@ -488,7 +488,7 @@ class TestSlabGates:
             dp = fp.pressure_grad(lab, t)
         else:
             dp = gradient(fp.pressure_at(lab, t), spec, grid=m.grid)
-        core = np.einsum("...i,...ij->...j", net, F) + dp / fp.density
+        core = np.einsum("...i,...ij->...j", net, F) + dp
         want = [summarize_residual(core[..., j], m.grid, rind=1) for j in range(3)]
         got = lagrangian_eom_residual(m, fp, t, spec, mode=mode, rind=1)
         assert [self.hexed(s) for s in got] == [self.hexed(s) for s in want]
@@ -946,9 +946,9 @@ class TestEulerianInversionCost:
         rk4, jacobian, invert = flows.rk4_advect, flowmap.deformation_at, flowmap.invert_map
         marches, jacobians, inversions = [], [], []
 
-        def counting_rk4(field_fn, labels, t0, t1, dt, bbox=None):
+        def counting_rk4(field_fn, labels, t0, t1, dt):
             marches.append((float(t0), float(t1), np.size(labels) // 3))
-            return rk4(field_fn, labels, t0, t1, dt, bbox)
+            return rk4(field_fn, labels, t0, t1, dt)
 
         def counting_jacobian(*args, **kwargs):
             jacobians.append(args[2])
@@ -966,7 +966,7 @@ class TestEulerianInversionCost:
         (targets, lab), = inversions
         assert [s for s in marches if s[1] == 0.0] == [(t, 0.0, np.size(targets) // 3)]
         assert len(jacobians) <= 2
-        back = rk4(m.field_fn, lab, 0.0, t, m.dt, bbox=m.bbox)
+        back = rk4(m.field_fn, lab, 0.0, t, m.dt)
         assert np.abs(back - targets).max() <= 1e-12
 
     def test_guard_raises_before_any_march_of_target_points(self, monkeypatch):

@@ -59,6 +59,33 @@ def test_gerstner_nonpositive_k_named_on_explicit_grid():
         catalog_flow("gerstner", grid=default_grid("gerstner"), k=0)
 
 
+@pytest.mark.parametrize("name, params, message", [
+    ("rigid_rotation", {"omega": np.nan}, "rigid_rotation omega must be finite, got nan"),
+    ("rigid_rotation", {"omega": np.inf}, "rigid_rotation omega must be finite, got inf"),
+    ("taylor_green", {"times": [0.0, np.nan]}, "taylor_green times[1] must be finite, got nan"),
+    ("taylor_green", {"times": [0.0, np.inf]}, "taylor_green times[1] must be finite, got inf"),
+    ("taylor_green", {"dt": np.inf}, "taylor_green dt must be finite, got inf"),
+    ("uniform_translation", {"velocity": (1.0, np.nan, 0.0)},
+     "uniform_translation velocity[1] must be finite, got nan"),
+], ids=["omega_nan", "omega_inf", "times_nan", "times_inf", "dt_inf", "velocity_nan"])
+def test_non_finite_param_named(name, params, message):
+    # a ValueError (run_suite maps it to a ConfigError) naming the flow and
+    # the param, raised before any map is built
+    with pytest.raises(ValueError) as err:
+        catalog_flow(name, **params)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("times, message", [
+    ([0, True], "taylor_green times[1] must be a number, got True"),
+    (["a", "b"], "taylor_green times[0] must be a number, got 'a'"),
+], ids=["bool", "string"])
+def test_table_time_must_be_a_number(times, message):
+    with pytest.raises(ValueError) as err:
+        catalog_flow("taylor_green", times=times)
+    assert str(err.value) == message
+
+
 def test_gerstner_dispersion_enforced():
     e = catalog_flow("gerstner", k=4.0, g=2.0)
     assert e.properties["dispersion"].endswith(f"{np.sqrt(2.0 / 4.0):.6g}")
@@ -150,18 +177,26 @@ class TestRK4:
         assert coarse / fine >= 14.0
 
     def test_bbox_escape_raises(self):
-        g = default_grid("uniform_translation")
         with pytest.raises(ParticleEscapeError):
-            integrate_trajectories(
-                lambda x, t: np.broadcast_to(np.array([1.0, 0, 0]), x.shape), g,
-                [0.0, 10.0], 0.5, bbox=((-2, -2, -2), (2, 2, 2)),
-            )
+            rk4_advect(lambda x, t: np.broadcast_to(np.array([1.0, 0, 0]), x.shape),
+                       np.zeros((4, 3)), 0.0, 10.0, 0.5, bbox=((-2, -2, -2), (2, 2, 2)))
 
     def test_dt_must_divide_gaps(self):
         g = default_grid("uniform_translation")
         with pytest.raises(ValueError):
             integrate_trajectories(lambda x, t: np.zeros_like(x), g,
                                    [0.0, 1.0], 0.3)
+
+    def test_non_finite_table_raises_at_construction(self):
+        g = default_grid("rigid_rotation", (5, 5))
+        with pytest.raises(ValueError, match="non-finite positions in the trajectory table "
+                                             "of nan_field"):
+            integrate_trajectories(lambda x, t: np.full(x.shape, np.nan), g, [0.0, 0.5], 0.25,
+                                   name="nan_field")
+        # a field that blows up past the first table time poisons the last row only
+        with pytest.raises(ValueError, match="of late_blowup"):
+            integrate_trajectories(lambda x, t: np.full(x.shape, np.inf if t > 0.6 else 0.0),
+                                   g, [0.0, 0.5, 1.0], 0.25, name="late_blowup")
 
     def test_step_halving_estimate_recorded(self):
         e = catalog_flow("point_vortex")
@@ -353,9 +388,9 @@ class TestCheckpointLattice:
         calls = []
         advect = flows.rk4_advect
 
-        def counting(field_fn, labels, t0, t1, dt, bbox=None):
+        def counting(field_fn, labels, t0, t1, dt):
             calls.append((t0, t1, dt))
-            return advect(field_fn, labels, t0, t1, dt, bbox)
+            return advect(field_fn, labels, t0, t1, dt)
 
         monkeypatch.setattr(flows, "rk4_advect", counting)
         m = catalog_flow("point_vortex").map
@@ -397,9 +432,9 @@ class TestCheckpointLattice:
         m = catalog_flow("taylor_green").map  # table (0, 0.5, 1.0), dt 1/256
         spans = []
 
-        def counting(field_fn, labels, t0, t1, dt, bbox=None):
+        def counting(field_fn, labels, t0, t1, dt):
             spans.append((float(t0), float(t1), np.size(labels) // 3))
-            return rk4_advect(field_fn, labels, t0, t1, dt, bbox)
+            return rk4_advect(field_fn, labels, t0, t1, dt)
 
         monkeypatch.setattr(flows, "rk4_advect", counting)
         lab = m.grid_labels()
@@ -482,11 +517,11 @@ class TestCheckpointLattice:
         monkeypatch.setattr(grids, "BLOCK", 30)
         marches = []
 
-        def counting(field_fn, labels, t0, t1, dt, bbox=None):
+        def counting(field_fn, labels, t0, t1, dt):
             span = float(t1) - float(t0)
             steps = 0 if span == 0.0 else max(1, int(np.ceil(abs(span) / dt - 1e-12)))
             marches.append(steps * (np.size(labels) // 3))
-            return rk4_advect(field_fn, labels, t0, t1, dt, bbox)
+            return rk4_advect(field_fn, labels, t0, t1, dt)
 
         monkeypatch.setattr(flows, "rk4_advect", counting)
         e = catalog_flow(name, grid=default_grid(name, (16, 16)))
@@ -662,7 +697,7 @@ def test_affine_force_is_derived_from_L(name, defaults):
     # its potential
     params = {} if defaults else ANALYTIC_PARAMS[name]
     e = catalog_flow(name, **params)
-    assert e.force.V is None and e.force.density == 1.0
+    assert e.force.V is None
     pts = np.random.default_rng(3).normal(size=(40, 3))
     for x in (pts, e.map.positions(e.map.grid_labels(), 0.7)):
         grad = e.force.pressure_grad(x, 0.7)

@@ -101,8 +101,8 @@ UNREAD_MEMBERS = {
     "circulation.MaterialLoop.reversed": "stays: tests build reversed loops with it",
     "circulation.MaterialSurface.boundary_loop": "stays: tests build spanning surfaces' loops",
     "circulation.MaterialSurface.rectangle": "stays: tests and the energy demo build boxes of it",
-    "dynamics.ForcePotential.omega_at": ("item 22: the barotropic closure f(p) it reads is "
-                                         "graded or goes; tests read the catalog's Omega"),
+    "dynamics.ForcePotential.omega_at": ("item 10: energy.flux_balance would read it; tests "
+                                         "read the catalog's Omega"),
     "energy.EnergyLedger.K": _ITEM_10,
     "flowmap.SampledFlowMap.error_floor": "item 1: a row records its sampled map's error floor",
 }

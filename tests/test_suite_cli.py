@@ -442,6 +442,19 @@ class TestRunSuite:
             assert r.passed == (r.linf <= r.tolerance or
                                 (r.order is not None and r.passed))
 
+    def test_eulerian_row_reads_the_config_rind(self):
+        from flowmaplab.flowmap import density_residual
+        from flowmaplab.flows import catalog_flow, default_grid
+        from flowmaplab.grids import StencilSpec
+
+        base = {"flows": [{"name": "gerstner"}], "grids": [[32, 32]],
+                "checks": [{"id": "flowmap.density_eulerian", "tolerance": 1.0}]}
+        rows = {rind: run_suite(dict(base, rind=rind))[0].rows[0] for rind in (1, 3)}
+        e = catalog_flow("gerstner", grid=default_grid("gerstner", (32, 32)))
+        direct = density_residual(e.map, rows[3].time, "eulerian", StencilSpec(order=2), rind=3)
+        assert rows[3].linf.hex() == direct.linf.hex()
+        assert rows[3].linf != rows[1].linf
+
 
 GRID_CHECKS = ("cauchy.invariant_drift", "cauchy.solenoidality", "flowmap.density_lagrangian",
                "flowmap.cofactor_identity", "dynamics.lagrangian_eom")
